@@ -15,8 +15,9 @@ Run:  python3 demos/demo_growth_envelope.py   (about five seconds)
 
 import numpy as np
 
+from vpkit.acceptance import unit_density
 from vpkit.echo import EchoKernelSpec, GrowthParams, growth_envelope, growth_verify
-from vpkit.lintheory import VolterraKernel, kernel_eval, stability_scan, volterra_solve
+from vpkit.lintheory import VolterraKernel, kernel_eval, stability_scan
 from vpkit.profiles import Interaction, VelocityProfile, profile_fourier
 
 PROFILE = VelocityProfile.maxwellian(0.05)
@@ -34,9 +35,7 @@ print(f"stability margin kappa = {scan.kappa:.4f} "
       f"(worst mode k = {scan.worst_mode})")
 
 # weighted density series from the closed linear march
-kern = VolterraKernel(nu=NU, k=1, profile=PROFILE, interaction=COUPLING,
-                      dt=0.04, horizon=20.0)
-hist = volterra_solve(1, lambda t: profile_fourier(PROFILE, t), kern, T=20.0, dt=0.04)
+hist = unit_density(PROFILE, COUPLING, NU, 1, 20.0, 0.04)
 times = np.asarray(hist.times)
 weight = np.exp(2.0 * np.pi * (LAM * times + MU))
 phi = np.asarray(hist.rho_hat) * weight
@@ -44,6 +43,7 @@ free = profile_fourier(PROFILE, times) * np.exp(-NU * times) * weight
 A = float(np.max(np.abs(free)))
 
 # the weighted kernel the hypothesis convolves against
+kern = VolterraKernel(nu=NU, k=1, profile=PROFILE, interaction=COUPLING)
 k0w = kernel_eval(kern, times) * np.exp(NU * times) * np.exp(2.0 * np.pi * LAM * times)
 
 params = GrowthParams(

@@ -3,7 +3,7 @@
 The k = 1 field mode of a cold Maxwellian decays exponentially. This script
 measures the rate three ways that share no code path:
 
-  dispersion   root of 1 - L(eta) in the lower half-plane, rate = 2 pi Im eta
+  dispersion   root of 1 - L(eta) in the upper half-plane, rate = 2 pi |k| Im eta
   volterra     envelope fit on the closed density-equation march
   kinetic      envelope fit on the full nonlinear solver at tiny amplitude
 
@@ -12,12 +12,10 @@ and prints the spread. Collisions (nu > 0) steepen all three rates together.
 Run:  python3 demos/demo_landau_rates.py   (about ten seconds)
 """
 
-import numpy as np
-from scipy.optimize import root
-
+from vpkit.acceptance import unit_density
 from vpkit.kinetic import KineticRun, run
-from vpkit.lintheory import VolterraKernel, damping_rate_fit, dispersion_L, volterra_solve
-from vpkit.profiles import Interaction, VelocityProfile, profile_fourier
+from vpkit.lintheory import VolterraKernel, damping_rate_fit, dispersion_rate
+from vpkit.profiles import Interaction, VelocityProfile
 
 PROFILE = VelocityProfile.maxwellian(0.05)
 COUPLING = Interaction.power_law(2.0, amplitude=1.0, sign=1)
@@ -25,23 +23,11 @@ WINDOW = (4.0, 42.0)  # fit window: past the transient, before the noise floor
 
 
 def rate_from_dispersion(nu):
-    kern = VolterraKernel(nu=nu, k=1, profile=PROFILE, interaction=COUPLING,
-                          dt=0.02, horizon=60.0)
-
-    def mismatch(xy):
-        val = 1.0 - dispersion_L(complex(xy[0], xy[1]), 1, nu, kern=kern)
-        return [val.real, val.imag]
-
-    vth = PROFILE.thermal_speed
-    sol = root(mismatch, [3.0 * vth, 0.25 * vth], tol=1e-13)
-    assert sol.success, sol.message
-    return 2.0 * np.pi * sol.x[1]
+    return dispersion_rate(VolterraKernel(nu=nu, k=1, profile=PROFILE, interaction=COUPLING))
 
 
 def rate_from_volterra(nu):
-    kern = VolterraKernel(nu=nu, k=1, profile=PROFILE, interaction=COUPLING,
-                          dt=0.02, horizon=60.0)
-    hist = volterra_solve(1, lambda t: profile_fourier(PROFILE, t), kern, T=60.0, dt=0.02)
+    hist = unit_density(PROFILE, COUPLING, nu, 1, 60.0, 0.02)
     rate, _, _ = damping_rate_fit(hist, WINDOW)
     return -rate
 

@@ -7,6 +7,10 @@ blow it). Expensive products (Landau runs, Volterra marches, dispersion
 roots) are built once per battery through a shared cache, and the
 conservation audit inspects the same histories the physics checks used.
 
+The scenario products the command-line runner reports on are defined here
+once and shared with the battery: the free-transport march, the unit-data
+Volterra density, the seeded norm battery and the mass drift of a history.
+
 run_battery executes a named suite and never raises on a failed check: a
 failure, including an unexpected exception inside a criterion, becomes
 report content with passed = False.
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import root as scipy_root
 
 from .echo import (
     BACKWARD_MOMENT_CONSTANT,
@@ -32,12 +35,14 @@ from .echo import (
 from .errors import ConstraintViolation
 from .hybridnorms import (
     NormParams,
+    PropertyReport,
     prop13_battery,
     pure_v_field,
     pure_x_field,
     random_field,
 )
 from .kinetic import (
+    RECURRENCE_SAFETY,
     FieldHistory,
     KineticRun,
     collision_substep,
@@ -50,9 +55,10 @@ from .kinetic import (
     step,
 )
 from .lintheory import (
+    DensityHistory,
     VolterraKernel,
     damping_rate_fit,
-    dispersion_L,
+    dispersion_rate,
     free_streaming_response,
     kernel_eval,
     volterra_solve,
@@ -117,31 +123,103 @@ def _cache(cache) -> dict:
     return {} if cache is None else cache
 
 
-def _audit_history(cache, label, hist: FieldHistory, masses) -> None:
-    """Record mass drift and Poisson residual of a finished run for criterion 3."""
-    masses = np.asarray(masses, dtype=float)
-    m0 = masses[0]
-    drift = float(np.max(np.abs(masses - m0)) / abs(m0))
-    what = np.array(
-        [0.0 if k == 0 else _interaction_hat_cached(hist.interaction, k) for k in hist.modes]
+def mass_drift(hist: FieldHistory) -> float:
+    """Largest relative change of the mean density (the mass) over a history."""
+    masses = hist.rho_hat[:, hist.k_max].real
+    return float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
+
+
+def free_transport_march(profile, k, amplitude, shape, k_max, n_v, v_max, dt,
+                         n_steps, cadence) -> dict:
+    """March the interaction-free, collisionless model against the exact shift.
+
+    Free flight carries fhat_0(k, eta) to fhat_0(k, eta + k t), so the mode-k
+    density of a state perturbed at mode k is (amplitude/2) f0_hat(k t)
+    exactly. Records every cadence steps and at the last step. Returns a dict
+    with the FieldHistory "hist", the recorded "trace" of mode k next to its
+    "exact" value, "trace_error", the largest gap on records up to
+    RECURRENCE_SAFETY of the "recurrence_time" 1/(k dv) ("compared_up_to" is
+    the last such record), and "mid_state", the state after n_steps // 2 steps.
+    """
+    state = perturb_density(
+        equilibrium_state(profile, k_max, n_v, v_max), profile, k, amplitude, shape
     )
-    expected = 2j * np.pi * np.asarray(hist.modes) * what * hist.rho_hat
-    residual = float(np.max(np.abs(hist.e_hat - expected)))
-    cache.setdefault("audit", {})[label] = {
-        "mass_drift": drift,
-        "poisson_residual": residual,
+    w_zero = Interaction.zero()
+    times, rho_rows = [0.0], [rho_hat(state)]
+    mid_state = None
+    for j in range(1, n_steps + 1):
+        state = step(state, dt, w_zero, profile, 0.0)
+        if j % cadence == 0 or j == n_steps:
+            times.append(state.time)
+            rho_rows.append(rho_hat(state))
+        if j == n_steps // 2:
+            mid_state = state
+    times = np.array(times)
+    hist = FieldHistory.from_density(times, state.modes, np.array(rho_rows), w_zero)
+    trace = hist.rho_hat[:, k_max + k]
+    exact = np.array([0.5 * amplitude * profile_fourier(profile, k * t) for t in times])
+    recurrence_time = 1.0 / (k * (2.0 * v_max / n_v))
+    inside = times <= RECURRENCE_SAFETY * recurrence_time
+    return {
+        "hist": hist,
+        "trace": trace,
+        "exact": exact,
+        "trace_error": float(np.max(np.abs(trace - exact)[inside])),
+        "compared_up_to": float(times[inside][-1]),
+        "recurrence_time": recurrence_time,
+        "mid_state": mid_state,
     }
 
 
-def _interaction_hat_cached(interaction, k):
-    from .profiles import interaction_hat
+def unit_density(profile, interaction, nu, k, T, dt) -> DensityHistory:
+    """Volterra march of density mode k to time T from unit data.
 
-    return interaction_hat(interaction, k)
+    Unit data fhat_0(k, eta) = f0_hat(eta) is a density perturbation of unit
+    amplitude; the memory kernel is sampled on the march grid.
+    """
+    kern = VolterraKernel(
+        nu=nu, k=k, profile=profile, interaction=interaction, dt=dt, horizon=T
+    )
+    return volterra_solve(k, lambda t: profile_fourier(profile, k * t), kern, T=T, dt=dt)
 
 
-def _shipped_trace(t):
-    """fhat_0(1, t) of the shipped cold Gaussian, unit perturbation amplitude."""
-    return np.exp(-2.0 * np.pi**2 * VTH_SHIPPED * VTH_SHIPPED * np.asarray(t) ** 2)
+def norm_battery_report(seed: int) -> PropertyReport:
+    """prop13_battery over a seeded suite of 20 mixed fields and 5 parameter sets.
+
+    The suite cycles through pure-x fields, Gaussian pure-v fields and random
+    mixed fields on a 128-point eta grid, all drawn from default_rng(seed).
+    """
+    rng = np.random.default_rng(seed)
+    n = 128
+    grid = (np.arange(n) - n // 2) * (8.0 / n)
+    suite = []
+    for i in range(20):
+        kind = i % 3
+        if kind == 0:
+            amps = {k: 0.3 * (rng.normal() + 1j * rng.normal()) for k in (-2, -1, 1, 2)}
+            suite.append(pure_x_field(amps, 4, grid))
+        elif kind == 1:
+            sigma = rng.uniform(0.3, 0.55)
+            prof = rng.uniform(0.3, 1.0) * np.exp(-(grid**2) / (2 * sigma**2))
+            suite.append(pure_v_field(prof, 4, grid))
+        else:
+            suite.append(random_field(rng, k_max=4, eta_grid=grid))
+    params = [
+        NormParams(0.0, 0.0, 0.0),
+        NormParams(0.02, 0.1, 0.5),
+        NormParams(0.05, 0.0, -1.0),
+        NormParams(0.03, 0.2, 0.0, p=2.0),
+        NormParams(0.02, 0.05, 1.0, p=np.inf),
+    ]
+    return prop13_battery(suite, params, slack_tol=1e-9)
+
+
+def _audit_history(cache, label, hist: FieldHistory) -> None:
+    """Record mass drift and Poisson residual of a finished run for criterion 3."""
+    cache.setdefault("audit", {})[label] = {
+        "mass_drift": mass_drift(hist),
+        "poisson_residual": hist.poisson_residual(),
+    }
 
 
 def _landau_products(cache, nu):
@@ -154,7 +232,7 @@ def _landau_products(cache, nu):
         )
         hist, diag = run(cfg)
         cache[key] = (hist, diag)
-        _audit_history(cache, f"landau nu={nu:g}", hist, diag["mass"])
+        _audit_history(cache, f"landau nu={nu:g}", hist)
     return cache[key]
 
 
@@ -168,96 +246,53 @@ def _nonlinear_products(cache):
         )
         hist, diag = run(cfg)
         cache[key] = (hist, diag)
-        _audit_history(cache, "nonlinear amp=0.1", hist, diag["mass"])
+        _audit_history(cache, "nonlinear amp=0.1", hist)
     return cache[key]
 
 
 def _free_transport_products(cache):
-    """March the interaction-free model and compare against the exact shift.
+    """Free-transport march of criterion 1 and its two exact-shift errors.
 
-    Cold Gaussian, single mode k = 1 at amplitude 1e-3, velocity box of six
-    thermal speeds. The density trace is checked against
-    (eps/2) fhat_0(t) on every record up to 80 percent of the velocity-grid
-    recurrence time 1/dv, and the full velocity spectrum of the k = -1 row is
-    checked at 40 percent of it (past that the shifted transform center
-    leaves the representable eta window and only the trace identity is
-    meaningful).
+    Cold Gaussian, mode k = 1 at amplitude 1e-3, velocity box of six thermal
+    speeds. The density trace is checked on every record, and the velocity
+    spectrum of the k = -1 row at 40 percent of the recurrence time 1/dv
+    (past that the shifted transform center leaves the eta window).
     """
     key = ("free",)
     if key not in cache:
-        k_max, n_v, v_max = 2, 512, 0.3
-        dt, amp = 0.5, 1e-3
-        dv = 2.0 * v_max / n_v
-        t_rec = 1.0 / dv                      # 853.33 at this grid
-        n_steps = 1360                        # t_end = 680 < 0.8 * t_rec
-        spectrum_step = 680                   # t = 340 < 0.4 * t_rec
-        state = equilibrium_state(PROFILE_SHIPPED, k_max, n_v, v_max)
-        state = perturb_density(state, PROFILE_SHIPPED, 1, amp)
-        w_zero = Interaction.zero()
-
-        times, rho_rows, masses = [0.0], [rho_hat(state)], []
-        masses.append(float(rho_rows[0][k_max].real))
-        trace_err = 0.0
-        spectrum_err = None
-        for j in range(1, n_steps + 1):
-            state = step(state, dt, w_zero, PROFILE_SHIPPED, 0.0)
-            if j % 4 == 0 or j == n_steps:
-                r = rho_hat(state)
-                times.append(state.time)
-                rho_rows.append(r)
-                masses.append(float(r[k_max].real))
-                want = 0.5 * amp * profile_fourier(PROFILE_SHIPPED, state.time)
-                trace_err = max(trace_err, abs(r[k_max + 1] - want))
-            if j == spectrum_step:
-                snap = spectral_snapshot(state)
-                want_row = 0.5 * amp * profile_fourier(
-                    PROFILE_SHIPPED, snap.eta_grid - state.time
-                )
-                got_row = snap.coeffs[k_max - 1]
-                spectrum_err = float(np.max(np.abs(got_row - want_row)))
-        hist = FieldHistory.from_density(
-            np.array(times), state.modes, np.array(rho_rows), w_zero
+        k_max, amp, dt = 2, 1e-3, 0.5
+        n_steps = 1360                        # t_end = 680 < 0.8 * t_rec = 682.7
+        march = free_transport_march(
+            PROFILE_SHIPPED, 1, amp, "density", k_max, 512, 0.3, dt, n_steps, 4
         )
+        state = march["mid_state"]            # t = 340 < 0.4 * t_rec
+        snap = spectral_snapshot(state)
+        want_row = 0.5 * amp * profile_fourier(PROFILE_SHIPPED, snap.eta_grid - state.time)
+        got_row = snap.coeffs[k_max - 1]
         cache[key] = {
-            "trace_error": float(trace_err),
-            "spectrum_error": float(spectrum_err),
+            "trace_error": march["trace_error"],
+            "spectrum_error": float(np.max(np.abs(got_row - want_row))),
             "t_end": n_steps * dt,
-            "recurrence_fraction": n_steps * dt / t_rec,
+            "recurrence_fraction": n_steps * dt / march["recurrence_time"],
         }
-        _audit_history(cache, "free transport", hist, masses)
+        _audit_history(cache, "free transport", march["hist"])
     return cache[key]
 
 
 def _dispersion_rate(cache, nu):
-    """Decay rate from the root of 1 - L nearest the thermal resonance."""
+    """Decay rate of the shipped k = 1 mode from its dispersion root, cached."""
     key = ("root", float(nu))
     if key not in cache:
-        kern = VolterraKernel(
-            nu=float(nu), k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE,
-            dt=0.02, horizon=60.0,
-        )
-        vth = PROFILE_SHIPPED.thermal_speed
-
-        def F(xy):
-            val = 1.0 - dispersion_L(complex(xy[0], xy[1]), 1, float(nu), kern=kern)
-            return [val.real, val.imag]
-
-        # start near the thermal resonance: Re eta ~ 3 v_th, Im eta ~ v_th / 4
-        sol = scipy_root(F, [3.0 * vth, 0.25 * vth], tol=1e-13)
-        if not sol.success:
-            raise ConstraintViolation(f"dispersion root search failed: {sol.message}")
-        cache[key] = complex(sol.x[0], sol.x[1])
-    return 2.0 * np.pi * cache[key].imag
+        cache[key] = dispersion_rate(VolterraKernel(
+            nu=float(nu), k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE
+        ))
+    return cache[key]
 
 
 def _volterra_rate(cache, nu):
     key = ("volterra_rate", float(nu))
     if key not in cache:
-        kern = VolterraKernel(
-            nu=float(nu), k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE,
-            dt=0.02, horizon=60.0,
-        )
-        hist = volterra_solve(1, _shipped_trace, kern, T=60.0, dt=0.02)
+        hist = unit_density(PROFILE_SHIPPED, REPULSIVE, float(nu), 1, 60.0, 0.02)
         rate, _, _ = damping_rate_fit(hist, FIT_WINDOW)
         cache[key] = -rate
     return cache[key]
@@ -389,14 +424,9 @@ def criterion_4(cache=None) -> CriterionResult:
 def criterion_5(cache=None) -> CriterionResult:
     """Volterra solutions converge to the collisionless one as nu -> 0."""
     t0 = time.perf_counter()
-    T, dt = 40.0, 0.04
 
     def solve(nu):
-        kern = VolterraKernel(
-            nu=nu, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE,
-            dt=dt, horizon=T,
-        )
-        return np.asarray(volterra_solve(1, _shipped_trace, kern, T=T, dt=dt).rho_hat)
+        return unit_density(PROFILE_SHIPPED, REPULSIVE, nu, 1, 40.0, 0.04).rho_hat
 
     base = solve(0.0)
     sups = {nu: float(np.max(np.abs(solve(nu) - base))) for nu in (1e-2, 1e-3, 1e-4)}
@@ -573,29 +603,7 @@ def criterion_9(cache=None) -> CriterionResult:
 def criterion_10(cache=None) -> CriterionResult:
     """Norm battery: asserted inequality items over random mixed fields."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20125)
-    n = 128
-    grid = (np.arange(n) - n // 2) * (8.0 / n)
-    suite = []
-    for i in range(20):
-        kind = i % 3
-        if kind == 0:
-            amps = {k: 0.3 * (rng.normal() + 1j * rng.normal()) for k in (-2, -1, 1, 2)}
-            suite.append(pure_x_field(amps, 4, grid))
-        elif kind == 1:
-            sigma = rng.uniform(0.3, 0.55)
-            prof = rng.uniform(0.3, 1.0) * np.exp(-(grid**2) / (2 * sigma**2))
-            suite.append(pure_v_field(prof, 4, grid))
-        else:
-            suite.append(random_field(rng, k_max=4, eta_grid=grid))
-    params = [
-        NormParams(0.0, 0.0, 0.0),
-        NormParams(0.02, 0.1, 0.5),
-        NormParams(0.05, 0.0, -1.0),
-        NormParams(0.03, 0.2, 0.0, p=2.0),
-        NormParams(0.02, 0.05, 1.0, p=np.inf),
-    ]
-    report = prop13_battery(suite, params, slack_tol=1e-9)
+    report = norm_battery_report(20125)
     measured = {"fields": report.n_fields, "param_sets": report.n_params}
     ok = True
     for item in ("i", "ii", "viii", "viiii", "iX"):
@@ -618,16 +626,13 @@ def criterion_11(cache=None) -> CriterionResult:
 
     t0 = time.perf_counter()
     nu_c = 0.02
-    kern = VolterraKernel(
-        nu=nu_c, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE,
-        dt=0.04, horizon=20.0,
-    )
-    hist = volterra_solve(1, _shipped_trace, kern, T=20.0, dt=0.04)
-    times = np.asarray(hist.times)
+    kern = VolterraKernel(nu=nu_c, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE)
+    hist = unit_density(PROFILE_SHIPPED, REPULSIVE, nu_c, 1, 20.0, 0.04)
+    times = hist.times
     lam, mu = 0.008, 0.1
     weight = np.exp(2.0 * np.pi * (lam * times + mu))
-    phi = np.asarray(hist.rho_hat) * weight
-    free = _shipped_trace(times) * np.exp(-nu_c * times) * weight
+    phi = hist.rho_hat * weight
+    free = profile_fourier(PROFILE_SHIPPED, times) * np.exp(-nu_c * times) * weight
     A = float(np.max(np.abs(free)))
     k0w = kernel_eval(kern, times) * np.exp(nu_c * times) * np.exp(2.0 * np.pi * lam * times)
     spec = EchoKernelSpec(alpha=0.5, gamma=2.0)

@@ -33,9 +33,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import root as scipy_root
 
-from .acceptance import SUITES, run_battery
+from .acceptance import (
+    SUITES,
+    free_transport_march,
+    mass_drift,
+    norm_battery_report,
+    run_battery,
+    unit_density,
+)
 from .echo import echo_time, piecewise_integral_check
 from .errors import (
     EchoBeyondRecurrence,
@@ -45,25 +51,21 @@ from .errors import (
     ValidationError,
     VpkitError,
 )
-from .hybridnorms import NormParams, prop13_battery, pure_v_field, pure_x_field, random_field
 from .kinetic import (
+    PHASE_BUDGET,
     FieldHistory,
     KineticRun,
+    default_v_max,
     echo_experiment,
-    equilibrium_state,
-    perturb_density,
-    rho_hat,
     run,
-    step,
 )
 from .lintheory import (
     VolterraKernel,
     damping_rate_fit,
-    dispersion_L,
+    dispersion_rate,
     stability_scan,
-    volterra_solve,
 )
-from .profiles import Interaction, VelocityProfile, interaction_hat, profile_fourier
+from .profiles import Interaction, VelocityProfile
 
 SCENARIOS = (
     "linear_landau",
@@ -139,11 +141,6 @@ _ALLOWED_KEYS = {
     "kernel": {"alpha", "cases"},
 }
 
-# dt * k_max * v_max past this leaves the splitting's accuracy regime; the
-# marching guard enforces the same budget, this check just fails at parse time
-_PHASE_BUDGET = 2.0
-
-
 @dataclass(frozen=True)
 class EchoSettings:
     """Seed/force parameters of a two-mode echo run."""
@@ -183,7 +180,7 @@ class SimConfig:
     def resolved_v_max(self) -> float:
         if self.v_max is not None:
             return float(self.v_max)
-        return 6.0 * self.profile.thermal_speed
+        return default_v_max(self.profile)
 
 
 def _merge_defaults(scenario: str) -> dict:
@@ -416,14 +413,15 @@ def parse_config(path, *, force_scenario: str | None = None) -> SimConfig:
     if mode is not None and k_max is not None and mode > k_max:
         problems.append("perturbation.mode: must not exceed grid.k_max")
 
+    # the marching guard enforces the phase budget too; this fails at parse time
     marching = scenario in ("linear_landau", "free_transport_check", "echo_experiment")
     if marching and None not in (dt, k_max) and v_max_known:
-        v_eff = v_max if v_max is not None else 6.0 * profile.thermal_speed
+        v_eff = v_max if v_max is not None else default_v_max(profile)
         budget = dt * k_max * v_eff
-        if budget > _PHASE_BUDGET:
+        if budget > PHASE_BUDGET:
             problems.append(
                 f"time.dt: dt * k_max * v_max = {budget:.3g} exceeds the splitting "
-                f"phase budget {_PHASE_BUDGET:g}; shrink dt or the grid"
+                f"phase budget {PHASE_BUDGET:g}; shrink dt or the grid"
             )
     if scenario == "free_transport_check":
         if interaction is not None and interaction.kind != "zero":
@@ -604,14 +602,6 @@ def _diagnostics_csv(diag: dict) -> bytes:
     return _csv_bytes(columns, rows)
 
 
-def _poisson_residual(hist: FieldHistory) -> float:
-    what = np.array(
-        [0.0 if k == 0 else interaction_hat(hist.interaction, int(k)) for k in hist.modes]
-    )
-    expected = 2j * np.pi * np.asarray(hist.modes) * what * hist.rho_hat
-    return float(np.max(np.abs(hist.e_hat - expected)))
-
-
 def _criterion(name, passed, measured, tolerance) -> dict:
     return {
         "name": name,
@@ -621,10 +611,9 @@ def _criterion(name, passed, measured, tolerance) -> dict:
     }
 
 
-def _conservation_criteria(hist: FieldHistory, masses) -> list:
-    masses = np.asarray(masses, dtype=float)
-    drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
-    residual = _poisson_residual(hist)
+def _conservation_criteria(hist: FieldHistory) -> list:
+    drift = mass_drift(hist)
+    residual = hist.poisson_residual()
     return [
         _criterion("mass_conserved", drift < 1e-10, {"relative_drift": drift}, "< 1e-10"),
         _criterion(
@@ -653,32 +642,14 @@ def _kinetic_config(config: SimConfig) -> KineticRun:
     )
 
 
-def _dispersion_rate_for(config: SimConfig) -> float:
-    kern = VolterraKernel(
-        nu=config.nu, k=config.pert_mode, profile=config.profile,
-        interaction=config.interaction, dt=0.02, horizon=60.0,
-    )
-    vth = config.profile.thermal_speed
-
-    def F(xy):
-        val = 1.0 - dispersion_L(
-            complex(xy[0], xy[1]), config.pert_mode, config.nu, kern=kern
-        )
-        return [val.real, val.imag]
-
-    # start near the thermal resonance of the perturbed mode
-    sol = scipy_root(F, [3.0 * vth, 0.25 * vth], tol=1e-13)
-    if not sol.success or sol.x[1] <= 0:
-        raise MarginNonPositive(f"no decaying dispersion root found: {sol.message}")
-    return 2.0 * np.pi * float(sol.x[1])
-
-
 def _run_linear_landau(config: SimConfig):
     hist, diag = run(_kinetic_config(config))
     criteria = []
     window = (0.09 * config.t_end, 0.94 * config.t_end)
     try:
-        predicted = _dispersion_rate_for(config)
+        predicted = dispersion_rate(VolterraKernel(
+            nu=config.nu, k=config.pert_mode, profile=config.profile,
+            interaction=config.interaction))
         column = hist.k_max + config.pert_mode
         rate, _, rms = damping_rate_fit(
             (hist.times, np.abs(hist.e_hat[:, column])), window
@@ -699,7 +670,7 @@ def _run_linear_landau(config: SimConfig):
                 {"reason": f"{type(err).__name__}: {err}"}, "gap <= 0.05",
             )
         )
-    criteria.extend(_conservation_criteria(hist, diag["mass"]))
+    criteria.extend(_conservation_criteria(hist))
     files = {
         "history.csv": _history_csv(hist),
         "diagnostics.csv": _diagnostics_csv(diag),
@@ -708,53 +679,28 @@ def _run_linear_landau(config: SimConfig):
 
 
 def _run_free_transport_check(config: SimConfig):
-    v_max = config.resolved_v_max()
-    dv = 2.0 * v_max / config.n_v
-    t_rec = 1.0 / (config.pert_mode * dv)
-    horizon = 0.8 * t_rec
-    state = equilibrium_state(config.profile, config.k_max, config.n_v, v_max)
-    state = perturb_density(
-        state, config.profile, config.pert_mode, config.pert_amplitude, config.pert_shape
+    march = free_transport_march(
+        config.profile, config.pert_mode, config.pert_amplitude, config.pert_shape,
+        config.k_max, config.n_v, config.resolved_v_max(), config.dt,
+        int(round(config.t_end / config.dt)), config.cadence,
     )
-    k_col = config.k_max + config.pert_mode
-    n_steps = int(round(config.t_end / config.dt))
-    times, rho_rows, masses, refs = [0.0], [rho_hat(state)], [], []
-    masses.append(float(rho_rows[0][config.k_max].real))
-    refs.append(0.5 * config.pert_amplitude * profile_fourier(config.profile, 0.0))
-    for j in range(1, n_steps + 1):
-        state = step(state, config.dt, config.interaction, config.profile, config.nu)
-        if j % config.cadence == 0 or j == n_steps:
-            r = rho_hat(state)
-            times.append(state.time)
-            rho_rows.append(r)
-            masses.append(float(r[config.k_max].real))
-            refs.append(
-                0.5 * config.pert_amplitude
-                * profile_fourier(config.profile, config.pert_mode * state.time)
-            )
-    times_arr = np.array(times)
-    rho_arr = np.array(rho_rows)
-    refs_arr = np.array(refs)
-    inside = times_arr <= horizon
-    errors = np.abs(rho_arr[:, k_col] - refs_arr)
-    max_err = float(np.max(errors[inside]))
-    hist = FieldHistory.from_density(times_arr, state.modes, rho_arr, config.interaction)
+    hist = march["hist"]
     criteria = [
         _criterion(
             "matches_exact_shift",
-            max_err < 1e-10,
+            march["trace_error"] < 1e-10,
             {
-                "max_trace_error": max_err,
-                "compared_up_to": float(times_arr[inside][-1]),
-                "recurrence_time": t_rec,
+                "max_trace_error": march["trace_error"],
+                "compared_up_to": march["compared_up_to"],
+                "recurrence_time": march["recurrence_time"],
             },
             "< 1e-10 up to 0.8 of the grid recurrence time",
         )
     ]
-    criteria.extend(_conservation_criteria(hist, masses))
+    criteria.extend(_conservation_criteria(hist))
     rows = [
         [t, rho.real, rho.imag, ref.real, ref.imag, abs(rho - ref)]
-        for t, rho, ref in zip(times_arr, rho_arr[:, k_col], refs_arr)
+        for t, rho, ref in zip(hist.times, march["trace"], march["exact"])
     ]
     files = {
         "history.csv": _history_csv(hist),
@@ -813,26 +759,18 @@ def _run_echo_experiment(config: SimConfig):
 
 
 def _run_collision_sweep(config: SimConfig):
-    k = config.pert_mode
-
-    def trace(t):
-        return profile_fourier(config.profile, k * np.asarray(t))
-
     def solve(nu):
-        kern = VolterraKernel(
-            nu=nu, k=k, profile=config.profile, interaction=config.interaction,
-            dt=config.dt, horizon=config.t_end,
+        return unit_density(
+            config.profile, config.interaction, nu, config.pert_mode,
+            config.t_end, config.dt,
         )
-        return volterra_solve(k, trace, kern, T=config.t_end, dt=config.dt)
 
     base = solve(0.0)
-    times = np.asarray(base.times)
-    base_rho = np.asarray(base.rho_hat)
+    times, base_rho = base.times, base.rho_hat
     columns = {"t": times, "abs_rho_nu0": np.abs(base_rho)}
     sups = {}
     for nu in config.sweep_nus:  # ordered ascending by construction
-        hist = solve(nu)
-        rho = np.asarray(hist.rho_hat)
+        rho = solve(nu).rho_hat
         columns[f"abs_rho_nu{nu:g}"] = np.abs(rho)
         sups[nu] = float(np.max(np.abs(rho - base_rho)))
     nus = list(config.sweep_nus)
@@ -899,29 +837,7 @@ def _run_kernel_bounds(config: SimConfig):
 
 
 def _run_norm_battery(config: SimConfig):
-    rng = np.random.default_rng(config.seed)
-    n = 128
-    grid = (np.arange(n) - n // 2) * (8.0 / n)
-    suite = []
-    for i in range(20):
-        kind = i % 3
-        if kind == 0:
-            amps = {m: 0.3 * (rng.normal() + 1j * rng.normal()) for m in (-2, -1, 1, 2)}
-            suite.append(pure_x_field(amps, 4, grid))
-        elif kind == 1:
-            sigma = rng.uniform(0.3, 0.55)
-            prof = rng.uniform(0.3, 1.0) * np.exp(-(grid**2) / (2 * sigma**2))
-            suite.append(pure_v_field(prof, 4, grid))
-        else:
-            suite.append(random_field(rng, k_max=4, eta_grid=grid))
-    params = [
-        NormParams(0.0, 0.0, 0.0),
-        NormParams(0.02, 0.1, 0.5),
-        NormParams(0.05, 0.0, -1.0),
-        NormParams(0.03, 0.2, 0.0, p=2.0),
-        NormParams(0.02, 0.05, 1.0, p=np.inf),
-    ]
-    report = prop13_battery(suite, params, slack_tol=1e-9)
+    report = norm_battery_report(config.seed)
     criteria = []
     rows = []
     for item in sorted(report.items):

@@ -266,14 +266,16 @@ def echo_time(l: int, k: int, s: float):
     """Time of the strong response seeded at time s by mode l onto mode k.
 
     Solves k (t - s) + l s = 0; returns t* = s (k - l) / k when it lies in the
-    future (t* > s), else None. Same-sign mode pairs never echo forward.
+    future (t* > s), else None. Since t* - s = -l s / k, that is decided on
+    the integer signs: same-sign pairs and l = 0 never echo forward.
     """
     if s <= 0:
         raise ConstraintViolation("seeding time s must be > 0")
     if k == 0:
         raise ConstraintViolation("response mode k must be nonzero")
-    t_star = s * (k - l) / k
-    return t_star if t_star > s else None
+    if l * k >= 0:
+        return None
+    return s * (k - l) / k
 
 
 @dataclass(frozen=True)
@@ -327,6 +329,26 @@ def _switch_time(params: GrowthParams, gamma: float, alpha: float, C_fit: float)
     return C_fit * max(terms)
 
 
+def _envelope(params: GrowthParams, c: float, alpha: float, T: float, t: float,
+              C_fit: float) -> float:
+    """The envelope product of growth_envelope, for a given c, alpha and switch time T."""
+    nu, c0 = params.nu_env, params.c0
+    total_exponent = C_fit * (c0 + T + c * (1.0 + T * T)) + nu * t
+    if total_exponent > 700.0:
+        return math.inf  # the bound holds but carries no information
+    return (
+        C_fit
+        * params.A
+        * (1.0 + c0 * c0)
+        / math.sqrt(nu)
+        * math.exp(C_fit * c0)
+        * (1.0 + c / (alpha * nu))
+        * math.exp(C_fit * T)
+        * math.exp(C_fit * c * (1.0 + T * T))
+        * math.exp(nu * t)
+    )
+
+
 def growth_envelope(params: GrowthParams, gamma: float, alpha: float, t: float,
                     C_fit: float | None = None) -> float:
     """Exponential envelope for the weighted density at time t.
@@ -345,22 +367,8 @@ def growth_envelope(params: GrowthParams, gamma: float, alpha: float, t: float,
         raise ConstraintViolation("envelope exponent must satisfy nu_env < alpha")
     if t < 0:
         raise ConstraintViolation("time must be >= 0")
-    nu, c, c0 = params.nu_env, params.c, params.c0
     T = _switch_time(params, gamma, alpha, C_fit)
-    total_exponent = C_fit * (c0 + T + c * (1.0 + T * T)) + nu * t
-    if total_exponent > 700.0:
-        return math.inf  # the bound holds but carries no information
-    return (
-        C_fit
-        * params.A
-        * (1.0 + c0 * c0)
-        / math.sqrt(nu)
-        * math.exp(C_fit * c0)
-        * (1.0 + c / (alpha * nu))
-        * math.exp(C_fit * T)
-        * math.exp(C_fit * c * (1.0 + T * T))
-        * math.exp(nu * t)
-    )
+    return _envelope(params, params.c, alpha, T, t, C_fit)
 
 
 def growth_envelope_sum(params: GrowthParams, c_js, alpha_js, t: float,
@@ -386,24 +394,9 @@ def growth_envelope_sum(params: GrowthParams, c_js, alpha_js, t: float,
     if t < 0:
         raise ConstraintViolation("time must be >= 0")
     nu, c0, m = params.nu_env, params.c0, params.m
-    c = sum(c_js)
-    alpha = min(alpha_js)
     stiffness = sum(cj / aj**3 for cj, aj in zip(c_js, alpha_js))
     T = max(stiffness / nu**2, (c0 * c0 / nu) ** (1.0 / (2.0 * m - 1.0)))
-    total_exponent = C_fit * (c0 + T + c * (1.0 + T * T)) + nu * t
-    if total_exponent > 700.0:
-        return math.inf  # the bound holds but carries no information
-    return (
-        C_fit
-        * params.A
-        * (1.0 + c0 * c0)
-        / math.sqrt(nu)
-        * math.exp(C_fit * c0)
-        * (1.0 + c / (alpha * nu))
-        * math.exp(C_fit * T)
-        * math.exp(C_fit * c * (1.0 + T * T))
-        * math.exp(nu * t)
-    )
+    return _envelope(params, sum(c_js), min(alpha_js), T, t, C_fit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,23 +472,6 @@ class VerifyReport:
         }
 
 
-def _echo_row(spec: EchoKernelSpec, t: float, s_values: np.ndarray) -> np.ndarray:
-    """Kernel values K(t, s_j) for one t, vectorized over s in chunks."""
-    out = np.empty(s_values.shape, dtype=float)
-    kk, ll, absdiff, log_static = _mode_tables(spec)
-    for lo in range(0, s_values.size, 64):
-        s = s_values[lo : lo + 64][None, None, :]
-        ratio = (t - s) / t if t > 0 else np.zeros_like(s)
-        expo = log_static[:, :, None] - spec.alpha * (
-            ratio * absdiff[:, :, None]
-            + np.abs(kk[:, :, None] * (t - s) + ll[:, :, None] * s)
-        )
-        out[lo : lo + 64] = (1.0 + s_values[lo : lo + 64]) * np.exp(
-            expo.max(axis=(0, 1))
-        )
-    return out
-
-
 def growth_verify(phi, kernels, source: float, params: GrowthParams,
                   n_checks: int = 65, C_fit: float | None = None) -> VerifyReport:
     """Check a weighted density series against the integral hypothesis and
@@ -562,7 +538,10 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
             lhs = abs(values[i] - conv)
             load = alg[: i + 1].copy()
             if params.c > 0:
-                load = load + params.c * _echo_row(k1_spec, float(times[i]), times[: i + 1])
+                t_i = float(times[i])
+                load = load + params.c * np.array(
+                    [echo_kernel(k1_spec, t_i, s) for s in times[: i + 1]]
+                )
             rhs = float(source) + float(np.dot(w * decay[i::-1] * load, mag[: i + 1]))
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
         if ratio > max_hyp:

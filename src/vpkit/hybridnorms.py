@@ -57,7 +57,6 @@ class SpectralDistribution:
     k_max: int
     eta_grid: np.ndarray
     coeffs: np.ndarray
-    dimension: int = 1
 
     def __post_init__(self):
         grid = np.asarray(self.eta_grid, dtype=float)
@@ -113,7 +112,7 @@ class SpectralDistribution:
         return (off == 0.0) & (np.abs(self.coeffs[:, self.center_index]) > 0.0)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralDistribution":
-        return SpectralDistribution(self.k_max, self.eta_grid, coeffs, self.dimension)
+        return SpectralDistribution(self.k_max, self.eta_grid, coeffs)
 
 
 @dataclass(frozen=True)
@@ -383,19 +382,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return all(entry["passed"] for entry in self.items.values())
-
-    def summary_lines(self):
-        lines = []
-        for name in sorted(self.items):
-            e = self.items[name]
-            status = "pass" if e["passed"] else "FAIL"
-            lines.append(
-                f"item ({name}): {status}  max slack {e['slack']:.3e}  cases {e['cases']}"
-            )
-        for name in sorted(self.observed):
-            o = self.observed[name]
-            lines.append(f"item ({name}): observed  {o}")
-        return lines
 
 
 def _norm_scale(value: float) -> float:

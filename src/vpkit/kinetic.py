@@ -65,6 +65,12 @@ RESOLUTION_TOL = 1e-3
 RECURRENCE_SAFETY = 0.8
 
 
+def default_v_max(profile: VelocityProfile) -> float:
+    """Six thermal speeds: wide enough that the grid tail of a Maxwellian sits
+    below 2e-8 and the renormalized discrete equilibrium matches the physics."""
+    return 6.0 * profile.thermal_speed
+
+
 def velocity_grid(n_v: int, v_max: float) -> np.ndarray:
     """Uniform grid v_j = -v_max + j * dv, right endpoint excluded."""
     return -v_max + (2.0 * v_max / n_v) * np.arange(n_v)
@@ -139,16 +145,9 @@ class PhaseState:
 def equilibrium_state(
     profile: VelocityProfile, k_max: int, n_v: int = 512, v_max: float | None = None
 ) -> PhaseState:
-    """Spatially homogeneous state f = f0(v) at time 0.
-
-    v_max defaults to six thermal speeds, wide enough that the grid tail of
-    a Maxwellian sits below 2e-8 and the renormalization of the discrete
-    equilibrium is invisible to the physics.
-    """
-    if profile.dimension != 1:
-        raise ConstraintViolation("the direct solver is implemented for dimension 1")
+    """Spatially homogeneous state f = f0(v) at time 0 (v_max: default_v_max)."""
     if v_max is None:
-        v_max = 6.0 * profile.thermal_speed
+        v_max = default_v_max(profile)
     f = np.zeros((2 * k_max + 1, n_v), dtype=complex)
     f[k_max] = _equilibrium_rows(profile, n_v, float(v_max))
     return PhaseState(f=f, time=0.0, k_max=k_max, v_max=float(v_max))
@@ -191,15 +190,17 @@ def rho_hat(state: PhaseState) -> np.ndarray:
 def poisson_field(rho_hat_values, W: Interaction, modes) -> np.ndarray:
     """Field modes E_hat(k) = 2 pi i k W_hat(k) rho_hat(k); E_hat(0) = 0.
 
-    The k = 0 entry is zeroed explicitly: the mean of the force vanishes on
-    the torus no matter what the zero mode of rho carries.
+    rho_hat_values holds one density mode per entry of modes along its last
+    axis, so a whole (n_times, n_modes) table maps in one call. The k = 0
+    entry is zeroed explicitly: the mean of the force vanishes on the torus
+    no matter what the zero mode of rho carries.
     """
     rho = np.asarray(rho_hat_values, dtype=complex)
     modes = np.asarray(modes, dtype=int)
-    if rho.shape != modes.shape:
+    if modes.ndim != 1 or rho.shape[-1:] != modes.shape:
         raise ConstraintViolation("rho_hat and mode arrays must align")
     e_hat = 2j * np.pi * modes * interaction_hat(W, modes) * rho
-    e_hat[modes == 0] = 0.0
+    e_hat[..., modes == 0] = 0.0
     return e_hat
 
 
@@ -295,7 +296,6 @@ def step(
     profile: VelocityProfile,
     nu: float,
     external_field_hat: np.ndarray | None = None,
-    check_resolution: bool = False,
 ) -> PhaseState:
     """One Strang step: half transport, field solve + kick, collision, half transport.
 
@@ -355,10 +355,7 @@ def step(
     # so their independent roundoff slowly breaks the Hermitian pairing;
     # project back onto the real-field manifold once per step.
     f = 0.5 * (f + np.conj(f[::-1]))
-    out = PhaseState(f=f, time=state.time + dt, k_max=state.k_max, v_max=state.v_max)
-    if check_resolution:
-        resolution_guard(out)
-    return out
+    return PhaseState(f=f, time=state.time + dt, k_max=state.k_max, v_max=state.v_max)
 
 
 def spectral_snapshot(state: PhaseState, subtract: np.ndarray | None = None) -> SpectralDistribution:
@@ -415,10 +412,9 @@ class FieldHistory:
         shape = (times.size, modes.size)
         if rho.shape != shape or e.shape != shape or sup_e.shape != (times.size,):
             raise ConstraintViolation(f"field tables must have shape {shape}")
-        expected = 2j * np.pi * modes * interaction_hat(self.interaction, modes) * rho
-        expected[:, modes == 0] = 0.0
+        expected = poisson_field(rho, self.interaction, modes)
         scale = max(float(np.abs(e).max()), float(np.abs(expected).max()), 1e-300)
-        defect = float(np.abs(e - expected).max())
+        defect = self.poisson_residual()
         if defect > 1e-12 * scale:
             raise ConstraintViolation(
                 f"stored field breaks E_hat = 2 pi i k W_hat rho_hat "
@@ -431,8 +427,7 @@ class FieldHistory:
         times = np.asarray(times, dtype=float)
         modes = np.asarray(modes, dtype=int)
         rho = np.asarray(rho_hat_table, dtype=complex)
-        e = 2j * np.pi * modes * interaction_hat(W, modes) * rho
-        e[:, modes == 0] = 0.0
+        e = poisson_field(rho, W, modes)
         k_max = int(modes.max())
         sup_e = np.array([_sup_field(row, modes, k_max) for row in e])
         return cls(times=times, modes=modes, rho_hat=rho, e_hat=e,
@@ -441,6 +436,11 @@ class FieldHistory:
     @property
     def k_max(self) -> int:
         return int(self.modes.max())
+
+    def poisson_residual(self) -> float:
+        """Largest |E_hat - 2 pi i k W_hat(k) rho_hat| over the stored table."""
+        expected = poisson_field(self.rho_hat, self.interaction, self.modes)
+        return float(np.abs(self.e_hat - expected).max())
 
     def _bracket(self, t: float) -> tuple[int, float]:
         t0, t1 = float(self.times[0]), float(self.times[-1])
@@ -578,8 +578,8 @@ class KineticRun:
     """Parameters of a direct simulation.
 
     norms lists analytic-norm diagnostics as ("f"|"y", lam, mu) triples,
-    evaluated on f - f0 at every record time. v_max = None defaults to six
-    thermal speeds. t_end must sit on the step grid.
+    evaluated on f - f0 at every record time. v_max = None means
+    default_v_max(profile). t_end must sit on the step grid.
     """
 
     profile: VelocityProfile
@@ -631,7 +631,7 @@ class KineticRun:
     def resolved_v_max(self) -> float:
         if self.v_max is not None:
             return float(self.v_max)
-        return 6.0 * self.profile.thermal_speed
+        return default_v_max(self.profile)
 
 
 def _norm_column(kind: str, lam: float, mu: float) -> str:

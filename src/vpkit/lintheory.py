@@ -11,9 +11,9 @@ out growing modes, while the root of 1 - L in the upper half-plane gives the
 decay rate 2*pi*|k|*Im(eta0) and oscillation frequency 2*pi*|k|*Re(eta0) of
 the density. This module houses the kernel, the marching solver for the
 density history, mode reconstruction from the density, the closed k=0 forms,
-the dispersion function (quadrature and Faddeeva-function routes), the
-stability scan, the single-particle free-streaming response forms, and a
-peak-envelope decay-rate fitter.
+the dispersion function (quadrature and Faddeeva-function routes) and the
+decay rate of its root, the stability scan, the single-particle
+free-streaming response forms, and a peak-envelope decay-rate fitter.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize
+from scipy.optimize import minimize, root
 from scipy.special import wofz
 
 from .errors import (
@@ -51,6 +51,7 @@ __all__ = [
     "mode_reconstruct",
     "zero_mode",
     "dispersion_L",
+    "dispersion_rate",
     "stability_scan",
     "free_streaming_response",
     "damping_rate_fit",
@@ -91,8 +92,6 @@ class VolterraKernel:
             raise ConstraintViolation("mode k must be an integer")
         if self.dt <= 0 or self.horizon <= 0:
             raise ConstraintViolation("kernel sampling needs dt > 0 and horizon > 0")
-        if self.profile.dimension != 1:
-            raise ConstraintViolation("density-mode theory is one-dimensional")
         object.__setattr__(self, "nu", float(self.nu))
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "dt", float(self.dt))
@@ -341,6 +340,37 @@ def dispersion_L(
         im = quad(lambda t: g(t).imag, 0.0, T, limit=400, epsabs=1e-13, epsrel=1e-10)[0]
         return complex(re, im)
     raise ConstraintViolation(f"unknown dispersion method {method!r}")
+
+
+# Residual |1 - L| at which a root iterate is accepted even when the solver
+# reports slow progress: hybr stalls there once the residual reaches rounding.
+ROOT_RESIDUAL_TOL = 1e-12
+
+
+def dispersion_rate(kern: VolterraKernel) -> float:
+    """Decay rate 2*pi*|k|*Im(eta0) of the density mode kern.k.
+
+    eta0 is the root of 1 - L(eta, k) found by Powell's hybrid method from the
+    thermal resonance (Re eta = 3 v_th, Im eta = v_th / 4). An iterate whose
+    residual |1 - L| is at most ROOT_RESIDUAL_TOL counts as a root even when
+    the solver reports that it stopped making progress. Raises
+    MarginNonPositive when no root is found or the root found does not decay.
+    """
+    k = kern.k
+
+    def mismatch(xy):
+        val = 1.0 - dispersion_L(complex(xy[0], xy[1]), k, kern.nu, kern=kern)
+        return [val.real, val.imag]
+
+    vth = kern.profile.thermal_speed
+    sol = root(mismatch, [3.0 * vth, 0.25 * vth], tol=1e-13)
+    residual = float(np.hypot(*sol.fun))
+    if not (sol.success or residual <= ROOT_RESIDUAL_TOL) or sol.x[1] <= 0:
+        raise MarginNonPositive(
+            f"no decaying dispersion root found for mode k = {k} "
+            f"(residual {residual:.3e}, Im eta = {sol.x[1]:.6g}): {sol.message}"
+        )
+    return 2.0 * np.pi * abs(k) * float(sol.x[1])
 
 
 @dataclass(frozen=True)

@@ -34,21 +34,16 @@ class VelocityProfile:
     """Normalized equilibrium f0(v): a positive mixture of Maxwellians.
 
     components: tuple of (weight, center, thermal_speed). Weights must be
-    positive and sum to 1 so the profile carries unit mass. For dimension > 1
-    the centers shift the first velocity axis and the thermal speed is
-    isotropic.
+    positive and sum to 1 so the profile carries unit mass.
     """
 
     components: tuple
-    dimension: int = 1
 
     def __post_init__(self):
         comps = tuple((float(w), float(c), float(s)) for w, c, s in self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ConstraintViolation("profile needs at least one component")
-        if self.dimension < 1 or int(self.dimension) != self.dimension:
-            raise ConstraintViolation("dimension must be a positive integer")
         total = 0.0
         for w, _, s in comps:
             if w <= 0.0:
@@ -62,12 +57,12 @@ class VelocityProfile:
             )
 
     @classmethod
-    def maxwellian(cls, thermal_speed: float, dimension: int = 1) -> "VelocityProfile":
-        return cls(components=((1.0, 0.0, float(thermal_speed)),), dimension=dimension)
+    def maxwellian(cls, thermal_speed: float) -> "VelocityProfile":
+        return cls(components=((1.0, 0.0, float(thermal_speed)),))
 
     @classmethod
-    def sum_of_maxwellians(cls, components, dimension: int = 1) -> "VelocityProfile":
-        return cls(components=tuple(components), dimension=dimension)
+    def sum_of_maxwellians(cls, components) -> "VelocityProfile":
+        return cls(components=tuple(components))
 
     @property
     def kind(self) -> str:
@@ -135,73 +130,30 @@ class AnalyticityCertificate:
     eta_max: float
 
 
-def _component_hat(center: float, vth: float, eta: np.ndarray) -> np.ndarray:
-    return np.exp(-2j * np.pi * center * eta) * np.exp(
-        -2.0 * np.pi**2 * vth**2 * eta**2
-    )
-
-
 def profile_fourier(profile: VelocityProfile, eta):
-    """Closed-form transform f0_hat(eta) of the mixture.
-
-    For dimension 1, ``eta`` is any array of frequencies. For dimension d > 1,
-    the last axis of ``eta`` must have length d; centers act on the first
-    velocity axis and the Gaussian factor uses |eta|^2.
-    """
+    """Closed-form transform f0_hat(eta) of the mixture, for any array of eta."""
     eta = np.asarray(eta, dtype=float)
-    scalar = False
-    if profile.dimension == 1:
-        eta1 = eta
-        eta_sq = eta * eta
-    else:
-        if eta.ndim == 0 or eta.shape[-1] != profile.dimension:
-            raise ValueError(
-                f"eta must have trailing axis of length {profile.dimension}"
-            )
-        eta1 = eta[..., 0]
-        eta_sq = np.sum(eta * eta, axis=-1)
-    out = np.zeros(np.broadcast(eta1, eta_sq).shape, dtype=complex)
+    out = np.zeros(eta.shape, dtype=complex)
     for w, c, s in profile.components:
-        out = out + w * np.exp(-2j * np.pi * c * eta1) * np.exp(
-            -2.0 * np.pi**2 * s * s * eta_sq
+        out = out + w * np.exp(-2j * np.pi * c * eta) * np.exp(
+            -2.0 * np.pi**2 * s * s * (eta * eta)
         )
-    if out.ndim == 0:
-        scalar = True
-    return complex(out) if scalar else out
+    return complex(out) if out.ndim == 0 else out
 
 
 def profile_sample(profile: VelocityProfile, v):
-    """Pointwise density f0(v) >= 0.
-
-    For dimension 1 this is sum_j w_j * N(c_j, s_j^2)(v); for d > 1 an
-    isotropic product Gaussian per component, centered on the first axis.
-    """
+    """Pointwise density f0(v) = sum_j w_j * N(c_j, s_j^2)(v) >= 0."""
     v = np.asarray(v, dtype=float)
-    d = profile.dimension
-    if d == 1:
-        out = np.zeros(v.shape, dtype=float)
-        for w, c, s in profile.components:
-            out = out + w / (np.sqrt(2.0 * np.pi) * s) * np.exp(
-                -((v - c) ** 2) / (2.0 * s * s)
-            )
-    else:
-        if v.ndim == 0 or v.shape[-1] != d:
-            raise ValueError(f"v must have trailing axis of length {d}")
-        out = np.zeros(v.shape[:-1], dtype=float)
-        for w, c, s in profile.components:
-            shifted = v.copy()
-            shifted[..., 0] -= c
-            r2 = np.sum(shifted * shifted, axis=-1)
-            out = out + w * (2.0 * np.pi * s * s) ** (-d / 2.0) * np.exp(
-                -r2 / (2.0 * s * s)
-            )
+    out = np.zeros(v.shape, dtype=float)
+    for w, c, s in profile.components:
+        out = out + w / (np.sqrt(2.0 * np.pi) * s) * np.exp(
+            -((v - c) ** 2) / (2.0 * s * s)
+        )
     return float(out) if out.ndim == 0 else out
 
 
 def profile_sample_dv(profile: VelocityProfile, v):
-    """d f0 / dv for dimension-1 profiles (closed form, used by response models)."""
-    if profile.dimension != 1:
-        raise ValueError("derivative sampling is implemented for dimension 1")
+    """d f0 / dv in closed form (used by response models)."""
     v = np.asarray(v, dtype=float)
     out = np.zeros(v.shape, dtype=float)
     for w, c, s in profile.components:
@@ -211,9 +163,8 @@ def profile_sample_dv(profile: VelocityProfile, v):
 
 
 def interaction_hat(W: Interaction, k):
-    """Fourier multiplier W_hat(k). Zero at k=0; decay bound enforced.
+    """Fourier multiplier W_hat(k) of scalar modes. Zero at k=0; decay bound enforced.
 
-    Integer-vector modes are accepted for dimension > 1 (Euclidean |k|).
     Raises ConstraintViolation if the configured amplitude would break
     |W_hat(k)| <= 1/(1+|k|^gamma).
     """
@@ -226,9 +177,6 @@ def interaction_hat(W: Interaction, k):
             f"amplitude {W.amplitude!r} exceeds the decay bound 1/(1+|k|^gamma)"
         )
     kabs = np.abs(np.asarray(k, dtype=float))
-    if kabs.ndim > 1:
-        # trailing axis is a vector mode: use the Euclidean magnitude
-        kabs = np.sqrt(np.sum(kabs * kabs, axis=-1))
     out = np.where(
         kabs == 0.0,
         0.0,

@@ -14,11 +14,13 @@ import hashlib
 import json
 import string
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vpkit import acceptance as battery
 from vpkit.cli import (
     SCENARIOS,
     EchoSettings,
@@ -31,6 +33,8 @@ from vpkit.cli import (
 )
 from vpkit.errors import ParseError, ValidationError, VpkitError
 from vpkit.kinetic import KineticRun
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -367,6 +371,20 @@ class TestRuns:
         header = (out / "history.csv").read_text().splitlines()[0]
         assert header == "t,k,re_rho,im_rho,abs_rho,re_E,im_E,abs_E"
 
+    def test_linear_landau_at_mode_two_matches_theory(self, tmp_path):
+        # mode k decays at 2 pi |k| Im eta0: the k = 2 run decays at 0.361
+        # per unit time, twice 2 pi Im eta0
+        path = write_config(
+            tmp_path,
+            "[scenario]\nname = linear_landau\nnu = 0.01\n\n"
+            "[perturbation]\nmode = 2\n\n[time]\nt_end = 25\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        crit = json.loads((out / "report.json").read_text())["criteria"][0]
+        assert float(crit["measured"]["predicted"]) == pytest.approx(0.3612, abs=1e-4)
+        assert float(crit["measured"]["gap"]) <= 0.05
+
     def test_echo_run_lands_on_time(self, tmp_path):
         path = write_config(tmp_path, "[scenario]\nname = echo_experiment\n")
         out = tmp_path / "out"
@@ -396,6 +414,37 @@ class TestAcceptanceCommand:
     def test_acceptance_api_rejects_unknown_suite(self):
         with pytest.raises(ValidationError):
             acceptance("nonsense")
+
+
+def _measured(config_path, tmp_path):
+    """Run a config file and return {criterion name: measured values}."""
+    config = replace(parse_config(config_path), out_dir=str(tmp_path / "out"))
+    report = run_scenario(config)
+    assert report.passed
+    return {c["name"]: c["measured"] for c in report.criteria}
+
+
+class TestSharedWithBattery:
+    """Scenario runs and battery criteria built on one definition agree exactly."""
+
+    def test_collision_sweep_matches_criterion_5(self, tmp_path):
+        measured = _measured(SHIPPED_CONFIGS / "collision_sweep.ini", tmp_path)
+        sups = measured["deviation_shrinks_with_nu"]
+        crit = battery.criterion_5().measured
+        for nu, label in ((1e-2, "1e-2"), (1e-3, "1e-3"), (1e-4, "1e-4")):
+            assert sups[f"sup_diff_nu{nu:g}"] == crit[f"sup_diff_nu{label}"]
+
+    def test_norm_battery_matches_criterion_10(self, tmp_path):
+        measured = _measured(SHIPPED_CONFIGS / "norm_battery.ini", tmp_path)
+        crit = battery.criterion_10().measured
+        for item in ("i", "ii", "viii", "viiii", "iX"):
+            assert measured[f"norm_item_{item}"]["max_slack"] == crit[f"slack_{item}"]
+
+    def test_default_free_transport_matches_criterion_1(self, tmp_path):
+        path = write_config(tmp_path, "[scenario]\nname = free_transport_check\n")
+        measured = _measured(path, tmp_path)["matches_exact_shift"]
+        crit = battery.criterion_1().measured
+        assert measured["max_trace_error"] == crit["trace_error"]
 
 
 CONFIG_ALPHABET = string.ascii_lowercase + string.digits + "[]=._- \n#;:"

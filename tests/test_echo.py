@@ -288,6 +288,8 @@ class TestEchoTime:
         assert echo_time(1, -1, 5.0) == 10.0
         assert echo_time(2, -1, 3.0) == 9.0
         assert echo_time(1, 1, 4.0) is None
+        # s * 5 / 5 rounds one ulp above s here; t* = s is still no future echo
+        assert echo_time(0, 5, 26.093959564262352) is None
 
     @settings(max_examples=60, deadline=None)
     @given(

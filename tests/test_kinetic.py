@@ -334,7 +334,8 @@ class TestResolutionGuard:
         )
         with pytest.raises(ResolutionExceeded, match="eta"):
             for _ in range(80):
-                state = step(state, 0.05, W_ZERO, MX_UNIT, 0.0, check_resolution=True)
+                state = step(state, 0.05, W_ZERO, MX_UNIT, 0.0)
+                resolution_guard(state)
         assert 1.0 < state.time < 4.3
 
     def test_run_truncates_and_reports_stop_reason(self):

@@ -27,6 +27,7 @@ from vpkit.lintheory import (
     VolterraKernel,
     damping_rate_fit,
     dispersion_L,
+    dispersion_rate,
     free_streaming_response,
     kernel_eval,
     mode_reconstruct,
@@ -408,6 +409,54 @@ class TestDispersion:
         eta0 = find_dispersion_root(kern, 0.0, 0.14 + 0.02j)
         assert abs(eta0 - ROOT_NU0) < 1e-6
         assert 2.0 * np.pi * eta0.imag == pytest.approx(RATE_NU0, abs=1e-7)
+
+
+class TestDispersionRate:
+    def test_matches_independent_root(self):
+        assert dispersion_rate(scenario_kernel()) == pytest.approx(RATE_NU0, abs=1e-7)
+        assert dispersion_rate(scenario_kernel(nu=1e-2)) == pytest.approx(
+            RATE_NU001, abs=1e-7
+        )
+
+    def test_rate_carries_the_mode_number(self):
+        # the density of mode k decays at 2 pi |k| Im eta0, not 2 pi Im eta0
+        kern = scenario_kernel(nu=1e-2, k=2)
+        eta0 = find_dispersion_root(kern, 1e-2, 0.12 + 0.03j)
+        rate = dispersion_rate(kern)
+        assert rate == pytest.approx(2.0 * np.pi * 2 * eta0.imag, rel=1e-9)
+        trace = lambda t: gaussian_trace(2 * VTH_SCEN * t)  # fhat_0(2, 2t)
+        hist = volterra_solve(2, trace, kern, T=25.0, dt=0.02)
+        fitted, _, _ = damping_rate_fit(hist, (2.0, 23.0))
+        assert abs(-fitted - rate) / rate < 1e-3
+
+    # Powell's hybrid method stops here with "not making good progress",
+    # although its iterate already solves 1 - L to a residual of 3.1e-15
+    @pytest.mark.parametrize(
+        "nu", [0.0138, 0.015, 0.0155, 0.0159, 0.0161, 0.0164, 0.0196, 0.021, 0.0211,
+               0.0215, 0.0224],
+    )
+    def test_stalled_search_at_a_root_is_accepted(self, nu):
+        kern = scenario_kernel(nu=nu)
+        rate = dispersion_rate(kern)
+        trace = lambda t: gaussian_trace(VTH_SCEN * t)  # fhat_0(1, t)
+        hist = volterra_solve(1, trace, kern, T=60.0, dt=0.02)
+        fitted, _, _ = damping_rate_fit(hist, (8.0, 55.0))
+        assert abs(-fitted - rate) / rate < 1e-4
+
+    @pytest.mark.parametrize(
+        "profile, interaction",
+        [
+            (SCEN_PROFILE, Interaction.zero()),  # no root at all
+            (SCEN_PROFILE, ATTRACTIVE),  # search diverges
+            # bump on tail under attraction: a converged root with Im eta0 < 0
+            (VelocityProfile.sum_of_maxwellians([(0.9, 0.0, 0.05), (0.1, 0.3, 0.02)]),
+             ATTRACTIVE),
+        ],
+    )
+    def test_no_decaying_root_raises(self, profile, interaction):
+        kern = VolterraKernel(nu=0.0, k=1, profile=profile, interaction=interaction)
+        with pytest.raises(MarginNonPositive, match="no decaying dispersion root"):
+            dispersion_rate(kern)
 
 
 class TestStabilityScan:

@@ -102,13 +102,6 @@ class TestProfileFourier:
         if abs(eta) * vth > 0.05:
             assert val < 1.0
 
-    def test_vector_dimension(self):
-        profile = VelocityProfile.maxwellian(1.0, dimension=3)
-        assert profile_fourier(profile, np.zeros(3)) == 1.0
-        eta = np.array([0.3, -0.2, 0.1])
-        expected = np.exp(-2 * np.pi**2 * np.dot(eta, eta))
-        assert np.isclose(profile_fourier(profile, eta), expected, rtol=1e-14)
-
 
 class TestProfileSample:
     def test_gaussian_peak(self, maxwellian):
@@ -196,10 +189,6 @@ class TestInteraction:
     def test_gamma_guard(self):
         with pytest.raises(ConstraintViolation):
             Interaction.power_law(gamma=0.5)
-
-    def test_vector_mode(self):
-        W = Interaction.power_law(gamma=2.0, amplitude=1.0)
-        assert np.isclose(interaction_hat(W, np.array([[1, 2, 2]])), 0.1, rtol=1e-15)
 
 
 class TestVerifyAnalyticity:
