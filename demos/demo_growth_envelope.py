@@ -15,35 +15,33 @@ Run:  python3 demos/demo_growth_envelope.py   (about five seconds)
 
 import numpy as np
 
-from vpkit.acceptance import unit_density
+from vpkit.acceptance import PROFILE_SHIPPED, REPULSIVE, unit_density
 from vpkit.echo import EchoKernelSpec, GrowthParams, growth_envelope, growth_verify
 from vpkit.lintheory import VolterraKernel, kernel_eval, stability_scan
-from vpkit.profiles import Interaction, VelocityProfile, profile_fourier
+from vpkit.profiles import profile_fourier
 
-PROFILE = VelocityProfile.maxwellian(0.05)
-COUPLING = Interaction.power_law(2.0, amplitude=1.0, sign=1)
 NU = 0.02
 LAM, MU = 0.008, 0.1
 
 # the stability margin is what makes any of this possible
 scan = stability_scan(
     (1, 4), NU,
-    lambda k: VolterraKernel(nu=NU, k=k, profile=PROFILE, interaction=COUPLING,
-                             dt=0.05, horizon=30.0),
+    lambda k: VolterraKernel(nu=NU, k=k, profile=PROFILE_SHIPPED,
+                             interaction=REPULSIVE, dt=0.05, horizon=30.0),
 )
 print(f"stability margin kappa = {scan.kappa:.4f} "
       f"(worst mode k = {scan.worst_mode})")
 
 # weighted density series from the closed linear march
-hist = unit_density(PROFILE, COUPLING, NU, 1, 20.0, 0.04)
+hist = unit_density(PROFILE_SHIPPED, REPULSIVE, NU, 1, 20.0, 0.04)
 times = np.asarray(hist.times)
 weight = np.exp(2.0 * np.pi * (LAM * times + MU))
 phi = np.asarray(hist.rho_hat) * weight
-free = profile_fourier(PROFILE, times) * np.exp(-NU * times) * weight
+free = profile_fourier(PROFILE_SHIPPED, times) * np.exp(-NU * times) * weight
 A = float(np.max(np.abs(free)))
 
 # the weighted kernel the hypothesis convolves against
-kern = VolterraKernel(nu=NU, k=1, profile=PROFILE, interaction=COUPLING)
+kern = VolterraKernel(nu=NU, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE)
 k0w = kernel_eval(kern, times) * np.exp(NU * times) * np.exp(2.0 * np.pi * LAM * times)
 
 params = GrowthParams(

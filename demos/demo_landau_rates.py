@@ -12,33 +12,35 @@ and prints the spread. Collisions (nu > 0) steepen all three rates together.
 Run:  python3 demos/demo_landau_rates.py   (about ten seconds)
 """
 
-from vpkit.acceptance import unit_density
-from vpkit.kinetic import KineticRun, run
-from vpkit.lintheory import VolterraKernel, damping_rate_fit, dispersion_rate
-from vpkit.profiles import Interaction, VelocityProfile
+from dataclasses import replace
 
-PROFILE = VelocityProfile.maxwellian(0.05)
-COUPLING = Interaction.power_law(2.0, amplitude=1.0, sign=1)
-WINDOW = (4.0, 42.0)  # fit window: past the transient, before the noise floor
+from vpkit.acceptance import (
+    FIT_WINDOW,
+    LANDAU_CONFIG,
+    PROFILE_SHIPPED,
+    REPULSIVE,
+    unit_density,
+)
+from vpkit.kinetic import run
+from vpkit.lintheory import VolterraKernel, damping_rate_fit, dispersion_rate
 
 
 def rate_from_dispersion(nu):
-    return dispersion_rate(VolterraKernel(nu=nu, k=1, profile=PROFILE, interaction=COUPLING))
+    return dispersion_rate(
+        VolterraKernel(nu=nu, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE)
+    )
 
 
 def rate_from_volterra(nu):
-    hist = unit_density(PROFILE, COUPLING, nu, 1, 60.0, 0.02)
-    rate, _, _ = damping_rate_fit(hist, WINDOW)
+    hist = unit_density(PROFILE_SHIPPED, REPULSIVE, nu, 1, 60.0, 0.02)
+    rate, _, _ = damping_rate_fit(hist, FIT_WINDOW)
     return -rate
 
 
 def rate_from_kinetic(nu):
-    hist, _ = run(KineticRun(
-        profile=PROFILE, interaction=COUPLING, nu=nu, dt=0.05, t_end=45.0,
-        k_pert=1, amplitude=1e-5, k_max=4, n_v=512,
-    ))
+    hist, _ = run(replace(LANDAU_CONFIG, nu=nu))
     trace = (hist.times, hist.rho_hat[:, hist.k_max + 1])
-    rate, _, _ = damping_rate_fit(trace, WINDOW)
+    rate, _, _ = damping_rate_fit(trace, FIT_WINDOW)
     return -rate
 
 

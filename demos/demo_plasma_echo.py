@@ -12,18 +12,13 @@ finishes with the refusal you get when the mode pair cannot echo forward.
 Run:  python3 demos/demo_plasma_echo.py   (about five seconds)
 """
 
+from vpkit.acceptance import ECHO_CONFIG
 from vpkit.echo import echo_time
-from vpkit.kinetic import KineticRun, echo_experiment
-from vpkit.profiles import Interaction, VelocityProfile
+from vpkit.kinetic import echo_experiment
 
-CONFIG = KineticRun(
-    profile=VelocityProfile.maxwellian(1.0),
-    interaction=Interaction.power_law(2.0, amplitude=1.0, sign=1),
-    nu=0.0, dt=0.02, t_end=12.5, k_max=8, n_v=512, v_max=6.0, record_every=25,
-)
 L, FORCE, S = 1, -2, 5.0
 
-report = echo_experiment(CONFIG, L, FORCE, S, eps1=1e-3, eps2=1e-3)
+report = echo_experiment(ECHO_CONFIG, L, FORCE, S, eps1=1e-3, eps2=1e-3)
 contrast = report.peak_amp / report.baseline_amp
 print(f"seed mode {L}, force mode {FORCE} at s = {S:g}  ->  response mode {report.k}")
 print(f"  predicted arrival t* = {report.t_predicted:g}")
@@ -34,8 +29,8 @@ print(f"  quiet baseline      = {report.baseline_amp:.3e}  "
       f"(contrast {contrast:.0f}x)")
 
 # The echo is a second-order effect: linear in the seed and in the kick.
-double_seed = echo_experiment(CONFIG, L, FORCE, S, eps1=2e-3, eps2=1e-3)
-double_kick = echo_experiment(CONFIG, L, FORCE, S, eps1=1e-3, eps2=2e-3)
+double_seed = echo_experiment(ECHO_CONFIG, L, FORCE, S, eps1=2e-3, eps2=1e-3)
+double_kick = echo_experiment(ECHO_CONFIG, L, FORCE, S, eps1=1e-3, eps2=2e-3)
 print()
 print(f"doubling the seed multiplies the peak by "
       f"{double_seed.peak_amp / report.peak_amp:.3f}")

@@ -24,7 +24,7 @@ the (tiny, but visible at 1e-14) quadrature defect of the raw samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import (
     StepTooCoarse,
 )
 from .hybridnorms import NormParams, SpectralDistribution, f_norm, y_norm
+from .lintheory import parabolic_peak
 from .profiles import (
     Interaction,
     VelocityProfile,
@@ -379,68 +380,43 @@ def spectral_snapshot(state: PhaseState, subtract: np.ndarray | None = None) -> 
 
 @dataclass(frozen=True)
 class FieldHistory:
-    """Recorded density and field modes of a run on its output cadence.
+    """Recorded density modes of a run and the field they define.
 
-    rho_hat and e_hat have shape (n_times, 2*k_max+1), column i holding mode
-    k = i - k_max; sup_e holds the sampled sup-norm of the physical field.
-    Construction verifies E_hat = 2 pi i k W_hat(k) rho_hat at every stored
-    time, so a history cannot silently carry an inconsistent field.
+    rho_hat has shape (n_times, 2*k_max+1), column i holding mode k = i - k_max,
+    at two or more strictly increasing record times. The field is a function
+    of the density, so construction derives it rather than storing a second
+    copy: e_hat = poisson_field(rho_hat) on the same layout, and sup_e, the
+    sampled sup-norm of the physical field at each record.
     """
 
     times: np.ndarray
     modes: np.ndarray
     rho_hat: np.ndarray
-    e_hat: np.ndarray
-    sup_e: np.ndarray
     interaction: Interaction
+    e_hat: np.ndarray = field(init=False, repr=False)
+    sup_e: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         modes = np.asarray(self.modes, dtype=int)
         rho = np.asarray(self.rho_hat, dtype=complex)
-        e = np.asarray(self.e_hat, dtype=complex)
-        sup_e = np.asarray(self.sup_e, dtype=float)
-        for name, val in (("times", times), ("modes", modes), ("rho_hat", rho),
-                          ("e_hat", e), ("sup_e", sup_e)):
-            object.__setattr__(self, name, val)
-        if times.ndim != 1 or times.size < 1:
-            raise ConstraintViolation("times must be a nonempty 1-d array")
-        if times.size > 1 and np.any(np.diff(times) <= 0.0):
+        if times.ndim != 1 or times.size < 2:
+            raise ConstraintViolation("a history needs a 1-d array of two or more times")
+        if np.any(np.diff(times) <= 0.0):
             raise ConstraintViolation("record times must be strictly increasing")
         if modes.ndim != 1 or modes.size % 2 == 0 or np.any(np.diff(modes) != 1):
             raise ConstraintViolation("modes must be consecutive integers -k_max..k_max")
-        shape = (times.size, modes.size)
-        if rho.shape != shape or e.shape != shape or sup_e.shape != (times.size,):
-            raise ConstraintViolation(f"field tables must have shape {shape}")
-        expected = poisson_field(rho, self.interaction, modes)
-        scale = max(float(np.abs(e).max()), float(np.abs(expected).max()), 1e-300)
-        defect = self.poisson_residual()
-        if defect > 1e-12 * scale:
-            raise ConstraintViolation(
-                f"stored field breaks E_hat = 2 pi i k W_hat rho_hat "
-                f"(defect {defect:.3e} at scale {scale:.3e})"
-            )
-
-    @classmethod
-    def from_density(cls, times, modes, rho_hat_table, W: Interaction) -> "FieldHistory":
-        """Build a consistent history from density modes alone."""
-        times = np.asarray(times, dtype=float)
-        modes = np.asarray(modes, dtype=int)
-        rho = np.asarray(rho_hat_table, dtype=complex)
-        e = poisson_field(rho, W, modes)
-        k_max = int(modes.max())
-        sup_e = np.array([_sup_field(row, modes, k_max) for row in e])
-        return cls(times=times, modes=modes, rho_hat=rho, e_hat=e,
-                   sup_e=sup_e, interaction=W)
+        if rho.shape != (times.size, modes.size):
+            raise ConstraintViolation(f"rho_hat must have shape {(times.size, modes.size)}")
+        e_hat = poisson_field(rho, self.interaction, modes)
+        sup_e = np.array([_sup_field(row, modes, int(modes.max())) for row in e_hat])
+        for name, val in (("times", times), ("modes", modes), ("rho_hat", rho),
+                          ("e_hat", e_hat), ("sup_e", sup_e)):
+            object.__setattr__(self, name, val)
 
     @property
     def k_max(self) -> int:
         return int(self.modes.max())
-
-    def poisson_residual(self) -> float:
-        """Largest |E_hat - 2 pi i k W_hat(k) rho_hat| over the stored table."""
-        expected = poisson_field(self.rho_hat, self.interaction, self.modes)
-        return float(np.abs(self.e_hat - expected).max())
 
     def _bracket(self, t: float) -> tuple[int, float]:
         t0, t1 = float(self.times[0]), float(self.times[-1])
@@ -455,21 +431,13 @@ class FieldHistory:
 
     def field_at(self, t: float, x: float) -> float:
         """Physical field E(t, x), linear in t between records, spectral in x."""
-        if self.times.size == 1:
-            row = self.e_hat[0]
-            t0 = float(self.times[0])
-            if abs(t - t0) > 1e-9:
-                raise OutOfHistory(f"time {t:g} outside the single-record history at {t0:g}")
-        else:
-            i, w = self._bracket(t)
-            row = (1.0 - w) * self.e_hat[i - 1] + w * self.e_hat[i]
+        i, w = self._bracket(t)
+        row = (1.0 - w) * self.e_hat[i - 1] + w * self.e_hat[i]
         return float(np.real(np.dot(row, np.exp(2j * np.pi * self.modes * x))))
 
     def sup_at(self, t: float) -> float:
         """Linear interpolant of the recorded sup norms (an upper bound for
         the sup of the interpolated field, by convexity)."""
-        if self.times.size == 1:
-            return float(self.sup_e[0])
         i, w = self._bracket(t)
         return float((1.0 - w) * self.sup_e[i - 1] + w * self.sup_e[i])
 
@@ -645,7 +613,8 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
     "t", "mass", "momentum", "l2", one column per configured analytic norm
     of f - f0, and "stop_reason" ("t_end", or "resolution_exceeded" when the
     recurrence guard trips at a record time, in which case the tables end at
-    the last resolved record)."""
+    the last resolved record). A trip before the second record leaves no
+    history to report and raises ResolutionExceeded."""
     v_max = config.resolved_v_max()
     state = equilibrium_state(config.profile, config.k_max, config.n_v, v_max)
     if config.amplitude != 0.0:
@@ -659,7 +628,7 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
         for kind, lam, mu in config.norms
     ]
 
-    times, rho_rows, e_rows, sup_rows = [], [], [], []
+    times, rho_rows = [], []
     mass, momentum, l2 = [], [], []
     norm_series: dict = {name: [] for name, _, _ in norm_params}
     stop_reason = "t_end"
@@ -667,11 +636,8 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
     def record(st: PhaseState):
         resolution_guard(st)
         rho = st.dv * st.f.sum(axis=1)
-        e_hat = poisson_field(rho, config.interaction, modes)
         times.append(st.time)
         rho_rows.append(rho)
-        e_rows.append(e_hat)
-        sup_rows.append(_sup_field(e_hat, modes, st.k_max))
         mass.append(float(rho[st.k_max].real))
         momentum.append(float((st.dv * np.dot(st.f[st.k_max], st.v)).real))
         l2.append(float(np.sqrt(st.dv * np.sum(np.abs(st.f) ** 2))))
@@ -688,16 +654,11 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
             if n % config.record_every == 0 or n == config.n_steps:
                 record(state)
     except ResolutionExceeded:
+        if len(times) < 2:
+            raise
         stop_reason = "resolution_exceeded"
 
-    history = FieldHistory(
-        times=np.array(times),
-        modes=modes,
-        rho_hat=np.array(rho_rows),
-        e_hat=np.array(e_rows),
-        sup_e=np.array(sup_rows),
-        interaction=config.interaction,
-    )
+    history = FieldHistory(np.array(times), modes, np.array(rho_rows), config.interaction)
     diagnostics = {
         "t": np.array(times),
         "mass": np.array(mass),
@@ -773,18 +734,6 @@ def _march_mode_trace(
     return np.array(times), np.array(trace)
 
 
-def _refine_peak(times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    i = int(np.argmax(values))
-    if 0 < i < times.size - 1:
-        y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0.0:
-            off = 0.5 * (y0 - y2) / denom
-            h = 0.5 * (times[i + 1] - times[i - 1])
-            return float(times[i] + off * h), float(y1 - 0.25 * (y0 - y2) * off)
-    return float(times[i]), float(values[i])
-
-
 def echo_experiment(
     config: KineticRun, l: int, k_minus_l: int, s_force: float, eps1: float, eps2: float
 ) -> EchoReport:
@@ -829,7 +778,9 @@ def echo_experiment(
     times, kicked = _march_mode_trace(config, l, m, s_force, eps1, eps2)
     _, quiet = _march_mode_trace(config, l, m, s_force, eps1, 0.0)
     window = times >= s_force + max(3.0 * config.dt, 0.15 * (t_star - s_force))
-    t_measured, peak_amp = _refine_peak(times[window], kicked[window])
+    t_measured, peak_amp = parabolic_peak(
+        times[window], kicked[window], int(np.argmax(kicked[window]))
+    )
     baseline_amp = float(quiet[window].max())
     return EchoReport(
         l=l,

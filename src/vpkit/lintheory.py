@@ -393,11 +393,13 @@ class ScanSpec:
 
 
 def _margin_majorant(k, nu, profile, interaction):
-    """Bound for |L| on the closed lower half-plane (all phases dropped)."""
+    """Bound for |L| on the closed lower half-plane (all phases dropped), or inf."""
     what = abs(interaction_hat(interaction, k))
     tot = 0.0
     for w, _, s in profile.components:
         b = 2.0 * np.pi**2 * s * s * k * k
+        if b == 0.0:
+            return np.inf
         tot += w * (nu * np.sqrt(np.pi) / (2.0 * np.sqrt(b)) + what * k * k / (2.0 * b))
     return tot
 
@@ -425,7 +427,8 @@ def stability_scan(k_range, nu: float, kern_family, scan: ScanSpec | None = None
     grid are refined by Nelder-Mead (clamped to Im eta <= 0). A margin below
     root tolerance means 1 - L has a zero in the closed lower half-plane and
     MarginNonPositive is raised: the configuration supports a non-decaying
-    mode and downstream growth control must refuse it.
+    mode and downstream growth control must refuse it. A margin or majorant
+    that is not finite raises ConstraintViolation instead of being skipped.
     """
     if scan is None:
         scan = ScanSpec()
@@ -446,6 +449,8 @@ def stability_scan(k_range, nu: float, kern_family, scan: ScanSpec | None = None
         if im_max is None:
             im_max = 0.5 + 2.0 * kern.velocity_scale
         majorant = _margin_majorant(k, nu, kern.profile, kern.interaction)
+        if not np.isfinite(majorant):
+            raise ConstraintViolation(f"mode k = {k}: |L| majorant {majorant!r} is not finite")
         if abs(k) > scan.k_cutoff and majorant <= 0.5:
             skipped[k] = 1.0 - majorant
             continue
@@ -475,6 +480,8 @@ def stability_scan(k_range, nu: float, kern_family, scan: ScanSpec | None = None
             if res.fun < m0:
                 m0 = float(res.fun)
                 e0 = complex(res.x[0], min(res.x[1], 0.0))
+        if not np.isfinite(m0):
+            raise ConstraintViolation(f"mode k = {k}: margin |1 - L| = {m0!r} is not finite")
         margins[k] = (m0, e0)
         if m0 < best[0]:
             best = (m0, k, e0)
@@ -552,6 +559,22 @@ def free_streaming_response(omega, k, v, nu, t0, t, profile: VelocityProfile, fo
     return out
 
 
+def parabolic_peak(times, values, i: int) -> tuple[float, float]:
+    """Vertex (time, value) of the parabola through samples i-1, i, i+1.
+
+    Falls back to sample i itself at either end of the series or where the
+    three samples do not curve downward.
+    """
+    if 0 < i < len(times) - 1:
+        y0, y1, y2 = values[i - 1], values[i], values[i + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < 0.0:
+            off = 0.5 * (y0 - y2) / denom
+            h = 0.5 * (times[i + 1] - times[i - 1])
+            return float(times[i] + off * h), float(y1 - 0.25 * (y0 - y2) * off)
+    return float(times[i]), float(values[i])
+
+
 def damping_rate_fit(series, window):
     """Fit an exponential envelope through the peaks of |series|.
 
@@ -581,15 +604,9 @@ def damping_rate_fit(series, window):
             continue
         if not (lv[i] >= lv[i - 1] and lv[i] > lv[i + 1]):
             continue
-        d2 = lv[i - 1] - 2.0 * lv[i] + lv[i + 1]
-        h = 0.5 * (times[i + 1] - times[i - 1])
-        if d2 < 0.0:
-            off = 0.5 * (lv[i - 1] - lv[i + 1]) / d2
-            peak_t.append(times[i] + off * h)
-            peak_l.append(lv[i] - 0.25 * (lv[i - 1] - lv[i + 1]) * off)
-        else:
-            peak_t.append(times[i])
-            peak_l.append(lv[i])
+        t_peak, l_peak = parabolic_peak(times, lv, i)
+        peak_t.append(t_peak)
+        peak_l.append(l_peak)
     if len(peak_t) < 8:
         raise TooFewPeaks(
             f"found {len(peak_t)} envelope peaks in [{t_lo:g}, {t_hi:g}], need >= 8"

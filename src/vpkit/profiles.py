@@ -11,6 +11,7 @@ analyticity weights exp(2*pi*lambda*|eta|) be applied without stray factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,9 @@ class VelocityProfile:
         if not comps:
             raise ConstraintViolation("profile needs at least one component")
         total = 0.0
-        for w, _, s in comps:
+        for w, c, s in comps:
+            if not all(map(math.isfinite, (w, c, s))):
+                raise ConstraintViolation(f"profile component {(w, c, s)!r} is not finite")
             if w <= 0.0:
                 raise ConstraintViolation("mixture weights must be positive")
             if s <= 0.0:
@@ -100,6 +103,8 @@ class Interaction:
     def __post_init__(self):
         if self.kind not in ("power_law", "zero"):
             raise ConstraintViolation(f"unknown interaction kind {self.kind!r}")
+        if not (math.isfinite(self.gamma) and math.isfinite(self.amplitude)):
+            raise ConstraintViolation("interaction gamma and amplitude must be finite")
         if self.kind == "power_law":
             if self.gamma <= 1.0:
                 raise ConstraintViolation(

@@ -31,8 +31,9 @@ from vpkit.cli import (
     parse_config,
     run_scenario,
 )
-from vpkit.errors import ParseError, ValidationError, VpkitError
+from vpkit.errors import ConstraintViolation, ParseError, ValidationError, VpkitError
 from vpkit.kinetic import KineticRun
+from vpkit.profiles import Interaction, VelocityProfile
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -225,6 +226,125 @@ class TestParsing:
         path = write_config(tmp_path, MINIMAL_LANDAU)
         config = parse_config(path, force_scenario="stability_scan")
         assert config.scenario == "stability_scan"
+
+
+ECHO = "[scenario]\nname = echo_experiment\n\n[echo]\n"
+SWEEP = "[scenario]\nname = collision_sweep\n\n[sweep]\n"
+KERNEL = "[scenario]\nname = kernel_bounds\n\n"
+MIXTURE = "[scenario]\nname = stability_scan\n\n[profile]\nkind = sum_of_maxwellians\n"
+
+# config text -> prefix of one reported problem (the reason, for a ParseError)
+PROBLEM_TABLE = [
+    (MINIMAL_LANDAU + "nu = abc\n", "scenario.nu: not a number"),
+    (MINIMAL_LANDAU + "nu = inf\n", "scenario.nu: must be finite"),
+    (MINIMAL_LANDAU + "[grid]\nk_max = 2.5\n", "grid.k_max: not an integer"),
+    (MINIMAL_LANDAU + "seed = -1\n", "scenario.seed: must be >= 0"),
+    (MINIMAL_LANDAU + "[profile]\nkind = kappa\n", "profile.kind: unknown kind"),
+    (MINIMAL_LANDAU + "[profile]\nthermal_speed = 0\n", "profile.thermal_speed: must be > 0"),
+    (MINIMAL_LANDAU + "[interaction]\nkind = yukawa\n", "interaction.kind: unknown kind"),
+    (MINIMAL_LANDAU + "[interaction]\nsign = 2\n", "interaction.sign: must be 1 or -1"),
+    (MINIMAL_LANDAU + "[interaction]\namplitude = 0\n", "interaction.amplitude: must lie in (0, 1]"),
+    (MINIMAL_LANDAU + "[interaction]\namplitude = 1.5\n", "interaction.amplitude: must lie in (0, 1]"),
+    (MINIMAL_LANDAU + "[interaction]\nkind = zero\ngamma = 3\n",
+     "interaction.gamma: only applies to kind = power_law"),
+    (MINIMAL_LANDAU + "[perturbation]\nshape = odd\n", "perturbation.shape: unknown shape"),
+    (MINIMAL_LANDAU + "[outputs]\ncadence = 0\n", "outputs.cadence: must be >= 1"),
+    (MINIMAL_LANDAU + "[time]\ndt = 0\n", "time.dt: must be > 0"),
+    (MINIMAL_LANDAU + "[time]\nt_end = 0.01\n", "time.t_end: must cover at least one step"),
+    (MINIMAL_LANDAU + "[profile]\ncomponents = 1:0:1\n",
+     "profile.components: only applies to kind = sum_of_maxwellians"),
+    (MIXTURE + "thermal_speed = 1\ncomponents = 1:0:1\n",
+     "profile.thermal_speed: only applies to kind = maxwellian"),
+    (MIXTURE + "components = 1:0\n", "profile.components: '1:0' is not weight:center:spread"),
+    (MIXTURE + "components = 1:x:1\n", "profile.components: not a number"),
+    (MIXTURE + "components = 1:0:-1\n", "profile.components: '1:0:-1' needs weight > 0"),
+    (MIXTURE + "components = nan:0:1\n", "profile.components: must be finite"),
+    (MIXTURE + "components = ,\n", "profile.components: at least one"),
+    (ECHO + "l = 0\n", "echo.l: seed mode must lie in 1..grid.k_max"),
+    (ECHO + "force_mode = 0\n", "echo.force_mode: must be nonzero"),
+    (ECHO + "s_force = -1\n", "echo.s_force: must be > 0"),
+    (ECHO + "s_force = 20\n", "echo.s_force: must land before time.t_end"),
+    (ECHO + "s_force = 5.001\n", "echo.s_force: must sit on the step grid"),
+    (ECHO + "eps1 = 0\n", "echo.eps1: seed amplitude must be > 0"),
+    (ECHO + "eps2 = -1\n", "echo.eps2: forcing amplitude must be >= 0"),
+    (SWEEP + "nus = 1e-3, a\n", "sweep.nus: not a number"),
+    (SWEEP + "nus = nan, 1e-3\n", "sweep.nus: must be finite"),
+    (SWEEP + "nus = 0, 1e-3\n", "sweep.nus: entries must be > 0"),
+    (SWEEP + "nus = ,\n", "sweep.nus: needs at least one collision frequency"),
+    (SWEEP + "nus = 1e-3, 0.001\n", "sweep.nus: entries must be distinct"),
+    (KERNEL + "[kernel]\nalpha = 1\n", "kernel.alpha: must lie in (0, 1)"),
+    (KERNEL + "[kernel]\ncases = 0\n", "kernel.cases: must lie in 1..100000"),
+    (KERNEL + "[time]\nt_end = 0.5\n", "time.t_end: kernel_bounds samples times"),
+    (MINIMAL_LANDAU + "[scenario]\nnu = 0\n", "duplicate section"),
+    (MINIMAL_LANDAU + "just words\n", "not a key = value line"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, prefix", PROBLEM_TABLE, ids=[prefix for _, prefix in PROBLEM_TABLE]
+)
+def test_config_problem_is_reported(tmp_path, text, prefix):
+    path = write_config(tmp_path, text)
+    with pytest.raises((ParseError, ValidationError)) as info:
+        parse_config(path)
+    err = info.value
+    problems = err.problems if isinstance(err, ValidationError) else [err.reason]
+    assert any(p.startswith(prefix) for p in problems), problems
+
+
+def _run_config(text):
+    def attempt(tmp_path):
+        path = write_config(tmp_path, text)
+        run_scenario(replace(parse_config(path), out_dir=str(tmp_path / "out")))
+    return attempt
+
+
+SCAN = "[scenario]\nname = stability_scan\n\n[grid]\nk_max = 2\n\n[profile]\n"
+
+
+@pytest.mark.parametrize("attempt, error", [
+    pytest.param(_run_config(SCAN + "thermal_speed = 1e200\n"), ConstraintViolation,
+                 id="scan thermal_speed 1e200"),
+    pytest.param(_run_config(SCAN + "thermal_speed = 1e-200\n"), ConstraintViolation,
+                 id="scan thermal_speed 1e-200"),
+    pytest.param(_run_config(MIXTURE + "components = nan:0:1\n"), ValidationError,
+                 id="components weight nan"),
+    pytest.param(_run_config(MIXTURE + "components = 1:0:inf\n"), ValidationError,
+                 id="components spread inf"),
+    pytest.param(_run_config(MIXTURE + "components = 1:inf:1\n"), ValidationError,
+                 id="components center inf"),
+    pytest.param(_run_config(SWEEP + "nus = nan, 1e-3\n"), ValidationError, id="sweep nu nan"),
+    pytest.param(lambda _: Interaction.power_law(2.0, amplitude=float("nan")),
+                 ConstraintViolation, id="interaction amplitude nan"),
+    pytest.param(lambda _: VelocityProfile.maxwellian(float("inf")),
+                 ConstraintViolation, id="profile thermal speed inf"),
+])
+def test_non_finite_model_is_refused_not_passed(tmp_path, attempt, error):
+    # a stability scan over non-finite margins used to report kappa = inf
+    with pytest.raises(error):
+        attempt(tmp_path)
+
+
+def test_amplitude_above_the_decay_bound_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL_LANDAU + "[interaction]\namplitude = 2\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: interaction.amplitude: must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_main_exits_2_on_a_parse_error(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL_LANDAU + "nu = 0\nnu = 1\n")
+    assert main(["run", str(path)]) == 2
+    assert "config error: line 4: scenario.nu: duplicate key" in capsys.readouterr().err
+
+
+def test_main_exits_1_on_a_solver_refusal(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        "[scenario]\nname = collision_sweep\n\n[profile]\nthermal_speed = 1\n\n"
+        "[time]\ndt = 0.3\nt_end = 30\n",
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: [collision_sweep] ")
 
 
 class TestRuns:

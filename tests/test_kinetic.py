@@ -381,19 +381,18 @@ class TestRunDiagnostics:
             assert col.shape == hist.times.shape
             assert np.all(np.isfinite(col)) and np.all(col > 0.0)
 
-    def test_history_rejects_inconsistent_field(self):
+    def test_history_derives_its_field_from_the_density(self):
         times = np.arange(3.0)
         modes = np.arange(-1, 2)
         rho = np.zeros((3, 3), complex)
         rho[:, 2], rho[:, 0] = 1e-3, 1e-3
-        good = FieldHistory.from_density(times, modes, rho, W_POW)
-        bad = good.e_hat.copy()
-        bad[1, 2] *= 1.001
-        with pytest.raises(ConstraintViolation, match="Poisson|W_hat"):
-            FieldHistory(
-                times=times, modes=modes, rho_hat=rho, e_hat=bad,
-                sup_e=good.sup_e, interaction=W_POW,
-            )
+        hist = FieldHistory(times, modes, rho, W_POW)
+        assert np.array_equal(hist.e_hat, poisson_field(rho, W_POW, modes))
+        x = np.arange(64) / 64.0
+        sampled = [np.abs([hist.field_at(t, xi) for xi in x]).max() for t in times]
+        assert hist.sup_e == pytest.approx(sampled, rel=1e-12)
+        with pytest.raises(ConstraintViolation, match="two or more"):
+            FieldHistory(times[:1], modes, rho[:1], W_POW)
 
     def test_config_validation(self):
         base = dict(profile=MX_UNIT, interaction=W_POW, nu=0.0, dt=0.05, t_end=1.0)
@@ -550,16 +549,14 @@ def decaying_history(delta, lam, t_end, n_rec):
     rho = np.zeros((times.size, 5), complex)
     rho[:, 3] = r
     rho[:, 1] = r
-    return FieldHistory.from_density(times, modes, rho, W_POW)
+    return FieldHistory(times, modes, rho, W_POW)
 
 
 class TestCharacteristics:
     def test_zero_field_deflection_is_exact(self):
         times = np.linspace(0.0, 8.0, 81)
         modes = np.arange(-2, 3)
-        field = FieldHistory.from_density(
-            times, modes, np.zeros((81, 5), complex), W_POW
-        )
+        field = FieldHistory(times, modes, np.zeros((81, 5), complex), W_POW)
         dx, dv = characteristics_deflect(field, 0.3, -1.2, 0.5, 7.5)
         assert dx == 0.0 and dv == 0.0
         path = characteristic_path(field, 0.3, -1.2, 0.5, 7.5, n_samples=9)
