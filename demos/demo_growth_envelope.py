@@ -10,18 +10,25 @@ e^{2 pi (lam t + mu)}, and the result phi must obey three nested statements:
 growth_verify checks all three on a grid of times and raises if any fails;
 here they pass with room to spare, and the script prints how much.
 
-Run:  python3 demos/demo_growth_envelope.py   (about five seconds)
+Run:  python3 demos/demo_growth_envelope.py   (about a second)
 """
 
-import numpy as np
+from vpkit.acceptance import (
+    GROWTH_CHECK_POINTS,
+    PROFILE_SHIPPED,
+    REPULSIVE,
+    growth_scenario,
+)
+from vpkit.echo import growth_envelope, growth_verify
+from vpkit.lintheory import VolterraKernel, stability_scan
 
-from vpkit.acceptance import PROFILE_SHIPPED, REPULSIVE, unit_density
-from vpkit.echo import EchoKernelSpec, GrowthParams, growth_envelope, growth_verify
-from vpkit.lintheory import VolterraKernel, kernel_eval, stability_scan
-from vpkit.profiles import profile_fourier
-
-NU = 0.02
-LAM, MU = 0.008, 0.1
+# criterion 11's scenario: the weighted density series phi = (times, values),
+# the kernels its hypothesis convolves against, the source bound A, and the
+# growth constants
+phi, kernels, A, params = growth_scenario()
+NU = params.nu_env
+times, values = phi
+spec = kernels[1]
 
 # the stability margin is what makes any of this possible
 scan = stability_scan(
@@ -32,26 +39,7 @@ scan = stability_scan(
 print(f"stability margin kappa = {scan.kappa:.4f} "
       f"(worst mode k = {scan.worst_mode})")
 
-# weighted density series from the closed linear march
-hist = unit_density(PROFILE_SHIPPED, REPULSIVE, NU, 1, 20.0, 0.04)
-times = np.asarray(hist.times)
-weight = np.exp(2.0 * np.pi * (LAM * times + MU))
-phi = np.asarray(hist.rho_hat) * weight
-free = profile_fourier(PROFILE_SHIPPED, times) * np.exp(-NU * times) * weight
-A = float(np.max(np.abs(free)))
-
-# the weighted kernel the hypothesis convolves against
-kern = VolterraKernel(nu=NU, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE)
-k0w = kernel_eval(kern, times) * np.exp(NU * times) * np.exp(2.0 * np.pi * LAM * times)
-
-params = GrowthParams(
-    A=A, c0=0.05, m=1.5, c=0.05, kappa=0.22, nu_env=NU,
-    lambda0=0.02, lambda_weight=LAM, C0=1.1, C_W=1.0,
-)
-report = growth_verify(
-    (times, phi), (k0w, EchoKernelSpec(alpha=0.5, gamma=2.0), 0.05, 1.5),
-    A, params, n_checks=97,
-)
+report = growth_verify(phi, kernels, A, params, n_checks=GROWTH_CHECK_POINTS)
 print()
 print(f"source bound A = {A:.4f}, checked at {len(report.checked_indices)} times")
 print(f"  hypothesis ratio  {report.max_hypothesis_ratio:.4f}  "
@@ -62,9 +50,9 @@ print(f"  envelope ratio    {report.max_envelope_ratio:.2e}")
 print()
 print("envelope vs. measured weighted density:")
 for t in (0.0, 5.0, 10.0, 20.0):
-    bound = growth_envelope(params, gamma=2.0, alpha=0.5, t=t)
-    i = int(round(t / 0.04))
-    print(f"  t = {t:4g}   |phi| = {abs(phi[i]):9.4f}   envelope = {bound:12.1f}")
+    bound = growth_envelope(params, gamma=spec.gamma, alpha=spec.alpha, t=t)
+    i = int(round(t / (times[1] - times[0])))
+    print(f"  t = {t:4g}   |phi| = {abs(values[i]):9.4f}   envelope = {bound:12.1f}")
 
 print()
 print("The envelope exceeds the series by orders of magnitude by design: it")

@@ -10,6 +10,8 @@ conservation audit inspects the same histories the physics checks used.
 The scenario products the command-line runner reports on are defined here
 once and shared with the battery: the free-transport march, the unit-data
 Volterra density, the seeded norm battery and the mass drift of a history.
+The weighted growth scenario of criterion 11 is likewise built once, by
+growth_scenario, for the criterion and the growth demo.
 
 run_battery executes a named suite and never raises on a failed check: a
 failure, including an unexpected exception inside a criterion, becomes
@@ -28,8 +30,10 @@ from .echo import (
     BACKWARD_MOMENT_CONSTANT,
     FORWARD_MOMENT_CONSTANT,
     EchoKernelSpec,
+    GrowthParams,
     echo_moment_backward,
     echo_moment_forward,
+    growth_verify,
     piecewise_integral_check,
 )
 from .errors import ConstraintViolation
@@ -611,29 +615,43 @@ def criterion_10(cache=None) -> CriterionResult:
     )
 
 
-def criterion_11(cache=None) -> CriterionResult:
-    """Weighted density obeys its integral hypothesis and certified bounds."""
-    from .echo import GrowthParams, growth_verify
+# Check points of criterion 11: a verification grid distinct from the
+# calibration grid the frozen envelope constant was fitted on.
+GROWTH_CHECK_POINTS = 97
 
-    t0 = time.perf_counter()
-    nu_c = 0.02
+
+def growth_scenario():
+    """Inputs (phi, kernels, A, params) of growth_verify for criterion 11.
+
+    The shipped model at nu = 0.02, marched from unit data to t = 20 in steps
+    of 0.04, with the density weighted by e^{2 pi (lam t + mu)}, lam = 0.008
+    and mu = 0.1: phi is (times, weighted density), kernels holds the
+    weighted Volterra kernel, the resonance kernel EchoKernelSpec(0.5, 2) and
+    the algebraic constants (c0, m) = (0.05, 1.5), and A bounds the weighted
+    free part.
+    """
+    nu_c, lam, mu = 0.02, 0.008, 0.1
     kern = VolterraKernel(nu=nu_c, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE)
     hist = unit_density(PROFILE_SHIPPED, REPULSIVE, nu_c, 1, 20.0, 0.04)
     times = hist.times
-    lam, mu = 0.008, 0.1
     weight = np.exp(2.0 * np.pi * (lam * times + mu))
     phi = hist.rho_hat * weight
     free = profile_fourier(PROFILE_SHIPPED, times) * np.exp(-nu_c * times) * weight
     A = float(np.max(np.abs(free)))
     k0w = kernel_eval(kern, times) * np.exp(nu_c * times) * np.exp(2.0 * np.pi * lam * times)
-    spec = EchoKernelSpec(alpha=0.5, gamma=2.0)
     params = GrowthParams(
         A=A, c0=0.05, m=1.5, c=0.05, kappa=0.22, nu_env=nu_c,
         lambda0=0.02, lambda_weight=lam, C0=1.1, C_W=1.0,
     )
-    # 97 check points: a verification grid distinct from the calibration grid
-    # the frozen envelope constant was fitted on
-    rep = growth_verify((times, phi), (k0w, spec, 0.05, 1.5), A, params, n_checks=97)
+    kernels = (k0w, EchoKernelSpec(alpha=0.5, gamma=2.0), 0.05, 1.5)
+    return (times, phi), kernels, A, params
+
+
+def criterion_11(cache=None) -> CriterionResult:
+    """Weighted density obeys its integral hypothesis and certified bounds."""
+    t0 = time.perf_counter()
+    phi, kernels, A, params = growth_scenario()
+    rep = growth_verify(phi, kernels, A, params, n_checks=GROWTH_CHECK_POINTS)
     ok = (
         rep.hypothesis_ok and rep.crude_ok and rep.envelope_ok
         and rep.max_hypothesis_ratio <= 1.0 + 1e-9
@@ -645,7 +663,7 @@ def criterion_11(cache=None) -> CriterionResult:
             "hypothesis_ratio": rep.max_hypothesis_ratio,
             "crude_bound_ratio": rep.max_crude_ratio,
             "envelope_ratio": rep.max_envelope_ratio,
-            "check_points": 97,
+            "check_points": GROWTH_CHECK_POINTS,
         },
         {"hypothesis_ratio": "<= 1 + 1e-9",
          "crude_bound_ratio": "< 1", "envelope_ratio": "< 1"},

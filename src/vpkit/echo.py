@@ -27,6 +27,7 @@ from .errors import (
     ConstraintViolation,
     EnvelopeExceeded,
     InequalityViolated,
+    QuadratureNotConverged,
     TailNotResolved,
     UnstableConfiguration,
 )
@@ -96,76 +97,175 @@ class EchoKernelSpec:
             )
 
 
+# Depth cap of the adaptive Simpson bisection below each seed panel.
+_SIMPSON_DEPTH = 42
+# Points per kernel batch: the (6, rows, points) candidate temporaries of one
+# batch stay near L2 size.
+_CHUNK = 128
+# Rows of the sup evaluated together once row 1 has set a first bound.
+_ROW_BLOCK = 8
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each element of a 1-d float array, streamed through a
+    memoryview so no list of Python floats is built. np.exp rounds some
+    inputs differently, and the kernel and moments are defined by math.exp."""
+    return np.fromiter(map(math.exp, memoryview(x)), float, count=x.size)
+
+
 @lru_cache(maxsize=8)
-def _mode_tables(spec: EchoKernelSpec):
-    """Cached (k, l) grids and the s-independent factors of the sup.
-
-    The summand is invariant under (k, l) -> (-k, -l), so l ranges over the
-    positive half of the box only; k keeps both signs.
-    """
-    kmodes = np.concatenate(
-        [np.arange(-spec.trunc, 0), np.arange(1, spec.trunc + 1)]
-    ).astype(float)
-    lmodes = np.arange(1, spec.trunc + 1).astype(float)
-    kk, ll = np.meshgrid(kmodes, lmodes, indexing="ij")
-    absdiff = np.abs(kk - ll)
-    log_static = -spec.alpha * ll - np.log1p(absdiff**spec.gamma)
-    return kk, ll, absdiff, log_static
+def _log_denominator(spec: EchoKernelSpec) -> np.ndarray:
+    """log1p(d^gamma) for d = |k - l| = 0 .. 2 trunc."""
+    return np.log1p(np.arange(2 * spec.trunc + 1, dtype=float) ** spec.gamma)
 
 
-def echo_kernel(spec: EchoKernelSpec, t: float, s: float) -> float:
+def _row_sup(spec: EchoKernelSpec, l, s, tau, ratio) -> np.ndarray:
+    """Per point, the largest exponent over the rows l of shape (rows, 1),
+    evaluated on the six candidates k of each row."""
+    alpha, trunc = spec.alpha, spec.trunc
+    ls = l * s
+    r = np.divide(-ls, tau, out=np.zeros_like(ls), where=tau > 0.0)
+    k = np.empty((6,) + ls.shape)
+    np.maximum(np.floor(r), -trunc, out=k[0])
+    np.maximum(np.ceil(r), -trunc, out=k[1])
+    k[:2][k[:2] == 0.0] = 1.0
+    k[2], k[3] = -1.0, 1.0
+    k[4] = np.maximum(l - 1.0, 1.0)  # l - 1, with 0 replaced by 1
+    k[5] = l
+    d = np.abs(k - l)
+    expo = (-alpha * l - _log_denominator(spec)[d.astype(np.intp)]) - alpha * (
+        ratio * d + np.abs(k * tau + ls)
+    )
+    return expo.max(axis=(0, 1))
+
+
+def _chunk_sup(spec: EchoKernelSpec, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Largest exponent of the kernel sup at each point (t, s) of one batch."""
+    tau = t - s
+    ratio = np.divide(tau, t, out=np.zeros_like(t), where=t > 0.0)
+    rows = np.arange(1, spec.trunc + 1, dtype=float)[:, None]
+    best = _row_sup(spec, rows[:1], s, tau, ratio)
+    # row l is bounded by -alpha*l: a block of rows is evaluated only at the
+    # points whose best exponent so far its first row can still reach
+    for start in range(1, spec.trunc, _ROW_BLOCK):
+        live = np.flatnonzero(-spec.alpha * rows[start, 0] >= best)
+        if live.size == 0:
+            break
+        block = rows[start : start + _ROW_BLOCK]
+        best[live] = np.maximum(
+            best[live], _row_sup(spec, block, s[live], tau[live], ratio[live])
+        )
+    return best
+
+
+def echo_kernel(spec: EchoKernelSpec, t, s):
     """Exact truncated sup kernel (1+s) * sup_{k,l} of the three-factor term.
 
     Factors: e^{-alpha|l|} * e^{-alpha (t-s)|k-l|/t} * e^{-alpha|k(t-s)+ls|},
     divided by 1 + |k-l|^gamma, over nonzero integers |k|,|l| <= trunc.
     Deterministic; t = s = 0 is allowed as the continuous limit along s = t.
+    t and s broadcast against each other; scalar inputs give a float.
+
+    The sup is taken over six candidates per row instead of the whole box.
+    The summand is invariant under (k, l) -> (-k, -l), so l >= 1. With
+    tau = t - s, ratio = tau/t and d = |k - l|, the exponent of row l is
+
+        E(k) = -alpha l - g(d) - alpha ratio d - alpha |k tau + l s|,
+
+    g(d) = log1p(d^gamma). The phase k tau + l s changes sign at
+    r = -l s / tau <= 0 (r = 0 when tau = 0). Below r both d and the phase
+    term fall as k grows, so E rises on k <= floor(r). From l on both rise,
+    so E falls on k >= l. On ceil(r) <= k <= l - 1 the phase term is linear
+    in k and d = l - k >= 1, so E is a linear function minus g, and g is
+    discretely concave on d >= 1 for every gamma > 1: g'' < 0 wherever
+    d^gamma > gamma - 1, which holds for all d >= 2 since 2^gamma > gamma,
+    and the one remaining second difference is g(1) + g(3) <= 2 g(2), i.e.
+    (1 + 2^gamma)^2 >= 2 (1 + 3^gamma). A convex sequence peaks at an end of
+    its range, and removing k = 0 splits the range at -1 and 1. So the sup
+    of the row lies in {floor(r), ceil(r), -1, 1, l - 1, l}, clamped to the
+    box with 0 replaced by 1. No gamma needs the full row.
+
+    The box edges are never candidates of their own: -trunc ends a monotone
+    or convex piece only when ceil(r) <= -trunc, and then it is the clamped
+    ceil(r); +trunc lies on the falling piece. Where the computed r rounds
+    across an integer n, the phase at k = n is zero to rounding, so n ends
+    both pieces and is still a candidate. Every step above has a margin
+    (a first or second difference of g) far above rounding, so the
+    candidates hold the computed row maximum itself. Each candidate term
+    uses the same table values and float operations as a scan of the whole
+    box, and the exponential is math.exp, so the result equals that scan
+    bit for bit. Row l is bounded by -alpha l, so rows are evaluated in
+    blocks, each only at the points whose best exponent so far its first
+    row can still reach.
     """
-    t, s = float(t), float(s)
-    if s < 0 or s > t:
+    t_arr, s_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    if not (np.all(s_arr >= 0.0) and np.all(s_arr <= t_arr)):
         raise ConstraintViolation("need 0 <= s <= t")
-    if t == 0.0 and s != 0.0:
+    if np.any((t_arr == 0.0) & (s_arr != 0.0)):
         raise ConstraintViolation("t = 0 only makes sense with s = 0")
-    kk, ll, absdiff, log_static = _mode_tables(spec)
-    ratio = (t - s) / t if t > 0.0 else 0.0
-    expo = log_static - spec.alpha * (
-        ratio * absdiff + np.abs(kk * (t - s) + ll * s)
-    )
-    return float((1.0 + s) * math.exp(expo.max()))
+    ts, ss = t_arr.ravel(), s_arr.ravel()
+    best = np.empty(ts.size)
+    for i in range(0, ts.size, _CHUNK):
+        best[i : i + _CHUNK] = _chunk_sup(spec, ts[i : i + _CHUNK], ss[i : i + _CHUNK])
+    values = ((1.0 + ss) * _exp(best)).reshape(t_arr.shape)
+    return float(values) if values.ndim == 0 else values
 
 
 def _adaptive_simpson(f, a: float, b: float, abs_tol: float = 1e-13, rel_tol: float = 1e-9) -> float:
-    """Adaptive Simpson quadrature for a scalar positive integrand.
+    """Adaptive Simpson quadrature for a positive integrand f that maps an
+    array of nodes to an array of values.
 
     A 65-point composite pass fixes the tolerance scale and seeds 32 panels,
     so narrow resonance bumps cannot hide inside a single coarse interval;
     each panel is then bisected under the Lyness criterion |S2 - S1|/15 with
-    the Richardson correction, halving its tolerance per split.
+    the Richardson correction, halving its tolerance per split. The panels
+    are refined breadth-first, one batched call of f per level, and summed
+    bottom-up in the order of a depth-first recursion. A panel that still
+    misses its tolerance at depth 42 raises QuadratureNotConverged.
     """
     if b <= a:
         return 0.0
     xs = np.linspace(a, b, 65)
-    fs = np.array([f(x) for x in xs])
+    fs = f(xs)
     h = (b - a) / 64.0
     coarse = h / 3.0 * (fs[0] + fs[-1] + 4.0 * fs[1:-1:2].sum() + 2.0 * fs[2:-2:2].sum())
     tol = max(abs_tol, rel_tol * abs(coarse)) / 32.0
 
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
+    x0, x2, f0, f1, f2 = xs[:-1:2], xs[2::2], fs[:-1:2], fs[1::2], fs[2::2]
+    whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def halves(split, lo, hi):  # left and right child of each split panel
+        return np.stack([lo[split], hi[split]], axis=1).ravel()
+
+    levels = []  # per depth: each panel's accepted value, and which panels split
+    for depth in range(_SIMPSON_DEPTH, -1, -1):
         x1 = 0.5 * (x0 + x2)
         lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
+        fm = f(np.concatenate([lm, rm]))
+        flm, frm = fm[: lm.size], fm[lm.size :]
         left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
         right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
         err = (left + right - whole) / 15.0
-        if depth <= 0 or abs(err) <= tol:
-            return left + right + err
-        return recurse(x0, x1, f0, flm, f1, left, 0.5 * tol, depth - 1) + recurse(
-            x1, x2, f1, frm, f2, right, 0.5 * tol, depth - 1
-        )
-
+        split = ~(np.abs(err) <= tol)
+        levels.append((left + right + err, split))
+        if not split.any():
+            break
+        if depth == 0:
+            raise QuadratureNotConverged(
+                f"adaptive Simpson on [{a:g}, {b:g}]: {int(split.sum())} panels "
+                f"reached depth {_SIMPSON_DEPTH} above their tolerance"
+            )
+        x0, x2 = halves(split, x0, x1), halves(split, x1, x2)
+        f0, f1, f2 = halves(split, f0, f1), halves(split, flm, frm), halves(split, f1, f2)
+        whole = halves(split, left, right)
+        tol = 0.5 * tol
+    sums = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        value[split] = sums[0::2] + sums[1::2]
+        sums = value
     total = 0.0
-    for i in range(0, 64, 2):
-        whole = (xs[i + 2] - xs[i]) / 6.0 * (fs[i] + 4.0 * fs[i + 1] + fs[i + 2])
-        total += recurse(xs[i], xs[i + 2], fs[i], fs[i + 1], fs[i + 2], whole, tol, 42)
+    for v in sums.tolist():
+        total += v
     return total
 
 
@@ -187,7 +287,7 @@ def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
         raise ConstraintViolation("need t > 0")
 
     def integrand(s):
-        return math.exp(-alpha * abs(k * (t - s) + l * s)) * (1.0 + s)
+        return _exp(-alpha * np.abs(k * (t - s) + l * s)) * (1.0 + s)
 
     kink = k * t / (k - l) if l < k else None
     if kink is not None and 0.0 < kink < 0.5 * t:
@@ -227,7 +327,7 @@ def echo_moment_forward(spec: EchoKernelSpec, nu: float, t: float,
     if t <= 0:
         raise ConstraintViolation("need t > 0")
     numeric = _adaptive_simpson(
-        lambda s: echo_kernel(spec, t, s) * math.exp(-nu * (t - s)),
+        lambda s: echo_kernel(spec, t, s) * _exp(-nu * (t - s)),
         0.0, t, rel_tol=rel_tol,
     )
     shape = 1.0 / (spec.alpha**3 * nu ** (1.0 + spec.gamma) * t ** (spec.gamma - 1.0))
@@ -249,7 +349,7 @@ def echo_moment_backward(spec: EchoKernelSpec, nu: float, s: float, T_max: float
     if s < 0 or T_max <= s:
         raise ConstraintViolation("need 0 <= s < T_max")
     numeric = _adaptive_simpson(
-        lambda t: math.exp(-nu * (t - s)) * echo_kernel(spec, t, s),
+        lambda t: _exp(-nu * (t - s)) * echo_kernel(spec, t, s),
         s, T_max, rel_tol=rel_tol,
     )
     tail = (1.0 + s) * math.exp(-nu * (T_max - s)) / nu
@@ -539,9 +639,7 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
             load = alg[: i + 1].copy()
             if params.c > 0:
                 t_i = float(times[i])
-                load = load + params.c * np.array(
-                    [echo_kernel(k1_spec, t_i, s) for s in times[: i + 1]]
-                )
+                load = load + params.c * echo_kernel(k1_spec, t_i, times[: i + 1])
             rhs = float(source) + float(np.dot(w * decay[i::-1] * load, mag[: i + 1]))
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
         if ratio > max_hyp:

@@ -15,6 +15,24 @@ from vpkit.acceptance import CRITERIA, SUITES, BatteryReport, run_battery
 from vpkit.errors import ConstraintViolation
 
 
+# Exact summary-CSV lines of the kernel criteria. Their numbers come from the
+# echo kernel and the adaptive Simpson quadrature, both deterministic to the
+# bit, so any drift in that numerics fails here even inside the tolerances.
+PINNED_LINES = {
+    7: "7,phase_integral_table,true,cases=200;violations=0;worst_ratio=1.0000000000000069",
+    8: "8,moment_decay_shapes,true,dyadic_exponent=0.95947019086707408;"
+       "exponent_floor=0.80000000000000004;forward_constant_ratio=0.11841259143503598;"
+       "backward_constant_ratio=0.23323510812248258",
+    11: "11,weighted_growth_control,true,hypothesis_ratio=0.99537899292645904;"
+        "crude_bound_ratio=0.40747369623834145;envelope_ratio=0.002217159139367735;"
+        "check_points=97",
+}
+
+
+def _csv_line(result):
+    return BatteryReport("pinned", (result,), 0.0).summary_csv().splitlines()[1]
+
+
 @pytest.fixture(scope="module")
 def cache():
     return {}
@@ -71,6 +89,7 @@ def test_criterion_07_phase_integral_table(cache):
     assert result.measured["cases"] == 200
     assert result.measured["violations"] == 0
     assert result.wall_seconds < 30.0
+    assert _csv_line(result) == PINNED_LINES[7]
 
 
 def test_criterion_08_moment_decay_shapes(cache):
@@ -78,6 +97,7 @@ def test_criterion_08_moment_decay_shapes(cache):
     assert result.measured["dyadic_exponent"] >= result.measured["exponent_floor"]
     assert result.measured["forward_constant_ratio"] <= 1.0
     assert result.measured["backward_constant_ratio"] <= 1.0
+    assert _csv_line(result) == PINNED_LINES[8]
 
 
 def test_criterion_09_plasma_echo_arrival(cache):
@@ -100,6 +120,7 @@ def test_criterion_11_weighted_growth_control(cache):
     assert result.measured["hypothesis_ratio"] <= 1.0 + 1e-9
     assert result.measured["crude_bound_ratio"] < 1.0
     assert result.measured["envelope_ratio"] < 1.0
+    assert _csv_line(result) == PINNED_LINES[11]
 
 
 def test_criterion_12_field_decay_slope(cache):
