@@ -47,12 +47,14 @@ from .errors import (
     EchoBeyondRecurrence,
     MarginNonPositive,
     ParseError,
+    ResolutionExceeded,
     TooFewPeaks,
     ValidationError,
     VpkitError,
 )
 from .kinetic import (
     PHASE_BUDGET,
+    RESOLUTION_TOL,
     FieldHistory,
     KineticRun,
     default_v_max,
@@ -592,9 +594,7 @@ def _history_csv(hist: FieldHistory) -> bytes:
 
 
 def _diagnostics_csv(diag: dict) -> bytes:
-    columns = ["t", "mass", "momentum", "l2"] + [
-        key for key in diag if key not in ("t", "mass", "momentum", "l2", "stop_reason")
-    ]
+    columns = [key for key, value in diag.items() if isinstance(value, np.ndarray)]
     rows = [
         [float(diag[c][i]) for c in columns] for i in range(len(diag["t"]))
     ]
@@ -613,6 +613,17 @@ def _criterion(name, passed, measured, tolerance) -> dict:
 def _mass_criterion(hist: FieldHistory) -> dict:
     drift = mass_drift(hist)
     return _criterion("mass_conserved", drift < 1e-10, {"relative_drift": drift}, "< 1e-10")
+
+
+def _ran_to_t_end(stop_reason, stopped_at, t_end, edge_fraction) -> dict:
+    """Whether a guarded march reached t_end: why and when it stopped, and the
+    resolution guard's edge fraction there (the tripping value on a trip)."""
+    return _criterion(
+        "ran_to_t_end", stop_reason == "t_end",
+        {"stop_reason": stop_reason, "stopped_at": stopped_at, "t_end": t_end,
+         "edge_fraction": edge_fraction},
+        f"reaches t_end; resolution guard edge fraction <= {RESOLUTION_TOL:g}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +675,9 @@ def _run_linear_landau(config: SimConfig):
             )
         )
     criteria.append(_mass_criterion(hist))
+    criteria.append(_ran_to_t_end(
+        diag["stop_reason"], diag["stop_time"], config.t_end, diag["stop_edge_fraction"]
+    ))
     files = {
         "history.csv": _history_csv(hist),
         "diagnostics.csv": _diagnostics_csv(diag),
@@ -730,6 +744,11 @@ def _run_echo_experiment(config: SimConfig):
                     {"reason": str(err)}, "t* below 0.8 of the grid recurrence time",
                 )
             ],
+            {"echo.json": _json_bytes({"refusal": str(err)})},
+        )
+    except ResolutionExceeded as err:
+        return (
+            [_ran_to_t_end("resolution_exceeded", err.time, config.t_end, err.fraction)],
             {"echo.json": _json_bytes({"refusal": str(err)})},
         )
     offset = abs(report.rel_offset)

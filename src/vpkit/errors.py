@@ -58,7 +58,15 @@ class EnvelopeExceeded(VpkitError):
 
 
 class ResolutionExceeded(VpkitError):
-    """Filamentation reached the velocity grid; results past here are artifacts."""
+    """Filamentation reached the velocity grid; results past here are artifacts.
+
+    fraction carries the edge-band energy fraction that tripped the guard and
+    time the time of the state it tripped on."""
+
+    def __init__(self, message, fraction=None, time=None):
+        self.fraction = fraction
+        self.time = time
+        super().__init__(message)
 
 
 class EchoBeyondRecurrence(VpkitError):

@@ -1,11 +1,14 @@
 """Spectral solver for the weakly collisional Vlasov model on the torus.
 
-The state is carried in mixed representation: Fourier modes in x (rows
-k = -k_max .. k_max) against a uniform velocity grid. In this picture free
-transport and the velocity kick are exact phase multiplications, and the
-relaxation toward rho(t,x) f0(v) has a closed-form update, so a time step
-is three exact maps composed in Strang order: half transport, field solve
-plus kick, collision, half transport.
+The state is carried in mixed representation: Fourier modes in x against a
+uniform velocity grid. The distribution is real, so fhat(-k, v) =
+conj(fhat(k, v)) and only the rows k = 0 .. k_max are stored (half storage);
+the full table over k = -k_max .. k_max is a derived view, Hermitian by
+construction. In this picture free transport and the velocity kick are exact
+phase multiplications, and the relaxation toward rho(t,x) f0(v) has a
+closed-form update, so a time step is three exact maps composed in Strang
+order: half transport, field solve plus kick, collision, half transport.
+The kick works on real data throughout (real FFTs in x and in v).
 
 Module contents:
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,14 +91,17 @@ def _equilibrium_rows(profile: VelocityProfile, n_v: int, v_max: float):
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Mixed-representation state fhat(k, v_j) at one instant.
+    """Mixed-representation state fhat(k, v_j) at one instant, in half storage.
 
-    f has shape (2*k_max + 1, n_v); row i holds x-mode k = i - k_max on the
-    velocity grid of velocity_grid(n_v, v_max). Physical reality of f is the
-    row symmetry fhat(-k, v) = conj(fhat(k, v)), checked at construction.
+    rows has shape (k_max + 1, n_v); row k holds x-mode k = 0 .. k_max on the
+    velocity grid of velocity_grid(n_v, v_max), and row 0 (the x-average of a
+    real distribution) must be real. The k < 0 modes of a real distribution
+    are fhat(-k, v) = conj(fhat(k, v)), so they are not stored: f is the
+    read-only full table of shape (2*k_max + 1, n_v), row i holding mode
+    k = i - k_max, derived from rows and exactly Hermitian.
     """
 
-    f: np.ndarray
+    rows: np.ndarray
     time: float
     k_max: int
     v_max: float
@@ -105,30 +111,30 @@ class PhaseState:
             raise ConstraintViolation("k_max must be a positive integer")
         if not (self.v_max > 0.0):
             raise ConstraintViolation("v_max must be positive")
-        f = np.asarray(self.f, dtype=complex)
-        object.__setattr__(self, "f", f)
+        rows = np.asarray(self.rows, dtype=complex)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "k_max", int(self.k_max))
         object.__setattr__(self, "time", float(self.time))
-        if f.ndim != 2 or f.shape[0] != 2 * self.k_max + 1:
+        if rows.ndim != 2 or rows.shape[0] != self.k_max + 1:
             raise ConstraintViolation(
-                f"f must have 2*k_max+1 = {2 * self.k_max + 1} rows, got shape {f.shape}"
+                f"rows must hold modes 0..k_max = {self.k_max + 1} rows, got shape {rows.shape}"
             )
-        if f.shape[1] < 8 or f.shape[1] % 2:
+        if rows.shape[1] < 8 or rows.shape[1] % 2:
             raise ConstraintViolation("velocity grid needs an even count >= 8")
-        if not np.all(np.isfinite(f.view(float))):
+        if not np.all(np.isfinite(rows.view(float))):
             raise ConstraintViolation("state contains non-finite entries")
-        scale = float(np.abs(f).max())
-        if scale > 0.0:
-            defect = float(np.abs(f - np.conj(f[::-1])).max())
-            if defect > 1e-10 * scale:
-                raise ConstraintViolation(
-                    f"rows break the Hermitian symmetry fhat(-k) = conj(fhat(k)) "
-                    f"(defect {defect:.3e} at scale {scale:.3e})"
-                )
+        if np.any(rows[0].imag):
+            raise ConstraintViolation("row k = 0 of a real distribution must be real")
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        full = _full_modes(self.rows)
+        full.setflags(write=False)
+        return full
 
     @property
     def n_v(self) -> int:
-        return self.f.shape[1]
+        return self.rows.shape[1]
 
     @property
     def dv(self) -> float:
@@ -149,9 +155,9 @@ def equilibrium_state(
     """Spatially homogeneous state f = f0(v) at time 0 (v_max: default_v_max)."""
     if v_max is None:
         v_max = default_v_max(profile)
-    f = np.zeros((2 * k_max + 1, n_v), dtype=complex)
-    f[k_max] = _equilibrium_rows(profile, n_v, float(v_max))
-    return PhaseState(f=f, time=0.0, k_max=k_max, v_max=float(v_max))
+    rows = np.zeros((k_max + 1, n_v), dtype=complex)
+    rows[0] = _equilibrium_rows(profile, n_v, float(v_max))
+    return PhaseState(rows=rows, time=0.0, k_max=k_max, v_max=float(v_max))
 
 
 def perturb_density(
@@ -177,15 +183,24 @@ def perturb_density(
         g = state.v * base
     else:
         raise ConstraintViolation(f"unknown perturbation shape {shape!r}")
-    f = state.f.copy()
-    f[state.k_max + k] += 0.5 * complex(amplitude) * g
-    f[state.k_max - k] += 0.5 * np.conj(complex(amplitude)) * g
-    return PhaseState(f=f, time=state.time, k_max=state.k_max, v_max=state.v_max)
+    rows = state.rows.copy()
+    rows[k] += 0.5 * complex(amplitude) * g
+    return PhaseState(rows=rows, time=state.time, k_max=state.k_max, v_max=state.v_max)
+
+
+def _full_modes(half: np.ndarray) -> np.ndarray:
+    """Modes -k_max..k_max (leading axis) of a real field from its modes 0..k_max.
+
+    Adding 0.0 turns the -0.0 that conj makes of a zero imaginary part into
+    +0.0, so exact zeros print as 0 rather than -0 in the CSV outputs."""
+    return np.concatenate([np.conj(half[:0:-1]) + 0.0, half])
 
 
 def rho_hat(state: PhaseState) -> np.ndarray:
-    """Density modes rho_hat(k) = dv * sum_j fhat(k, v_j)."""
-    return state.dv * state.f.sum(axis=1)
+    """Density modes rho_hat(k) = dv * sum_j fhat(k, v_j), k = -k_max..k_max.
+
+    Summed over the stored rows k >= 0; the k < 0 entries are their conjugates."""
+    return _full_modes(state.dv * state.rows.sum(axis=1))
 
 
 def poisson_field(rho_hat_values, W: Interaction, modes) -> np.ndarray:
@@ -205,24 +220,25 @@ def poisson_field(rho_hat_values, W: Interaction, modes) -> np.ndarray:
     return e_hat
 
 
-def _synthesize(e_hat: np.ndarray, modes: np.ndarray, n_x: int) -> np.ndarray:
-    """Real field values on the uniform x grid j/n_x from Hermitian modes."""
-    spec = np.zeros(n_x, dtype=complex)
-    spec[modes % n_x] = e_hat
-    return np.fft.ifft(spec).real * n_x
-
-
-def _sup_field(e_hat: np.ndarray, modes: np.ndarray, k_max: int) -> float:
-    n_x = max(16 * k_max, 64)
-    return float(np.abs(_synthesize(e_hat, modes, n_x)).max())
-
-
 @lru_cache(maxsize=16)
 def _transport_phase(k_max: int, n_v: int, v_max: float, h: float):
-    modes = np.arange(-k_max, k_max + 1)
+    modes = np.arange(k_max + 1)
     phase = np.exp(-2j * np.pi * h * np.outer(modes, velocity_grid(n_v, v_max)))
     phase.setflags(write=False)
     return phase
+
+
+def _phase_powers(theta: np.ndarray, n: int) -> np.ndarray:
+    """Table exp(i theta_x j), j = 0 .. n-1, of shape (theta.size, n).
+
+    Factored as exp(i theta_x R q) * exp(i theta_x r) with j = R q + r and
+    R about sqrt(n), so each row costs about 2 sqrt(n) complex exponentials
+    instead of n, at the same few-ulp accuracy."""
+    R = 1 << (n.bit_length() // 2)
+    Q = -(-n // R)
+    low = np.exp(1j * np.outer(theta, np.arange(R)))
+    high = np.exp(1j * np.outer(theta, R * np.arange(Q)))
+    return (high[:, :, None] * low[:, None, :]).reshape(theta.size, Q * R)[:, :n]
 
 
 def collision_substep(
@@ -260,17 +276,16 @@ def resolution_guard(state: PhaseState) -> float:
     """Edge-band energy fraction of the sheared part of the spectrum.
 
     The k = 0 row never shears, so the guard pools the velocity spectra of
-    all rows k != 0 and measures what fraction of that energy sits in the
-    outer RESOLUTION_BAND of |eta| bins. Raises ResolutionExceeded past
-    RESOLUTION_TOL: at that point the grid is about to alias the dominant
-    filamentation back as a spurious recurrence. (A per-row test would trip
-    on dynamically empty harmonics whose infinitesimal content recurs long
-    before anything observable does.)
+    the rows k >= 1 and measures what fraction of that energy sits in the
+    outer RESOLUTION_BAND of |eta| bins. (Row -k carries the same power at
+    mirrored eta, and the band is symmetric in eta, so pooling the stored
+    rows gives the fraction of all rows k != 0.) Raises ResolutionExceeded
+    past RESOLUTION_TOL: at that point the grid is about to alias the
+    dominant filamentation back as a spurious recurrence. (A per-row test
+    would trip on dynamically empty harmonics whose infinitesimal content
+    recurs long before anything observable does.)
     """
-    sheared = np.concatenate(
-        [state.f[: state.k_max], state.f[state.k_max + 1 :]], axis=0
-    )
-    power = np.abs(np.fft.fft(sheared, axis=1)) ** 2
+    power = np.abs(np.fft.fft(state.rows[1:], axis=1)) ** 2
     total = float(power.sum())
     if total <= 0.0:
         return 0.0
@@ -279,13 +294,14 @@ def resolution_guard(state: PhaseState) -> float:
     fraction = float(power[:, band].sum() / total)
     if fraction > RESOLUTION_TOL:
         row_frac = power[:, band].sum(axis=1) / total
-        worst = int(np.argmax(row_frac))
-        k_bad = worst if worst < state.k_max else worst + 1
+        k_bad = int(np.argmax(row_frac)) + 1
         raise ResolutionExceeded(
             f"the sheared spectrum holds {fraction:.3e} of its energy in the top "
             f"{RESOLUTION_BAND:.0%} of |eta| bins at t={state.time:g} "
-            f"(tolerance {RESOLUTION_TOL:g}, led by mode k={k_bad - state.k_max}); "
-            f"refine the velocity grid"
+            f"(tolerance {RESOLUTION_TOL:g}, led by modes k=+-{k_bad}); "
+            f"refine the velocity grid",
+            fraction=fraction,
+            time=state.time,
         )
     return fraction
 
@@ -300,16 +316,25 @@ def step(
 ) -> PhaseState:
     """One Strang step: half transport, field solve + kick, collision, half transport.
 
+    Every phase works on the stored rows k = 0 .. k_max; the k < 0 rows are
+    their conjugates at every stage, so nothing has to restore the pairing.
     Transport multiplies row k by exp(-2 pi i k v dt/2), exact at any dt.
     The kick solves the field from the mid-step density, synthesizes the
-    acceleration on a dealiased x grid, and shifts each column in v through
-    the spectral phase exp(-2 pi i eta a(x) dt), exact for a frozen field.
-    The collision substep is the closed-form relaxation. Negative dt steps
-    backward; dt = 0 is the identity.
+    real acceleration and the real f(x, v) on a dealiased x grid (inverse
+    real FFT over the k >= 0 modes), and shifts each column in v through the
+    spectral phase exp(-2 pi i eta a(x) dt) on the real-FFT frequencies
+    eta = 0 .. 1/(2 dv), exact for a frozen field. The v-Nyquist bin
+    eta = 1/(2 dv) of a real column is real, so the inverse real FFT keeps
+    the real part of its shifted value: the bin is scaled by
+    cos(pi a(x) dt / dv). That is this solver's convention, and it is the
+    bin a full complex kick followed by a projection onto real f produces;
+    zeroing the bin instead would strip the equilibrium of its own Nyquist
+    content at the first kick. The collision substep is the closed-form
+    relaxation. Negative dt steps backward; dt = 0 is the identity.
 
     external_field_hat, when given, is added to the self-consistent field
-    for this step only (mode amplitudes aligned with state.modes); this is
-    how an impulsive probe enters the dynamics.
+    for this step only (amplitudes of the modes k = 0 .. k_max of a real
+    field); this is how an impulsive probe enters the dynamics.
     """
     if not math.isfinite(dt):
         raise ConstraintViolation("dt must be finite")
@@ -317,46 +342,40 @@ def step(
         raise ConstraintViolation("collision frequency nu must be >= 0")
     if dt == 0.0:
         return state
-    if abs(dt) * state.k_max * state.v_max > PHASE_BUDGET:
+    k_max, n_v = state.k_max, state.n_v
+    if abs(dt) * k_max * state.v_max > PHASE_BUDGET:
         raise StepTooCoarse(
             f"|dt|={abs(dt):g} turns the corner phase k_max*v_max="
-            f"{state.k_max * state.v_max:g} by more than {PHASE_BUDGET:g}; "
-            f"shrink the step below {PHASE_BUDGET / (state.k_max * state.v_max):.3g}"
+            f"{k_max * state.v_max:g} by more than {PHASE_BUDGET:g}; "
+            f"shrink the step below {PHASE_BUDGET / (k_max * state.v_max):.3g}"
         )
-    modes = state.modes
-    half = _transport_phase(state.k_max, state.n_v, state.v_max, 0.5 * dt)
-    f = state.f * half
+    modes = np.arange(k_max + 1)
+    half = _transport_phase(k_max, n_v, state.v_max, 0.5 * dt)
+    f = state.rows * half
 
     rho_mid = state.dv * f.sum(axis=1)
     e_hat = poisson_field(rho_mid, W, modes)
     if external_field_hat is not None:
         ext = np.asarray(external_field_hat, dtype=complex)
         if ext.shape != modes.shape:
-            raise ConstraintViolation("external field modes must align with state.modes")
+            raise ConstraintViolation("external field must hold the modes 0..k_max")
         e_hat = e_hat + ext
     if np.any(e_hat):
-        n_x = max(4 * state.k_max, 8)
-        accel = Q_OVER_M * _synthesize(e_hat, modes, n_x)
-        grid_spec = np.zeros((n_x, state.n_v), dtype=complex)
-        grid_spec[modes % n_x] = f
-        f_x = np.fft.ifft(grid_spec, axis=0) * n_x
-        eta = np.fft.fftfreq(state.n_v, d=state.dv)
-        f_eta = np.fft.fft(f_x, axis=1)
-        f_eta *= np.exp(-2j * np.pi * dt * np.outer(accel, eta))
-        f_x = np.fft.ifft(f_eta, axis=1)
-        grid_spec = np.fft.fft(f_x, axis=0) / n_x
-        f = grid_spec[modes % n_x]
+        n_x = max(4 * k_max, 8)
+        accel = Q_OVER_M * n_x * np.fft.irfft(e_hat, n=n_x)
+        f_x = n_x * np.fft.irfft(f, n=n_x, axis=0)
+        f_eta = np.fft.rfft(f_x, axis=1)
+        # eta_j = j / (n_v dv), so the shift phase of column x is w_x^j
+        f_eta *= _phase_powers(-2.0 * np.pi * dt / (n_v * state.dv) * accel, n_v // 2 + 1)
+        f_x = np.fft.irfft(f_eta, n=n_v, axis=1)
+        f = np.fft.rfft(f_x, axis=0)[: k_max + 1] / n_x
 
     if nu > 0.0:
         rho_post = state.dv * f.sum(axis=1)
         f = collision_substep(f, rho_post, dt, nu, profile, v_max=state.v_max)
 
     f = f * half
-    # Rows +-k traverse different floating-point paths through the kick FFTs,
-    # so their independent roundoff slowly breaks the Hermitian pairing;
-    # project back onto the real-field manifold once per step.
-    f = 0.5 * (f + np.conj(f[::-1]))
-    return PhaseState(f=f, time=state.time + dt, k_max=state.k_max, v_max=state.v_max)
+    return PhaseState(rows=f, time=state.time + dt, k_max=k_max, v_max=state.v_max)
 
 
 def spectral_snapshot(state: PhaseState, subtract: np.ndarray | None = None) -> SpectralDistribution:
@@ -409,7 +428,8 @@ class FieldHistory:
         if rho.shape != (times.size, modes.size):
             raise ConstraintViolation(f"rho_hat must have shape {(times.size, modes.size)}")
         e_hat = poisson_field(rho, self.interaction, modes)
-        sup_e = np.array([_sup_field(row, modes, int(modes.max())) for row in e_hat])
+        n_x = max(16 * int(modes.max()), 64)
+        sup_e = np.abs(n_x * np.fft.irfft(e_hat[:, modes >= 0], n=n_x, axis=1)).max(axis=1)
         for name, val in (("times", times), ("modes", modes), ("rho_hat", rho),
                           ("e_hat", e_hat), ("sup_e", sup_e)):
             object.__setattr__(self, name, val)
@@ -610,11 +630,14 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
     """March the full model and record fields plus scalar diagnostics.
 
     Returns (FieldHistory, diagnostics). The diagnostics dict carries arrays
-    "t", "mass", "momentum", "l2", one column per configured analytic norm
-    of f - f0, and "stop_reason" ("t_end", or "resolution_exceeded" when the
-    recurrence guard trips at a record time, in which case the tables end at
-    the last resolved record). A trip before the second record leaves no
-    history to report and raises ResolutionExceeded."""
+    "t" (record times n * dt), "mass", "momentum", "l2", "edge_fraction"
+    (the resolution guard's value at each record), one column per configured
+    analytic norm of f - f0, "stop_reason" ("t_end", or "resolution_exceeded"
+    when the recurrence guard trips at a record time, in which case the
+    tables end at the last resolved record), "stop_time" (t_end, or the
+    record time the guard tripped at) and "stop_edge_fraction", the guard's
+    value there. A trip before the second record leaves no history to
+    report and raises ResolutionExceeded."""
     v_max = config.resolved_v_max()
     state = equilibrium_state(config.profile, config.k_max, config.n_v, v_max)
     if config.amplitude != 0.0:
@@ -622,25 +645,25 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
             state, config.profile, config.k_pert, config.amplitude, config.pert_shape
         )
     f0 = _equilibrium_rows(config.profile, config.n_v, v_max)
-    modes = state.modes
     norm_params = [
         (_norm_column(kind, lam, mu), kind, NormParams(lam=float(lam), mu=float(mu)))
         for kind, lam, mu in config.norms
     ]
 
     times, rho_rows = [], []
-    mass, momentum, l2 = [], [], []
+    mass, momentum, l2, edge = [], [], [], []
     norm_series: dict = {name: [] for name, _, _ in norm_params}
     stop_reason = "t_end"
 
-    def record(st: PhaseState):
-        resolution_guard(st)
-        rho = st.dv * st.f.sum(axis=1)
-        times.append(st.time)
-        rho_rows.append(rho)
-        mass.append(float(rho[st.k_max].real))
-        momentum.append(float((st.dv * np.dot(st.f[st.k_max], st.v)).real))
-        l2.append(float(np.sqrt(st.dv * np.sum(np.abs(st.f) ** 2))))
+    def record(st: PhaseState, t: float):
+        edge.append(resolution_guard(st))
+        rho = st.dv * st.rows.sum(axis=1)
+        power = np.abs(st.rows) ** 2
+        times.append(t)
+        rho_rows.append(_full_modes(rho))
+        mass.append(float(rho[0].real))
+        momentum.append(float((st.dv * np.dot(st.rows[0], st.v)).real))
+        l2.append(float(np.sqrt(st.dv * (power[0].sum() + 2.0 * power[1:].sum()))))
         if norm_params:
             table = spectral_snapshot(st, subtract=f0)
             for name, kind, params in norm_params:
@@ -648,26 +671,31 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
                 norm_series[name].append(value)
 
     try:
-        record(state)
+        record(state, 0.0)
         for n in range(1, config.n_steps + 1):
             state = step(state, config.dt, config.interaction, config.profile, config.nu)
             if n % config.record_every == 0 or n == config.n_steps:
-                record(state)
-    except ResolutionExceeded:
+                record(state, n * config.dt)
+        stop_time, stop_edge = times[-1], edge[-1]
+    except ResolutionExceeded as err:
         if len(times) < 2:
             raise
         stop_reason = "resolution_exceeded"
+        stop_time, stop_edge = n * config.dt, err.fraction
 
-    history = FieldHistory(np.array(times), modes, np.array(rho_rows), config.interaction)
+    history = FieldHistory(np.array(times), state.modes, np.array(rho_rows), config.interaction)
     diagnostics = {
         "t": np.array(times),
         "mass": np.array(mass),
         "momentum": np.array(momentum),
         "l2": np.array(l2),
-        "stop_reason": stop_reason,
+        "edge_fraction": np.array(edge),
     }
     for name in norm_series:
         diagnostics[name] = np.array(norm_series[name])
+    diagnostics["stop_reason"] = stop_reason
+    diagnostics["stop_time"] = stop_time
+    diagnostics["stop_edge_fraction"] = stop_edge
     return history, diagnostics
 
 
@@ -706,21 +734,19 @@ def _march_mode_trace(
 
     The probe enters as an external field eps2/dt * cos(2 pi m x) held for
     the single step that starts at s_force, an impulse of total strength
-    eps2 independent of dt."""
+    eps2 independent of dt. The trace reads stored row |k|: |rho_hat(-k)| =
+    |rho_hat(k)|."""
     v_max = config.resolved_v_max()
     state = equilibrium_state(config.profile, config.k_max, config.n_v, v_max)
     state = perturb_density(state, config.profile, l, eps1)
-    modes = state.modes
-    k = l + m
-    col = config.k_max + k
+    row = abs(l + m)
     j_kick = int(round(s_force / config.dt))
     external = None
     if eps2 != 0.0:
-        external = np.zeros(modes.size, dtype=complex)
-        external[config.k_max + m] = 0.5 * eps2 / config.dt
-        external[config.k_max - m] = 0.5 * eps2 / config.dt
-    times = [0.0]
-    trace = [abs(state.dv * state.f[col].sum())]
+        external = np.zeros(config.k_max + 1, dtype=complex)
+        external[abs(m)] = 0.5 * eps2 / config.dt
+    times = np.arange(config.n_steps + 1) * config.dt
+    trace = [abs(state.dv * state.rows[row].sum())]
     for n in range(config.n_steps):
         kick = external if (external is not None and n == j_kick) else None
         state = step(
@@ -729,13 +755,21 @@ def _march_mode_trace(
         )
         if (n + 1) % config.record_every == 0:
             resolution_guard(state)
-        times.append(state.time)
-        trace.append(abs(state.dv * state.f[col].sum()))
-    return np.array(times), np.array(trace)
+        trace.append(abs(state.dv * state.rows[row].sum()))
+    return times, np.array(trace)
+
+
+def _echo_trace(marches: dict, config: KineticRun, l, m, s_force, eps1, eps2):
+    """_march_mode_trace through marches, keyed by the full march inputs."""
+    key = ("echo_march", config, l, m, float(s_force), float(eps1), float(eps2))
+    if key not in marches:
+        marches[key] = _march_mode_trace(config, l, m, s_force, eps1, eps2)
+    return marches[key]
 
 
 def echo_experiment(
-    config: KineticRun, l: int, k_minus_l: int, s_force: float, eps1: float, eps2: float
+    config: KineticRun, l: int, k_minus_l: int, s_force: float, eps1: float, eps2: float,
+    marches: dict | None = None,
 ) -> EchoReport:
     """Kick a streaming mode-l perturbation at mode k-l and locate the echo.
 
@@ -744,7 +778,12 @@ def echo_experiment(
     mode k - l transfers its phase-mixed content to mode k = l + k_minus_l.
     The mode-k density trace then rises out of nothing at the predicted
     t* = s_force (k - l)/k; the report carries the predicted and measured
-    peak times and the peak against an unkicked baseline."""
+    peak times and the peak against an unkicked baseline.
+
+    Each distinct march (the kicked run and its eps2 = 0 baseline) is made
+    once per marches dict: a call with eps2 = 0 reuses its kicked trace as
+    the baseline, and callers that pass one dict to several experiments
+    share the baselines and repeated runs between them."""
     l = int(l)
     m = int(k_minus_l)
     k = l + m
@@ -775,8 +814,9 @@ def echo_experiment(
     if abs(round(s_force / config.dt) * config.dt - s_force) > 1e-9:
         raise ConstraintViolation("s_force must sit on the step grid")
 
-    times, kicked = _march_mode_trace(config, l, m, s_force, eps1, eps2)
-    _, quiet = _march_mode_trace(config, l, m, s_force, eps1, 0.0)
+    marches = {} if marches is None else marches
+    times, kicked = _echo_trace(marches, config, l, m, s_force, eps1, eps2)
+    _, quiet = _echo_trace(marches, config, l, m, s_force, eps1, 0.0)
     window = times >= s_force + max(3.0 * config.dt, 0.15 * (t_star - s_force))
     t_measured, peak_amp = parabolic_peak(
         times[window], kicked[window], int(np.argmax(kicked[window]))

@@ -32,7 +32,7 @@ from vpkit.cli import (
     run_scenario,
 )
 from vpkit.errors import ConstraintViolation, ParseError, ValidationError, VpkitError
-from vpkit.kinetic import KineticRun
+from vpkit.kinetic import RESOLUTION_TOL, KineticRun
 from vpkit.profiles import Interaction, VelocityProfile
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -504,6 +504,46 @@ class TestRuns:
         crit = json.loads((out / "report.json").read_text())["criteria"][0]
         assert float(crit["measured"]["predicted"]) == pytest.approx(0.3612, abs=1e-4)
         assert float(crit["measured"]["gap"]) <= 0.05
+
+    def test_shipped_linear_landau_ends_exactly_at_t_end(self, tmp_path):
+        out = tmp_path / "out"
+        path = SHIPPED_CONFIGS / "linear_landau.ini"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert lines[0] == "t,mass,momentum,l2,edge_fraction"
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert rows[-1][0] == 45.0  # t0 + n dt, not 44.999999999999581
+        assert all(0.0 < row[4] < RESOLUTION_TOL for row in rows[1:])
+        assert (out / "history.csv").read_text().splitlines()[-1].startswith("45,")
+        crit = json.loads((out / "report.json").read_text())["criteria"][-1]
+        assert crit["name"] == "ran_to_t_end" and crit["passed"]
+        assert crit["measured"]["stop_reason"] == "t_end"
+        assert float(crit["measured"]["stopped_at"]) == 45.0
+
+    def test_truncated_landau_exits_1_and_names_the_cause(self, tmp_path, capsys):
+        # n_v = 64: the resolution guard stops the march at t = 44.3 of 45
+        text = (SHIPPED_CONFIGS / "linear_landau.ini").read_text()
+        path = write_config(tmp_path, text.replace("n_v = 512", "n_v = 64"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        fail = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("FAIL ran_to_t_end")]
+        assert len(fail) == 1
+        assert "stop_reason=resolution_exceeded" in fail[0]
+        assert "stopped_at=44.3 " in fail[0] and "t_end=45 " in fail[0]
+        fraction = float(fail[0].split("edge_fraction=")[1].split()[0])
+        assert fraction > RESOLUTION_TOL
+
+    def test_echo_guard_trip_is_a_failed_criterion(self, tmp_path, capsys):
+        # the seed mode's filament reaches the edge of a 128-point grid near t = 5
+        path = write_config(
+            tmp_path,
+            "[scenario]\nname = echo_experiment\n\n[grid]\nn_v = 128\n\n"
+            "[time]\nt_end = 6\n\n[echo]\ns_force = 2.5\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "FAIL ran_to_t_end: stop_reason=resolution_exceeded" in capsys.readouterr().out
+        assert "refine the velocity grid" in json.loads((out / "echo.json").read_text())["refusal"]
 
     def test_echo_run_lands_on_time(self, tmp_path):
         path = write_config(tmp_path, "[scenario]\nname = echo_experiment\n")

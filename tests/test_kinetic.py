@@ -7,9 +7,12 @@ accuracy is measured by dt-halving Richardson ratios; the linear regime is
 compared against the closed Volterra march of the density equation and the
 damping rates frozen by the linear-theory suite; echo timing is compared
 against the analytic crossing time and the recurrence arithmetic of the
-velocity grid."""
+velocity grid. The half-storage real-FFT step is checked against the
+full-complex step it replaced (reference_step below), kept here as an
+oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,6 +66,39 @@ def small_state(amp=1e-3, k_max=2, n_v=128, profile=MX_UNIT):
     return perturb_density(state, profile, 1, amp)
 
 
+def reference_step(f, k_max, v_max, dt, W, profile, nu, external_field_hat=None):
+    """The full-complex Strang step on all rows k = -k_max..k_max.
+
+    Complex FFTs in x and v over the full table, the shift phase on every
+    fftfreq bin, and a projection 0.5 (f + conj f[::-1]) onto real f at the
+    end. external_field_hat is aligned with the modes -k_max..k_max."""
+    n_v = f.shape[1]
+    dv = 2.0 * v_max / n_v
+    modes = np.arange(-k_max, k_max + 1)
+    half = np.exp(-1j * np.pi * dt * np.outer(modes, kin.velocity_grid(n_v, v_max)))
+    f = f * half
+    e_hat = poisson_field(dv * f.sum(axis=1), W, modes)
+    if external_field_hat is not None:
+        e_hat = e_hat + external_field_hat
+    if np.any(e_hat):
+        n_x = max(4 * k_max, 8)
+        spec = np.zeros(n_x, dtype=complex)
+        spec[modes % n_x] = e_hat
+        accel = kin.Q_OVER_M * np.fft.ifft(spec).real * n_x
+        grid_spec = np.zeros((n_x, n_v), dtype=complex)
+        grid_spec[modes % n_x] = f
+        f_x = np.fft.ifft(grid_spec, axis=0) * n_x
+        eta = np.fft.fftfreq(n_v, d=dv)
+        f_eta = np.fft.fft(f_x, axis=1)
+        f_eta *= np.exp(-2j * np.pi * dt * np.outer(accel, eta))
+        f_x = np.fft.ifft(f_eta, axis=1)
+        f = (np.fft.fft(f_x, axis=0) / n_x)[modes % n_x]
+    if nu > 0.0:
+        f = collision_substep(f, dv * f.sum(axis=1), dt, nu, profile, v_max=v_max)
+    f = f * half
+    return 0.5 * (f + np.conj(f[::-1]))
+
+
 class TestPhaseState:
     def test_equilibrium_defaults(self):
         state = equilibrium_state(MX_UNIT, 4, 256)
@@ -78,25 +114,43 @@ class TestPhaseState:
 
     def test_shape_validation(self):
         with pytest.raises(ConstraintViolation):
-            PhaseState(f=np.zeros((4, 64), complex), time=0.0, k_max=2, v_max=6.0)
+            PhaseState(rows=np.zeros((4, 64), complex), time=0.0, k_max=2, v_max=6.0)
+        with pytest.raises(ConstraintViolation):  # the full 2*k_max+1 layout
+            PhaseState(rows=np.zeros((5, 64), complex), time=0.0, k_max=2, v_max=6.0)
         with pytest.raises(ConstraintViolation):
-            PhaseState(f=np.zeros((5, 63), complex), time=0.0, k_max=2, v_max=6.0)
+            PhaseState(rows=np.zeros((3, 63), complex), time=0.0, k_max=2, v_max=6.0)
         with pytest.raises(ConstraintViolation):
-            PhaseState(f=np.zeros((5, 64), complex), time=0.0, k_max=0, v_max=6.0)
+            PhaseState(rows=np.zeros((3, 64), complex), time=0.0, k_max=0, v_max=6.0)
         with pytest.raises(ConstraintViolation):
-            PhaseState(f=np.zeros((5, 64), complex), time=0.0, k_max=2, v_max=-1.0)
+            PhaseState(rows=np.zeros((3, 64), complex), time=0.0, k_max=2, v_max=-1.0)
 
-    def test_rejects_non_hermitian_rows(self):
-        f = np.zeros((5, 64), complex)
-        f[3] = 1.0
-        with pytest.raises(ConstraintViolation, match="Hermitian"):
-            PhaseState(f=f, time=0.0, k_max=2, v_max=6.0)
+    def test_rejects_complex_zero_row(self):
+        rows = np.zeros((3, 64), complex)
+        rows[1] = 1.0 + 2.0j  # any k >= 1 row is allowed to be complex
+        PhaseState(rows=rows, time=0.0, k_max=2, v_max=6.0)
+        rows[0, 5] = 1e-300j
+        with pytest.raises(ConstraintViolation, match="real"):
+            PhaseState(rows=rows, time=0.0, k_max=2, v_max=6.0)
 
     def test_rejects_non_finite(self):
-        f = np.zeros((5, 64), complex)
-        f[2, 0] = np.nan
+        rows = np.zeros((3, 64), complex)
+        rows[0, 0] = np.nan
         with pytest.raises(ConstraintViolation, match="finite"):
-            PhaseState(f=f, time=0.0, k_max=2, v_max=6.0)
+            PhaseState(rows=rows, time=0.0, k_max=2, v_max=6.0)
+
+    def test_full_view_is_exactly_hermitian(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
+        rows[0] = rows[0].real
+        state = PhaseState(rows=rows, time=0.0, k_max=3, v_max=6.0)
+        assert state.f.shape == (7, 32)
+        assert np.array_equal(state.f[3:], rows)
+        assert np.array_equal(state.f, np.conj(state.f[::-1]))
+        assert not state.f.flags.writeable
+        # mirrored exact zeros stay +0.0, so CSV outputs print 0, not -0
+        quiet = equilibrium_state(MX_UNIT, 2, 64)
+        assert not np.any(np.signbit(quiet.f.imag))
+        assert not np.any(np.signbit(rho_hat(quiet).imag))
 
     def test_perturbation_validation(self):
         state = equilibrium_state(MX_UNIT, 2, 64)
@@ -322,8 +376,52 @@ class TestStepAccuracy:
         state = small_state(amp=0.3)
         for _ in range(60):
             state = step(state, 0.05, W_POW, MX_UNIT, 0.0)
-        defect = np.abs(state.f - np.conj(state.f[::-1])).max()
-        assert defect < 1e-10 * np.abs(state.f).max()
+        # half storage: the k < 0 rows are derived, so the pairing is exact
+        assert np.array_equal(state.f, np.conj(state.f[::-1]))
+
+
+def _oracle_setups():
+    landau = perturb_density(equilibrium_state(MX_COLD, 4, 512), MX_COLD, 1, 1e-5)
+    echo = perturb_density(equilibrium_state(MX_UNIT, 8, 512, v_max=6.0), MX_UNIT, 1, 1e-3)
+    kick = np.zeros(9, complex)
+    kick[2] = 0.5 * 1e-3 / 0.02  # the echo probe at mode -2 (and +2), one step
+    return {
+        "landau": (landau, 0.05, W_POW, MX_COLD, 0.01, None),
+        "echo": (echo, 0.02, W_POW, MX_UNIT, 0.0, (100, kick)),
+        "strong_forcing": (small_state(amp=0.3), 0.05, W_POW, MX_UNIT, 0.0, None),
+    }
+
+
+class TestAgainstFullComplexStep:
+    @pytest.mark.parametrize("setup", ["landau", "echo", "strong_forcing"])
+    def test_matches_reference_after_200_steps(self, setup):
+        state, dt, W, profile, nu, probe = _oracle_setups()[setup]
+        f = state.f.copy()
+        for n in range(200):
+            ext = probe[1] if probe is not None and n == probe[0] else None
+            full_ext = None if ext is None else kin._full_modes(ext)
+            state = step(state, dt, W, profile, nu, external_field_hat=ext)
+            f = reference_step(f, state.k_max, state.v_max, dt, W, profile, nu, full_ext)
+        assert np.abs(state.f - f).max() <= 1e-10 * np.abs(f).max()
+
+    def test_v_nyquist_bin_takes_the_real_part_of_its_shift(self):
+        # one kick in a uniform field a: the real column's Nyquist bin is scaled
+        # by cos(pi a dt / dv), as in the full-complex kick after projection;
+        # zeroing the bin would strip the equilibrium of its Nyquist content
+        state = small_state(amp=0.3)
+        dt = 0.05
+        ext = np.zeros(state.k_max + 1, complex)
+        ext[1] = 4.0 - 3.0j  # shifts up to ~0.4 rad at the Nyquist bin
+        kicked = step(state, dt, W_ZERO, MX_UNIT, 0.0, external_field_hat=ext)
+        ref = reference_step(state.f, state.k_max, state.v_max, dt, W_ZERO, MX_UNIT,
+                             0.0, kin._full_modes(ext))
+        nyq_new = np.fft.fft(kicked.rows, axis=1)[:, state.n_v // 2]
+        nyq_ref = np.fft.fft(ref[state.k_max:], axis=1)[:, state.n_v // 2]
+        unshifted = np.fft.fft(state.rows, axis=1)[:, state.n_v // 2]
+        roundoff = 1e-13 * np.abs(state.rows).max()
+        assert np.abs(nyq_new - nyq_ref).max() <= roundoff
+        assert np.abs(nyq_new).max() > 1000.0 * roundoff  # not zeroed
+        assert np.abs(nyq_new - unshifted).max() > 100.0 * roundoff  # not left alone
 
 
 class TestResolutionGuard:
@@ -347,6 +445,11 @@ class TestResolutionGuard:
         assert diag["stop_reason"] == "resolution_exceeded"
         assert hist.times[-1] < 4.3
         assert diag["t"].size == hist.times.size
+        # the trip is kept: the record time it happened at and the tripping value
+        assert diag["stop_time"] == hist.times[-1] + 2 * cfg.dt
+        assert diag["stop_edge_fraction"] > kin.RESOLUTION_TOL
+        assert np.all(diag["edge_fraction"] <= kin.RESOLUTION_TOL)
+        assert diag["edge_fraction"].size == hist.times.size
 
     def test_resolved_states_pass(self):
         assert resolution_guard(equilibrium_state(MX_UNIT, 2, 128)) == 0.0
@@ -380,6 +483,21 @@ class TestRunDiagnostics:
             col = diag[name]
             assert col.shape == hist.times.shape
             assert np.all(np.isfinite(col)) and np.all(col > 0.0)
+
+    def test_record_times_are_multiples_of_dt(self):
+        cfg = KineticRun(
+            profile=MX_UNIT, interaction=W_POW, nu=0.0, dt=0.1, t_end=3.0,
+            k_pert=1, amplitude=1e-3, k_max=2, n_v=128, record_every=3,
+        )
+        hist, diag = run(cfg)
+        # 0.1 summed 30 times is 3.0000000000000013; 30 * 0.1 is 3.0
+        assert np.array_equal(diag["t"], np.arange(0, 31, 3) * 0.1)
+        assert np.array_equal(hist.times, diag["t"])
+        assert diag["t"][-1] == 3.0
+        assert diag["stop_reason"] == "t_end" and diag["stop_time"] == 3.0
+        assert diag["edge_fraction"].shape == diag["t"].shape
+        assert np.all(diag["edge_fraction"] < kin.RESOLUTION_TOL)
+        assert diag["stop_edge_fraction"] == diag["edge_fraction"][-1]
 
     def test_history_derives_its_field_from_the_density(self):
         times = np.arange(3.0)
@@ -487,6 +605,29 @@ def base_report():
                            eps1=1e-3, eps2=1e-3)
 
 
+@pytest.fixture(scope="module")
+def quiet_report():
+    return echo_experiment(ECHO_CFG, 1, -2, 5.0, 1e-3, 0.0)
+
+
+@pytest.fixture(scope="module")
+def doubled_reports():
+    return (echo_experiment(ECHO_CFG, 1, -2, 5.0, 2e-3, 1e-3),
+            echo_experiment(ECHO_CFG, 1, -2, 5.0, 1e-3, 2e-3))
+
+
+def count_steps(monkeypatch):
+    calls = []
+    real_step = kin.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(kin, "step", counted)
+    return calls
+
+
 class TestEchoExperiment:
     def test_echo_arrives_at_predicted_time(self, base_report):
         rep = base_report
@@ -495,16 +636,15 @@ class TestEchoExperiment:
         assert abs(rep.rel_offset) < 0.05
         assert rep.peak_amp > 100.0 * rep.baseline_amp
 
-    def test_zero_kick_shows_no_echo(self):
-        rep = echo_experiment(ECHO_CFG, 1, -2, 5.0, 1e-3, 0.0)
+    def test_zero_kick_shows_no_echo(self, quiet_report):
+        rep = quiet_report
         # without the probe the mode-k channel never rises above the
         # cubic-order background, orders of magnitude below a real echo
         assert rep.peak_amp < 1e-10
         assert rep.peak_amp < 1.1 * rep.baseline_amp
 
-    def test_peak_scales_bilinearly(self, base_report):
-        double1 = echo_experiment(ECHO_CFG, 1, -2, 5.0, 2e-3, 1e-3)
-        double2 = echo_experiment(ECHO_CFG, 1, -2, 5.0, 1e-3, 2e-3)
+    def test_peak_scales_bilinearly(self, base_report, doubled_reports):
+        double1, double2 = doubled_reports
         assert double1.peak_amp / base_report.peak_amp == pytest.approx(2.0, rel=0.10)
         assert double2.peak_amp / base_report.peak_amp == pytest.approx(2.0, rel=0.10)
 
@@ -517,6 +657,33 @@ class TestEchoExperiment:
         }
         again = EchoReport(**d)
         assert again.rel_offset == base_report.rel_offset
+
+    def test_zero_kick_marches_once(self, monkeypatch):
+        short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128)
+        calls = count_steps(monkeypatch)
+        echo_experiment(short, 1, -2, 0.5, 1e-3, 0.0)
+        assert len(calls) == short.n_steps  # the kicked trace is the baseline
+
+    def test_trace_times_sit_on_the_step_grid(self):
+        short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128)
+        times, _ = kin._march_mode_trace(short, 1, -2, 0.5, 1e-3, 1e-3)
+        assert np.array_equal(times, np.arange(short.n_steps + 1) * short.dt)
+        assert times[-1] == 1.0
+
+    def test_criterion_9_marches_each_distinct_run_once(
+        self, monkeypatch, base_report, quiet_report, doubled_reports
+    ):
+        from vpkit.acceptance import ECHO_CONFIG, criterion_9
+
+        assert ECHO_CONFIG == ECHO_CFG
+        calls = count_steps(monkeypatch)
+        cache = {}
+        result = criterion_9(cache)
+        assert result.passed
+        assert len(calls) == 5 * ECHO_CFG.n_steps  # 5 distinct of 8 marches
+        assert cache[("echo",)] == (base_report, quiet_report) + doubled_reports
+        criterion_9(cache)
+        assert len(calls) == 5 * ECHO_CFG.n_steps
 
     def test_recurrence_guard(self):
         coarse = KineticRun(
