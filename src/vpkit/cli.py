@@ -581,16 +581,22 @@ def _json_bytes(obj) -> bytes:
 
 
 def _history_csv(hist: FieldHistory) -> bytes:
-    header = ["t", "k", "re_rho", "im_rho", "abs_rho", "re_E", "im_E", "abs_E"]
-    rows = []
-    for i, t in enumerate(hist.times):
-        for j, k in enumerate(hist.modes):
-            rho = hist.rho_hat[i, j]
-            e = hist.e_hat[i, j]
-            rows.append(
-                [float(t), int(k), rho.real, rho.imag, abs(rho), e.real, e.imag, abs(e)]
-            )
-    return _csv_bytes(header, rows)
+    """One row per (record, mode), written column-wise with the bytes _cell
+    gives: "%.17g" formats a float as format(v, ".17g") does, and the moduli
+    come from np.hypot, which rounds as Python's abs(complex) does where
+    np.abs can differ in the last digit."""
+    n_k = hist.modes.size
+    rho = hist.rho_hat.ravel()
+    e = hist.e_hat.ravel()
+    columns = (
+        np.repeat(hist.times, n_k), np.tile(hist.modes, hist.times.size),
+        rho.real, rho.imag, np.hypot(rho.real, rho.imag),
+        e.real, e.imag, np.hypot(e.real, e.imag),
+    )
+    row = "%.17g,%d," + ",".join(["%.17g"] * 6)
+    lines = ["t,k,re_rho,im_rho,abs_rho,re_E,im_E,abs_E"]
+    lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _diagnostics_csv(diag: dict) -> bytes:

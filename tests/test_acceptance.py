@@ -9,10 +9,12 @@ tolerance it was held to.
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from vpkit import acceptance
 from vpkit.acceptance import CRITERIA, SUITES, BatteryReport, run_battery
 from vpkit.errors import ConstraintViolation
+from vpkit.lintheory import free_streaming_response
 
 
 # Exact summary-CSV lines of the kernel criteria. Their numbers come from the
@@ -80,8 +82,58 @@ def test_criterion_05_collision_continuity(cache):
 def test_criterion_06_free_streaming_identities(cache):
     result = _check(acceptance.criterion_6, cache)
     assert result.measured["grid_points"] == 100
+    assert result.measured["quadrature_converged"] is True
     assert result.measured["worst_quadrature_error"] <= 1e-8
     assert result.measured["resonance_scaling_deviation"] <= 1e-12
+
+
+def _captured_quad_vec(monkeypatch, status=None):
+    """Route criterion 6's quad_vec through a recorder; optionally force its status."""
+    calls = []
+    real = acceptance.quad_vec
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if status is not None:
+            out[2].status = status
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(acceptance, "quad_vec", recording)
+    return calls
+
+
+def test_criterion_06_substituted_integral_matches_direct_quad(monkeypatch):
+    # case layout: (k, nu) pairs k-major, then 5 x 5 (omega, v) omega-major;
+    # stacked real parts of the 100 cases, then imaginary parts
+    calls = _captured_quad_vec(monkeypatch)
+    acceptance.criterion_6()
+    (stacked, _, info), = calls
+    assert info.status == 0
+    for case in (0, 13, 37, 61, 99):
+        pair, point = divmod(case, 25)
+        k, nu = ((1.0, 0.2), (1.0, 0.35), (2.0, 0.2), (2.0, 0.35))[pair]
+        omega = (0.0, 0.7, 1.4, 2.1, 2.8)[point // 5]
+        v = (-1.2, -0.4, 0.3, 0.8, 1.5)[point % 5]
+
+        def direct(s, part):
+            val = nu * np.exp(-nu * s) * free_streaming_response(
+                omega, k, v, 0.0, 0.0, s, acceptance.PROFILE_UNIT, form="transient"
+            )
+            return (val.real, val.imag)[part]
+
+        for part in (0, 1):
+            ref = quad(direct, 0.0, 50.0 / nu, args=(part,), limit=800, epsabs=1e-12)[0]
+            assert abs(stacked[case + 100 * part] - ref) <= 1e-10, (case, part)
+
+
+def test_criterion_06_fails_when_the_quadrature_does_not_converge(monkeypatch):
+    _captured_quad_vec(monkeypatch, status=1)
+    result = acceptance.criterion_6()
+    assert not result.passed
+    assert result.measured["quadrature_converged"] is False
+    assert "quadrature_converged=False" in result.line()
+    assert result.measured["worst_quadrature_error"] <= 1e-8
 
 
 def test_criterion_07_phase_integral_table(cache):

@@ -25,6 +25,8 @@ from vpkit.cli import (
     SCENARIOS,
     EchoSettings,
     SimConfig,
+    _csv_bytes,
+    _history_csv,
     _kinetic_config,
     acceptance,
     main,
@@ -32,7 +34,7 @@ from vpkit.cli import (
     run_scenario,
 )
 from vpkit.errors import ConstraintViolation, ParseError, ValidationError, VpkitError
-from vpkit.kinetic import RESOLUTION_TOL, KineticRun
+from vpkit.kinetic import RESOLUTION_TOL, KineticRun, run
 from vpkit.profiles import Interaction, VelocityProfile
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -553,6 +555,20 @@ class TestRuns:
         assert float(echo["t_predicted"]) == pytest.approx(10.0)
         offset = abs(float(echo["t_measured"]) - 10.0) / 10.0
         assert offset <= 0.05
+
+
+def test_history_csv_matches_the_per_cell_writer():
+    # the column writer against a row-by-row reference: every value through
+    # _cell, the moduli from abs() of each complex scalar
+    hist, _ = run(_kinetic_config(parse_config(SHIPPED_CONFIGS / "linear_landau.ini")))
+    rows = [
+        [float(t), int(k), rho.real, rho.imag, abs(rho), e.real, e.imag, abs(e)]
+        for t, rho_row, e_row in zip(hist.times, hist.rho_hat, hist.e_hat)
+        for k, rho, e in zip(hist.modes, rho_row, e_row)
+    ]
+    assert len(rows) == 8109
+    header = ["t", "k", "re_rho", "im_rho", "abs_rho", "re_E", "im_E", "abs_E"]
+    assert _history_csv(hist) == _csv_bytes(header, rows)
 
 
 class TestAcceptanceCommand:

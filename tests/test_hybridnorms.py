@@ -157,6 +157,89 @@ class TestZNorm:
         assert np.isclose(val, np.abs(g[1]).max(), rtol=1e-12)
 
 
+def z_norm_per_order(f, params):
+    """The Z norm with one inverse transform per series order, written out
+    term by term: the reference for the order-batched z_norm."""
+    n_grid = f.n_eta
+    dv = 1.0 / (n_grid * f.d_eta)
+    delta_rows = f.delta_row_mask()
+    ks = f.modes
+    mu_w = np.exp(2.0 * np.pi * params.mu * np.abs(ks))
+    contributions = np.zeros(ks.size)
+    for i, k in enumerate(ks):
+        if delta_rows[i]:
+            c = abs(f.coeffs[i, f.center_index]) * f.d_eta
+            contributions[i] = mu_w[i] * c * math.exp(
+                2.0 * np.pi * params.lam * abs(params.tau * k)
+            )
+    last_term_total = 0.0
+    live = [i for i in range(ks.size) if not delta_rows[i] and np.any(f.coeffs[i])]
+    if live:
+        mult = np.fft.ifftshift(
+            np.stack([2j * np.pi * (f.eta_grid + ks[i] * params.tau) for i in live]), axes=1
+        )
+        powered = np.fft.ifftshift(f.coeffs[live], axes=1)
+        row_totals = np.zeros(len(live))
+        for n in range(params.n_max + 1 if params.lam > 0.0 else 1):
+            if n > 0:
+                powered = powered * mult
+            mod = np.abs(np.fft.ifft(powered, axis=1) * (n_grid * f.d_eta))
+            if np.isinf(params.p):
+                lp = mod.max(axis=-1)
+            elif params.p == 1.0:
+                lp = dv * mod.sum(axis=-1)
+            else:
+                lp = (dv * (mod**params.p).sum(axis=-1)) ** (1.0 / params.p)
+            term = (params.lam**n / math.factorial(n)) * lp if n else lp
+            row_totals += term
+        last_term_total = float(np.sum(term * mu_w[live]))
+        contributions[live] += row_totals * mu_w[live]
+    total = carry = 0.0
+    for v in sorted(contributions, key=abs):
+        y = v - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    if params.lam > 0.0 and live and total > 0.0 and last_term_total > 1e-8 * total:
+        raise SeriesNotConverged("reference series not converged")
+    return total
+
+
+class TestZNormBatchedOrders:
+    """The order-stacked transform gives the per-order loop's value exactly."""
+
+    def fields(self, rng):
+        grid = eta_grid()
+        x_only = pure_x_field({1: 0.3, -1: 0.3, 2: 0.1j, -2: -0.1j}, 3, grid)
+        v_only = pure_v_field(np.exp(-grid**2 / 0.5), k_max=3, eta_grid=grid)
+        mixed_rows = SpectralDistribution(3, grid, x_only.coeffs + v_only.coeffs)
+        randoms = [random_field(rng, k_max=k, eta_grid=grid) for k in (1, 3, 4)]
+        return [x_only, v_only, mixed_rows, *randoms]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("lam, mu, tau", [
+        (0.0, 0.0, 0.0), (0.0, 0.3, 1.2), (0.05, 0.1, 0.0), (0.04, 0.2, -0.7), (0.02, 0.0, 2.5),
+    ])
+    def test_equals_per_order_reference(self, rng, p, lam, mu, tau):
+        params = NormParams(lam, mu, tau, p=p)
+        for f in self.fields(rng):
+            assert z_norm(f, params) == z_norm_per_order(f, params)
+
+    def test_single_order_at_lambda_zero(self, rng):
+        # lam = 0 stacks one order whatever n_max says
+        f = random_field(rng, k_max=2, eta_grid=eta_grid())
+        vals = {z_norm(f, NormParams(0.0, 0.1, 0.5, n_max=n)) for n in (0, 1, 24)}
+        assert vals == {z_norm_per_order(f, NormParams(0.0, 0.1, 0.5))}
+
+    def test_under_truncated_series_still_raises(self, rng):
+        f = random_field(rng, k_max=2, eta_grid=eta_grid())
+        params = NormParams(lam=1.0, mu=0.0, tau=0.3, n_max=3)
+        with pytest.raises(SeriesNotConverged):
+            z_norm_per_order(f, params)
+        with pytest.raises(SeriesNotConverged):
+            z_norm(f, params)
+
+
 class TestTransformRoundTrip:
     def test_v_grid_round_trip(self, rng):
         f = random_field(rng, k_max=3, eta_grid=eta_grid())
