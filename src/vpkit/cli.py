@@ -1,16 +1,16 @@
 """Config-driven front end: flat INI scenarios in, CSV tables and JSON out.
 
-Subcommands:
-  run <config>            execute the configured scenario
-  acceptance [suite]      run the numbered acceptance battery
-  scan-stability <config> stability-margin scan for the configured model
-  kernel-table <config>   phase-integral bound table for the configured kernel
+Subcommands: run <config>, acceptance [suite], scan-stability <config> and
+kernel-table <config> (the last two run a config as stability_scan or
+kernel_bounds).
 
 A config is sectioned key = value text; sections mirror the library modules
-([profile], [interaction], [grid], [time], ...) and unknown sections or keys
-are rejected with the full list of problems, not just the first. Each
-scenario ships working defaults, so a minimal config is just a [scenario]
-block naming it.
+([profile], [interaction], [grid], [time], ...). One table, _KEYS, declares
+every key with its type, default (per scenario where they differ), bound and
+problem message; defaults, the allowed keys, scenario-gated sections and the
+per-key checks all come from it, and the checks that span keys are short
+functions beside it. Every problem is reported at once, not just the first.
+A valid config becomes a SimConfig that holds the KineticRun it describes.
 
 Reports are deterministic: the same config and seed reproduce the same CSV
 bytes, and report.json records a sha256 content hash over everything else
@@ -29,7 +29,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,79 +69,150 @@ from .lintheory import (
 )
 from .profiles import Interaction, VelocityProfile
 
-SCENARIOS = (
-    "linear_landau",
-    "collision_sweep",
-    "echo_experiment",
-    "kernel_bounds",
-    "norm_battery",
-    "free_transport_check",
-    "stability_scan",
+
+def _value(kind, label, text, problems):
+    """A key's text as its type (str, a finite float, a base-10 int, or what a
+    parser of the whole text makes of it); None, with its problem, if not."""
+    if kind is str:
+        return text
+    if kind not in (float, int):
+        return kind(label, text, problems)
+    try:
+        value = float(text) if kind is float else int(text, 10)
+    except ValueError:
+        problems.append(f"{label}: not {'a number' if kind is float else 'an integer'}: {text!r}")
+        return None
+    if kind is float and not np.isfinite(value):
+        problems.append(f"{label}: must be finite, got {text!r}")
+        return None
+    return value
+
+
+def _finite_or_auto(label, text, problems):
+    return text if text == "auto" else _value(float, label, text, problems)
+
+
+def _triples(label, text, problems):
+    """weight:center:spread components with positive weights summing to 1."""
+    comps = []
+    for piece in filter(None, (p.strip() for p in text.split(","))):
+        parts = piece.split(":")
+        if len(parts) != 3:
+            problems.append(f"{label}: {piece!r} is not weight:center:spread")
+            continue
+        w, c, s = (_value(float, label, part, problems) for part in parts)
+        if None in (w, c, s):
+            continue
+        if w <= 0 or s <= 0:
+            problems.append(f"{label}: {piece!r} needs weight > 0 and spread > 0")
+        else:
+            comps.append((w, c, s))
+    if not comps:
+        problems.append(f"{label}: at least one weight:center:spread triple")
+    elif abs(sum(w for w, _, _ in comps) - 1.0) > 1e-12:
+        problems.append(f"{label}: weights must sum to 1")
+    else:
+        return comps
+    return None
+
+
+def _nus(label, text, problems):
+    """Distinct positive collision frequencies, ascending."""
+    values = []
+    for piece in filter(None, (p.strip() for p in text.split(","))):
+        value = _value(float, label, piece, problems)
+        if value is not None and value <= 0:
+            problems.append(f"{label}: entries must be > 0 (nu = 0 is the reference)")
+        elif value is not None:
+            values.append(value)
+    if not values:
+        problems.append(f"{label}: needs at least one collision frequency")
+    elif len(set(values)) != len(values):
+        problems.append(f"{label}: entries must be distinct")
+    return tuple(sorted(set(values)))
+
+
+# The kinds of [profile] and [interaction]: the keys each reads, in its
+# constructor's order. Setting a key that another kind reads is a problem.
+_MODELS = {
+    "profile": {
+        "maxwellian": (("thermal_speed",), VelocityProfile.maxwellian),
+        "sum_of_maxwellians": (("components",), VelocityProfile.sum_of_maxwellians),
+    },
+    "interaction": {
+        "power_law": (("gamma", "amplitude", "sign"), Interaction.power_law),
+        "zero": ((), Interaction.zero),
+    },
+}
+_KIND_OF = {f"{sec}.{key}": kind for sec, kinds in _MODELS.items()
+            for kind, (keys, _) in kinds.items() for key in keys}
+
+# Cold Maxwellian for the Landau-damping family of runs.
+_COLD = dict.fromkeys(("linear_landau", "free_transport_check", "collision_sweep"), "0.05")
+
+# One row per config key: (section, key, type, default, check, message).
+# type is float, int, str or a parser of the whole text. default is the text
+# used when the file omits the key (None: no default), or per-scenario texts
+# with a None entry for the other scenarios; without that entry the key, and
+# its section, belong to the one scenario named. check is the bound a parsed
+# value must meet and message the problem when it fails ({!r}: the text).
+_KEYS = (
+    ("scenario", "name", str, None, None, None),
+    ("scenario", "nu", float, "0", lambda v: v >= 0, "collision frequency must be >= 0"),
+    ("scenario", "seed", int, "0", lambda v: v >= 0, "must be >= 0"),
+    ("profile", "kind", str, "maxwellian", lambda v: v in _MODELS["profile"],
+     "unknown kind {!r} (maxwellian, sum_of_maxwellians)"),
+    ("profile", "thermal_speed", float, {None: "1", **_COLD}, lambda v: v > 0, "must be > 0"),
+    ("profile", "components", _triples, None, None, None),
+    ("interaction", "kind", str, {None: "power_law", "free_transport_check": "zero"},
+     lambda v: v in _MODELS["interaction"], "unknown kind {!r} (power_law, zero)"),
+    ("interaction", "gamma", float, "2", lambda v: v > 1,
+     "must exceed 1 for a summable potential"),
+    ("interaction", "amplitude", float, "1", lambda v: 0 < v <= 1,
+     "must lie in (0, 1] (the decay bound)"),
+    ("interaction", "sign", int, "1", lambda v: v in (1, -1), "must be 1 or -1"),
+    ("perturbation", "mode", int, "1", lambda v: v >= 1, "must be >= 1"),
+    ("perturbation", "amplitude", float, {None: "1e-5", "free_transport_check": "1e-3"},
+     lambda v: v >= 0, "must be >= 0"),
+    ("perturbation", "shape", str, "density", lambda v: v in ("density", "velocity"),
+     "unknown shape {!r} (density, velocity)"),
+    ("grid", "k_max", int, {None: "4", "free_transport_check": "2", "echo_experiment": "8"},
+     lambda v: v >= 1, "must be >= 1"),
+    ("grid", "n_v", int, "512", lambda v: v >= 8 and v % 2 == 0, "must be an even integer >= 8"),
+    ("grid", "v_max", _finite_or_auto,
+     {None: "auto", "free_transport_check": "0.3", "echo_experiment": "6"},
+     lambda v: v == "auto" or v > 0, "must be > 0 (or auto)"),
+    ("time", "dt", float, {None: "0.05", "free_transport_check": "0.5",
+                           "echo_experiment": "0.02", "collision_sweep": "0.04"},
+     lambda v: v > 0, "must be > 0"),
+    ("time", "t_end", float, {None: "45", "free_transport_check": "680",
+                              "echo_experiment": "12.5", "collision_sweep": "40",
+                              "kernel_bounds": "30"}, None, None),
+    ("outputs", "directory", str, "out", bool, "must be non-empty"),
+    ("outputs", "cadence", int, {None: "1", "free_transport_check": "4", "echo_experiment": "25"},
+     lambda v: v >= 1, "must be >= 1"),
+    ("echo", "l", int, {"echo_experiment": "1"}, None, None),
+    ("echo", "force_mode", int, {"echo_experiment": "-2"}, None, None),
+    ("echo", "s_force", float, {"echo_experiment": "5"}, lambda v: v > 0, "must be > 0"),
+    ("echo", "eps1", float, {"echo_experiment": "1e-3"}, lambda v: v > 0,
+     "seed amplitude must be > 0"),
+    ("echo", "eps2", float, {"echo_experiment": "1e-3"}, lambda v: v >= 0,
+     "forcing amplitude must be >= 0"),
+    ("sweep", "nus", _nus, {"collision_sweep": "1e-4,1e-3,1e-2"}, None, None),
+    ("kernel", "alpha", float, {"kernel_bounds": "0.5"}, lambda v: 0 < v < 1,
+     "must lie in (0, 1)"),
+    ("kernel", "cases", int, {"kernel_bounds": "200"}, lambda v: 1 <= v <= 100000,
+     "must lie in 1..100000"),
 )
 
-# Base defaults for every section; scenario defaults override these, and the
-# user's file overrides both. Everything stays a string until typing.
-_BASE_DEFAULTS = {
-    "scenario": {"nu": "0", "seed": "0"},
-    "profile": {"kind": "maxwellian", "thermal_speed": "1"},
-    "interaction": {"kind": "power_law", "gamma": "2", "amplitude": "1", "sign": "1"},
-    "perturbation": {"mode": "1", "amplitude": "1e-5", "shape": "density"},
-    "grid": {"k_max": "4", "n_v": "512", "v_max": "auto"},
-    "time": {"dt": "0.05", "t_end": "45"},
-    "outputs": {"directory": "out", "cadence": "1"},
+# Every key's section.key label, and the scenario each section is gated to
+# (None: read by every scenario).
+_LABELS = {f"{sec}.{key}" for sec, key, *_ in _KEYS}
+_SECTIONS = {
+    sec: next(iter(default)) if isinstance(default, dict) and None not in default else None
+    for sec, _, _, default, _, _ in _KEYS
 }
 
-_SCENARIO_DEFAULTS = {
-    "linear_landau": {"profile": {"thermal_speed": "0.05"}},
-    "free_transport_check": {
-        "profile": {"thermal_speed": "0.05"},
-        "interaction": {"kind": "zero"},
-        "perturbation": {"amplitude": "1e-3"},
-        "grid": {"k_max": "2", "v_max": "0.3"},
-        "time": {"dt": "0.5", "t_end": "680"},
-        "outputs": {"cadence": "4"},
-    },
-    "echo_experiment": {
-        "grid": {"k_max": "8", "v_max": "6"},
-        "time": {"dt": "0.02", "t_end": "12.5"},
-        "outputs": {"cadence": "25"},
-        "echo": {
-            "l": "1", "force_mode": "-2", "s_force": "5",
-            "eps1": "1e-3", "eps2": "1e-3",
-        },
-    },
-    "collision_sweep": {
-        "profile": {"thermal_speed": "0.05"},
-        "time": {"dt": "0.04", "t_end": "40"},
-        "sweep": {"nus": "1e-4,1e-3,1e-2"},
-    },
-    "kernel_bounds": {
-        "time": {"t_end": "30"},
-        "kernel": {"alpha": "0.5", "cases": "200"},
-    },
-    "norm_battery": {},
-    "stability_scan": {},
-}
-
-# Sections beyond the base set, allowed only for the scenario that reads them.
-_EXTRA_SECTIONS = {
-    "echo": "echo_experiment",
-    "sweep": "collision_sweep",
-    "kernel": "kernel_bounds",
-}
-
-_ALLOWED_KEYS = {
-    "scenario": {"name", "nu", "seed"},
-    "profile": {"kind", "thermal_speed", "components"},
-    "interaction": {"kind", "gamma", "amplitude", "sign"},
-    "perturbation": {"mode", "amplitude", "shape"},
-    "grid": {"k_max", "n_v", "v_max"},
-    "time": {"dt", "t_end"},
-    "outputs": {"directory", "cadence"},
-    "echo": {"l", "force_mode", "s_force", "eps1", "eps2"},
-    "sweep": {"nus"},
-    "kernel": {"alpha", "cases"},
-}
 
 @dataclass(frozen=True)
 class EchoSettings:
@@ -156,50 +227,95 @@ class EchoSettings:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One fully validated scenario configuration."""
+    """A validated scenario: the KineticRun its keys describe, what only the
+    scenario workers read, and raw, the merged key text report.json echoes."""
 
     scenario: str
-    profile: VelocityProfile
-    interaction: Interaction
-    nu: float
+    run: KineticRun
     seed: int
-    pert_mode: int
-    pert_amplitude: float
-    pert_shape: str
-    k_max: int
-    n_v: int
-    v_max: float | None
-    dt: float
-    t_end: float
     out_dir: str
-    cadence: int
     echo: EchoSettings | None = None
     sweep_nus: tuple = ()
-    kernel_alpha: float = 0.5
-    kernel_cases: int = 200
+    kernel_alpha: float | None = None
+    kernel_cases: int | None = None
     raw: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def resolved_v_max(self) -> float:
-        if self.v_max is not None:
-            return float(self.v_max)
-        return default_v_max(self.profile)
+    # the grid and step, read through to the run
+    dt = property(lambda self: self.run.dt)
+    t_end = property(lambda self: self.run.t_end)
+    k_max = property(lambda self: self.run.k_max)
+    n_v = property(lambda self: self.run.n_v)
 
 
-def _merge_defaults(scenario: str) -> dict:
-    merged = {sec: dict(keys) for sec, keys in _BASE_DEFAULTS.items()}
-    for sec, keys in _SCENARIO_DEFAULTS[scenario].items():
-        merged.setdefault(sec, {}).update(keys)
-    return merged
+def _grid_problems(scenario, v):
+    """The perturbed mode inside the band, t_end on the step grid, and the
+    kernel_bounds sampling window [0.5, t_end]."""
+    mode, k_max = v["perturbation.mode"], v["grid.k_max"]
+    dt, t_end = v["time.dt"], v["time.t_end"]
+    if None not in (mode, k_max) and mode > k_max:
+        yield "perturbation.mode: must not exceed grid.k_max"
+    if None not in (dt, t_end):
+        if t_end < dt:
+            yield "time.t_end: must cover at least one step"
+        elif abs(round(t_end / dt) * dt - t_end) > 1e-9 * max(1.0, t_end):
+            yield "time.t_end: must be an integer number of steps of dt"
+    if scenario == "kernel_bounds" and t_end is not None and t_end <= 0.5:
+        yield "time.t_end: kernel_bounds samples times in [0.5, t_end] and needs t_end > 0.5"
 
 
-def parse_config(path, *, force_scenario: str | None = None) -> SimConfig:
+def _marching_problems(scenario, v, profile, interaction):
+    """The splitting phase budget (which the marching guard also enforces) at
+    parse time, and free flight for free_transport_check."""
+    dt, k_max, v_max = v["time.dt"], v["grid.k_max"], v["grid.v_max"]
+    if v_max == "auto":
+        v_max = None if profile is None else default_v_max(profile)
+    marched = ("linear_landau", "free_transport_check", "echo_experiment")
+    if scenario in marched and None not in (dt, k_max, v_max):
+        budget = dt * k_max * v_max
+        if budget > PHASE_BUDGET:
+            yield (
+                f"time.dt: dt * k_max * v_max = {budget:.3g} exceeds the splitting "
+                f"phase budget {PHASE_BUDGET:g}; shrink dt or the grid"
+            )
+    if scenario == "free_transport_check":
+        if interaction is not None and interaction.kind != "zero":
+            yield (
+                "interaction.kind: free_transport_check compares against free "
+                "flight and needs kind = zero"
+            )
+        if v["scenario.nu"] is not None and v["scenario.nu"] != 0.0:
+            yield "scenario.nu: free_transport_check needs nu = 0"
+
+
+def _echo_problems(v):
+    """Seed, forcing and response modes inside the band; the forcing time
+    before t_end and on the step grid."""
+    l, force, k_max = v["echo.l"], v["echo.force_mode"], v["grid.k_max"]
+    if l is not None and (l < 1 or (k_max is not None and l > k_max)):
+        yield "echo.l: seed mode must lie in 1..grid.k_max"
+        l = None
+    if force is not None and (force == 0 or (k_max is not None and abs(force) > k_max)):
+        yield "echo.force_mode: must be nonzero with |force_mode| <= grid.k_max"
+        force = None
+    if None not in (l, force, k_max) and abs(l + force) > k_max:
+        yield "echo.force_mode: the response mode l + force_mode must fit inside the retained band"
+    s_force, dt, t_end = v["echo.s_force"], v["time.dt"], v["time.t_end"]
+    if s_force is not None:
+        if t_end is not None and s_force >= t_end:
+            yield "echo.s_force: must land before time.t_end"
+        elif dt is not None and abs(round(s_force / dt) * dt - s_force) > 1e-9:
+            yield "echo.s_force: must sit on the step grid"
+
+
+def parse_config(path, *, force_scenario: str | None = None, seed: int | None = None) -> SimConfig:
     """Read and validate a scenario config, reporting every problem at once.
 
     Structural failures (unreadable file, duplicate keys, text outside a
     section) raise ParseError with the offending line. Everything else is
     collected into a single ValidationError so one round trip fixes the lot.
     force_scenario runs the file as that scenario regardless of its own
-    [scenario] name (the shortcut subcommands use this).
+    [scenario] name (the shortcut subcommands use this); seed replaces the
+    file's scenario.seed and is checked like it.
     """
     path = Path(path)
     try:
@@ -223,6 +339,8 @@ def parse_config(path, *, force_scenario: str | None = None) -> SimConfig:
         raise ParseError(0, str(path), f"unreadable config: {err}") from err
 
     user = {sec: dict(cp.items(sec)) for sec in cp.sections()}
+    if seed is not None:
+        user.setdefault("scenario", {})["seed"] = str(seed)
     problems: list[str] = []
 
     scenario = force_scenario or user.get("scenario", {}).get("name")
@@ -232,333 +350,87 @@ def parse_config(path, *, force_scenario: str | None = None) -> SimConfig:
         problems.append(
             f"scenario.name: unknown scenario {scenario!r} (known: {', '.join(SCENARIOS)})"
         )
-    if problems or (scenario not in SCENARIOS):
+    if problems:
         # without a scenario the defaults are unknown; still report what else
         # is visibly wrong before giving up
-        for sec in user:
-            if sec not in _ALLOWED_KEYS:
-                problems.append(f"[{sec}]: unknown section")
+        problems.extend(f"[{sec}]: unknown section" for sec in user if sec not in _SECTIONS)
         raise ValidationError(problems)
 
-    merged = _merge_defaults(scenario)
-
+    # every section the scenario reads, its defaults under the file's text
+    merged = {sec: {} for sec, owner in _SECTIONS.items() if owner in (None, scenario)}
+    for sec, key, _, default, _, _ in _KEYS:
+        if isinstance(default, dict):
+            default = default.get(scenario, default.get(None))
+        if sec in merged and default is not None:
+            merged[sec][key] = default
     for sec, keys in user.items():
-        if sec not in _ALLOWED_KEYS:
+        if sec not in _SECTIONS:
             problems.append(f"[{sec}]: unknown section")
-            continue
-        owner = _EXTRA_SECTIONS.get(sec)
-        if owner is not None and owner != scenario:
-            problems.append(f"[{sec}]: section only applies to scenario {owner}")
-            continue
-        for key, value in keys.items():
-            if key not in _ALLOWED_KEYS[sec]:
-                problems.append(f"{sec}.{key}: unknown key")
-            else:
-                merged.setdefault(sec, {})[key] = value
+        elif sec not in merged:
+            problems.append(f"[{sec}]: section only applies to scenario {_SECTIONS[sec]}")
+        else:
+            for key, text in keys.items():
+                if f"{sec}.{key}" in _LABELS:
+                    merged[sec][key] = text
+                else:
+                    problems.append(f"{sec}.{key}: unknown key")
     merged["scenario"]["name"] = scenario
 
-    def _finite(label, raw):
-        try:
-            value = float(raw)
-        except ValueError:
-            problems.append(f"{label}: not a number: {raw!r}")
-            return None
-        if not np.isfinite(value):
-            problems.append(f"{label}: must be finite, got {raw!r}")
-            return None
-        return value
+    # each key the scenario reads, parsed and held to its bound (None once
+    # it has a problem)
+    v = {}
+    for sec, key, kind, _, check, message in _KEYS:
+        label = f"{sec}.{key}"
+        if sec not in merged:
+            continue
+        reader = _KIND_OF.get(label)
+        if reader is not None and merged[sec]["kind"] != reader:
+            if v[f"{sec}.kind"] is not None and key in user.get(sec, {}):
+                problems.append(f"{label}: only applies to kind = {reader}")
+            continue
+        text = merged[sec].get(key, "")
+        value = _value(kind, label, text, problems)
+        if value is not None and check is not None and not check(value):
+            problems.append(f"{label}: {message.format(text)}")
+            value = None
+        v[label] = value
 
-    def _float(sec, key):
-        return _finite(f"{sec}.{key}", merged[sec][key])
+    models = dict.fromkeys(_MODELS)  # the profile and interaction, once their keys are valid
+    for sec, kinds in _MODELS.items():
+        if v[f"{sec}.kind"] is not None:
+            keys, build = kinds[v[f"{sec}.kind"]]
+            args = [v[f"{sec}.{key}"] for key in keys]
+            models[sec] = None if None in args else build(*args)
+    profile, interaction = models["profile"], models["interaction"]
 
-    def _int(sec, key):
-        raw = merged[sec][key]
-        try:
-            return int(raw, 10)
-        except ValueError:
-            problems.append(f"{sec}.{key}: not an integer: {raw!r}")
-            return None
-
-    # profile
-    profile = None
-    kind = merged["profile"]["kind"]
-    if kind == "maxwellian":
-        if "components" in user.get("profile", {}):
-            problems.append("profile.components: only applies to kind = sum_of_maxwellians")
-        vth = _float("profile", "thermal_speed")
-        if vth is not None:
-            if vth > 0:
-                profile = VelocityProfile.maxwellian(vth)
-            else:
-                problems.append("profile.thermal_speed: must be > 0")
-    elif kind == "sum_of_maxwellians":
-        if "thermal_speed" in user.get("profile", {}):
-            problems.append("profile.thermal_speed: only applies to kind = maxwellian")
-        raw = merged["profile"].get("components", "")
-        comps = []
-        for piece in filter(None, (p.strip() for p in raw.split(","))):
-            parts = piece.split(":")
-            if len(parts) != 3:
-                problems.append(
-                    f"profile.components: {piece!r} is not weight:center:spread"
-                )
-                continue
-            values = [_finite("profile.components", p) for p in parts]
-            if None in values:
-                continue
-            w, c, s = values
-            if w <= 0 or s <= 0:
-                problems.append(
-                    f"profile.components: {piece!r} needs weight > 0 and spread > 0"
-                )
-                continue
-            comps.append((w, c, s))
-        if not comps:
-            problems.append("profile.components: at least one weight:center:spread triple")
-        elif abs(sum(w for w, _, _ in comps) - 1.0) > 1e-12:
-            problems.append("profile.components: weights must sum to 1")
-        else:
-            profile = VelocityProfile.sum_of_maxwellians(comps)
-    else:
-        problems.append(
-            f"profile.kind: unknown kind {kind!r} (maxwellian, sum_of_maxwellians)"
-        )
-
-    # interaction
-    interaction = None
-    ikind = merged["interaction"]["kind"]
-    if ikind == "zero":
-        for key in ("gamma", "amplitude", "sign"):
-            if key in user.get("interaction", {}):
-                problems.append(f"interaction.{key}: only applies to kind = power_law")
-        interaction = Interaction.zero()
-    elif ikind == "power_law":
-        gamma = _float("interaction", "gamma")
-        amplitude = _float("interaction", "amplitude")
-        sign = _int("interaction", "sign")
-        if gamma is not None and gamma <= 1.0:
-            problems.append("interaction.gamma: must exceed 1 for a summable potential")
-            gamma = None
-        if amplitude is not None and not 0.0 < amplitude <= 1.0:
-            problems.append("interaction.amplitude: must lie in (0, 1] (the decay bound)")
-            amplitude = None
-        if sign is not None and sign not in (1, -1):
-            problems.append("interaction.sign: must be 1 or -1")
-            sign = None
-        if None not in (gamma, amplitude, sign):
-            interaction = Interaction.power_law(gamma, amplitude=amplitude, sign=sign)
-    else:
-        problems.append(f"interaction.kind: unknown kind {ikind!r} (power_law, zero)")
-
-    nu = _float("scenario", "nu")
-    if nu is not None and nu < 0:
-        problems.append("scenario.nu: collision frequency must be >= 0")
-        nu = None
-    seed = _int("scenario", "seed")
-    if seed is not None and seed < 0:
-        problems.append("scenario.seed: must be >= 0")
-        seed = None
-
-    mode = _int("perturbation", "mode")
-    amplitude = _float("perturbation", "amplitude")
-    shape = merged["perturbation"]["shape"]
-    if mode is not None and mode < 1:
-        problems.append("perturbation.mode: must be >= 1")
-        mode = None
-    if amplitude is not None and amplitude < 0:
-        problems.append("perturbation.amplitude: must be >= 0")
-        amplitude = None
-    if shape not in ("density", "velocity"):
-        problems.append(
-            f"perturbation.shape: unknown shape {shape!r} (density, velocity)"
-        )
-
-    k_max = _int("grid", "k_max")
-    n_v = _int("grid", "n_v")
-    if k_max is not None and k_max < 1:
-        problems.append("grid.k_max: must be >= 1")
-        k_max = None
-    if n_v is not None and (n_v < 8 or n_v % 2):
-        problems.append("grid.n_v: must be an even integer >= 8")
-        n_v = None
-    v_max_raw = merged["grid"]["v_max"]
-    if v_max_raw == "auto":
-        v_max = None
-        v_max_known = profile is not None
-    else:
-        v_max = _float("grid", "v_max")
-        v_max_known = v_max is not None
-        if v_max is not None and v_max <= 0:
-            problems.append("grid.v_max: must be > 0 (or auto)")
-            v_max, v_max_known = None, False
-
-    dt = _float("time", "dt")
-    t_end = _float("time", "t_end")
-    if dt is not None and dt <= 0:
-        problems.append("time.dt: must be > 0")
-        dt = None
-    if dt is not None and t_end is not None:
-        if t_end < dt:
-            problems.append("time.t_end: must cover at least one step")
-        else:
-            n = round(t_end / dt)
-            if abs(n * dt - t_end) > 1e-9 * max(1.0, t_end):
-                problems.append("time.t_end: must be an integer number of steps of dt")
-
-    out_dir = merged["outputs"]["directory"]
-    if not out_dir:
-        problems.append("outputs.directory: must be non-empty")
-    cadence = _int("outputs", "cadence")
-    if cadence is not None and cadence < 1:
-        problems.append("outputs.cadence: must be >= 1")
-        cadence = None
-
-    if mode is not None and k_max is not None and mode > k_max:
-        problems.append("perturbation.mode: must not exceed grid.k_max")
-
-    # the marching guard enforces the phase budget too; this fails at parse time
-    marching = scenario in ("linear_landau", "free_transport_check", "echo_experiment")
-    if marching and None not in (dt, k_max) and v_max_known:
-        v_eff = v_max if v_max is not None else default_v_max(profile)
-        budget = dt * k_max * v_eff
-        if budget > PHASE_BUDGET:
-            problems.append(
-                f"time.dt: dt * k_max * v_max = {budget:.3g} exceeds the splitting "
-                f"phase budget {PHASE_BUDGET:g}; shrink dt or the grid"
-            )
-    if scenario == "free_transport_check":
-        if interaction is not None and interaction.kind != "zero":
-            problems.append(
-                "interaction.kind: free_transport_check compares against free "
-                "flight and needs kind = zero"
-            )
-        if nu is not None and nu != 0.0:
-            problems.append("scenario.nu: free_transport_check needs nu = 0")
-
-    echo = None
+    problems.extend(_grid_problems(scenario, v))
+    problems.extend(_marching_problems(scenario, v, profile, interaction))
     if scenario == "echo_experiment":
-        l = _int("echo", "l")
-        force_mode = _int("echo", "force_mode")
-        s_force = _float("echo", "s_force")
-        eps1 = _float("echo", "eps1")
-        eps2 = _float("echo", "eps2")
-        if l is not None and (l < 1 or (k_max is not None and l > k_max)):
-            problems.append("echo.l: seed mode must lie in 1..grid.k_max")
-            l = None
-        if force_mode is not None and (
-            force_mode == 0 or (k_max is not None and abs(force_mode) > k_max)
-        ):
-            problems.append(
-                "echo.force_mode: must be nonzero with |force_mode| <= grid.k_max"
-            )
-            force_mode = None
-        if (
-            l is not None and force_mode is not None and k_max is not None
-            and abs(l + force_mode) > k_max
-        ):
-            problems.append(
-                "echo.force_mode: the response mode l + force_mode must fit "
-                "inside the retained band"
-            )
-            force_mode = None
-        if s_force is not None:
-            if s_force <= 0:
-                problems.append("echo.s_force: must be > 0")
-                s_force = None
-            elif t_end is not None and s_force >= t_end:
-                problems.append("echo.s_force: must land before time.t_end")
-                s_force = None
-            elif dt is not None and abs(round(s_force / dt) * dt - s_force) > 1e-9:
-                problems.append("echo.s_force: must sit on the step grid")
-                s_force = None
-        if eps1 is not None and eps1 <= 0:
-            problems.append("echo.eps1: seed amplitude must be > 0")
-            eps1 = None
-        if eps2 is not None and eps2 < 0:
-            problems.append("echo.eps2: forcing amplitude must be >= 0")
-            eps2 = None
-        if None not in (l, force_mode, s_force, eps1, eps2):
-            echo = EchoSettings(l, force_mode, s_force, eps1, eps2)
-
-    sweep_nus: tuple = ()
-    if scenario == "collision_sweep":
-        raw = merged["sweep"]["nus"]
-        values = []
-        for piece in filter(None, (p.strip() for p in raw.split(","))):
-            value = _finite("sweep.nus", piece)
-            if value is None:
-                continue
-            if value <= 0:
-                problems.append("sweep.nus: entries must be > 0 (nu = 0 is the reference)")
-            else:
-                values.append(value)
-        if not values:
-            problems.append("sweep.nus: needs at least one collision frequency")
-        elif len(set(values)) != len(values):
-            problems.append("sweep.nus: entries must be distinct")
-        sweep_nus = tuple(sorted(set(values)))
-
-    kernel_alpha, kernel_cases = 0.5, 200
-    if scenario == "kernel_bounds":
-        kernel_alpha = _float("kernel", "alpha")
-        kernel_cases = _int("kernel", "cases")
-        if kernel_alpha is not None and not 0.0 < kernel_alpha < 1.0:
-            problems.append("kernel.alpha: must lie in (0, 1)")
-            kernel_alpha = None
-        if kernel_cases is not None and not 1 <= kernel_cases <= 100000:
-            problems.append("kernel.cases: must lie in 1..100000")
-            kernel_cases = None
-        if t_end is not None and t_end <= 0.5:
-            problems.append(
-                "time.t_end: kernel_bounds samples times in [0.5, t_end] and "
-                "needs t_end > 0.5"
-            )
-
+        problems.extend(_echo_problems(v))
     if problems:
         raise ValidationError(problems)
 
+    echo = None
+    if scenario == "echo_experiment":
+        echo = EchoSettings(*(v[f"echo.{f.name}"] for f in fields(EchoSettings)))
+    params = KineticRun(
+        profile=profile, interaction=interaction, nu=v["scenario.nu"],
+        dt=v["time.dt"], t_end=v["time.t_end"],
+        k_pert=v["perturbation.mode"], amplitude=v["perturbation.amplitude"],
+        pert_shape=v["perturbation.shape"],
+        k_max=v["grid.k_max"], n_v=v["grid.n_v"],
+        v_max=None if v["grid.v_max"] == "auto" else v["grid.v_max"],
+        record_every=v["outputs.cadence"],
+    )
     return SimConfig(
-        scenario=scenario,
-        profile=profile,
-        interaction=interaction,
-        nu=nu,
-        seed=seed,
-        pert_mode=mode,
-        pert_amplitude=amplitude,
-        pert_shape=shape,
-        k_max=k_max,
-        n_v=n_v,
-        v_max=v_max,
-        dt=dt,
-        t_end=t_end,
-        out_dir=out_dir,
-        cadence=cadence,
-        echo=echo,
-        sweep_nus=sweep_nus,
-        kernel_alpha=kernel_alpha if kernel_alpha is not None else 0.5,
-        kernel_cases=kernel_cases if kernel_cases is not None else 200,
-        raw=merged,
+        scenario, params, seed=v["scenario.seed"], out_dir=v["outputs.directory"], echo=echo,
+        sweep_nus=v.get("sweep.nus", ()),
+        kernel_alpha=v.get("kernel.alpha"), kernel_cases=v.get("kernel.cases"), raw=merged,
     )
 
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
-def _csv_bytes(header, rows) -> bytes:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
 
 def _json_ready(obj):
     if isinstance(obj, bool) or obj is None:
@@ -567,8 +439,6 @@ def _json_ready(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g")
-    if isinstance(obj, str):
-        return obj
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -580,31 +450,39 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(_json_ready(obj), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _history_csv(hist: FieldHistory) -> bytes:
-    """One row per (record, mode), written column-wise with the bytes _cell
-    gives: "%.17g" formats a float as format(v, ".17g") does, and the moduli
-    come from np.hypot, which rounds as Python's abs(complex) does where
-    np.abs can differ in the last digit."""
-    n_k = hist.modes.size
-    rho = hist.rho_hat.ravel()
-    e = hist.e_hat.ravel()
-    columns = (
-        np.repeat(hist.times, n_k), np.tile(hist.modes, hist.times.size),
-        rho.real, rho.imag, np.hypot(rho.real, rho.imag),
-        e.real, e.imag, np.hypot(e.real, e.imag),
-    )
-    row = "%.17g,%d," + ",".join(["%.17g"] * 6)
-    lines = ["t,k,re_rho,im_rho,abs_rho,re_E,im_E,abs_E"]
-    lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns)))
+def _cell(v) -> str:
+    """A CSV cell: the JSON form of a scalar, with booleans lower-case."""
+    v = _json_ready(v)
+    return ("true" if v else "false") if isinstance(v, bool) else str(v)
+
+
+def _csv_bytes(header, rows) -> bytes:
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _diagnostics_csv(diag: dict) -> bytes:
-    columns = [key for key, value in diag.items() if isinstance(value, np.ndarray)]
-    rows = [
-        [float(diag[c][i]) for c in columns] for i in range(len(diag["t"]))
-    ]
-    return _csv_bytes(columns, rows)
+def _columns_csv(columns: dict, row: str | None = None) -> bytes:
+    """A table of equal-length arrays, header -> column, written column-wise
+    with one %-format per row (default "%.17g" in every cell) and the bytes
+    _cell gives: "%.17g" formats a float as format(v, ".17g") does."""
+    row = row or ",".join(["%.17g"] * len(columns))
+    lines = [",".join(columns)]
+    lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns.values())))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _history_csv(hist: FieldHistory) -> bytes:
+    """One row per (record, mode). The moduli come from np.hypot, which rounds
+    as Python's abs(complex) does where np.abs can differ in the last digit."""
+    rho = hist.rho_hat.ravel()
+    e = hist.e_hat.ravel()
+    return _columns_csv(
+        {"t": np.repeat(hist.times, hist.modes.size), "k": np.tile(hist.modes, hist.times.size),
+         "re_rho": rho.real, "im_rho": rho.imag, "abs_rho": np.hypot(rho.real, rho.imag),
+         "re_E": e.real, "im_E": e.imag, "abs_E": np.hypot(e.real, e.imag)},
+        "%.17g,%d," + ",".join(["%.17g"] * 6),
+    )
 
 
 def _criterion(name, passed, measured, tolerance) -> dict:
@@ -635,67 +513,47 @@ def _ran_to_t_end(stop_reason, stopped_at, t_end, edge_fraction) -> dict:
 # ---------------------------------------------------------------------------
 # scenario workers: each returns (criteria, files)
 
-def _kinetic_config(config: SimConfig) -> KineticRun:
-    return KineticRun(
-        profile=config.profile,
-        interaction=config.interaction,
-        nu=config.nu,
-        dt=config.dt,
-        t_end=config.t_end,
-        k_pert=config.pert_mode,
-        amplitude=config.pert_amplitude,
-        pert_shape=config.pert_shape,
-        k_max=config.k_max,
-        n_v=config.n_v,
-        v_max=config.v_max,
-        record_every=config.cadence,
-    )
-
-
 def _run_linear_landau(config: SimConfig):
-    hist, diag = run(_kinetic_config(config))
-    criteria = []
-    window = (0.09 * config.t_end, 0.94 * config.t_end)
+    params = config.run
+    hist, diag = run(params)
+    window = (0.09 * params.t_end, 0.94 * params.t_end)
     try:
         predicted = dispersion_rate(VolterraKernel(
-            nu=config.nu, k=config.pert_mode, profile=config.profile,
-            interaction=config.interaction))
-        column = hist.k_max + config.pert_mode
+            nu=params.nu, k=params.k_pert, profile=params.profile,
+            interaction=params.interaction))
+        column = hist.k_max + params.k_pert
         rate, _, rms = damping_rate_fit(
             (hist.times, np.abs(hist.e_hat[:, column])), window
         )
         gap = abs(-rate - predicted) / predicted
-        criteria.append(
-            _criterion(
-                "decay_matches_dispersion_root",
-                rate < 0 and gap <= 0.05 and rms < 0.05,
-                {"fit_rate": -rate, "predicted": predicted, "gap": gap, "fit_rms": rms},
-                "gap <= 0.05, rms < 0.05",
-            )
+        fit = _criterion(
+            "decay_matches_dispersion_root",
+            rate < 0 and gap <= 0.05 and rms < 0.05,
+            {"fit_rate": -rate, "predicted": predicted, "gap": gap, "fit_rms": rms},
+            "gap <= 0.05, rms < 0.05",
         )
     except (TooFewPeaks, MarginNonPositive) as err:
-        criteria.append(
-            _criterion(
-                "decay_matches_dispersion_root", False,
-                {"reason": f"{type(err).__name__}: {err}"}, "gap <= 0.05",
-            )
+        fit = _criterion(
+            "decay_matches_dispersion_root", False,
+            {"reason": f"{type(err).__name__}: {err}"}, "gap <= 0.05",
         )
-    criteria.append(_mass_criterion(hist))
-    criteria.append(_ran_to_t_end(
-        diag["stop_reason"], diag["stop_time"], config.t_end, diag["stop_edge_fraction"]
-    ))
+    criteria = [fit, _mass_criterion(hist), _ran_to_t_end(
+        diag["stop_reason"], diag["stop_time"], params.t_end, diag["stop_edge_fraction"]
+    )]
+    series = {key: value for key, value in diag.items() if isinstance(value, np.ndarray)}
     files = {
         "history.csv": _history_csv(hist),
-        "diagnostics.csv": _diagnostics_csv(diag),
+        "diagnostics.csv": _columns_csv(series),
     }
     return criteria, files
 
 
 def _run_free_transport_check(config: SimConfig):
+    params = config.run
     march = free_transport_march(
-        config.profile, config.pert_mode, config.pert_amplitude, config.pert_shape,
-        config.k_max, config.n_v, config.resolved_v_max(), config.dt,
-        int(round(config.t_end / config.dt)), config.cadence,
+        params.profile, params.k_pert, params.amplitude, params.pert_shape,
+        params.k_max, params.n_v, params.resolved_v_max(), params.dt,
+        params.n_steps, params.record_every,
     )
     hist = march["hist"]
     criteria = [
@@ -711,15 +569,14 @@ def _run_free_transport_check(config: SimConfig):
         ),
         _mass_criterion(hist),
     ]
-    rows = [
-        [t, rho.real, rho.imag, ref.real, ref.imag, abs(rho - ref)]
-        for t, rho, ref in zip(hist.times, march["trace"], march["exact"])
-    ]
+    trace, exact = march["trace"], march["exact"]
+    gap = trace - exact
     files = {
         "history.csv": _history_csv(hist),
-        "transport.csv": _csv_bytes(
-            ["t", "re_rho", "im_rho", "re_ref", "im_ref", "abs_err"], rows
-        ),
+        "transport.csv": _columns_csv({
+            "t": hist.times, "re_rho": trace.real, "im_rho": trace.imag,
+            "re_ref": exact.real, "im_ref": exact.imag, "abs_err": np.hypot(gap.real, gap.imag),
+        }),
     }
     return criteria, files
 
@@ -727,35 +584,31 @@ def _run_free_transport_check(config: SimConfig):
 def _run_echo_experiment(config: SimConfig):
     settings = config.echo
     k = settings.l + settings.force_mode
-    run_cfg = replace(_kinetic_config(config), amplitude=0.0)
+
+    def refusal(criterion, reason):
+        return [criterion], {"echo.json": _json_bytes({"refusal": reason})}
+
     if k == 0 or echo_time(settings.l, k, settings.s_force) is None:
         reason = (
             f"seed mode {settings.l} forced at mode {settings.force_mode} responds "
             f"on mode {k}: no future echo from s = {settings.s_force:g}"
         )
-        return (
-            [_criterion("future_echo_exists", False, {"reason": reason}, "t* > s")],
-            {"echo.json": _json_bytes({"refusal": reason})},
+        return refusal(
+            _criterion("future_echo_exists", False, {"reason": reason}, "t* > s"), reason
         )
     try:
         report = echo_experiment(
-            run_cfg, settings.l, settings.force_mode, settings.s_force,
-            settings.eps1, settings.eps2,
+            replace(config.run, amplitude=0.0), settings.l, settings.force_mode,
+            settings.s_force, settings.eps1, settings.eps2,
         )
     except EchoBeyondRecurrence as err:
-        return (
-            [
-                _criterion(
-                    "echo_inside_recurrence_horizon", False,
-                    {"reason": str(err)}, "t* below 0.8 of the grid recurrence time",
-                )
-            ],
-            {"echo.json": _json_bytes({"refusal": str(err)})},
-        )
+        return refusal(_criterion(
+            "echo_inside_recurrence_horizon", False,
+            {"reason": str(err)}, "t* below 0.8 of the grid recurrence time",
+        ), str(err))
     except ResolutionExceeded as err:
-        return (
-            [_ran_to_t_end("resolution_exceeded", err.time, config.t_end, err.fraction)],
-            {"echo.json": _json_bytes({"refusal": str(err)})},
+        return refusal(
+            _ran_to_t_end("resolution_exceeded", err.time, config.t_end, err.fraction), str(err)
         )
     offset = abs(report.rel_offset)
     contrast = report.peak_amp / max(report.baseline_amp, 1e-300)
@@ -777,46 +630,39 @@ def _run_echo_experiment(config: SimConfig):
 
 
 def _run_collision_sweep(config: SimConfig):
+    params = config.run
+
     def solve(nu):
         return unit_density(
-            config.profile, config.interaction, nu, config.pert_mode,
-            config.t_end, config.dt,
+            params.profile, params.interaction, nu, params.k_pert, params.t_end, params.dt
         )
 
     base = solve(0.0)
-    times, base_rho = base.times, base.rho_hat
-    columns = {"t": times, "abs_rho_nu0": np.abs(base_rho)}
+    base_rho = base.rho_hat
+    columns = {"t": base.times, "abs_rho_nu0": np.abs(base_rho)}
     sups = {}
     for nu in config.sweep_nus:  # ordered ascending by construction
         rho = solve(nu).rho_hat
         columns[f"abs_rho_nu{nu:g}"] = np.abs(rho)
         sups[nu] = float(np.max(np.abs(rho - base_rho)))
-    nus = list(config.sweep_nus)
-    monotone = all(sups[a] < sups[b] for a, b in zip(nus, nus[1:]))
-    ratios = []
-    decade_ok = True
-    for a, b in zip(nus, nus[1:]):
-        ratio = sups[b] / sups[a]
-        ratios.append((a, b, ratio))
-        if abs(b / a - 10.0) < 1e-9 and ratio < 8.0:
-            decade_ok = False
+    nus = config.sweep_nus
+    ratios = {(a, b): sups[b] / sups[a] for a, b in zip(nus, nus[1:])}
     criteria = [
         _criterion(
-            "deviation_shrinks_with_nu", monotone,
+            "deviation_shrinks_with_nu", all(sups[a] < sups[b] for a, b in ratios),
             {f"sup_diff_nu{nu:g}": sups[nu] for nu in nus},
             "sup |rho_nu - rho_0| strictly increasing in nu",
         ),
         _criterion(
-            "decade_ratio_at_least_8", decade_ok,
-            {f"ratio_{a:g}_to_{b:g}": r for a, b, r in ratios},
+            "decade_ratio_at_least_8",
+            not any(r < 8.0 for (a, b), r in ratios.items() if abs(b / a - 10.0) < 1e-9),
+            {f"ratio_{a:g}_to_{b:g}": r for (a, b), r in ratios.items()},
             ">= 8 between decade-spaced nus",
         ),
     ]
-    header = list(columns)
-    rows = [[columns[c][i] for c in header] for i in range(times.size)]
     summary_rows = [[nu, sups[nu]] for nu in nus]
     files = {
-        "sweep.csv": _csv_bytes(header, rows),
+        "sweep.csv": _columns_csv(columns),
         "sweep_summary.csv": _csv_bytes(["nu", "sup_diff"], summary_rows),
     }
     return criteria, files
@@ -826,18 +672,14 @@ def _run_kernel_bounds(config: SimConfig):
     rng = np.random.default_rng(config.seed)
     alpha = config.kernel_alpha
     rows = []
-    violations = 0
-    worst = 0.0
     for _ in range(config.kernel_cases):
         k = int(rng.integers(1, 9))
         l = int(rng.integers(-12, 13))
         t = float(rng.uniform(0.5, config.t_end))
         numeric, bound = piecewise_integral_check(k, l, alpha, t)
-        ratio = numeric / bound
-        worst = max(worst, ratio)
-        if numeric > bound * (1.0 + 1e-12):
-            violations += 1
-        rows.append([k, l, alpha, t, numeric, bound, ratio])
+        rows.append([k, l, alpha, t, numeric, bound, numeric / bound])
+    violations = sum(numeric > bound * (1.0 + 1e-12) for *_, numeric, bound, _ in rows)
+    worst = max([0.0] + [ratio for *_, ratio in rows])
     criteria = [
         _criterion(
             "quadrature_under_bound", violations == 0,
@@ -856,21 +698,20 @@ def _run_kernel_bounds(config: SimConfig):
 
 def _run_norm_battery(config: SimConfig):
     report = norm_battery_report(config.seed)
-    criteria = []
-    rows = []
-    for item in sorted(report.items):
-        entry = report.items[item]
-        criteria.append(
-            _criterion(
-                f"norm_item_{item}", entry["passed"] and entry["slack"] < 1e-9,
-                {"cases": entry["cases"], "max_slack": entry["slack"]},
-                "slack < 1e-9",
-            )
+    asserted = sorted(report.items.items())
+    criteria = [
+        _criterion(
+            f"norm_item_{item}", entry["passed"] and entry["slack"] < 1e-9,
+            {"cases": entry["cases"], "max_slack": entry["slack"]},
+            "slack < 1e-9",
         )
-        rows.append([item, "asserted", entry["cases"], entry["slack"], entry["passed"]])
-    for item in sorted(report.observed):
-        note = str(report.observed[item]).replace(",", ";")
-        rows.append([item, "observed", 0, note, True])
+        for item, entry in asserted
+    ]
+    rows = [[item, "asserted", e["cases"], e["slack"], e["passed"]] for item, e in asserted]
+    rows += [
+        [item, "observed", 0, str(note).replace(",", ";"), True]
+        for item, note in sorted(report.observed.items())
+    ]
     files = {
         "norms.csv": _csv_bytes(["item", "kind", "cases", "value", "passed"], rows)
     }
@@ -878,28 +719,23 @@ def _run_norm_battery(config: SimConfig):
 
 
 def _run_stability_scan(config: SimConfig):
+    params = config.run
+
     def family(k):
         return VolterraKernel(
-            nu=config.nu, k=k, profile=config.profile,
-            interaction=config.interaction, dt=0.05, horizon=30.0,
+            nu=params.nu, k=k, profile=params.profile,
+            interaction=params.interaction, dt=0.05, horizon=30.0,
         )
 
+    header = ["k", "margin", "re_eta", "im_eta"]
     try:
-        report = stability_scan((1, config.k_max), config.nu, family)
+        report = stability_scan((1, params.k_max), params.nu, family)
     except MarginNonPositive as err:
-        criteria = [
-            _criterion(
-                "positive_stability_margin", False,
-                {"kappa": 0.0, "reason": str(err)}, "kappa > 0",
-            )
-        ]
-        return criteria, {"stability.csv": _csv_bytes(
-            ["k", "margin", "re_eta", "im_eta"], []
-        )}
-    margins = report.scan["margins"]
-    rows = [
-        [k, m, re, im] for k, (m, re, im) in sorted(margins.items())
-    ]
+        refusal = _criterion(
+            "positive_stability_margin", False, {"kappa": 0.0, "reason": str(err)}, "kappa > 0"
+        )
+        return [refusal], {"stability.csv": _csv_bytes(header, [])}
+    rows = [[k, m, re, im] for k, (m, re, im) in sorted(report.scan["margins"].items())]
     criteria = [
         _criterion(
             "positive_stability_margin", report.kappa > 0.0,
@@ -909,19 +745,20 @@ def _run_stability_scan(config: SimConfig):
             "kappa > 0",
         )
     ]
-    files = {"stability.csv": _csv_bytes(["k", "margin", "re_eta", "im_eta"], rows)}
+    files = {"stability.csv": _csv_bytes(header, rows)}
     return criteria, files
 
 
 _WORKERS = {
     "linear_landau": _run_linear_landau,
-    "free_transport_check": _run_free_transport_check,
-    "echo_experiment": _run_echo_experiment,
     "collision_sweep": _run_collision_sweep,
+    "echo_experiment": _run_echo_experiment,
     "kernel_bounds": _run_kernel_bounds,
     "norm_battery": _run_norm_battery,
+    "free_transport_check": _run_free_transport_check,
     "stability_scan": _run_stability_scan,
 }
+SCENARIOS = tuple(_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -977,9 +814,8 @@ def run_scenario(config: SimConfig) -> RunReport:
     escaping a worker are re-raised with the scenario name prepended.
     """
     t0 = time.perf_counter()
-    worker = _WORKERS[config.scenario]
     try:
-        criteria, files = worker(config)
+        criteria, files = _WORKERS[config.scenario](config)
     except VpkitError as err:
         message = err.args[0] if err.args else ""
         err.args = (f"[{config.scenario}] {message}",) + err.args[1:]
@@ -988,8 +824,7 @@ def run_scenario(config: SimConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
     hasher = hashlib.sha256()
-    for name in sorted(files):
-        data = files[name]
+    for name, data in sorted(files.items()):
         (out / name).write_bytes(data)
         digest = hashlib.sha256(data).hexdigest()
         manifest.append({"name": name, "bytes": len(data), "sha256": digest})
@@ -1031,91 +866,47 @@ def acceptance(suite: str = "all", out_dir: str | None = None):
 # ---------------------------------------------------------------------------
 # command line
 
-def _resolve_out(config: SimConfig, args) -> SimConfig:
-    out = getattr(args, "out", None) or os.environ.get("VPKIT_OUT") or config.out_dir
-    seed = getattr(args, "seed", None)
-    updates = {"out_dir": out}
-    if seed is not None:
-        updates["seed"] = seed
-    raw = {sec: dict(keys) for sec, keys in config.raw.items()}
-    raw.setdefault("outputs", {})["directory"] = out
-    if seed is not None:
-        raw.setdefault("scenario", {})["seed"] = str(seed)
-    updates["raw"] = raw
-    return replace(config, **updates)
-
-
-def _print_report(lines, quiet):
-    if not quiet:
-        for line in lines:
-            print(line)
-
-
-def _cmd_run(args, force_scenario=None) -> int:
-    config = parse_config(args.config, force_scenario=force_scenario)
-    config = _resolve_out(config, args)
-    report = run_scenario(config)
-    _print_report(report.lines(), args.quiet)
-    return 0 if report.passed else 1
-
-
-def _cmd_acceptance(args) -> int:
-    out = args.out or os.environ.get("VPKIT_OUT") or "out"
-    battery = acceptance(args.suite, out_dir=out)
-    _print_report(battery.lines(), args.quiet)
-    return 0 if battery.passed else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vpkit",
         description="Kinetic toolkit runner: scenarios, scans, and acceptance checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_seed=True):
+    # (name, help, config argument help, scenario forced); acceptance takes a suite
+    for name, help_text, config_help, scenario in (
+        ("run", "execute one scenario from a config file",
+         "path to an INI scenario config", None),
+        ("acceptance", "run the numbered acceptance battery", None, None),
+        ("scan-stability", "stability-margin scan for the configured model",
+         "config whose model sections define the scan", "stability_scan"),
+        ("kernel-table", "phase-integral bound table for the configured kernel",
+         "config whose [kernel] section sizes the table", "kernel_bounds"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", help="output directory (beats VPKIT_OUT and the config)")
-        if with_seed:
-            p.add_argument("--seed", type=int, help="override the config's seed")
         p.add_argument("--quiet", action="store_true", help="suppress the report lines")
-
-    p_run = sub.add_parser("run", help="execute one scenario from a config file")
-    p_run.add_argument("config", help="path to an INI scenario config")
-    common(p_run)
-
-    p_acc = sub.add_parser("acceptance", help="run the numbered acceptance battery")
-    p_acc.add_argument(
-        "suite", nargs="?", default="all",
-        help=f"suite name (default all; known: {', '.join(sorted(SUITES))})",
-    )
-    common(p_acc, with_seed=False)
-
-    p_scan = sub.add_parser(
-        "scan-stability", help="stability-margin scan for the configured model"
-    )
-    p_scan.add_argument("config", help="config whose model sections define the scan")
-    common(p_scan)
-
-    p_table = sub.add_parser(
-        "kernel-table", help="phase-integral bound table for the configured kernel"
-    )
-    p_table.add_argument("config", help="config whose [kernel] section sizes the table")
-    common(p_table)
+        if config_help is None:
+            p.add_argument(
+                "suite", nargs="?", default="all",
+                help=f"suite name (default all; known: {', '.join(sorted(SUITES))})",
+            )
+        else:
+            p.add_argument("config", help=config_help)
+            p.add_argument("--seed", type=int, help="override the config's seed")
+            p.set_defaults(force_scenario=scenario)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
         if args.command == "acceptance":
-            return _cmd_acceptance(args)
-        if args.command == "scan-stability":
-            return _cmd_run(args, force_scenario="stability_scan")
-        if args.command == "kernel-table":
-            return _cmd_run(args, force_scenario="kernel_bounds")
-        raise AssertionError(f"unhandled command {args.command!r}")
+            report = acceptance(args.suite, args.out or os.environ.get("VPKIT_OUT") or "out")
+        else:
+            config = parse_config(args.config, force_scenario=args.force_scenario, seed=args.seed)
+            out = args.out or os.environ.get("VPKIT_OUT") or config.out_dir
+            raw = {**config.raw, "outputs": {**config.raw["outputs"], "directory": out}}
+            report = run_scenario(replace(config, out_dir=out, raw=raw))
     except ParseError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -1126,6 +917,10 @@ def main(argv=None) -> int:
     except VpkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        for line in report.lines():
+            print(line)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -420,6 +421,10 @@ def prop13_battery(f_suite, params_grid, slack_tol: float = 1e-9) -> PropertyRep
     shear_ratios = []
 
     for f in f_suite:
+        # z_norm is a pure function of (field, params) and the clauses below
+        # revisit the same pairs (p = 1 and lam_bar recur), so each is
+        # evaluated once per field
+        z_of = cache(lambda params, f=f: z_norm(f, params))
         delta_mask = f.delta_row_mask()
         nonzero = np.abs(f.coeffs).sum(axis=1) > 0
         all_x = bool(np.all(delta_mask[nonzero])) and nonzero.any()
@@ -431,7 +436,7 @@ def prop13_battery(f_suite, params_grid, slack_tol: float = 1e-9) -> PropertyRep
 
             if all_x:
                 fv = f_norm(f, p1)
-                zv = z_norm(f, p1)
+                zv = z_of(p1)
                 direct = _kahan_sum(
                     abs(f.coeffs[i, f.center_index]) * f.d_eta * np.exp(
                         2 * np.pi * (params.lam * abs(params.tau) + params.mu) * abs(k)
@@ -445,15 +450,15 @@ def prop13_battery(f_suite, params_grid, slack_tol: float = 1e-9) -> PropertyRep
                 alt = NormParams(params.lam, params.mu + 0.17, params.tau + 0.9, params.p, params.n_max)
                 spread = max(
                     abs(f_norm(f, params) - f_norm(f, alt)),
-                    abs(z_norm(f, params) - z_norm(f, alt)),
+                    abs(z_of(params) - z_of(alt)),
                     abs(y_norm(f, params) - y_norm(f, alt)),
                 )
                 record("ii", spread / _norm_scale(f_norm(f, params)))
 
             # (viii) widening monotonicity + the tau-reshift clause
             wider = NormParams(params.lam + 0.01, params.mu + 0.05, params.tau, params.p, params.n_max)
-            for norm in (f_norm, z_norm, y_norm):
-                lo, hi = norm(f, params), norm(f, wider)
+            for norm in (lambda p: f_norm(f, p), z_of, lambda p: y_norm(f, p)):
+                lo, hi = norm(params), norm(wider)
                 record("viii", max(0.0, lo - hi) / _norm_scale(hi))
             tau_bar = params.tau + 0.5
             reshift = NormParams(
@@ -465,19 +470,18 @@ def prop13_battery(f_suite, params_grid, slack_tol: float = 1e-9) -> PropertyRep
             )
             record(
                 "viii",
-                max(0.0, z_norm(f, p1) - z_norm(f, reshift))
-                / _norm_scale(z_norm(f, reshift)),
+                max(0.0, z_of(p1) - z_of(reshift)) / _norm_scale(z_of(reshift)),
             )
 
             if not any_delta:
                 yv = y_norm(f, p1)
-                zv = z_norm(f, p1)
+                zv = z_of(p1)
                 record("viiii", max(0.0, yv - zv) / _norm_scale(zv))
 
             rho = density_trace(f)
             w = np.exp(2 * np.pi * (params.lam * abs(params.tau) + params.mu) * np.abs(f.modes))
             rho_norm = _kahan_sum(np.abs(rho) * w)
-            record("iX", max(0.0, rho_norm - z_norm(f, p1)) / _norm_scale(rho_norm))
+            record("iX", max(0.0, rho_norm - z_of(p1)) / _norm_scale(rho_norm))
 
             # observational ratios on resolved fields
             if not any_delta and params.lam > 0:
@@ -490,15 +494,14 @@ def prop13_battery(f_suite, params_grid, slack_tol: float = 1e-9) -> PropertyRep
                         grad_ratios.append(num / den * (math.e * (lam_bar - params.lam)))
                     vf = multiply_by_v(f)
                     znum = z_norm(vf, p1)
-                    zden = z_norm(f, NormParams(lam_bar, params.mu, params.tau, 1.0, params.n_max))
+                    zden = z_of(NormParams(lam_bar, params.mu, params.tau, 1.0, params.n_max))
                     if zden > 0:
                         vmul_ratios.append(znum / zden)
                     sheared = directional_derivative(f, params.tau)
                     snum = z_norm(sheared, p1)
-                    sden = z_norm(f, NormParams(lam_bar, params.mu, params.tau, 1.0, params.n_max))
-                    if sden > 0:
+                    if zden > 0:
                         shear_ratios.append(
-                            snum / sden * params.lam * math.log(lam_bar / params.lam)
+                            snum / zden * params.lam * math.log(lam_bar / params.lam)
                         )
                 except (TailNotResolved, SeriesNotConverged):
                     pass

@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 from vpkit import acceptance as battery
 from vpkit.cli import (
+    _KEYS,
     SCENARIOS,
     EchoSettings,
     SimConfig,
     _csv_bytes,
     _history_csv,
-    _kinetic_config,
     acceptance,
     main,
     parse_config,
@@ -73,16 +73,16 @@ class TestParsing:
     def test_minimal_config_fills_scenario_defaults(self, tmp_path):
         config = parse_config(write_config(tmp_path, MINIMAL_LANDAU))
         assert config.scenario == "linear_landau"
-        assert config.profile.thermal_speed == pytest.approx(0.05)
-        assert config.interaction.kind == "power_law"
-        assert config.nu == 0.0
+        assert config.run.profile.thermal_speed == pytest.approx(0.05)
+        assert config.run.interaction.kind == "power_law"
+        assert config.run.nu == 0.0
         assert config.seed == 0
-        assert (config.pert_mode, config.pert_amplitude) == (1, pytest.approx(1e-5))
+        assert (config.run.k_pert, config.run.amplitude) == (1, pytest.approx(1e-5))
         assert (config.k_max, config.n_v) == (4, 512)
-        assert config.v_max is None
-        assert config.resolved_v_max() == pytest.approx(0.3)
+        assert config.run.v_max is None
+        assert config.run.resolved_v_max() == pytest.approx(0.3)
         assert (config.dt, config.t_end) == (0.05, 45.0)
-        assert config.cadence == 1
+        assert config.run.record_every == 1
         assert config.echo is None and config.sweep_nus == ()
 
     def test_user_values_override_defaults(self, tmp_path):
@@ -93,9 +93,9 @@ class TestParsing:
             "[perturbation]\nmode = 2\namplitude = 1e-4\nshape = velocity\n",
         )
         config = parse_config(path)
-        assert (config.nu, config.seed) == (0.01, 9)
-        assert (config.k_max, config.n_v, config.v_max) == (3, 256, 0.4)
-        assert (config.pert_mode, config.pert_shape) == (2, "velocity")
+        assert (config.run.nu, config.seed) == (0.01, 9)
+        assert (config.k_max, config.n_v, config.run.v_max) == (3, 256, 0.4)
+        assert (config.run.k_pert, config.run.pert_shape) == (2, "velocity")
 
     def test_bad_gamma_is_named(self, tmp_path):
         path = write_config(
@@ -141,7 +141,7 @@ class TestParsing:
 
     def test_v_max_accepts_auto_but_not_negative(self, tmp_path):
         auto = parse_config(write_config(tmp_path, MINIMAL_LANDAU + "[grid]\nv_max = auto\n"))
-        assert auto.v_max is None
+        assert auto.run.v_max is None
         bad = write_config(tmp_path, MINIMAL_LANDAU + "[grid]\nv_max = -1\n", "bad.ini")
         assert any(p.startswith("grid.v_max") for p in problems_of(bad))
 
@@ -205,7 +205,7 @@ class TestParsing:
             "[profile]\nkind = sum_of_maxwellians\ncomponents = 0.5:-1:0.4, 0.5:1:0.4\n",
         )
         config = parse_config(path)
-        assert config.profile.components == ((0.5, -1.0, 0.4), (0.5, 1.0, 0.4))
+        assert config.run.profile.components == ((0.5, -1.0, 0.4), (0.5, 1.0, 0.4))
         bad = write_config(
             tmp_path,
             "[scenario]\nname = stability_scan\n\n"
@@ -228,6 +228,13 @@ class TestParsing:
         path = write_config(tmp_path, MINIMAL_LANDAU)
         config = parse_config(path, force_scenario="stability_scan")
         assert config.scenario == "stability_scan"
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_scenario_parses_from_its_defaults(self, tmp_path, scenario):
+        config = parse_config(write_config(tmp_path, f"[scenario]\nname = {scenario}\n"))
+        assert config.scenario == scenario
+        assert isinstance(config.run, KineticRun)
+        assert config.run.n_steps == round(config.t_end / config.dt)
 
 
 ECHO = "[scenario]\nname = echo_experiment\n\n[echo]\n"
@@ -294,6 +301,176 @@ def test_config_problem_is_reported(tmp_path, text, prefix):
     assert any(p.startswith(prefix) for p in problems), problems
 
 
+# config text -> every problem it reports, in full (in any order)
+FULL_PROBLEMS = [
+    (
+        "[scenario]\nname = linear_landau\nnu = -1\nseed = x\n\n"
+        "[profile]\nthermal_speed = 0\ncomponents = 1:0:1\n\n"
+        "[interaction]\ngamma = 0.5\namplitude = 2\nsign = 2\n\n"
+        "[perturbation]\nmode = 0\namplitude = -1\nshape = odd\n\n"
+        "[grid]\nk_max = 0\nn_v = 7\nv_max = -1\nn_x = 3\n\n"
+        "[time]\ndt = 0\nt_end = inf\n\n"
+        "[outputs]\ndirectory =\ncadence = 0\n\n"
+        "[mystery]\nx = 1\n\n"
+        "[echo]\nl = 1\n",
+        [
+            "grid.n_x: unknown key",
+            "[mystery]: unknown section",
+            "[echo]: section only applies to scenario echo_experiment",
+            "profile.thermal_speed: must be > 0",
+            "profile.components: only applies to kind = sum_of_maxwellians",
+            "interaction.gamma: must exceed 1 for a summable potential",
+            "interaction.amplitude: must lie in (0, 1] (the decay bound)",
+            "interaction.sign: must be 1 or -1",
+            "scenario.nu: collision frequency must be >= 0",
+            "scenario.seed: not an integer: 'x'",
+            "perturbation.mode: must be >= 1",
+            "perturbation.amplitude: must be >= 0",
+            "perturbation.shape: unknown shape 'odd' (density, velocity)",
+            "grid.k_max: must be >= 1",
+            "grid.n_v: must be an even integer >= 8",
+            "grid.v_max: must be > 0 (or auto)",
+            "time.t_end: must be finite, got 'inf'",
+            "time.dt: must be > 0",
+            "outputs.directory: must be non-empty",
+            "outputs.cadence: must be >= 1",
+        ],
+    ),
+    (
+        "[scenario]\nname = echo_experiment\n\n"
+        "[grid]\nk_max = 3\nv_max = 40\n\n"
+        "[time]\nt_end = 4.01\n\n"
+        "[echo]\nl = 4\nforce_mode = 0\ns_force = 6\neps1 = 0\neps2 = -1\n",
+        [
+            "time.t_end: must be an integer number of steps of dt",
+            (
+                "time.dt: dt * k_max * v_max = 2.4 exceeds the splitting phase budget 2; "
+                "shrink dt or the grid"
+            ),
+            "echo.l: seed mode must lie in 1..grid.k_max",
+            "echo.force_mode: must be nonzero with |force_mode| <= grid.k_max",
+            "echo.s_force: must land before time.t_end",
+            "echo.eps1: seed amplitude must be > 0",
+            "echo.eps2: forcing amplitude must be >= 0",
+        ],
+    ),
+    (
+        "[scenario]\nname = echo_experiment\n\n"
+        "[echo]\nl = 7\nforce_mode = 5\ns_force = 5.001\n",
+        [
+            "echo.force_mode: the response mode l + force_mode must fit inside the retained band",
+            "echo.s_force: must sit on the step grid",
+        ],
+    ),
+    (
+        "[scenario]\nname = free_transport_check\nnu = 0.1\n\n"
+        "[interaction]\nkind = power_law\n\n"
+        "[perturbation]\nmode = 3\n",
+        [
+            "perturbation.mode: must not exceed grid.k_max",
+            (
+                "interaction.kind: free_transport_check compares against free flight "
+                "and needs kind = zero"
+            ),
+            "scenario.nu: free_transport_check needs nu = 0",
+        ],
+    ),
+    (
+        "[scenario]\nname = collision_sweep\n\n"
+        "[sweep]\nnus = 0, a, nan, 1e-3, 0.001\n\n"
+        "[kernel]\nalpha = 1\n",
+        [
+            "[kernel]: section only applies to scenario kernel_bounds",
+            "sweep.nus: entries must be > 0 (nu = 0 is the reference)",
+            "sweep.nus: not a number: 'a'",
+            "sweep.nus: must be finite, got 'nan'",
+            "sweep.nus: entries must be distinct",
+        ],
+    ),
+    (
+        "[scenario]\nname = kernel_bounds\nseed = -2\n\n"
+        "[kernel]\nalpha = 1\ncases = 0\n\n"
+        "[time]\nt_end = 0.5\ndt = 0.25\n",
+        [
+            "scenario.seed: must be >= 0",
+            "kernel.alpha: must lie in (0, 1)",
+            "kernel.cases: must lie in 1..100000",
+            "time.t_end: kernel_bounds samples times in [0.5, t_end] and needs t_end > 0.5",
+        ],
+    ),
+    (
+        "[scenario]\nname = stability_scan\n\n"
+        "[profile]\nkind = sum_of_maxwellians\nthermal_speed = 1\n"
+        "components = 1:0, 1:x:1, 1:0:-1, nan:0:1, 0.5:0:1\n\n"
+        "[interaction]\nkind = zero\ngamma = 3\n",
+        [
+            "profile.thermal_speed: only applies to kind = maxwellian",
+            "profile.components: '1:0' is not weight:center:spread",
+            "profile.components: not a number: 'x'",
+            "profile.components: '1:0:-1' needs weight > 0 and spread > 0",
+            "profile.components: must be finite, got 'nan'",
+            "profile.components: weights must sum to 1",
+            "interaction.gamma: only applies to kind = power_law",
+        ],
+    ),
+    (
+        "[scenario]\nname = stability_scan\n\n"
+        "[profile]\nkind = kappa\ncomponents = 1:0:1\n\n"
+        "[interaction]\nkind = yukawa\n",
+        [
+            "profile.kind: unknown kind 'kappa' (maxwellian, sum_of_maxwellians)",
+            "interaction.kind: unknown kind 'yukawa' (power_law, zero)",
+        ],
+    ),
+    (
+        "[grid]\nk_max = 2\n\n"
+        "[mystery]\nx = 1\n",
+        [
+            "scenario.name: required ([scenario] section with a name key)",
+            "[mystery]: unknown section",
+        ],
+    ),
+    (
+        "[scenario]\nname = linear_landau\n\n"
+        "[time]\nt_end = 0.01\n\n"
+        "[profile]\nkind = sum_of_maxwellians\ncomponents = ,\n",
+        [
+            "profile.components: at least one weight:center:spread triple",
+            "time.t_end: must cover at least one step",
+        ],
+    ),
+    (
+        "[scenario]\nname = collision_sweep\n\n"
+        "[sweep]\nnus = ,\n",
+        [
+            "sweep.nus: needs at least one collision frequency",
+        ],
+    ),
+    (
+        "[scenario]\nname = landau\n\n"
+        "[mystery]\nx = 1\n\n"
+        "[grid]\nk_max = 2\n",
+        [
+            (
+                "scenario.name: unknown scenario 'landau' (known: linear_landau, "
+                "collision_sweep, echo_experiment, kernel_bounds, norm_battery, "
+                "free_transport_check, stability_scan)"
+            ),
+            "[mystery]: unknown section",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", FULL_PROBLEMS, ids=[
+    "per_key_bounds", "echo_keys", "echo_band", "free_flight", "sweep_list", "kernel_keys",
+    "mixture_components", "unknown_kinds", "no_scenario", "short_run", "empty_sweep",
+    "unknown_scenario",
+])
+def test_problem_messages_are_reported_in_full(tmp_path, text, expected):
+    assert sorted(problems_of(write_config(tmp_path, text))) == sorted(expected)
+
+
 def _run_config(text):
     def attempt(tmp_path):
         path = write_config(tmp_path, text)
@@ -337,6 +514,26 @@ def test_main_exits_2_on_a_parse_error(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL_LANDAU + "nu = 0\nnu = 1\n")
     assert main(["run", str(path)]) == 2
     assert "config error: line 4: scenario.nu: duplicate key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-table", str(SHIPPED_CONFIGS / "kernel_table.ini"), "--seed", "-1"],
+    ["run", str(SHIPPED_CONFIGS / "norm_battery.ini"), "--seed", "-3"],
+])
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys, argv):
+    # the --seed override goes through the same check as the file's seed
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: scenario.seed: must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_is_echoed_in_the_report(tmp_path):
+    path = write_config(tmp_path, "[scenario]\nname = kernel_bounds\n\n[kernel]\ncases = 3\n")
+    out = tmp_path / "out"
+    assert main(["kernel-table", str(path), "--out", str(out), "--seed", "4", "--quiet"]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["scenario"]["seed"] == "4"
+    assert config["outputs"]["directory"] == str(out)
 
 
 def test_main_exits_1_on_a_solver_refusal(tmp_path, capsys):
@@ -560,7 +757,7 @@ class TestRuns:
 def test_history_csv_matches_the_per_cell_writer():
     # the column writer against a row-by-row reference: every value through
     # _cell, the moduli from abs() of each complex scalar
-    hist, _ = run(_kinetic_config(parse_config(SHIPPED_CONFIGS / "linear_landau.ini")))
+    hist, _ = run(parse_config(SHIPPED_CONFIGS / "linear_landau.ini").run)
     rows = [
         [float(t), int(k), rho.real, rho.imag, abs(rho), e.real, e.imag, abs(e)]
         for t, rho_row, e_row in zip(hist.times, hist.rho_hat, hist.e_hat)
@@ -639,10 +836,11 @@ class TestFuzz:
         assert isinstance(config, SimConfig)
 
     @settings(
-        max_examples=40, deadline=None,
+        max_examples=70, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
+        scenario=st.sampled_from(SCENARIOS),
         dt=st.sampled_from(["0.01", "0.02", "0.05", "0.1"]),
         n_steps=st.integers(min_value=10, max_value=400),
         k_max=st.integers(min_value=1, max_value=4),
@@ -654,11 +852,11 @@ class TestFuzz:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_accepted_configs_satisfy_solver_guards(
-        self, tmp_path, dt, n_steps, k_max, n_v, vth, nu, mode, cadence, seed
+        self, tmp_path, scenario, dt, n_steps, k_max, n_v, vth, nu, mode, cadence, seed
     ):
         t_end = format(n_steps * float(dt), ".17g")
         body = (
-            f"[scenario]\nname = linear_landau\nnu = {nu}\nseed = {seed}\n\n"
+            f"[scenario]\nname = {scenario}\nnu = {nu}\nseed = {seed}\n\n"
             f"[profile]\nthermal_speed = {vth}\n\n"
             f"[perturbation]\nmode = {min(mode, k_max)}\n\n"
             f"[grid]\nk_max = {k_max}\nn_v = {n_v}\n\n"
@@ -667,10 +865,16 @@ class TestFuzz:
         )
         path = tmp_path / f"gen{seed % 7}.ini"
         path.write_text(body)
-        config = parse_config(path)
-        built = _kinetic_config(config)
-        assert isinstance(built, KineticRun)
-        assert built.n_steps == n_steps
+        try:
+            config = parse_config(path)
+        except ValidationError:
+            # only these three scenarios have rules (free flight; the echo
+            # band, forcing time and wider v_max; the kernel window) that can
+            # refuse these keys, and the other four accept every draw
+            assert scenario in ("free_transport_check", "echo_experiment", "kernel_bounds")
+            return
+        assert isinstance(config.run, KineticRun)
+        assert config.run.n_steps == n_steps
 
 
 def test_scenario_list_is_closed():
@@ -692,3 +896,26 @@ def test_wrapped_errors_carry_the_scenario_name(tmp_path):
     config = parse_config(path)
     with pytest.raises(VpkitError, match=r"\[collision_sweep\]"):
         run_scenario(config)
+
+
+def test_readme_documents_every_config_key():
+    # the README's key table restates the schema: one row per key, with the
+    # defaults the table gives
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    rows = {
+        line.split("|")[1].strip(): line.split("|")[3].strip()
+        for line in block.splitlines() if line.startswith("| `")
+    }
+    assert set(rows) == {f"`{sec}.{key}`" for sec, key, *_ in _KEYS}
+    for sec, key, _, default, _, _ in _KEYS:
+        if default is None:
+            expected = "none"
+        elif isinstance(default, str):
+            expected = f"`{default}`"
+        else:
+            expected = "; ".join(
+                f"`{text}`" if name is None else f"{name}: `{text}`"
+                for name, text in default.items()
+            )
+        assert rows[f"`{sec}.{key}`"] == expected, (sec, key)

@@ -393,3 +393,28 @@ class TestBattery:
         f = suite[0]
         p1 = NormParams(0.02, 0.1, 0.5, p=1.0)
         assert y_norm(f, p1) > z_norm(f, p1)
+
+
+def test_battery_evaluates_each_z_norm_once(monkeypatch):
+    # the seeded battery visits 531 distinct (field, params) pairs; the
+    # reference run, with the per-field cache switched off, recomputes every
+    # repeat and must agree with the cached run bit for bit
+    from vpkit import hybridnorms
+    from vpkit.acceptance import norm_battery_report
+
+    calls = []
+    real = hybridnorms.z_norm
+
+    def counted(f, params):
+        calls.append((id(f), params))
+        return real(f, params)
+
+    monkeypatch.setattr(hybridnorms, "z_norm", counted)
+    report = norm_battery_report(20125)
+    assert len(calls) <= 531
+    cached_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(hybridnorms, "cache", lambda fn: fn)
+    reference = norm_battery_report(20125)
+    assert len(calls) > cached_calls
+    assert report == reference
