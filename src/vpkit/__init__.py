@@ -6,7 +6,9 @@ Subpackages:
     lintheory    linear Volterra theory, dispersion scans, damping fits
     echo         echo-kernel bounds, exponential moments, growth envelopes
     kinetic      nonlinear split-step spectral solver and echo experiments
-    cli          config parsing, scenario driver, acceptance suite
+    acceptance   the numbered acceptance battery and its shared products
+    config       the config schema, parsing, and each scenario's defaults
+    cli          scenario runners, report serialization, command line
 """
 
 from . import errors

@@ -7,9 +7,12 @@ blow it). Expensive products (Landau runs, Volterra marches, dispersion
 roots) are built once per battery through a shared cache, and the
 conservation audit inspects the same histories the physics checks used.
 
-The scenario products the command-line runner reports on are defined here
-once and shared with the battery: the free-transport march, the unit-data
-Volterra density, the seeded norm battery and the mass drift of a history.
+The Landau, free-transport, collision-sweep and echo scenarios the battery
+checks are the command line's own: scenario_defaults gives the run a config
+naming only the scenario describes. The products the command-line runner
+reports on are defined here once and shared with the battery: the
+free-transport march, the collision sweep, the unit-data Volterra density,
+the seeded norm battery and the mass drift of a history.
 The weighted growth scenario of criterion 11 is likewise built once, by
 growth_scenario, for the criterion and the growth demo.
 
@@ -20,8 +23,9 @@ report content with passed = False.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad_vec, solve_ivp
@@ -36,6 +40,7 @@ from .echo import (
     growth_verify,
     piecewise_integral_check,
 )
+from .config import scenario_defaults
 from .errors import ConstraintViolation
 from .hybridnorms import (
     NormParams,
@@ -67,19 +72,20 @@ from .lintheory import (
     kernel_eval,
     volterra_solve,
 )
-from .profiles import Interaction, VelocityProfile, profile_fourier
+from .profiles import profile_fourier
 
-# Shipped stable scenario shared across the linear-theory criteria.
-VTH_SHIPPED = 0.05
-PROFILE_SHIPPED = VelocityProfile.maxwellian(VTH_SHIPPED)
-PROFILE_UNIT = VelocityProfile.maxwellian(1.0)
-REPULSIVE = Interaction.power_law(2.0, amplitude=1.0, sign=1)
-FIT_WINDOW = (4.0, 42.0)  # past the transient, before the noise floor
+# The scenarios of criteria 1, 3-5, 9 and 12, as `vpkit run` runs a config
+# that names only the scenario: editing a default there changes both.
+LANDAU, FREE_TRANSPORT, SWEEP, ECHO = map(scenario_defaults, (
+    "linear_landau", "free_transport_check", "collision_sweep", "echo_experiment"))
 # Direct Landau run of criteria 3, 4 and 12, collisionless; the battery sets nu.
-LANDAU_CONFIG = KineticRun(
-    profile=PROFILE_SHIPPED, interaction=REPULSIVE, nu=0.0,
-    dt=0.05, t_end=45.0, k_pert=1, amplitude=1e-5, k_max=4, n_v=512,
-)
+LANDAU_CONFIG = LANDAU.run
+# Its model, shared across the linear-theory criteria.
+PROFILE_SHIPPED, REPULSIVE = LANDAU_CONFIG.profile, LANDAU_CONFIG.interaction
+# The echo run of criterion 9; the seed is the probe's eps1, not a perturbation.
+ECHO_CONFIG = replace(ECHO.run, amplitude=0.0)
+PROFILE_UNIT = ECHO_CONFIG.profile
+FIT_WINDOW = (4.0, 42.0)  # past the transient, before the noise floor
 
 
 def _g(x) -> str:
@@ -111,14 +117,7 @@ class CriterionResult:
         return f"{status} {self.index:2d} {self.name}: {body}"
 
     def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "passed": self.passed,
-            "measured": dict(self.measured),
-            "tolerances": dict(self.tolerances),
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
 
 def _result(index, name, t0, ok, measured, tolerances) -> CriterionResult:
@@ -138,34 +137,34 @@ def mass_drift(hist: FieldHistory) -> float:
     return float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
 
 
-def free_transport_march(profile, k, amplitude, shape, k_max, n_v, v_max, dt,
-                         n_steps, cadence) -> dict:
-    """March the interaction-free, collisionless model against the exact shift.
+def free_transport_march(config: KineticRun) -> dict:
+    """March a free-transport run (zero interaction, nu = 0) against the exact shift.
 
     Free flight carries fhat_0(k, eta) to fhat_0(k, eta + k t), so the mode-k
     density of a state perturbed at mode k is (amplitude/2) f0_hat(k t)
-    exactly. Records at t = j * dt every cadence steps and at the last step.
-    Returns a dict with the FieldHistory "hist", the recorded "trace" of mode
-    k next to its "exact" value, "trace_error", the largest gap on records up
-    to RECURRENCE_SAFETY of the "recurrence_time" 1/(k dv) ("compared_up_to"
-    is the last such record), and "mid_state", the state after n_steps // 2
-    steps.
+    exactly. Records at t = j * dt every record_every steps and at the last
+    step. Returns a dict with the FieldHistory "hist", the recorded "trace"
+    of mode k next to its "exact" value, "trace_error", the largest gap on
+    records up to RECURRENCE_SAFETY of the "recurrence_time" 1/(k dv)
+    ("compared_up_to" is the last such record), and "mid_state", the state
+    after n_steps // 2 steps.
     """
+    profile, k, amplitude = config.profile, config.k_pert, config.amplitude
+    k_max, n_v, v_max, n_steps = config.k_max, config.n_v, config.resolved_v_max(), config.n_steps
     state = perturb_density(
-        equilibrium_state(profile, k_max, n_v, v_max), profile, k, amplitude, shape
+        equilibrium_state(profile, k_max, n_v, v_max), profile, k, amplitude, config.pert_shape
     )
-    w_zero = Interaction.zero()
     times, rho_rows = [0.0], [rho_hat(state)]
     mid_state = None
     for j in range(1, n_steps + 1):
-        state = step(state, dt, w_zero, profile, 0.0)
-        if j % cadence == 0 or j == n_steps:
-            times.append(j * dt)
+        state = step(state, config.dt, config.interaction, profile, config.nu)
+        if j % config.record_every == 0 or j == n_steps:
+            times.append(j * config.dt)
             rho_rows.append(rho_hat(state))
         if j == n_steps // 2:
             mid_state = state
     times = np.array(times)
-    hist = FieldHistory(times, state.modes, np.array(rho_rows), w_zero)
+    hist = FieldHistory(times, state.modes, np.array(rho_rows), config.interaction)
     trace = hist.rho_hat[:, k_max + k]
     exact = np.array([0.5 * amplitude * profile_fourier(profile, k * t) for t in times])
     recurrence_time = 1.0 / (k * (2.0 * v_max / n_v))
@@ -191,6 +190,17 @@ def unit_density(profile, interaction, nu, k, T, dt) -> DensityHistory:
         nu=nu, k=k, profile=profile, interaction=interaction, dt=dt, horizon=T
     )
     return volterra_solve(k, lambda t: profile_fourier(profile, k * t), kern, T=T, dt=dt)
+
+
+def collision_sweep(config: KineticRun, nus) -> tuple:
+    """Unit-data densities of config's mode over its horizon and step, at
+    nu = 0 and at each of nus: (times, {nu: rho_hat} with 0.0 first,
+    {nu: sup |rho_nu - rho_0|})."""
+    rhos = {nu: unit_density(config.profile, config.interaction, nu, config.k_pert,
+                             config.t_end, config.dt) for nu in (0.0, *nus)}
+    base = rhos[0.0].rho_hat
+    sups = {nu: float(np.max(np.abs(rhos[nu].rho_hat - base))) for nu in nus}
+    return rhos[0.0].times, {nu: hist.rho_hat for nu, hist in rhos.items()}, sups
 
 
 def norm_battery_report(seed: int) -> PropertyReport:
@@ -255,27 +265,26 @@ def _nonlinear_products(cache):
 def _free_transport_products(cache):
     """Free-transport march of criterion 1 and its two exact-shift errors.
 
-    Cold Gaussian, mode k = 1 at amplitude 1e-3, velocity box of six thermal
-    speeds. The density trace is checked on every record, and the velocity
-    spectrum of the k = -1 row at 40 percent of the recurrence time 1/dv
+    The free_transport_check defaults: cold Gaussian, mode k = 1 at amplitude
+    1e-3, velocity box of six thermal speeds, t_end = 680 < 0.8 * t_rec =
+    682.7. The density trace is checked on every record, and the velocity
+    spectrum of the -k row at mid-run, 40 percent of the recurrence time 1/dv
     (past that the shifted transform center leaves the eta window).
     """
     key = ("free",)
     if key not in cache:
-        k_max, amp, dt = 2, 1e-3, 0.5
-        n_steps = 1360                        # t_end = 680 < 0.8 * t_rec = 682.7
-        march = free_transport_march(
-            PROFILE_SHIPPED, 1, amp, "density", k_max, 512, 0.3, dt, n_steps, 4
-        )
-        state = march["mid_state"]            # t = 340 < 0.4 * t_rec
+        free = FREE_TRANSPORT.run
+        march = free_transport_march(free)
+        state = march["mid_state"]
         snap = spectral_snapshot(state)
-        want_row = 0.5 * amp * profile_fourier(PROFILE_SHIPPED, snap.eta_grid - state.time)
-        got_row = snap.coeffs[k_max - 1]
+        want_row = 0.5 * free.amplitude * profile_fourier(
+            free.profile, snap.eta_grid - free.k_pert * state.time)
+        got_row = snap.coeffs[free.k_max - free.k_pert]
         cache[key] = {
             "trace_error": march["trace_error"],
             "spectrum_error": float(np.max(np.abs(got_row - want_row))),
-            "t_end": n_steps * dt,
-            "recurrence_fraction": n_steps * dt / march["recurrence_time"],
+            "t_end": free.t_end,
+            "recurrence_fraction": free.t_end / march["recurrence_time"],
         }
         _audit_history(cache, "free transport", march["hist"])
     return cache[key]
@@ -420,25 +429,15 @@ def criterion_4(cache=None) -> CriterionResult:
 def criterion_5(cache=None) -> CriterionResult:
     """Volterra solutions converge to the collisionless one as nu -> 0."""
     t0 = time.perf_counter()
-
-    def solve(nu):
-        return unit_density(PROFILE_SHIPPED, REPULSIVE, nu, 1, 40.0, 0.04).rho_hat
-
-    base = solve(0.0)
-    sups = {nu: float(np.max(np.abs(solve(nu) - base))) for nu in (1e-2, 1e-3, 1e-4)}
-    ratio_21 = sups[1e-2] / sups[1e-3]
-    ratio_32 = sups[1e-3] / sups[1e-4]
-    ok = ratio_21 >= 8.0 and ratio_32 >= 8.0 and sups[1e-4] < sups[1e-3] < sups[1e-2]
+    _, _, sups = collision_sweep(SWEEP.run, SWEEP.sweep_nus)
+    nus = SWEEP.sweep_nus[::-1]  # the default decades 1e-2, 1e-3, 1e-4
+    decade = {nu: -round(math.log10(nu)) for nu in nus}
+    measured = {f"sup_diff_nu1e-{decade[nu]}": sups[nu] for nu in nus}
+    ratios = [(a, b, sups[a] / sups[b]) for a, b in zip(nus, nus[1:])]
+    measured.update((f"decade_ratio_{decade[a]}_{decade[b]}", r) for a, b, r in ratios)
+    ok = all(r >= 8.0 and sups[a] > sups[b] for a, b, r in ratios)
     return _result(
-        5, "collision_continuity", t0, ok,
-        {
-            "sup_diff_nu1e-2": sups[1e-2],
-            "sup_diff_nu1e-3": sups[1e-3],
-            "sup_diff_nu1e-4": sups[1e-4],
-            "decade_ratio_2_3": ratio_21,
-            "decade_ratio_3_4": ratio_32,
-        },
-        {"decade_ratios": ">= 8 per decade"},
+        5, "collision_continuity", t0, ok, measured, {"decade_ratios": ">= 8 per decade"},
     )
 
 
@@ -553,24 +552,20 @@ def criterion_8(cache=None) -> CriterionResult:
     )
 
 
-ECHO_CONFIG = KineticRun(
-    profile=PROFILE_UNIT, interaction=REPULSIVE, nu=0.0,
-    dt=0.02, t_end=12.5, k_max=8, n_v=512, v_max=6.0, record_every=25,
-)
-
-
 def criterion_9(cache=None) -> CriterionResult:
     """Seeded echo arrives on time, bilinearly, and only when forced."""
     cache = _cache(cache)
     t0 = time.perf_counter()
     key = ("echo",)
     if key not in cache:
-        # one march per distinct run: the four experiments share 5 of their 8
-        base = echo_experiment(ECHO_CONFIG, 1, -2, 5.0, 1e-3, 1e-3, marches=cache)
-        quiet = echo_experiment(ECHO_CONFIG, 1, -2, 5.0, 1e-3, 0.0, marches=cache)
-        dbl_seed = echo_experiment(ECHO_CONFIG, 1, -2, 5.0, 2e-3, 1e-3, marches=cache)
-        dbl_force = echo_experiment(ECHO_CONFIG, 1, -2, 5.0, 1e-3, 2e-3, marches=cache)
-        cache[key] = (base, quiet, dbl_seed, dbl_force)
+        # the default probe, unforced and with each amplitude doubled; one
+        # march per distinct run: the four experiments share 5 of their 8
+        e = ECHO.echo
+        cache[key] = tuple(
+            echo_experiment(ECHO_CONFIG, e.l, e.force_mode, e.s_force, eps1, eps2, marches=cache)
+            for eps1, eps2 in ((e.eps1, e.eps2), (e.eps1, 0.0), (2 * e.eps1, e.eps2),
+                               (e.eps1, 2 * e.eps2))
+        )
     base, quiet, dbl_seed, dbl_force = cache[key]
     offset = abs(base.rel_offset)
     contrast = base.peak_amp / base.baseline_amp

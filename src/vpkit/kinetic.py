@@ -27,7 +27,7 @@ the (tiny, but visible at 1e-14) quadrature defect of the raw samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -561,6 +561,13 @@ def characteristic_path(
     return Trajectory(times=times, x_path=xs, v_path=vs, x0=float(x), v0=float(v), start=float(s))
 
 
+def on_step_grid(t: float, dt: float) -> bool:
+    """Whether t is a whole number of steps dt, to 1e-9 max(1, t); False when
+    t / dt is not finite (a subnormal dt)."""
+    n = t / dt
+    return math.isfinite(n) and abs(round(n) * dt - t) <= 1e-9 * max(1.0, t)
+
+
 @dataclass(frozen=True)
 class KineticRun:
     """Parameters of a direct simulation.
@@ -591,8 +598,7 @@ class KineticRun:
             raise ConstraintViolation("dt must be positive and finite")
         if not (self.t_end >= self.dt):
             raise ConstraintViolation("t_end must cover at least one step")
-        n = round(self.t_end / self.dt)
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if not on_step_grid(self.t_end, self.dt):
             raise ConstraintViolation("t_end must be an integer number of steps")
         if int(self.k_max) != self.k_max or self.k_max < 1:
             raise ConstraintViolation("k_max must be a positive integer")
@@ -716,15 +722,7 @@ class EchoReport:
         return (self.t_measured - self.t_predicted) / self.t_predicted
 
     def as_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "k": self.k,
-            "s_force": self.s_force,
-            "t_predicted": self.t_predicted,
-            "t_measured": self.t_measured,
-            "peak_amp": self.peak_amp,
-            "baseline_amp": self.baseline_amp,
-        }
+        return asdict(self)
 
 
 def _march_mode_trace(
@@ -811,7 +809,7 @@ def echo_experiment(
         raise ConstraintViolation(
             f"horizon t_end={config.t_end:g} ends before the predicted echo at {t_star:g}"
         )
-    if abs(round(s_force / config.dt) * config.dt - s_force) > 1e-9:
+    if not on_step_grid(s_force, config.dt):
         raise ConstraintViolation("s_force must sit on the step grid")
 
     marches = {} if marches is None else marches

@@ -1,0 +1,34 @@
+"""Smoke test of the benchmark harness in perfbench/.
+
+Every workload builds, and one scenario job and one criterion job run through
+the harness and pass, so a change that breaks what the benchmark calls fails
+here rather than only in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workloads_build_and_their_jobs_pass(tmp_path):
+    workloads = _perfbench("workloads")
+    tracing = _perfbench("tracing")
+    built = {
+        name: workloads.build(name, ROOT, 0, tmp_path / name) for name in workloads.WORKLOADS
+    }
+    jobs = {job.name: job for workload in built.values() for job in workload.jobs}
+    ctx = workloads.PassContext(workloads.CountingCache(), tmp_path / "out", tracing.NoTrace())
+    for name in ("stability_scan", "criterion_2"):
+        outcome = jobs[name].run(ctx)
+        assert outcome.passed, (name, outcome.lines)

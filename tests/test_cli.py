@@ -22,10 +22,7 @@ from hypothesis import strategies as st
 
 from vpkit import acceptance as battery
 from vpkit.cli import (
-    _KEYS,
     SCENARIOS,
-    EchoSettings,
-    SimConfig,
     _csv_bytes,
     _history_csv,
     acceptance,
@@ -33,6 +30,7 @@ from vpkit.cli import (
     parse_config,
     run_scenario,
 )
+from vpkit.config import _KEYS, EchoSettings, SimConfig
 from vpkit.errors import ConstraintViolation, ParseError, ValidationError, VpkitError
 from vpkit.kinetic import RESOLUTION_TOL, KineticRun, run
 from vpkit.profiles import Interaction, VelocityProfile
@@ -510,6 +508,17 @@ def test_amplitude_above_the_decay_bound_exits_2(tmp_path, capsys):
     assert "config error: interaction.amplitude: must lie in (0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["linear_landau", "echo_experiment"])
+def test_subnormal_dt_exits_2_with_a_grid_problem(tmp_path, capsys, scenario):
+    # t_end / dt and s_force / dt overflow to inf; that is off the grid, not a crash
+    path = write_config(tmp_path, f"[scenario]\nname = {scenario}\n\n[time]\ndt = 2e-320\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: time.t_end: must be an integer number of steps of dt" in err
+    if scenario == "echo_experiment":
+        assert "config error: echo.s_force: must sit on the step grid" in err
+
+
 def test_main_exits_2_on_a_parse_error(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL_LANDAU + "nu = 0\nnu = 1\n")
     assert main(["run", str(path)]) == 2
@@ -812,6 +821,16 @@ class TestSharedWithBattery:
         crit = battery.criterion_10().measured
         for item in ("i", "ii", "viii", "viiii", "iX"):
             assert measured[f"norm_item_{item}"]["max_slack"] == crit[f"slack_{item}"]
+
+    @pytest.mark.parametrize("stem, name", [
+        ("echo", "ECHO"), ("collision_sweep", "SWEEP"), ("linear_landau", "LANDAU"),
+    ])
+    def test_shipped_config_parses_to_the_battery_scenario(self, stem, name):
+        scenario = getattr(battery, name)
+        config = parse_config(SHIPPED_CONFIGS / f"{stem}.ini")
+        if stem == "linear_landau":  # the battery sets nu itself
+            config = replace(config, run=replace(config.run, nu=0.0))
+        assert replace(config, out_dir=scenario.out_dir) == scenario
 
     def test_default_free_transport_matches_criterion_1(self, tmp_path):
         path = write_config(tmp_path, "[scenario]\nname = free_transport_check\n")

@@ -520,6 +520,8 @@ class TestRunDiagnostics:
             KineticRun(**{**base, "dt": 0.0})
         with pytest.raises(ConstraintViolation):
             KineticRun(**{**base, "t_end": 1.03})  # off the step grid
+        with pytest.raises(ConstraintViolation, match="integer number of steps"):
+            KineticRun(**{**base, "dt": 2e-320})  # t_end / dt overflows to inf
         with pytest.raises(ConstraintViolation):
             KineticRun(**{**base, "amplitude": 1e-3, "k_pert": 99})
         with pytest.raises(ConstraintViolation):
