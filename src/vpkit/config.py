@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .echo import echo_time
 from .errors import ParseError, ValidationError
 from .kinetic import PHASE_BUDGET, KineticRun, default_v_max, on_step_grid
 from .profiles import Interaction, VelocityProfile
@@ -251,7 +252,7 @@ def _marching_problems(scenario, v, profile, interaction):
 
 def _echo_problems(v):
     """Seed, forcing and response modes inside the band; the forcing time
-    before t_end and on the step grid."""
+    before t_end and on the step grid, and the echo it predicts by t_end."""
     l, force, k_max = v["echo.l"], v["echo.force_mode"], v["grid.k_max"]
     if l is not None and (l < 1 or (k_max is not None and l > k_max)):
         yield "echo.l: seed mode must lie in 1..grid.k_max"
@@ -267,6 +268,13 @@ def _echo_problems(v):
             yield "echo.s_force: must land before time.t_end"
         elif dt is not None and not on_step_grid(s_force, dt):
             yield "echo.s_force: must sit on the step grid"
+        elif None not in (l, force, t_end) and l + force != 0:
+            t_star = echo_time(l, l + force, s_force)
+            if t_star is not None and t_star > t_end:
+                yield (
+                    f"echo.s_force: the echo it launches arrives at t* = {t_star:g}, "
+                    f"after time.t_end = {t_end:g}"
+                )
 
 
 def parse_config(path, *, force_scenario: str | None = None, seed: int | None = None) -> SimConfig:

@@ -8,7 +8,8 @@ construction. In this picture free transport and the velocity kick are exact
 phase multiplications, and the relaxation toward rho(t,x) f0(v) has a
 closed-form update, so a time step is three exact maps composed in Strang
 order: half transport, field solve plus kick, collision, half transport.
-The kick works on real data throughout (real FFTs in x and in v).
+The kick works on real data throughout: its x-transforms are two cached
+real DFT matrix products over per-thread scratch, and v uses real FFTs.
 
 Module contents:
 
@@ -27,6 +28,7 @@ the (tiny, but visible at 1e-14) quadrature defect of the raw samples.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
@@ -228,17 +230,88 @@ def _transport_phase(k_max: int, n_v: int, v_max: float, h: float):
     return phase
 
 
-def _phase_powers(theta: np.ndarray, n: int) -> np.ndarray:
+def _phase_powers(theta: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Table exp(i theta_x j), j = 0 .. n-1, of shape (theta.size, n).
 
     Factored as exp(i theta_x R q) * exp(i theta_x r) with j = R q + r and
     R about sqrt(n), so each row costs about 2 sqrt(n) complex exponentials
-    instead of n, at the same few-ulp accuracy."""
+    instead of n, at the same few-ulp accuracy. out, when given, is a
+    C-contiguous complex (theta.size, n) array the table is written into."""
     R = 1 << (n.bit_length() // 2)
-    Q = -(-n // R)
+    full = n // R
     low = np.exp(1j * np.outer(theta, np.arange(R)))
-    high = np.exp(1j * np.outer(theta, R * np.arange(Q)))
-    return (high[:, :, None] * low[:, None, :]).reshape(theta.size, Q * R)[:, :n]
+    high = np.exp(1j * np.outer(theta, R * np.arange(-(-n // R))))
+    if out is None:
+        out = np.empty((theta.size, n), dtype=complex)
+    np.multiply(high[:, :full, None], low[:, None, :],
+                out=out[:, : full * R].reshape(theta.size, full, R))
+    np.multiply(high[:, full:], low[:, : n - full * R], out=out[:, full * R:])
+    return out
+
+
+@lru_cache(maxsize=16)
+def _x_transforms(k_max: int):
+    """The real DFT matrices (synth, analyze) of the kick's x-transforms.
+
+    The x grid has n_x = 4 k_max points (at least 8), so the quadratic
+    products of modes up to k_max do not alias onto the retained band.
+    synth, (n_x, 2(k_max+1)), maps the stacked [Re f; Im f] of the modes
+    k = 0 .. k_max to the real values on x_j = j / n_x: it is
+    n_x * irfft(f, n=n_x, axis=0). analyze, (2(k_max+1), n_x), maps real
+    values back to the stacked [Re; Im] of rfft(f_x, axis=0)[:k_max+1] / n_x.
+    Both sine rows of k = 0 are exactly zero, so synth ignores Im f[0] (as
+    irfft does) and analyze returns row 0 exactly real. Angles are reduced
+    to k j mod n_x before the cosine and sine."""
+    n_x = max(4 * k_max, 8)
+    angle = (2.0 * np.pi / n_x) * (np.outer(np.arange(k_max + 1), np.arange(n_x)) % n_x)
+    cos, minus_sin = np.cos(angle), -np.sin(angle)
+    minus_sin[0] = 0.0  # +0.0, not the -0.0 the negation leaves
+    weight = np.full((k_max + 1, 1), 2.0)
+    weight[0] = 1.0
+    synth = np.ascontiguousarray(np.vstack([weight * cos, weight * minus_sin]).T)
+    analyze = np.vstack([cos, minus_sin]) / n_x
+    for matrix in (synth, analyze):
+        matrix.setflags(write=False)
+    return synth, analyze
+
+
+_scratch = threading.local()
+
+
+def _kick_scratch(n_x: int, n_stack: int, n_v: int):
+    """The kick's work arrays for one grid: the (n_stack, n_v) [Re; Im]
+    stack, f(x, v), its velocity spectrum and the phase table. Each thread
+    allocates them once per grid and writes them in place, holding only
+    its latest grid."""
+    if getattr(_scratch, "grid", None) != (n_x, n_stack, n_v):
+        n_eta = n_v // 2 + 1
+        _scratch.arrays = (
+            np.empty((n_stack, n_v)),
+            np.empty((n_x, n_v)),
+            np.empty((n_x, n_eta), dtype=complex),
+            np.empty((n_x, n_eta), dtype=complex),
+        )
+        _scratch.grid = (n_x, n_stack, n_v)
+    return _scratch.arrays
+
+
+def _kick(f: np.ndarray, e_hat: np.ndarray, dt: float, dv: float) -> None:
+    """Shift every column of f (half storage, written in place) in v by the
+    frozen field e_hat, through per-thread scratch."""
+    k_max, n_v = f.shape[0] - 1, f.shape[1]
+    synth, analyze = _x_transforms(k_max)
+    stack, f_x, f_eta, phase = _kick_scratch(*synth.shape, n_v)
+    accel = Q_OVER_M * (synth @ np.concatenate([e_hat.real, e_hat.imag]))
+    np.copyto(stack[: k_max + 1], f.real)
+    np.copyto(stack[k_max + 1:], f.imag)
+    np.matmul(synth, stack, out=f_x)
+    np.fft.rfft(f_x, axis=1, out=f_eta)
+    # eta_j = j / (n_v dv), so the shift phase of column x is w_x^j
+    f_eta *= _phase_powers(-2.0 * np.pi * dt / (n_v * dv) * accel, n_v // 2 + 1, out=phase)
+    np.fft.irfft(f_eta, n=n_v, axis=1, out=f_x)
+    np.matmul(analyze, f_x, out=stack)
+    np.copyto(f.real, stack[: k_max + 1])
+    np.copyto(f.imag, stack[k_max + 1:])
 
 
 def collision_substep(
@@ -249,13 +322,16 @@ def collision_substep(
     profile: VelocityProfile,
     *,
     v_max: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact relaxation f <- e^{-nu dt} f + (1 - e^{-nu dt}) rho f0.
 
     rho_slice must hold the density modes of f_slice. The discrete
     equilibrium carries unit grid mass, so each density mode is exactly
     invariant; nu = 0 (or dt = 0) returns the input unchanged, dt -> +inf
-    lands on rho f0.
+    lands on rho f0. out, when given, receives the result and may be f_slice
+    itself (the step relaxes in place); the relaxation term is added one row
+    at a time, so no temporary of the table's size is made.
     """
     if nu < 0.0:
         raise ConstraintViolation("collision frequency nu must be >= 0")
@@ -266,10 +342,16 @@ def collision_substep(
     if math.isnan(dt):
         raise ConstraintViolation("dt must not be NaN")
     if nu == 0.0 or dt == 0.0:
-        return f.copy()
+        if out is None:
+            return f.copy()
+        np.copyto(out, f)
+        return out
     decay = math.exp(-nu * dt)
     f0 = _equilibrium_rows(profile, f.shape[1], float(v_max))
-    return decay * f + (1.0 - decay) * np.outer(rho, f0)
+    out = np.multiply(f, decay, out=out)
+    for row, rho_k in zip(out, rho):
+        row += (1.0 - decay) * (rho_k * f0)
+    return out
 
 
 def resolution_guard(state: PhaseState) -> float:
@@ -320,17 +402,23 @@ def step(
     their conjugates at every stage, so nothing has to restore the pairing.
     Transport multiplies row k by exp(-2 pi i k v dt/2), exact at any dt.
     The kick solves the field from the mid-step density, synthesizes the
-    real acceleration and the real f(x, v) on a dealiased x grid (inverse
-    real FFT over the k >= 0 modes), and shifts each column in v through the
-    spectral phase exp(-2 pi i eta a(x) dt) on the real-FFT frequencies
-    eta = 0 .. 1/(2 dv), exact for a frozen field. The v-Nyquist bin
+    real acceleration and the real f(x, v) on a dealiased x grid of 4 k_max
+    points (one product with a cached real DFT matrix of the stacked real
+    and imaginary parts of the k >= 0 modes), and shifts each column in v
+    through the spectral phase exp(-2 pi i eta a(x) dt) on the real-FFT
+    frequencies eta = 0 .. 1/(2 dv), exact for a frozen field. The v-Nyquist bin
     eta = 1/(2 dv) of a real column is real, so the inverse real FFT keeps
     the real part of its shifted value: the bin is scaled by
     cos(pi a(x) dt / dv). That is this solver's convention, and it is the
     bin a full complex kick followed by a projection onto real f produces;
     zeroing the bin instead would strip the equilibrium of its own Nyquist
-    content at the first kick. The collision substep is the closed-form
-    relaxation. Negative dt steps backward; dt = 0 is the identity.
+    content at the first kick. The modes k = 0 .. k_max come back from the
+    x grid through the second cached matrix, whose k = 0 sine row is exactly
+    zero, so row 0 stays exactly real. The v-transforms are real FFTs, and
+    the kick's work arrays are per-thread scratch reused from step to step;
+    the returned state owns fresh rows that share no memory with them. The
+    collision substep is the closed-form relaxation. Negative dt steps
+    backward; dt = 0 is the identity.
 
     external_field_hat, when given, is added to the self-consistent field
     for this step only (amplitudes of the modes k = 0 .. k_max of a real
@@ -361,20 +449,13 @@ def step(
             raise ConstraintViolation("external field must hold the modes 0..k_max")
         e_hat = e_hat + ext
     if np.any(e_hat):
-        n_x = max(4 * k_max, 8)
-        accel = Q_OVER_M * n_x * np.fft.irfft(e_hat, n=n_x)
-        f_x = n_x * np.fft.irfft(f, n=n_x, axis=0)
-        f_eta = np.fft.rfft(f_x, axis=1)
-        # eta_j = j / (n_v dv), so the shift phase of column x is w_x^j
-        f_eta *= _phase_powers(-2.0 * np.pi * dt / (n_v * state.dv) * accel, n_v // 2 + 1)
-        f_x = np.fft.irfft(f_eta, n=n_v, axis=1)
-        f = np.fft.rfft(f_x, axis=0)[: k_max + 1] / n_x
+        _kick(f, e_hat, dt, state.dv)
 
     if nu > 0.0:
         rho_post = state.dv * f.sum(axis=1)
-        f = collision_substep(f, rho_post, dt, nu, profile, v_max=state.v_max)
+        collision_substep(f, rho_post, dt, nu, profile, v_max=state.v_max, out=f)
 
-    f = f * half
+    f *= half
     return PhaseState(rows=f, time=state.time + dt, k_max=k_max, v_max=state.v_max)
 
 

@@ -272,6 +272,7 @@ PROBLEM_TABLE = [
     (ECHO + "s_force = -1\n", "echo.s_force: must be > 0"),
     (ECHO + "s_force = 20\n", "echo.s_force: must land before time.t_end"),
     (ECHO + "s_force = 5.001\n", "echo.s_force: must sit on the step grid"),
+    (ECHO + "s_force = 7\n", "echo.s_force: the echo it launches arrives at t* = 14, after"),
     (ECHO + "eps1 = 0\n", "echo.eps1: seed amplitude must be > 0"),
     (ECHO + "eps2 = -1\n", "echo.eps2: forcing amplitude must be >= 0"),
     (SWEEP + "nus = 1e-3, a\n", "sweep.nus: not a number"),
@@ -517,6 +518,17 @@ def test_subnormal_dt_exits_2_with_a_grid_problem(tmp_path, capsys, scenario):
     assert "config error: time.t_end: must be an integer number of steps of dt" in err
     if scenario == "echo_experiment":
         assert "config error: echo.s_force: must sit on the step grid" in err
+
+
+def test_echo_past_t_end_exits_2_without_a_report(tmp_path, capsys):
+    # l = 1, force_mode = -2 kicked at s = 7 echoes at t* = 14, past the default t_end 12.5
+    path = write_config(tmp_path, ECHO + "s_force = 7\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: echo.s_force: the echo it launches arrives at t* = 14, " \
+        "after time.t_end = 12.5" in err
+    assert not (out / "report.json").exists()
 
 
 def test_main_exits_2_on_a_parse_error(tmp_path, capsys):

@@ -7,12 +7,17 @@ accuracy is measured by dt-halving Richardson ratios; the linear regime is
 compared against the closed Volterra march of the density equation and the
 damping rates frozen by the linear-theory suite; echo timing is compared
 against the analytic crossing time and the recurrence arithmetic of the
-velocity grid. The half-storage real-FFT step is checked against the
-full-complex step it replaced (reference_step below), kept here as an
-oracle."""
+velocity grid. The half-storage step (x-transforms as real DFT matrix
+products, real FFTs in v) is checked against the full-complex step it
+replaced (reference_step below), kept here as an oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,6 +427,110 @@ class TestAgainstFullComplexStep:
         assert np.abs(nyq_new - nyq_ref).max() <= roundoff
         assert np.abs(nyq_new).max() > 1000.0 * roundoff  # not zeroed
         assert np.abs(nyq_new - unshifted).max() > 100.0 * roundoff  # not left alone
+
+
+def _march_rows(amp, n_steps=50, k_max=4, n_v=256):
+    state = perturb_density(equilibrium_state(MX_UNIT, k_max, n_v), MX_UNIT, 1, amp)
+    for _ in range(n_steps):
+        state = step(state, 0.05, W_POW, MX_UNIT, 0.01)
+    return state.rows
+
+
+# A short wide-grid Landau march; prints the digest of its recorded density.
+_BLAS_PROBE = """
+import hashlib
+from dataclasses import replace
+from vpkit.config import scenario_defaults
+from vpkit.kinetic import run
+config = replace(scenario_defaults("linear_landau").run, k_max=16, n_v=1024, t_end=1.0)
+history, _ = run(config)
+print(hashlib.sha256(history.rho_hat.tobytes()).hexdigest())
+"""
+
+
+class TestMatrixKick:
+    """The kick's x-transforms are cached real DFT matrices, and its work
+    arrays are per-thread scratch that no returned state ever aliases."""
+
+    @pytest.mark.parametrize("k_max", [1, 2, 4, 8, 16])
+    def test_matrices_are_the_real_ffts(self, k_max, rng):
+        synth, analyze = kin._x_transforms(k_max)
+        n_x = synth.shape[0]
+        assert n_x == max(4 * k_max, 8)
+        rows = rng.standard_normal((k_max + 1, 96)) + 1j * rng.standard_normal((k_max + 1, 96))
+        rows[0] = rows[0].real
+        f_x = synth @ np.concatenate([rows.real, rows.imag])
+        want = n_x * np.fft.irfft(rows, n=n_x, axis=0)
+        assert np.abs(f_x - want).max() <= 1e-14 * np.abs(want).max()
+        back = analyze @ f_x
+        want = np.fft.rfft(f_x, axis=0)[: k_max + 1] / n_x
+        got = back[: k_max + 1] + 1j * back[k_max + 1:]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert not np.any(back[k_max + 1])  # row 0 comes back exactly real
+        assert np.abs(got - rows).max() <= 1e-14 * np.abs(rows).max()
+
+    def test_matrices_are_cached_read_only(self):
+        synth, analyze = kin._x_transforms(4)
+        assert kin._x_transforms(4)[0] is synth
+        assert not synth.flags.writeable and not analyze.flags.writeable
+
+    def test_row_zero_of_every_stepped_state_is_exactly_real(self):
+        state = small_state(amp=0.3)
+        ext = np.zeros(state.k_max + 1, complex)
+        ext[0], ext[1] = 2.0 + 5.0j, 1.0 - 1.0j  # Im of mode 0 must not leak in
+        for n in range(60):
+            state = step(state, 0.05, W_POW, MX_UNIT, 0.01,
+                         external_field_hat=ext if n % 7 == 0 else None)
+            assert not np.any(state.rows[0].imag)
+
+    def test_phase_table_is_written_into_out(self):
+        theta = np.linspace(-0.7, 0.9, 12)
+        for n in (1, 2, 16, 257, 513):
+            out = np.empty((theta.size, n), complex)
+            table = kin._phase_powers(theta, n, out=out)
+            assert table is out
+            want = np.exp(1j * np.outer(theta, np.arange(n)))
+            assert np.abs(table - want).max() <= 1e-13
+            assert np.array_equal(kin._phase_powers(theta, n), table)
+
+    def test_states_share_no_memory_with_each_other_or_the_scratch(self):
+        states = [small_state(amp=0.3)]
+        for _ in range(4):
+            states.append(step(states[-1], 0.05, W_POW, MX_UNIT, 0.01))
+        other = small_state(amp=0.1)
+        for _ in range(2):
+            other = step(other, 0.05, W_POW, MX_UNIT, 0.01)
+        arrays = [s.rows for s in states] + [other.rows]
+        scratch = kin._kick_scratch(*kin._x_transforms(states[0].k_max)[0].shape, states[0].n_v)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+            assert not any(np.shares_memory(a, b) for b in scratch)
+
+    def test_threads_on_one_grid_give_the_sequential_bytes(self):
+        # more threads than cores, switching often, so shared scratch would tear
+        amps = (0.2, 0.05, 0.1)
+        sequential = [_march_rows(a) for a in amps]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(amps)) as pool:
+                futures = [pool.submit(_march_rows, a) for a in amps]
+                threaded = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for seq, thr in zip(sequential, threaded):
+            assert seq.tobytes() == thr.tobytes()
+
+    def test_blas_thread_count_does_not_change_the_bytes(self):
+        src = str(Path(kin.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestResolutionGuard:
