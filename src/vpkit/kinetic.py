@@ -278,36 +278,37 @@ def _x_transforms(k_max: int):
 _scratch = threading.local()
 
 
-def _kick_scratch(n_x: int, n_stack: int, n_v: int):
-    """The kick's work arrays for one grid: the (n_stack, n_v) [Re; Im]
-    stack, f(x, v), its velocity spectrum and the phase table. Each thread
-    allocates them once per grid and writes them in place, holding only
-    its latest grid."""
-    if getattr(_scratch, "grid", None) != (n_x, n_stack, n_v):
-        n_eta = n_v // 2 + 1
-        _scratch.arrays = (
-            np.empty((n_stack, n_v)),
-            np.empty((n_x, n_v)),
-            np.empty((n_x, n_eta), dtype=complex),
-            np.empty((n_x, n_eta), dtype=complex),
-        )
-        _scratch.grid = (n_x, n_stack, n_v)
-    return _scratch.arrays
+def _work(name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """The calling thread's work array called name, of the given shape.
+
+    The step's large temporaries live here: each thread allocates one array
+    per name and writes it in place while the grid stays the same, so only
+    its most recent grid is held. A work array never leaves the function
+    that fills it."""
+    array = getattr(_scratch, name, None)
+    if array is None or array.shape != shape or array.dtype != dtype:
+        array = np.empty(shape, dtype=dtype)
+        setattr(_scratch, name, array)
+    return array
 
 
 def _kick(f: np.ndarray, e_hat: np.ndarray, dt: float, dv: float) -> None:
     """Shift every column of f (half storage, written in place) in v by the
-    frozen field e_hat, through per-thread scratch."""
+    frozen field e_hat, through per-thread work arrays."""
     k_max, n_v = f.shape[0] - 1, f.shape[1]
     synth, analyze = _x_transforms(k_max)
-    stack, f_x, f_eta, phase = _kick_scratch(*synth.shape, n_v)
+    n_x, n_eta = synth.shape[0], n_v // 2 + 1
+    stack = _work("stack", (2 * (k_max + 1), n_v))
+    f_x = _work("f_x", (n_x, n_v))
+    f_eta = _work("f_eta", (n_x, n_eta), complex)
     accel = Q_OVER_M * (synth @ np.concatenate([e_hat.real, e_hat.imag]))
     np.copyto(stack[: k_max + 1], f.real)
     np.copyto(stack[k_max + 1:], f.imag)
     np.matmul(synth, stack, out=f_x)
     np.fft.rfft(f_x, axis=1, out=f_eta)
     # eta_j = j / (n_v dv), so the shift phase of column x is w_x^j
-    f_eta *= _phase_powers(-2.0 * np.pi * dt / (n_v * dv) * accel, n_v // 2 + 1, out=phase)
+    f_eta *= _phase_powers(-2.0 * np.pi * dt / (n_v * dv) * accel, n_eta,
+                           out=_work("phase", (n_x, n_eta), complex))
     np.fft.irfft(f_eta, n=n_v, axis=1, out=f_x)
     np.matmul(analyze, f_x, out=stack)
     np.copyto(f.real, stack[: k_max + 1])
@@ -330,8 +331,7 @@ def collision_substep(
     equilibrium carries unit grid mass, so each density mode is exactly
     invariant; nu = 0 (or dt = 0) returns the input unchanged, dt -> +inf
     lands on rho f0. out, when given, receives the result and may be f_slice
-    itself (the step relaxes in place); the relaxation term is added one row
-    at a time, so no temporary of the table's size is made.
+    itself (the step relaxes in place).
     """
     if nu < 0.0:
         raise ConstraintViolation("collision frequency nu must be >= 0")
@@ -348,9 +348,10 @@ def collision_substep(
         return out
     decay = math.exp(-nu * dt)
     f0 = _equilibrium_rows(profile, f.shape[1], float(v_max))
+    relaxed = np.outer(rho, f0, out=_work("relaxed", f.shape, complex))
+    relaxed *= 1.0 - decay
     out = np.multiply(f, decay, out=out)
-    for row, rho_k in zip(out, rho):
-        row += (1.0 - decay) * (rho_k * f0)
+    out += relaxed
     return out
 
 
@@ -414,11 +415,11 @@ def step(
     zeroing the bin instead would strip the equilibrium of its own Nyquist
     content at the first kick. The modes k = 0 .. k_max come back from the
     x grid through the second cached matrix, whose k = 0 sine row is exactly
-    zero, so row 0 stays exactly real. The v-transforms are real FFTs, and
-    the kick's work arrays are per-thread scratch reused from step to step;
-    the returned state owns fresh rows that share no memory with them. The
-    collision substep is the closed-form relaxation. Negative dt steps
-    backward; dt = 0 is the identity.
+    zero, so row 0 stays exactly real. The v-transforms are real FFTs. The
+    collision substep is the closed-form relaxation, applied in place. The
+    kick's and the relaxation's large temporaries are per-thread work arrays
+    reused from step to step; the returned state owns fresh rows that share
+    no memory with them. Negative dt steps backward; dt = 0 is the identity.
 
     external_field_hat, when given, is added to the self-consistent field
     for this step only (amplitudes of the modes k = 0 .. k_max of a real
