@@ -230,23 +230,36 @@ def _transport_phase(k_max: int, n_v: int, v_max: float, h: float):
     return phase
 
 
-def _phase_powers(theta: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Table exp(i theta_x j), j = 0 .. n-1, of shape (theta.size, n).
+def _phase_blocks(n: int) -> tuple[int, int]:
+    """(R, Q) of the phase table for n powers: R a power of two near sqrt(n),
+    at least 4, and Q = ceil(n / R) blocks, so the table has Q R >= n
+    columns and Q R is a multiple of 4."""
+    R = max(4, 1 << (n.bit_length() // 2))
+    return R, -(-n // R)
 
-    Factored as exp(i theta_x R q) * exp(i theta_x r) with j = R q + r and
-    R about sqrt(n), so each row costs about 2 sqrt(n) complex exponentials
-    instead of n, at the same few-ulp accuracy. out, when given, is a
-    C-contiguous complex (theta.size, n) array the table is written into."""
-    R = 1 << (n.bit_length() // 2)
-    full = n // R
+
+def _phase_powers(theta: np.ndarray, n: int, out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
+    """Table exp(i theta_x j), j = 0 .. Q R - 1, of shape (theta.size, Q R)
+    with (R, Q) = _phase_blocks(n): the n powers asked for, padded with the
+    next ones to whole blocks.
+
+    Factored as exp(i theta_x R q) * exp(i theta_x r) with j = R q + r, so
+    each row costs about 2 sqrt(n) complex exponentials instead of n, at the
+    same few-ulp accuracy. out and work, when given, are C-contiguous complex
+    arrays of the table's shape; the table is written into out. Both factors
+    are broadcast into full tables by copies and multiplied in one
+    contiguous pass, which numpy runs without iteration buffers."""
+    R, Q = _phase_blocks(n)
     low = np.exp(1j * np.outer(theta, np.arange(R)))
-    high = np.exp(1j * np.outer(theta, R * np.arange(-(-n // R))))
-    if out is None:
-        out = np.empty((theta.size, n), dtype=complex)
-    np.multiply(high[:, :full, None], low[:, None, :],
-                out=out[:, : full * R].reshape(theta.size, full, R))
-    np.multiply(high[:, full:], low[:, : n - full * R], out=out[:, full * R:])
-    return out
+    high = np.exp(1j * np.outer(theta, R * np.arange(Q)))
+    blocks = (theta.size, Q, R)
+    out = np.empty(blocks, dtype=complex) if out is None else out.reshape(blocks)
+    work = np.empty(blocks, dtype=complex) if work is None else work.reshape(blocks)
+    np.copyto(out, high[:, :, None])
+    np.copyto(work, low[:, None, :])
+    out *= work
+    return out.reshape(theta.size, Q * R)
 
 
 @lru_cache(maxsize=16)
@@ -279,7 +292,8 @@ _scratch = threading.local()
 
 
 def _work(name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """The calling thread's work array called name, of the given shape.
+    """The calling thread's work array called name, of the given shape
+    (zeros when first allocated).
 
     The step's large temporaries live here: each thread allocates one array
     per name and writes it in place while the grid stays the same, so only
@@ -287,30 +301,42 @@ def _work(name: str, shape: tuple, dtype=float) -> np.ndarray:
     that fills it."""
     array = getattr(_scratch, name, None)
     if array is None or array.shape != shape or array.dtype != dtype:
-        array = np.empty(shape, dtype=dtype)
+        array = np.zeros(shape, dtype=dtype)
         setattr(_scratch, name, array)
     return array
 
 
 def _kick(f: np.ndarray, e_hat: np.ndarray, dt: float, dv: float) -> None:
     """Shift every column of f (half storage, written in place) in v by the
-    frozen field e_hat, through per-thread work arrays."""
+    frozen field e_hat, through per-thread work arrays.
+
+    The real FFT in v and both DFT matrices are real-linear, so they
+    commute: the 2(k_max+1) stacked rows go through the velocity FFTs and
+    the n_x points of the x grid only through the matrix products, which
+    gives the same map as synthesizing f(x, v) first with fewer FFT rows.
+    The spectra are stored as wide as the phase table, n_pad >= n_eta
+    columns with zeros past n_eta, so the phase multiplies them in one
+    contiguous pass and the products run over a multiple of 8 real columns,
+    for which OpenBLAS gives the same bytes at any thread count."""
     k_max, n_v = f.shape[0] - 1, f.shape[1]
     synth, analyze = _x_transforms(k_max)
     n_x, n_eta = synth.shape[0], n_v // 2 + 1
+    R, Q = _phase_blocks(n_eta)
+    n_pad = Q * R
     stack = _work("stack", (2 * (k_max + 1), n_v))
-    f_x = _work("f_x", (n_x, n_v))
-    f_eta = _work("f_eta", (n_x, n_eta), complex)
+    spec = _work("spec", (2 * (k_max + 1), n_pad), complex)
+    f_eta = _work("f_eta", (n_x, n_pad), complex)
     accel = Q_OVER_M * (synth @ np.concatenate([e_hat.real, e_hat.imag]))
     np.copyto(stack[: k_max + 1], f.real)
     np.copyto(stack[k_max + 1:], f.imag)
-    np.matmul(synth, stack, out=f_x)
-    np.fft.rfft(f_x, axis=1, out=f_eta)
+    np.fft.rfft(stack, axis=1, out=spec[:, :n_eta])
+    np.matmul(synth, spec.view(float), out=f_eta.view(float))
     # eta_j = j / (n_v dv), so the shift phase of column x is w_x^j
     f_eta *= _phase_powers(-2.0 * np.pi * dt / (n_v * dv) * accel, n_eta,
-                           out=_work("phase", (n_x, n_eta), complex))
-    np.fft.irfft(f_eta, n=n_v, axis=1, out=f_x)
-    np.matmul(analyze, f_x, out=stack)
+                           out=_work("phase", (n_x, n_pad), complex),
+                           work=_work("phase_factor", (n_x, n_pad), complex))
+    np.matmul(analyze, f_eta.view(float), out=spec.view(float))
+    np.fft.irfft(spec[:, :n_eta], n=n_v, axis=1, out=stack)
     np.copyto(f.real, stack[: k_max + 1])
     np.copyto(f.imag, stack[k_max + 1:])
 
@@ -347,8 +373,12 @@ def collision_substep(
         np.copyto(out, f)
         return out
     decay = math.exp(-nu * dt)
-    f0 = _equilibrium_rows(profile, f.shape[1], float(v_max))
-    relaxed = np.outer(rho, f0, out=_work("relaxed", f.shape, complex))
+    # the outer product rho f0, a row at a time: a broadcast product makes numpy
+    # allocate iteration buffers, about 260 kB per call
+    f0 = _equilibrium_rows(profile, f.shape[1], float(v_max)).astype(complex)
+    relaxed = _work("relaxed", f.shape, complex)
+    for row, rho_k in zip(relaxed, rho):
+        np.multiply(f0, rho_k, out=row)
     relaxed *= 1.0 - decay
     out = np.multiply(f, decay, out=out)
     out += relaxed
@@ -404,12 +434,13 @@ def step(
     Transport multiplies row k by exp(-2 pi i k v dt/2), exact at any dt.
     The kick solves the field from the mid-step density, synthesizes the
     real acceleration and the real f(x, v) on a dealiased x grid of 4 k_max
-    points (one product with a cached real DFT matrix of the stacked real
-    and imaginary parts of the k >= 0 modes), and shifts each column in v
+    points (a product with a cached real DFT matrix of the stacked real and
+    imaginary parts of the k >= 0 modes; it is applied to their real-FFT
+    velocity spectra, which is the same map), and shifts each column in v
     through the spectral phase exp(-2 pi i eta a(x) dt) on the real-FFT
-    frequencies eta = 0 .. 1/(2 dv), exact for a frozen field. The v-Nyquist bin
-    eta = 1/(2 dv) of a real column is real, so the inverse real FFT keeps
-    the real part of its shifted value: the bin is scaled by
+    frequencies eta = 0 .. 1/(2 dv), exact for a frozen field. The
+    v-Nyquist bin eta = 1/(2 dv) of a real column is real, so the inverse
+    real FFT keeps the real part of its shifted value: the bin is scaled by
     cos(pi a(x) dt / dv). That is this solver's convention, and it is the
     bin a full complex kick followed by a projection onto real f produces;
     zeroing the bin instead would strip the equilibrium of its own Nyquist

@@ -486,10 +486,12 @@ class TestMatrixKick:
     def test_phase_table_is_written_into_out(self):
         theta = np.linspace(-0.7, 0.9, 12)
         for n in (1, 2, 16, 257, 513):
-            out = np.empty((theta.size, n), complex)
-            table = kin._phase_powers(theta, n, out=out)
-            assert table is out
-            want = np.exp(1j * np.outer(theta, np.arange(n)))
+            R, Q = kin._phase_blocks(n)
+            assert Q * R >= n and (Q * R) % 4 == 0
+            out, work = (np.empty((theta.size, Q * R), complex) for _ in range(2))
+            table = kin._phase_powers(theta, n, out=out, work=work)
+            assert np.shares_memory(table, out) and table.shape == out.shape
+            want = np.exp(1j * np.outer(theta, np.arange(Q * R)))
             assert np.abs(table - want).max() <= 1e-13
             assert np.array_equal(kin._phase_powers(theta, n), table)
 
@@ -502,7 +504,7 @@ class TestMatrixKick:
             other = step(other, 0.05, W_POW, MX_UNIT, 0.01)
         arrays = [s.rows for s in states] + [other.rows]
         scratch = list(vars(kin._scratch).values())
-        assert len(scratch) == 5  # the kick's four work arrays and the relaxation term
+        assert len(scratch) == 6  # the kick's five work arrays and the relaxation term
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
             assert not any(np.shares_memory(a, b) for b in scratch)
