@@ -315,9 +315,10 @@ def _kick(f: np.ndarray, e_hat: np.ndarray, dt: float, dv: float) -> None:
     the n_x points of the x grid only through the matrix products, which
     gives the same map as synthesizing f(x, v) first with fewer FFT rows.
     The spectra are stored as wide as the phase table, n_pad >= n_eta
-    columns with zeros past n_eta, so the phase multiplies them in one
-    contiguous pass and the products run over a multiple of 8 real columns,
-    for which OpenBLAS gives the same bytes at any thread count."""
+    columns, so the phase multiplies them in one contiguous pass and the
+    products run over a multiple of 8 real columns, for which OpenBLAS gives
+    the same bytes at any thread count. The columns past n_eta ride along
+    (the columns of a matrix product never mix) and are never read back."""
     k_max, n_v = f.shape[0] - 1, f.shape[1]
     synth, analyze = _x_transforms(k_max)
     n_x, n_eta = synth.shape[0], n_v // 2 + 1

@@ -510,7 +510,7 @@ class TestMatrixKick:
             assert not any(np.shares_memory(a, b) for b in scratch)
 
     def test_threads_on_one_grid_give_the_sequential_bytes(self):
-        # more threads than cores, switching often, so shared scratch would tear
+        # three threads switching often: a work array shared between them would tear
         amps = (0.2, 0.05, 0.1)
         sequential = [_march_rows(a) for a in amps]
         interval = sys.getswitchinterval()
