@@ -238,28 +238,25 @@ def _phase_blocks(n: int) -> tuple[int, int]:
     return R, -(-n // R)
 
 
-def _phase_powers(theta: np.ndarray, n: int, out: np.ndarray | None = None,
-                  work: np.ndarray | None = None) -> np.ndarray:
+def _phase_powers(theta: np.ndarray, n: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Table exp(i theta_x j), j = 0 .. Q R - 1, of shape (theta.size, Q R)
     with (R, Q) = _phase_blocks(n): the n powers asked for, padded with the
     next ones to whole blocks.
 
     Factored as exp(i theta_x R q) * exp(i theta_x r) with j = R q + r, so
     each row costs about 2 sqrt(n) complex exponentials instead of n, at the
-    same few-ulp accuracy. out and work, when given, are C-contiguous complex
-    arrays of the table's shape; the table is written into out. Both factors
+    same few-ulp accuracy. out and work are C-contiguous complex arrays of
+    the table's shape; the table is written into out. Both factors
     are broadcast into full tables by copies and multiplied in one
     contiguous pass, which numpy runs without iteration buffers."""
     R, Q = _phase_blocks(n)
     low = np.exp(1j * np.outer(theta, np.arange(R)))
     high = np.exp(1j * np.outer(theta, R * np.arange(Q)))
-    blocks = (theta.size, Q, R)
-    out = np.empty(blocks, dtype=complex) if out is None else out.reshape(blocks)
-    work = np.empty(blocks, dtype=complex) if work is None else work.reshape(blocks)
-    np.copyto(out, high[:, :, None])
-    np.copyto(work, low[:, None, :])
-    out *= work
-    return out.reshape(theta.size, Q * R)
+    table, factor = (a.reshape(theta.size, Q, R) for a in (out, work))
+    np.copyto(table, high[:, :, None])
+    np.copyto(factor, low[:, None, :])
+    table *= factor
+    return out
 
 
 @lru_cache(maxsize=16)
