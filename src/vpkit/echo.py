@@ -5,10 +5,11 @@ initial perturbation has mixed away; the strength of that interaction is
 captured by a two-time kernel K(t, s) built from a supremum over integer mode
 pairs. This module evaluates the kernel exactly on a truncation box, checks
 the closed-form integral table that controls it piece by piece, computes its
-forward and backward collision-weighted moments against their predicted
-shapes, locates echo times, and assembles the growth envelope and the
-integral-inequality verifier that together certify that a density history
-stays below an exponential envelope.
+collision-weighted moments against their predicted shapes (the forward one in
+closed form over the linear pieces of log K, the backward one by adaptive
+Simpson quadrature), locates echo times, and assembles the growth envelope
+and the integral-inequality verifier that together certify that a density
+history stays below an exponential envelope.
 
 All non-constructive constants are handled by calibrate-then-freeze: the
 smallest working constant is fitted on a calibration grid, doubled, frozen
@@ -104,6 +105,13 @@ _SIMPSON_DEPTH = 42
 _CHUNK = 128
 # Rows of the sup evaluated together once row 1 has set a first bound.
 _ROW_BLOCK = 8
+# Exponent gap below which two lines of the forward envelope count as meeting.
+# A line's computed value carries rounding near 1e-13 at |exponent| ~ 500, and
+# a line that clears the envelope by less moves the moment by under 1e-12
+# relative, on a stretch narrower than 1e-12 over the gap in slopes.
+_ENVELOPE_TOL = 1e-12
+# Intervals between tent peaks whose candidate lines are held at once.
+_ENVELOPE_CHUNK = 256
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -312,24 +320,153 @@ def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
     return numeric, bound
 
 
-def echo_moment_forward(spec: EchoKernelSpec, nu: float, t: float,
-                        rel_tol: float = 1e-9):
+def _tent_lines(spec: EchoKernelSpec, t: float, mid: np.ndarray, peak: np.ndarray,
+                height: np.ndarray, rows: np.ndarray, live: np.ndarray) -> tuple:
+    """(anchor, height, slope) of the candidate lines on each interval with
+    midpoint mid: per row l in rows, the tents m = floor(l s/tau), m + 1 and
+    1, clamped to the row's live tents 1..live, then the floor."""
+    x = rows * mid[:, None] / (t - mid[:, None])
+    m0 = np.floor(np.minimum(x, live))
+    m = np.stack([m0, m0 + 1.0, np.ones_like(m0)], axis=2)
+    m = np.clip(m, 1.0, live[:, None]).reshape(mid.size, -1)
+    l = np.repeat(rows, 3)
+    idx = ((l - 1.0) * spec.trunc + (m - 1.0)).astype(np.intp)
+    anchor, top = peak.ravel()[idx], height.ravel()[idx]
+    # a tent rises at alpha d (1 + 1/t) left of its peak and changes at
+    # alpha d (1/t - 1) right of it
+    slope = spec.alpha * (m + l) * (1.0 / t + np.where(anchor > mid[:, None], 1.0, -1.0))
+    zero = np.zeros((mid.size, 1))
+    return (np.hstack([anchor, zero]), np.hstack([top, zero - spec.alpha * (1.0 + t)]),
+            np.hstack([slope, zero]))
+
+
+def _forward_pieces(spec: EchoKernelSpec, t: float):
+    """Linear pieces of F(s) = log(K(t, s)/(1 + s)) on [0, t].
+
+    Returns (a, b, fa, fb): on [a[j], b[j]], F runs linearly from fa[j] to
+    fb[j]. The pieces cover [0, t] in no particular order, and some may have
+    zero width. echo_moment_forward's docstring has the proof.
+    """
+    l = np.arange(1.0, spec.trunc + 1.0)[:, None]
+    m = l.T
+    peak = t * (m / (m + l))  # equal ratios m/(m+l) give equal floats
+    height = -2.0 * spec.alpha * l - _log_denominator(spec)[(m + l).astype(np.intp)]
+    clear = height > -spec.alpha * (1.0 + t)  # a prefix of each row
+    live = clear.sum(axis=1).astype(float)
+    rows = np.flatnonzero(live) + 1.0
+    ends = np.unique(np.concatenate([[0.0, t], peak[clear]]))
+    out = []
+    for i in range(0, ends.size - 1, _ENVELOPE_CHUNK):
+        a, b = ends[:-1][i : i + _ENVELOPE_CHUNK], ends[1:][i : i + _ENVELOPE_CHUNK]
+        anchor, top, slope = _tent_lines(spec, t, 0.5 * (a + b), peak, height, rows,
+                                         live[rows.astype(np.intp) - 1])
+
+        def line(cell, cols, s):  # value at s of line cols of interval cell
+            return top[cell, cols] + slope[cell, cols] * (s - anchor[cell, cols])
+
+        def emit(keep, lo, hi, cols):
+            c, cols, lo, hi = cell[keep], cols[keep], lo[keep], hi[keep]
+            out.append((lo, hi, line(c, cols, lo), line(c, cols, hi)))
+
+        cell = np.arange(a.size)
+        win_a = np.argmax(top + slope * (a[:, None] - anchor), axis=1)
+        win_b = np.argmax(top + slope * (b[:, None] - anchor), axis=1)
+        # split at the crossing of the lines that win the two ends until one
+        # line wins both: the envelope is convex between peaks
+        while cell.size:
+            fa, fb = line(cell, win_a, a), line(cell, win_b, b)
+            right = line(cell, win_b, a) >= fa - _ENVELOPE_TOL
+            one = right | (line(cell, win_a, b) >= fb - _ENVELOPE_TOL)
+            emit(one, a, b, np.where(right, win_b, win_a))
+            two = ~one
+            cell, a, b, fa = cell[two], a[two], b[two], fa[two]
+            win_a, win_b = win_a[two], win_b[two]
+            gap = slope[cell, win_b] - slope[cell, win_a]  # > 0: the lines cross
+            cross = np.clip(a + (fa - line(cell, win_b, a)) / gap, a, b)
+            lines = top[cell] + slope[cell] * (cross[:, None] - anchor[cell])
+            win_c = np.argmax(lines, axis=1)
+            vertex = lines[np.arange(cell.size), win_c] <= np.maximum(
+                line(cell, win_a, cross), line(cell, win_b, cross)) + _ENVELOPE_TOL
+            emit(vertex, a, cross, win_a)
+            emit(vertex, cross, b, win_b)
+            keep = ~vertex
+            cell = np.concatenate([cell[keep], cell[keep]])
+            a, b = np.concatenate([a[keep], cross[keep]]), np.concatenate([cross[keep], b[keep]])
+            win_a = np.concatenate([win_a[keep], win_c[keep]])
+            win_b = np.concatenate([win_c[keep], win_b[keep]])
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def _phi(z: np.ndarray):
+    """phi1(z) = (e^z - 1)/z and psi(z) = (1 + (z - 1) e^z)/z^2 for z <= 0,
+    the integrals of e^{zv} and v e^{zv} over v in [0, 1]. Where z > -1/2
+    they come from their Taylor series sum z^n/(n+1)! and
+    sum z^n/(n! (n+2)), 17 terms (the rest is below 1e-20), because the
+    closed form of psi cancels there."""
+    small = z > -0.5
+    zs = np.where(small, z, 0.0)
+    phi1, psi = np.zeros_like(z), np.zeros_like(z)
+    for n in range(16, -1, -1):
+        phi1 = phi1 * zs + 1.0 / math.factorial(n + 1)
+        psi = psi * zs + 1.0 / (math.factorial(n) * (n + 2))
+    zb = np.where(small, -1.0, z)
+    return (np.where(small, phi1, np.expm1(zb) / zb),
+            np.where(small, psi, (1.0 + (zb - 1.0) * np.exp(zb)) / (zb * zb)))
+
+
+def echo_moment_forward(spec: EchoKernelSpec, nu: float, t: float):
     """Collision-weighted forward moment of the kernel and its predicted shape.
 
     Returns (numeric, shape) with numeric = int_0^t K(t,s) e^{-nu (t-s)} ds
     and shape = 1 / (alpha^3 nu^{1+gamma} t^{gamma-1}), the constant-free
     decay profile the moment must stay below (up to a fitted constant) in the
-    weak-collision regime nu < alpha. rel_tol loosens the quadrature for
-    stability experiments; the default is the pinned production tolerance.
+    weak-collision regime nu < alpha.
+
+    The integral is exact, with no quadrature. F(s) = log(K(t,s)/(1+s)) is
+    piecewise linear in s. With tau = t - s and the row exponent E(k) of
+    echo_kernel, every term with k >= 1 has phase k tau + l s >= tau + s = t,
+    -alpha l <= -alpha and d >= 0, so it lies below the floor
+    E = -alpha (1 + t) of (k, l) = (1, 1). A term with k = -m, m >= 1, has
+    d = m + l and
+
+        E = -alpha l - g(m+l) - alpha (m+l) tau/t - alpha |(m+l) s - m t|,
+
+    a tent peaked at p = m t/(m+l) with height -2 alpha l - g(m+l), rising
+    at alpha (m+l)(1 + 1/t) on its left and changing at alpha (m+l)(1/t - 1)
+    on its right. So F is the larger of the floor and the trunc^2 tents. The
+    heights fall as m grows, so the tents that clear the floor are a prefix
+    of each row, and only their peaks split [0, t] into intervals. None
+    clears it while alpha (t - 1) <= g(2); this covers t < 1, where the right
+    sides rise too. On an interval each tent is one line, and
+    by the candidate-set proof of echo_kernel the sup of row l there is one
+    of the tents m = floor(l s/tau) and m + 1, whose peaks bracket the
+    interval, and m = 1 (each clamped to the row's prefix; a clamped tent is
+    still a term of the sup). F is the upper envelope of these lines and the
+    floor, which is convex, so the line that wins both ends of a stretch
+    holds on all of it: each interval is split at the crossing of the lines
+    that win its two ends until one line wins both. On a piece [a, b] where
+    G(s) = F(s) - nu (t - s) has slope B, with h = b - a and z = B h,
+
+        int_a^b (1+s) e^G ds = e^{G(a)} h [(1 + a) phi1(z) + h psi(z)],
+
+    phi1(z) = (e^z - 1)/z, psi(z) = (1 + (z - 1) e^z)/z^2. Where B > 0 the
+    same integral runs from b down to a, so that z <= 0 and nothing
+    overflows. The pieces are summed with math.fsum. _adaptive_simpson on
+    echo_kernel is the tests' oracle for this integral.
     """
     if not 0.0 < nu < spec.alpha:
         raise ConstraintViolation("need 0 < nu < alpha")
     if t <= 0:
         raise ConstraintViolation("need t > 0")
-    numeric = _adaptive_simpson(
-        lambda s: echo_kernel(spec, t, s) * _exp(-nu * (t - s)),
-        0.0, t, rel_tol=rel_tol,
+    a, b, fa, fb = _forward_pieces(spec, t)
+    h = b - a
+    ga, gb = fa - nu * (t - a), fb - nu * (t - b)
+    down = gb > ga  # integrate from the higher end
+    phi1, psi = _phi(-np.abs(gb - ga))
+    pieces = np.exp(np.where(down, gb, ga)) * h * (
+        np.where(down, 1.0 + b, 1.0 + a) * phi1 + np.where(down, -h, h) * psi
     )
+    numeric = math.fsum(pieces.tolist())
     shape = 1.0 / (spec.alpha**3 * nu ** (1.0 + spec.gamma) * t ** (spec.gamma - 1.0))
     return numeric, shape
 

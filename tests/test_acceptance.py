@@ -18,12 +18,13 @@ from vpkit.lintheory import free_streaming_response
 
 
 # Exact summary-CSV lines of the kernel criteria. Their numbers come from the
-# echo kernel and the adaptive Simpson quadrature, both deterministic to the
-# bit, so any drift in that numerics fails here even inside the tolerances.
+# echo kernel, the adaptive Simpson quadrature and the closed-form forward
+# moments, all deterministic to the bit, so any drift in that numerics fails
+# here even inside the tolerances.
 PINNED_LINES = {
     7: "7,phase_integral_table,true,cases=200;violations=0;worst_ratio=1.0000000000000069",
-    8: "8,moment_decay_shapes,true,dyadic_exponent=0.95947019086707408;"
-       "exponent_floor=0.80000000000000004;forward_constant_ratio=0.11841259143503598;"
+    8: "8,moment_decay_shapes,true,dyadic_exponent=0.95947019058236305;"
+       "exponent_floor=0.80000000000000004;forward_constant_ratio=0.11841259144366238;"
        "backward_constant_ratio=0.23323510812248258",
     11: "11,weighted_growth_control,true,hypothesis_ratio=0.99537899292645904;"
         "crude_bound_ratio=0.40747369623834145;envelope_ratio=0.002217159139367735;"
