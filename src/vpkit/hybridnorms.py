@@ -141,6 +141,9 @@ class NormParams:
 
 
 def _kahan_sum(values) -> float:
+    # Python floats round as float64 scalars do, and loop several times faster
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     total = 0.0
     carry = 0.0
     for v in values:
