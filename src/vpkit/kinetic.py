@@ -217,9 +217,19 @@ def poisson_field(rho_hat_values, W: Interaction, modes) -> np.ndarray:
     modes = np.asarray(modes, dtype=int)
     if modes.ndim != 1 or rho.shape[-1:] != modes.shape:
         raise ConstraintViolation("rho_hat and mode arrays must align")
-    e_hat = 2j * np.pi * modes * interaction_hat(W, modes) * rho
+    e_hat = _field_factor(W, modes.tobytes()) * rho
     e_hat[..., modes == 0] = 0.0
     return e_hat
+
+
+@lru_cache(maxsize=16)
+def _field_factor(W: Interaction, modes: bytes) -> np.ndarray:
+    """2 pi i k W_hat(k) of poisson_field, read-only, for the int modes
+    whose bytes are given; fixed for a run, so a step does not rebuild it."""
+    k = np.frombuffer(modes, dtype=int)
+    factor = 2j * np.pi * k * interaction_hat(W, k)
+    factor.setflags(write=False)
+    return factor
 
 
 @lru_cache(maxsize=16)
