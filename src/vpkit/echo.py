@@ -117,7 +117,8 @@ _ENVELOPE_CHUNK = 256
 def _exp(x: np.ndarray) -> np.ndarray:
     """math.exp of each element of a 1-d float array, streamed through a
     memoryview so no list of Python floats is built. np.exp rounds some
-    inputs differently, and the kernel and moments are defined by math.exp."""
+    inputs differently, and the kernel and the quadrature integrands are
+    defined by math.exp."""
     return np.fromiter(map(math.exp, memoryview(x)), float, count=x.size)
 
 
@@ -354,12 +355,12 @@ def _forward_pieces(spec: EchoKernelSpec, t: float):
     clear = height > -spec.alpha * (1.0 + t)  # a prefix of each row
     live = clear.sum(axis=1).astype(float)
     rows = np.flatnonzero(live) + 1.0
+    live = live[live > 0.0]
     ends = np.unique(np.concatenate([[0.0, t], peak[clear]]))
     out = []
     for i in range(0, ends.size - 1, _ENVELOPE_CHUNK):
         a, b = ends[:-1][i : i + _ENVELOPE_CHUNK], ends[1:][i : i + _ENVELOPE_CHUNK]
-        anchor, top, slope = _tent_lines(spec, t, 0.5 * (a + b), peak, height, rows,
-                                         live[rows.astype(np.intp) - 1])
+        anchor, top, slope = _tent_lines(spec, t, 0.5 * (a + b), peak, height, rows, live)
 
         def line(cell, cols, s):  # value at s of line cols of interval cell
             return top[cell, cols] + slope[cell, cols] * (s - anchor[cell, cols])
