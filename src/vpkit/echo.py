@@ -110,8 +110,10 @@ _ROW_BLOCK = 8
 # a line that clears the envelope by less moves the moment by under 1e-12
 # relative, on a stretch narrower than 1e-12 over the gap in slopes.
 _ENVELOPE_TOL = 1e-12
-# Intervals between tent peaks whose candidate lines are held at once.
-_ENVELOPE_CHUNK = 256
+# Intervals between tent peaks whose candidate lines are held at once. Their
+# temporaries stay near 2.5 MB at trunc = 64, under the peak memory of the
+# rest of the kernel battery; 256 intervals raised that peak by 3 MB.
+_ENVELOPE_CHUNK = 128
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
