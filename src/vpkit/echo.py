@@ -110,10 +110,10 @@ _ROW_BLOCK = 8
 # a line that clears the envelope by less moves the moment by under 1e-12
 # relative, on a stretch narrower than 1e-12 over the gap in slopes.
 _ENVELOPE_TOL = 1e-12
-# Intervals between tent peaks whose candidate lines are held at once. Their
-# temporaries stay near 2.5 MB at trunc = 64, under the peak memory of the
-# rest of the kernel battery; 256 intervals raised that peak by 3 MB.
-_ENVELOPE_CHUNK = 128
+# Intervals between tent peaks whose candidate lines are held at once. At 64
+# their temporaries (about 1 MB at trunc = 64) stay under the peak memory of
+# the rest of the kernel battery; 128 raised that peak by 0.5 MB, 256 by 2 MB.
+_ENVELOPE_CHUNK = 64
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -323,24 +323,21 @@ def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
     return numeric, bound
 
 
-def _tent_lines(spec: EchoKernelSpec, t: float, mid: np.ndarray, peak: np.ndarray,
-                height: np.ndarray, rows: np.ndarray, live: np.ndarray) -> tuple:
-    """(anchor, height, slope) of the candidate lines on each interval with
-    midpoint mid: per row l in rows, the tents m = floor(l s/tau), m + 1 and
-    1, clamped to the row's live tents 1..live, then the floor."""
+def _candidates(spec: EchoKernelSpec, t: float, mid: np.ndarray, rows: np.ndarray,
+                live: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Table indices of the candidate lines on each interval with midpoint
+    mid (see _forward_pieces): per row l in rows, the tents m = floor(l s/tau),
+    m + 1 and 1, clamped to the row's live tents 1..live, each on the side
+    of its peak the interval lies on; then the floor."""
+    trunc2 = spec.trunc**2
     x = rows * mid[:, None] / (t - mid[:, None])
     m0 = np.floor(np.minimum(x, live))
     m = np.stack([m0, m0 + 1.0, np.ones_like(m0)], axis=2)
-    m = np.clip(m, 1.0, live[:, None]).reshape(mid.size, -1)
-    l = np.repeat(rows, 3)
-    idx = ((l - 1.0) * spec.trunc + (m - 1.0)).astype(np.intp)
-    anchor, top = peak.ravel()[idx], height.ravel()[idx]
-    # a tent rises at alpha d (1 + 1/t) left of its peak and changes at
-    # alpha d (1/t - 1) right of it
-    slope = spec.alpha * (m + l) * (1.0 / t + np.where(anchor > mid[:, None], 1.0, -1.0))
-    zero = np.zeros((mid.size, 1))
-    return (np.hstack([anchor, zero]), np.hstack([top, zero - spec.alpha * (1.0 + t)]),
-            np.hstack([slope, zero]))
+    base = np.clip(m, 1.0, live[:, None]) + ((rows - 1.0) * spec.trunc - 1.0)[:, None]
+    base = base.reshape(mid.size, -1).astype(np.intp)
+    idx = np.full((mid.size, base.shape[1] + 1), 2 * trunc2)
+    idx[:, :-1] = base + trunc2 * (peak[base] <= mid[:, None])
+    return idx
 
 
 def _forward_pieces(spec: EchoKernelSpec, t: float):
@@ -350,46 +347,55 @@ def _forward_pieces(spec: EchoKernelSpec, t: float):
     fb[j]. The pieces cover [0, t] in no particular order, and some may have
     zero width. echo_moment_forward's docstring has the proof.
     """
+    alpha = spec.alpha
     l = np.arange(1.0, spec.trunc + 1.0)[:, None]
     m = l.T
     peak = t * (m / (m + l))  # equal ratios m/(m+l) give equal floats
-    height = -2.0 * spec.alpha * l - _log_denominator(spec)[(m + l).astype(np.intp)]
-    clear = height > -spec.alpha * (1.0 + t)  # a prefix of each row
+    height = -2.0 * alpha * l - _log_denominator(spec)[(m + l).astype(np.intp)]
+    floor = -alpha * (1.0 + t)
+    clear = height > floor  # a prefix of each row
     live = clear.sum(axis=1).astype(float)
     rows = np.flatnonzero(live) + 1.0
     live = live[live > 0.0]
     ends = np.unique(np.concatenate([[0.0, t], peak[clear]]))
+    # each line as (anchor, height, slope): the left sides of the tents, rising
+    # at alpha d (1 + 1/t), their right sides, changing at alpha d (1/t - 1),
+    # and the floor
+    peak, height, d = peak.ravel(), height.ravel(), (m + l).ravel()
+    anchor = np.concatenate([peak, peak, [0.0]])
+    top = np.concatenate([height, height, [floor]])
+    slope = np.concatenate([alpha * d * (1.0 / t + 1.0), alpha * d * (1.0 / t - 1.0), [0.0]])
     out = []
+
+    def value(j, s):  # value at s of the lines j
+        return top[j] + slope[j] * (s - anchor[j])
+
+    def emit(keep, lo, hi, j):
+        j, lo, hi = j[keep], lo[keep], hi[keep]
+        out.append((lo, hi, value(j, lo), value(j, hi)))
+
     for i in range(0, ends.size - 1, _ENVELOPE_CHUNK):
         a, b = ends[:-1][i : i + _ENVELOPE_CHUNK], ends[1:][i : i + _ENVELOPE_CHUNK]
-        anchor, top, slope = _tent_lines(spec, t, 0.5 * (a + b), peak, height, rows, live)
-
-        def line(cell, cols, s):  # value at s of line cols of interval cell
-            return top[cell, cols] + slope[cell, cols] * (s - anchor[cell, cols])
-
-        def emit(keep, lo, hi, cols):
-            c, cols, lo, hi = cell[keep], cols[keep], lo[keep], hi[keep]
-            out.append((lo, hi, line(c, cols, lo), line(c, cols, hi)))
-
+        idx = _candidates(spec, t, 0.5 * (a + b), rows, live, peak)
         cell = np.arange(a.size)
-        win_a = np.argmax(top + slope * (a[:, None] - anchor), axis=1)
-        win_b = np.argmax(top + slope * (b[:, None] - anchor), axis=1)
+        win_a = idx[cell, np.argmax(value(idx, a[:, None]), axis=1)]
+        win_b = idx[cell, np.argmax(value(idx, b[:, None]), axis=1)]
         # split at the crossing of the lines that win the two ends until one
         # line wins both: the envelope is convex between peaks
         while cell.size:
-            fa, fb = line(cell, win_a, a), line(cell, win_b, b)
-            right = line(cell, win_b, a) >= fa - _ENVELOPE_TOL
-            one = right | (line(cell, win_a, b) >= fb - _ENVELOPE_TOL)
+            fa, fb = value(win_a, a), value(win_b, b)
+            right = value(win_b, a) >= fa - _ENVELOPE_TOL
+            one = right | (value(win_a, b) >= fb - _ENVELOPE_TOL)
             emit(one, a, b, np.where(right, win_b, win_a))
             two = ~one
             cell, a, b, fa = cell[two], a[two], b[two], fa[two]
             win_a, win_b = win_a[two], win_b[two]
-            gap = slope[cell, win_b] - slope[cell, win_a]  # > 0: the lines cross
-            cross = np.clip(a + (fa - line(cell, win_b, a)) / gap, a, b)
-            lines = top[cell] + slope[cell] * (cross[:, None] - anchor[cell])
-            win_c = np.argmax(lines, axis=1)
-            vertex = lines[np.arange(cell.size), win_c] <= np.maximum(
-                line(cell, win_a, cross), line(cell, win_b, cross)) + _ENVELOPE_TOL
+            gap = slope[win_b] - slope[win_a]  # > 0: the lines cross
+            cross = np.clip(a + (fa - value(win_b, a)) / gap, a, b)
+            lines = value(idx[cell], cross[:, None])
+            win_c = idx[cell, np.argmax(lines, axis=1)]
+            vertex = lines.max(axis=1) <= np.maximum(
+                value(win_a, cross), value(win_b, cross)) + _ENVELOPE_TOL
             emit(vertex, a, cross, win_a)
             emit(vertex, cross, b, win_b)
             keep = ~vertex
