@@ -105,10 +105,9 @@ _SIMPSON_DEPTH = 42
 _CHUNK = 128
 # Rows of the sup evaluated together once row 1 has set a first bound.
 _ROW_BLOCK = 8
-# Exponent gap below which two lines of the forward envelope count as meeting.
-# A line's computed value carries rounding near 1e-13 at |exponent| ~ 500, and
-# a line that clears the envelope by less moves the moment by under 1e-12
-# relative, on a stretch narrower than 1e-12 over the gap in slopes.
+# Exponent gap below which a line does not count as clearing the forward
+# envelope, so that splitting stops at rounding. Such a line moves the moment
+# by under 1e-12 relative, on a stretch narrower than 1e-12 over its slope gap.
 _ENVELOPE_TOL = 1e-12
 # Intervals between tent peaks whose candidate lines are held at once. At 64
 # their temporaries (about 1 MB at trunc = 64) stay under the peak memory of
