@@ -19,7 +19,7 @@ here as a module constant, and the tests verify it on a disjoint grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +36,6 @@ from .errors import (
 __all__ = [
     "EchoKernelSpec",
     "GrowthParams",
-    "EnvelopeReport",
     "VerifyReport",
     "echo_kernel",
     "piecewise_integral_check",
@@ -44,8 +43,6 @@ __all__ = [
     "echo_moment_backward",
     "echo_time",
     "growth_envelope",
-    "growth_envelope_sum",
-    "envelope_report",
     "growth_verify",
     "FORWARD_MOMENT_CONSTANT",
     "BACKWARD_MOMENT_CONSTANT",
@@ -564,46 +561,42 @@ class GrowthParams:
             raise ConstraintViolation("need C0 > 0 and C_W >= 0")
 
 
-def _switch_time(params: GrowthParams, gamma: float, alpha: float, C_fit: float) -> float:
+def _switch_time(params: GrowthParams, gamma: float, alpha: float) -> float:
     nu, c, c0, m = params.nu_env, params.c, params.c0, params.m
     terms = (
         (c * c * nu ** (2.0 + gamma) / alpha**5) ** (1.0 / (gamma - 1.0)),
         (c * nu ** (0.5 + gamma) / alpha**2) ** (1.0 / (gamma - 1.0)),
         (c0 * c0 / nu) ** (1.0 / (2.0 * m - 1.0)),
     )
-    return C_fit * max(terms)
+    return ENVELOPE_CONSTANT * max(terms)
 
 
-def _envelope(params: GrowthParams, c: float, alpha: float, T: float, t: float,
-              C_fit: float) -> float:
-    """The envelope product of growth_envelope, for a given c, alpha and switch time T."""
-    nu, c0 = params.nu_env, params.c0
-    total_exponent = C_fit * (c0 + T + c * (1.0 + T * T)) + nu * t
+def _envelope(params: GrowthParams, alpha: float, T: float, t: float) -> float:
+    """The envelope product of growth_envelope, for a given alpha and switch time T."""
+    C, nu, c0, c = ENVELOPE_CONSTANT, params.nu_env, params.c0, params.c
+    total_exponent = C * (c0 + T + c * (1.0 + T * T)) + nu * t
     if total_exponent > 700.0:
         return math.inf  # the bound holds but carries no information
     return (
-        C_fit
+        C
         * params.A
         * (1.0 + c0 * c0)
         / math.sqrt(nu)
-        * math.exp(C_fit * c0)
+        * math.exp(C * c0)
         * (1.0 + c / (alpha * nu))
-        * math.exp(C_fit * T)
-        * math.exp(C_fit * c * (1.0 + T * T))
+        * math.exp(C * T)
+        * math.exp(C * c * (1.0 + T * T))
         * math.exp(nu * t)
     )
 
 
-def growth_envelope(params: GrowthParams, gamma: float, alpha: float, t: float,
-                    C_fit: float | None = None) -> float:
+def growth_envelope(params: GrowthParams, gamma: float, alpha: float, t: float) -> float:
     """Exponential envelope for the weighted density at time t.
 
     The envelope is C A (1+c0^2)/sqrt(nu) e^{C c0} (1 + c/(alpha nu)) e^{C T}
     e^{C c (1+T^2)} e^{nu t}, with T the three-term switch time and C the
-    frozen calibrated constant (override via C_fit). Valid for nu_env < alpha.
+    frozen calibrated constant ENVELOPE_CONSTANT. Valid for nu_env < alpha.
     """
-    if C_fit is None:
-        C_fit = ENVELOPE_CONSTANT
     if params.kappa <= 0:
         raise UnstableConfiguration("no stability margin: the envelope is void")
     if gamma <= 1 or not 0 < alpha < 1:
@@ -612,71 +605,8 @@ def growth_envelope(params: GrowthParams, gamma: float, alpha: float, t: float,
         raise ConstraintViolation("envelope exponent must satisfy nu_env < alpha")
     if t < 0:
         raise ConstraintViolation("time must be >= 0")
-    T = _switch_time(params, gamma, alpha, C_fit)
-    return _envelope(params, params.c, alpha, T, t, C_fit)
-
-
-def growth_envelope_sum(params: GrowthParams, c_js, alpha_js, t: float,
-                        C_fit: float | None = None) -> float:
-    """Envelope variant for a sum of gamma = 1 kernels sum_j c_j K^{(alpha_j)}.
-
-    Same envelope formula with c = sum_j c_j, alpha = min_j alpha_j and the
-    two-term switch time T = max(sum_j (c_j/alpha_j^3)/nu^2, (c0^2/nu)^{1/(2m-1)}).
-    Requires nu_env <= 1; the regime of validity additionally needs nu_env
-    large against sum_j c_j/alpha_j^3 (a non-constructive threshold, so it is
-    the caller's responsibility, not a checked precondition).
-    """
-    if C_fit is None:
-        C_fit = ENVELOPE_CONSTANT
-    c_js = [float(c) for c in c_js]
-    alpha_js = [float(a) for a in alpha_js]
-    if len(c_js) != len(alpha_js) or not c_js:
-        raise ConstraintViolation("need matching nonempty c_j and alpha_j lists")
-    if any(c < 0 for c in c_js) or any(not 0 < a < 1 for a in alpha_js):
-        raise ConstraintViolation("need c_j >= 0 and alpha_j in (0, 1)")
-    if params.nu_env > 1:
-        raise ConstraintViolation("the summed variant needs nu_env <= 1")
-    if t < 0:
-        raise ConstraintViolation("time must be >= 0")
-    nu, c0, m = params.nu_env, params.c0, params.m
-    stiffness = sum(cj / aj**3 for cj, aj in zip(c_js, alpha_js))
-    T = max(stiffness / nu**2, (c0 * c0 / nu) ** (1.0 / (2.0 * m - 1.0)))
-    return _envelope(params, sum(c_js), min(alpha_js), T, t, C_fit)
-
-
-@dataclass(frozen=True, eq=False)
-class EnvelopeReport:
-    """Envelope closure with its switch time and the constant that built it."""
-
-    T_star: float
-    envelope: object = field(repr=False)
-    inputs: dict
-    C_fit: float
-
-    def __post_init__(self):
-        if self.C_fit < 1.0:
-            raise ConstraintViolation(
-                "C_fit must be >= 1 so the envelope dominates its source"
-            )
-
-
-def envelope_report(params: GrowthParams, gamma: float, alpha: float,
-                    C_fit: float | None = None) -> EnvelopeReport:
-    """Bundle the envelope as a callable with its switch time and inputs."""
-    if C_fit is None:
-        C_fit = ENVELOPE_CONSTANT
-    T = _switch_time(params, gamma, alpha, C_fit)
-    growth_envelope(params, gamma, alpha, 0.0, C_fit)  # validates the inputs
-
-    def env(t):
-        return growth_envelope(params, gamma, alpha, t, C_fit)
-
-    inputs = {
-        "A": params.A, "c0": params.c0, "m": params.m, "c": params.c,
-        "kappa": params.kappa, "nu_env": params.nu_env, "gamma": gamma,
-        "alpha": alpha,
-    }
-    return EnvelopeReport(T_star=T, envelope=env, inputs=inputs, C_fit=C_fit)
+    T = _switch_time(params, gamma, alpha)
+    return _envelope(params, alpha, T, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -698,27 +628,10 @@ class VerifyReport:
     worst_crude_time: float
     max_envelope_ratio: float
     worst_envelope_time: float
-    C_fit: float
-
-    def as_dict(self) -> dict:
-        """Plain-dict form for serialization."""
-        return {
-            "hypothesis_ok": self.hypothesis_ok,
-            "crude_ok": self.crude_ok,
-            "envelope_ok": self.envelope_ok,
-            "checked_times": len(self.checked_indices),
-            "max_hypothesis_ratio": self.max_hypothesis_ratio,
-            "worst_hypothesis_time": self.worst_hypothesis_time,
-            "max_crude_ratio": self.max_crude_ratio,
-            "worst_crude_time": self.worst_crude_time,
-            "max_envelope_ratio": self.max_envelope_ratio,
-            "worst_envelope_time": self.worst_envelope_time,
-            "C_fit": self.C_fit,
-        }
 
 
 def growth_verify(phi, kernels, source: float, params: GrowthParams,
-                  n_checks: int = 65, C_fit: float | None = None) -> VerifyReport:
+                  n_checks: int = 65) -> VerifyReport:
     """Check a weighted density series against the integral hypothesis and
     both certified bounds.
 
@@ -738,8 +651,6 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
     (3) the calibrated envelope.
     Exceeding (2) or (3) raises EnvelopeExceeded.
     """
-    if C_fit is None:
-        C_fit = ENVELOPE_CONSTANT
     times, values = phi
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -796,7 +707,7 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
 
     # The crude exponent can overflow exp, so compare in log space.
     rate = params.C0 * params.C_W / (params.lambda0 - params.lambda_weight)
-    log_crude = C_fit * (
+    log_crude = ENVELOPE_CONSTANT * (
         rate * times + params.c * (times + times**2) + c0 / (m - 1.0)
     ) + (math.log(2.0 * source) if source > 0 else -np.inf)
     with np.errstate(divide="ignore"):
@@ -827,7 +738,7 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
         lambda_weight=params.lambda_weight, C0=params.C0, C_W=params.C_W,
     )
     env = np.array(
-        [growth_envelope(env_params, gamma_env, alpha_env, float(t), C_fit) for t in times]
+        [growth_envelope(env_params, gamma_env, alpha_env, float(t)) for t in times]
     )
     env_ratio = mag / env
     max_env = float(np.max(env_ratio))
@@ -849,5 +760,4 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
         worst_crude_time=float(times[int(np.argmax(crude_gap))]),
         max_envelope_ratio=max_env,
         worst_envelope_time=float(times[int(np.argmax(env_ratio))]),
-        C_fit=float(C_fit),
     )

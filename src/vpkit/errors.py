@@ -13,10 +13,6 @@ class ConstraintViolation(VpkitError):
     """A configured object violates a structural bound (e.g. potential decay)."""
 
 
-class NotAnalyticAtWidth(VpkitError):
-    """The weighted transform grows at the grid edge: width too large."""
-
-
 class TailNotResolved(VpkitError):
     """An integral's tail still carries weight at the truncation boundary."""
 
@@ -31,10 +27,6 @@ class QuadratureNotConverged(VpkitError):
 
 class StepTooCoarse(VpkitError):
     """Requested time step cannot resolve the kernel's oscillation."""
-
-
-class IntegralDiverges(VpkitError):
-    """A transform was requested at a point where it does not converge."""
 
 
 class MarginNonPositive(VpkitError):
@@ -71,10 +63,6 @@ class ResolutionExceeded(VpkitError):
 
 class EchoBeyondRecurrence(VpkitError):
     """Predicted echo time lies past the grid recurrence horizon."""
-
-
-class OutOfHistory(VpkitError):
-    """A field lookup was requested outside the recorded time window."""
 
 
 class ParseError(VpkitError):

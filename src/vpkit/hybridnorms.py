@@ -8,7 +8,8 @@ Three families are computed on a (k, eta) coefficient table:
 
 The shift parameter tau slides the velocity-analyticity weight along the
 free-transport characteristics, which is what makes these norms stationary
-under exact phase mixing (see free_transport_shift below).
+under exact phase mixing: the table g_hat(k, eta) = f_hat(k, eta + k t) has
+at shift tau + t the norm that f_hat has at tau.
 
 Representation conventions:
   * mode rows k = -k_max..k_max over a uniform eta grid with eta=0 on-grid;
@@ -38,7 +39,6 @@ __all__ = [
     "z_norm",
     "y_norm",
     "prop13_battery",
-    "free_transport_shift",
     "density_trace",
     "pure_x_field",
     "pure_v_field",
@@ -286,27 +286,6 @@ def density_trace(f: SpectralDistribution) -> np.ndarray:
     mask = f.delta_row_mask()
     rho[mask] *= f.d_eta
     return rho
-
-
-def free_transport_shift(f: SpectralDistribution, t: float) -> SpectralDistribution:
-    """Exact spectral free transport: g_hat(k,eta) = f_hat(k, eta + k t).
-
-    Requires every row shift k*t to be a whole number of eta bins (callers
-    pick t as a multiple of d_eta); vacated bins are zero-filled, mass
-    shifted off the grid is dropped (it would be below the tail check anyway).
-    """
-    out = np.zeros_like(f.coeffs)
-    n = f.n_eta
-    for i, k in enumerate(f.modes):
-        shift = k * t / f.d_eta
-        s = round(shift)
-        if abs(shift - s) > 1e-9:
-            raise ValueError(f"t={t} shifts mode {k} by a fractional bin count")
-        src_lo, src_hi = max(0, s), min(n, n + s)
-        dst_lo, dst_hi = max(0, -s), min(n, n - s)
-        if src_lo < src_hi:
-            out[i, dst_lo:dst_hi] = f.coeffs[i, src_lo:src_hi]
-    return f.with_coeffs(out)
 
 
 def multiply_by_v(f: SpectralDistribution) -> SpectralDistribution:

@@ -17,8 +17,7 @@ Module contents:
   * step / collision_substep / poisson_field -- the integrator pieces,
   * run -- a full simulation with field history and scalar diagnostics,
   * echo_experiment -- impulsive two-mode probe locating the plasma echo,
-  * FieldHistory / characteristics_deflect -- recorded fields and test
-    particles pushed through them.
+  * FieldHistory -- the recorded density modes and the field they define.
 
 The discrete equilibrium rows are renormalized to unit grid mass, so the
 collision substep conserves every density mode to rounding instead of to
@@ -38,7 +37,6 @@ from .echo import echo_time
 from .errors import (
     ConstraintViolation,
     EchoBeyondRecurrence,
-    OutOfHistory,
     ResolutionExceeded,
     StepTooCoarse,
 )
@@ -525,8 +523,7 @@ class FieldHistory:
     rho_hat has shape (n_times, 2*k_max+1), column i holding mode k = i - k_max,
     at two or more strictly increasing record times. The field is a function
     of the density, so construction derives it rather than storing a second
-    copy: e_hat = poisson_field(rho_hat) on the same layout, and sup_e, the
-    sampled sup-norm of the physical field at each record.
+    copy: e_hat = poisson_field(rho_hat) on the same layout.
     """
 
     times: np.ndarray
@@ -534,7 +531,6 @@ class FieldHistory:
     rho_hat: np.ndarray
     interaction: Interaction
     e_hat: np.ndarray = field(init=False, repr=False)
-    sup_e: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -549,137 +545,13 @@ class FieldHistory:
         if rho.shape != (times.size, modes.size):
             raise ConstraintViolation(f"rho_hat must have shape {(times.size, modes.size)}")
         e_hat = poisson_field(rho, self.interaction, modes)
-        n_x = max(16 * int(modes.max()), 64)
-        sup_e = np.abs(n_x * np.fft.irfft(e_hat[:, modes >= 0], n=n_x, axis=1)).max(axis=1)
         for name, val in (("times", times), ("modes", modes), ("rho_hat", rho),
-                          ("e_hat", e_hat), ("sup_e", sup_e)):
+                          ("e_hat", e_hat)):
             object.__setattr__(self, name, val)
 
     @property
     def k_max(self) -> int:
         return int(self.modes.max())
-
-    def _bracket(self, t: float) -> tuple[int, float]:
-        t0, t1 = float(self.times[0]), float(self.times[-1])
-        span = max(t1 - t0, 1.0)
-        if t < t0 - 1e-9 * span or t > t1 + 1e-9 * span:
-            raise OutOfHistory(f"time {t:g} outside the recorded range [{t0:g}, {t1:g}]")
-        t = min(max(t, t0), t1)
-        i = int(np.searchsorted(self.times, t, side="right"))
-        i = min(max(i, 1), self.times.size - 1)
-        w = (t - self.times[i - 1]) / (self.times[i] - self.times[i - 1])
-        return i, float(w)
-
-    def field_at(self, t: float, x: float) -> float:
-        """Physical field E(t, x), linear in t between records, spectral in x."""
-        i, w = self._bracket(t)
-        row = (1.0 - w) * self.e_hat[i - 1] + w * self.e_hat[i]
-        return float(np.real(np.dot(row, np.exp(2j * np.pi * self.modes * x))))
-
-    def sup_at(self, t: float) -> float:
-        """Linear interpolant of the recorded sup norms (an upper bound for
-        the sup of the interpolated field, by convexity)."""
-        i, w = self._bracket(t)
-        return float((1.0 - w) * self.sup_e[i - 1] + w * self.sup_e[i])
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled test-particle path through a recorded field."""
-
-    times: np.ndarray
-    x_path: np.ndarray
-    v_path: np.ndarray
-    x0: float
-    v0: float
-    start: float
-
-
-def _deflection_rhs(field: FieldHistory, x0: float, v0: float, s: float):
-    def accel(tau: float, dx: float) -> float:
-        return Q_OVER_M * field.field_at(tau, x0 + v0 * (tau - s) + dx)
-
-    return accel
-
-
-def _integrate_deflection(
-    field: FieldHistory, x: float, v: float, s: float, t: float, max_step: float
-):
-    """RK4 on the deflection system dX' = dV, dV' = (q/m) E(tau, X0 + dX).
-
-    Steps are aligned to the record knots (the field is only C^0 there), so
-    the integrand is smooth inside every RK4 step. Working on the deflection
-    directly keeps E = 0 histories at exactly (0.0, 0.0)."""
-    accel = _deflection_rhs(field, x, v, s)
-    knots = [s]
-    for tk in field.times:
-        if s < tk < t:
-            knots.append(float(tk))
-    knots.append(t)
-    dx = 0.0
-    dv = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        seg = b - a
-        n = max(1, int(math.ceil(seg / max_step)))
-        h = seg / n
-        tau = a
-        for _ in range(n):
-            k1x, k1v = dv, accel(tau, dx)
-            k2x = dv + 0.5 * h * k1v
-            k2v = accel(tau + 0.5 * h, dx + 0.5 * h * k1x)
-            k3x = dv + 0.5 * h * k2v
-            k3v = accel(tau + 0.5 * h, dx + 0.5 * h * k2x)
-            k4x = dv + h * k3v
-            k4v = accel(tau + h, dx + h * k3x)
-            dx += (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            dv += (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            tau += h
-    return dx, dv
-
-
-def characteristics_deflect(
-    field: FieldHistory, x: float, v: float, s: float, t: float, max_step: float = 0.02
-):
-    """Deflection (X - x - v(t-s), V - v) of the characteristic through (x, v, s).
-
-    The characteristic solves dX/dt = V, dV/dt = (q/m) E(t, X) with the
-    recorded field (linear in t between records, spectral in x). A history
-    whose field vanishes identically returns exactly (0.0, 0.0)."""
-    s = float(s)
-    t = float(t)
-    if t < s:
-        raise ConstraintViolation("need t >= s")
-    t0, t1 = float(field.times[0]), float(field.times[-1])
-    span = max(t1 - t0, 1.0)
-    if s < t0 - 1e-9 * span or t > t1 + 1e-9 * span:
-        raise OutOfHistory(
-            f"window [{s:g}, {t:g}] outside the recorded range [{t0:g}, {t1:g}]"
-        )
-    if t == s:
-        return 0.0, 0.0
-    return _integrate_deflection(field, float(x), float(v), s, t, max_step)
-
-
-def characteristic_path(
-    field: FieldHistory,
-    x: float,
-    v: float,
-    s: float,
-    t: float,
-    n_samples: int = 33,
-    max_step: float = 0.02,
-) -> Trajectory:
-    """Sampled trajectory (X, V) from s to t through the recorded field."""
-    if n_samples < 2:
-        raise ConstraintViolation("need at least two samples")
-    times = np.linspace(float(s), float(t), int(n_samples))
-    xs = np.empty(times.size)
-    vs = np.empty(times.size)
-    for i, tau in enumerate(times):
-        dx, dv = characteristics_deflect(field, x, v, s, float(tau), max_step=max_step)
-        xs[i] = x + v * (tau - s) + dx
-        vs[i] = v + dv
-    return Trajectory(times=times, x_path=xs, v_path=vs, x0=float(x), v0=float(v), start=float(s))
 
 
 def on_step_grid(t: float, dt: float) -> bool:

@@ -10,10 +10,10 @@ margin |1 - L| >= kappa > 0 over the closed lower frequency half-plane rules
 out growing modes, while the root of 1 - L in the upper half-plane gives the
 decay rate 2*pi*|k|*Im(eta0) and oscillation frequency 2*pi*|k|*Re(eta0) of
 the density. This module houses the kernel, the marching solver for the
-density history, mode reconstruction from the density, the closed k=0 forms,
-the dispersion function (quadrature and Faddeeva-function routes) and the
-decay rate of its root, the stability scan, the single-particle
-free-streaming response forms, and a peak-envelope decay-rate fitter.
+density history, mode reconstruction from the density, the dispersion
+function (quadrature and Faddeeva-function routes) and the decay rate of its
+root, the stability scan, the single-particle free-streaming response forms,
+and a peak-envelope decay-rate fitter.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from scipy.special import wofz
 
 from .errors import (
     ConstraintViolation,
-    IntegralDiverges,
     MarginNonPositive,
     StepTooCoarse,
     TooFewPeaks,
 )
 from .profiles import (
-    AnalyticityCertificate,
     Interaction,
     VelocityProfile,
     interaction_hat,
@@ -49,7 +47,6 @@ __all__ = [
     "kernel_eval",
     "volterra_solve",
     "mode_reconstruct",
-    "zero_mode",
     "dispersion_L",
     "dispersion_rate",
     "stability_scan",
@@ -226,30 +223,6 @@ def mode_reconstruct(hist: DensityHistory, xi: float, t: float, kern: VolterraKe
     return complex(free + np.dot(w, integrand))
 
 
-def zero_mode(f0_hat_at_k0, nu: float, t: float, profile: VelocityProfile):
-    """Spatial-mean mode: frozen density, shape relaxing to the equilibrium.
-
-    Returns (rho0, fhat0). The density of the mean mode is constant in time,
-    rho0 = fhat_0(0, 0); mean-zero data gives rho0 = 0 identically. fhat0(xi)
-    evaluates the mode at time t:
-
-        fhat(t, 0, xi) = exp(-nu t) fhat_0(0, xi)
-                         + (1 - exp(-nu t)) rho0 f0_hat(xi).
-    """
-    if t < 0:
-        raise ConstraintViolation("time must be >= 0")
-    if nu < 0:
-        raise ConstraintViolation("collision frequency must be >= 0")
-    rho0 = complex(f0_hat_at_k0(0.0))
-    decay = float(np.exp(-nu * float(t)))
-
-    def fhat0(xi):
-        relaxed = rho0 * complex(profile_fourier(profile, xi))
-        return decay * complex(f0_hat_at_k0(xi)) + (1.0 - decay) * relaxed
-
-    return rho0, fhat0
-
-
 def _laplace_terms(eta, k, nu, lambda_weight, profile):
     """Per-component (weight, a, b) of the transformed kernel exp(at - bt^2)."""
     base = (
@@ -283,7 +256,6 @@ def dispersion_L(
     *,
     kern: VolterraKernel,
     method: str = "wofz",
-    certificate: AnalyticityCertificate | None = None,
 ):
     """Laplace-side dispersion function of the memory kernel.
 
@@ -295,10 +267,7 @@ def dispersion_L(
     kern supplies the profile and interaction; k and nu are explicit so scans
     can vary them. method "wofz" uses the closed Gaussian forms through the
     Faddeeva function; method "quad" integrates adaptively to relative error
-    1e-9. Both routes stay available and are cross-checked in the tests. When
-    a certificate is given, the linear growth of the integrand is checked
-    against the certified transform decay and IntegralDiverges is raised if
-    the certificate cannot vouch for convergence.
+    1e-9. Both routes stay available and are cross-checked in the tests.
     """
     k = int(k)
     if nu < 0:
@@ -307,18 +276,6 @@ def dispersion_L(
     if k == 0:
         # no phase and no field: the kernel is nu*exp(-nu t)
         return complex(1.0) if nu > 0 else complex(0.0)
-    growth = (
-        2.0 * np.pi * abs(k) * float(np.imag(eta))
-        + 2.0 * np.pi * lambda_weight * abs(k)
-        - nu
-    )
-    if certificate is not None:
-        allowed = 2.0 * np.pi * certificate.lambda0 * abs(k)
-        if growth >= allowed:
-            raise IntegralDiverges(
-                f"certificate decay 2*pi*lambda0*|k|={allowed:.4g} cannot absorb "
-                f"integrand growth {growth:.4g} at eta={eta}"
-            )
     if method == "wofz":
         return complex(_L_closed(eta, k, nu, lambda_weight, kern.profile, what))
     if method == "quad":

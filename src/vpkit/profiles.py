@@ -16,17 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, NotAnalyticAtWidth
+from .errors import ConstraintViolation
 
 __all__ = [
     "VelocityProfile",
     "Interaction",
-    "AnalyticityCertificate",
     "profile_fourier",
     "profile_sample",
     "profile_sample_dv",
     "interaction_hat",
-    "verify_analyticity",
 ]
 
 
@@ -122,19 +120,6 @@ class Interaction:
         return cls(kind="power_law", gamma=float(gamma), amplitude=float(amplitude), sign=int(sign))
 
 
-@dataclass(frozen=True)
-class AnalyticityCertificate:
-    """Measured analyticity data: sup over the grid of the weighted transform.
-
-    C0 bounds exp(2*pi*lambda0*|eta|) * |f0_hat(eta)| on [0, eta_max], with the
-    tail checked to be decreasing at the edge so the sup is global.
-    """
-
-    lambda0: float
-    C0: float
-    eta_max: float
-
-
 def profile_fourier(profile: VelocityProfile, eta):
     """Closed-form transform f0_hat(eta) of the mixture, for any array of eta."""
     eta = np.asarray(eta, dtype=float)
@@ -189,46 +174,3 @@ def interaction_hat(W: Interaction, k):
     )
     return float(out) if out.ndim == 0 else out
 
-
-def verify_analyticity(
-    profile: VelocityProfile,
-    lambda0: float,
-    eta_max: float,
-    n_samples: int = 4097,
-) -> AnalyticityCertificate:
-    """Sample sup_eta exp(2*pi*lambda0*|eta|) * |f0_hat(eta)| on [0, eta_max].
-
-    |f0_hat| is even (the profile is real), so scanning eta >= 0 suffices.
-    Raises NotAnalyticAtWidth when the weighted transform is still growing at
-    the grid edge, i.e. the requested width exceeds the profile's Gaussian
-    decay on this grid.
-    """
-    if lambda0 < 0.0:
-        raise ConstraintViolation("lambda0 must be nonnegative")
-    if eta_max <= 0.0 or n_samples < 16:
-        raise ConstraintViolation("need eta_max > 0 and a reasonable sample count")
-    eta = np.linspace(0.0, float(eta_max), int(n_samples))
-    weight = np.exp(2.0 * np.pi * lambda0 * eta)
-    weighted = weight * np.abs(profile_fourier(profile, eta))
-    # Mixture centers only add phases, so |f0_hat(eta)| is bounded by the
-    # smooth envelope sum_j w_j exp(-2 pi^2 s_j^2 eta^2). The edge check runs
-    # on the weighted envelope: it has a single interior maximum, so growth in
-    # the last 5% of the grid means the grid ends inside the growth region and
-    # the sampled sup certifies nothing.
-    envelope = weight * sum(
-        w * np.exp(-2.0 * np.pi**2 * s * s * eta * eta)
-        for w, _, s in profile.components
-    )
-    tail = envelope[int(0.95 * n_samples):]
-    if tail.size >= 2 and np.any(np.diff(tail) > 0.0):
-        raise NotAnalyticAtWidth(
-            f"weighted transform grows near eta_max={eta_max} for lambda0={lambda0}"
-        )
-    c0 = float(weighted.max())
-    if envelope[-1] > c0:
-        # everything beyond the grid is below envelope(eta_max); if that still
-        # exceeds the sampled sup the grid is too short to certify C0
-        raise NotAnalyticAtWidth(
-            f"grid ends at eta_max={eta_max} before the envelope falls under the sampled sup"
-        )
-    return AnalyticityCertificate(lambda0=float(lambda0), C0=c0, eta_max=float(eta_max))

@@ -18,7 +18,6 @@ from vpkit.hybridnorms import (
     SpectralDistribution,
     density_trace,
     f_norm,
-    free_transport_shift,
     from_v_grid,
     prop13_battery,
     pure_v_field,
@@ -28,6 +27,23 @@ from vpkit.hybridnorms import (
     y_norm,
     z_norm,
 )
+
+
+def free_transport_shift(f, t):
+    """Exact spectral free transport g_hat(k, eta) = f_hat(k, eta + k t), for
+    a t that shifts every row by a whole number of eta bins; vacated bins
+    are zero-filled and mass shifted off the grid is dropped."""
+    out = np.zeros_like(f.coeffs)
+    n = f.n_eta
+    for i, k in enumerate(f.modes):
+        shift = k * t / f.d_eta
+        s = round(shift)
+        assert abs(shift - s) <= 1e-9, "t must shift every row by whole bins"
+        src_lo, src_hi = max(0, s), min(n, n + s)
+        dst_lo, dst_hi = max(0, -s), min(n, n - s)
+        if src_lo < src_hi:
+            out[i, dst_lo:dst_hi] = f.coeffs[i, src_lo:src_hi]
+    return f.with_coeffs(out)
 
 
 def eta_grid(n=128, eta_max=4.0):

@@ -29,7 +29,6 @@ import vpkit.kinetic as kin
 from vpkit.errors import (
     ConstraintViolation,
     EchoBeyondRecurrence,
-    OutOfHistory,
     ResolutionExceeded,
     StepTooCoarse,
 )
@@ -38,8 +37,6 @@ from vpkit.kinetic import (
     FieldHistory,
     KineticRun,
     PhaseState,
-    characteristic_path,
-    characteristics_deflect,
     collision_substep,
     echo_experiment,
     equilibrium_state,
@@ -575,7 +572,6 @@ class TestRunDiagnostics:
         )
         hist, diag = run(cfg)
         assert np.abs(hist.e_hat).max() == 0.0
-        assert np.abs(hist.sup_e).max() == 0.0
         assert np.abs(diag["mass"] - 1.0).max() < 1e-12
         assert np.abs(diag["l2"] / diag["l2"][0] - 1.0).max() < 1e-12
 
@@ -616,9 +612,6 @@ class TestRunDiagnostics:
         rho[:, 2], rho[:, 0] = 1e-3, 1e-3
         hist = FieldHistory(times, modes, rho, W_POW)
         assert np.array_equal(hist.e_hat, poisson_field(rho, W_POW, modes))
-        x = np.arange(64) / 64.0
-        sampled = [np.abs([hist.field_at(t, xi) for xi in x]).max() for t in times]
-        assert hist.sup_e == pytest.approx(sampled, rel=1e-12)
         with pytest.raises(ConstraintViolation, match="two or more"):
             FieldHistory(times[:1], modes, rho[:1], W_POW)
 
@@ -818,76 +811,3 @@ class TestEchoExperiment:
             echo_experiment(ECHO_CFG, 1, -12, 5.0, 1e-3, 1e-3)
         with pytest.raises(ConstraintViolation):
             echo_experiment(ECHO_CFG, 1, -2, 5.0, 0.0, 1e-3)
-
-
-def decaying_history(delta, lam, t_end, n_rec):
-    """Single-mode field with sup |E(t)| = delta * exp(-2 pi lam t)."""
-    times = np.linspace(0.0, t_end, n_rec)
-    modes = np.arange(-2, 3)
-    r = (delta / (2.0 * np.pi)) * np.exp(-2.0 * np.pi * lam * times)
-    rho = np.zeros((times.size, 5), complex)
-    rho[:, 3] = r
-    rho[:, 1] = r
-    return FieldHistory(times, modes, rho, W_POW)
-
-
-class TestCharacteristics:
-    def test_zero_field_deflection_is_exact(self):
-        times = np.linspace(0.0, 8.0, 81)
-        modes = np.arange(-2, 3)
-        field = FieldHistory(times, modes, np.zeros((81, 5), complex), W_POW)
-        dx, dv = characteristics_deflect(field, 0.3, -1.2, 0.5, 7.5)
-        assert dx == 0.0 and dv == 0.0
-        path = characteristic_path(field, 0.3, -1.2, 0.5, 7.5, n_samples=9)
-        free = 0.3 + -1.2 * (path.times - 0.5)
-        assert np.abs(path.x_path - free).max() == 0.0
-        assert np.all(path.v_path == -1.2)
-
-    def test_deflection_obeys_force_line_bounds(self):
-        field = decaying_history(0.4, 0.06, 8.0, 161)
-        for (x, v, s, t) in ((0.1, 0.7, 0.0, 6.0), (0.9, -2.0, 1.0, 7.0),
-                             (0.5, 0.0, 2.5, 4.0)):
-            dx, dv = characteristics_deflect(field, x, v, s, t)
-            tau = np.linspace(s, t, 801)
-            sup = 0.4 * np.exp(-2.0 * np.pi * 0.06 * tau)
-            assert abs(dv) <= np.trapezoid(sup, tau)
-            assert abs(dx) <= np.trapezoid((t - tau) * sup, tau)
-            assert abs(dx) <= sup[0] * (t - s) ** 2 / 2.0
-
-    def test_exponential_tail_majorant(self):
-        delta, lam = 0.4, 0.06
-        field = decaying_history(delta, lam, 40.0, 801)
-        ratios = []
-        for s in (0.0, 2.0, 10.0):
-            _, dv = characteristics_deflect(field, 0.2, 0.3, s, 40.0, max_step=0.05)
-            bound = delta * math.exp(-2.0 * math.pi * lam * s) / (2.0 * math.pi * lam)
-            assert abs(dv) <= bound
-            ratios.append(abs(dv) / bound)
-        # the deflection inherits the exp(-2 pi lam s) scaling of the field
-        assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=0.02)
-
-    def test_window_validation(self):
-        field = decaying_history(0.4, 0.06, 8.0, 81)
-        with pytest.raises(OutOfHistory):
-            characteristics_deflect(field, 0.0, 0.0, -1.0, 3.0)
-        with pytest.raises(OutOfHistory):
-            characteristics_deflect(field, 0.0, 0.0, 1.0, 9.0)
-        with pytest.raises(ConstraintViolation):
-            characteristics_deflect(field, 0.0, 0.0, 3.0, 1.0)
-        with pytest.raises(OutOfHistory):
-            field.field_at(9.0, 0.0)
-        with pytest.raises(ConstraintViolation):
-            characteristic_path(field, 0.0, 0.0, 0.0, 1.0, n_samples=1)
-
-    def test_interpolated_field_values(self):
-        field = decaying_history(0.4, 0.06, 8.0, 81)
-        # halfway between records the field is the average of the neighbors
-        t_mid = 0.5 * (field.times[3] + field.times[4])
-        left = field.field_at(float(field.times[3]), 0.2)
-        right = field.field_at(float(field.times[4]), 0.2)
-        assert field.field_at(float(t_mid), 0.2) == pytest.approx(
-            0.5 * (left + right), rel=1e-12
-        )
-        assert field.sup_at(float(t_mid)) == pytest.approx(
-            0.5 * (field.sup_e[3] + field.sup_e[4]), rel=1e-12
-        )

@@ -16,7 +16,6 @@ from scipy.optimize import root as scipy_root
 
 from vpkit.errors import (
     ConstraintViolation,
-    IntegralDiverges,
     MarginNonPositive,
     StepTooCoarse,
     TooFewPeaks,
@@ -33,10 +32,8 @@ from vpkit.lintheory import (
     mode_reconstruct,
     stability_scan,
     volterra_solve,
-    zero_mode,
 )
 from vpkit.profiles import (
-    AnalyticityCertificate,
     Interaction,
     VelocityProfile,
     profile_sample,
@@ -289,34 +286,6 @@ class TestVolterra:
             mode_reconstruct(hist, 0.0, 5.013, kern, gaussian_trace)
 
 
-class TestZeroMode:
-    def test_mean_zero_data_keeps_zero_density(self):
-        g = lambda xi: xi * np.exp(-(xi**2))
-        rho0, fhat0 = zero_mode(g, nu=0.3, t=2.0, profile=VelocityProfile.maxwellian(1.0))
-        assert rho0 == 0
-        for xi in (-1.0, 0.4, 2.5):
-            assert fhat0(xi) == pytest.approx(np.exp(-0.6) * g(xi), rel=1e-14)
-
-    def test_collisionless_mode_is_frozen(self):
-        g = lambda xi: np.exp(-(xi**2)) * (1.0 + 0.2j * xi)
-        _, fhat0 = zero_mode(g, nu=0.0, t=7.0, profile=VelocityProfile.maxwellian(1.0))
-        for xi in (-2.0, 0.0, 1.3):
-            assert fhat0(xi) == g(xi)
-
-    def test_relaxation_to_equilibrium_shape(self):
-        profile = VelocityProfile.maxwellian(1.0)
-        g = lambda xi: np.exp(-3.0 * xi * xi)  # g(0) = 1
-        rho0, fhat0 = zero_mode(g, nu=0.05, t=400.0, profile=profile)
-        assert rho0 == 1.0
-        for xi in (0.0, 0.3, 1.0):
-            eq = np.exp(-2.0 * np.pi**2 * xi * xi)
-            assert abs(fhat0(xi) - eq) < 3e-9
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ConstraintViolation):
-            zero_mode(lambda xi: 1.0, nu=0.1, t=-1.0, profile=SCEN_PROFILE)
-
-
 class TestDispersion:
     def test_frozen_value_both_routes(self):
         kern = VolterraKernel(
@@ -381,18 +350,6 @@ class TestDispersion:
             weighted = dispersion_L(eta, 1, 0.0, lambda_weight=0.3, kern=kern)
             shifted = dispersion_L(eta + 0.3j, 1, 0.0, kern=kern)
             assert weighted == pytest.approx(shifted, rel=1e-12)
-
-    def test_certificate_divergence_guard(self):
-        kern = VolterraKernel(
-            nu=0.0, k=1, profile=VelocityProfile.maxwellian(1.0), interaction=REPULSIVE
-        )
-        cert = AnalyticityCertificate(lambda0=0.5, C0=2.0, eta_max=4.0)
-        with pytest.raises(IntegralDiverges):
-            dispersion_L(1j, 1, 0.0, kern=kern, certificate=cert)
-        # the same point is fine without a certificate (Gaussian decay) and
-        # below the certified width
-        dispersion_L(1j, 1, 0.0, kern=kern)
-        dispersion_L(0.3j, 1, 0.0, kern=kern, certificate=cert)
 
     def test_mean_mode_closed_forms(self):
         kern0 = VolterraKernel(

@@ -11,16 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from vpkit.errors import ConstraintViolation, NotAnalyticAtWidth
+from vpkit.errors import ConstraintViolation
 from vpkit.profiles import (
-    AnalyticityCertificate,
     Interaction,
     VelocityProfile,
     interaction_hat,
     profile_fourier,
     profile_sample,
     profile_sample_dv,
-    verify_analyticity,
 )
 
 # Frozen oracle outputs (scipy.integrate.quad, epsabs 1e-15, window |v|<=60).
@@ -189,37 +187,6 @@ class TestInteraction:
     def test_gamma_guard(self):
         with pytest.raises(ConstraintViolation):
             Interaction.power_law(gamma=0.5)
-
-
-class TestVerifyAnalyticity:
-    def test_maxwellian_closed_form_c0(self, maxwellian):
-        # sup_eta e^{2 pi l eta - 2 pi^2 eta^2} = e^{l^2/2} at eta = l/(2 pi)
-        cert = verify_analyticity(maxwellian, lambda0=0.5, eta_max=4.0, n_samples=200001)
-        assert isinstance(cert, AnalyticityCertificate)
-        assert np.isclose(cert.C0, np.exp(0.125), rtol=1e-8)
-
-    def test_zero_width_gives_one(self, maxwellian):
-        cert = verify_analyticity(maxwellian, lambda0=0.0, eta_max=4.0, n_samples=4001)
-        assert cert.C0 == 1.0
-
-    def test_wide_profile_concentrates(self):
-        profile = VelocityProfile.maxwellian(30.0)
-        cert = verify_analyticity(profile, lambda0=0.5, eta_max=0.5, n_samples=40001)
-        assert 1.0 <= cert.C0 < 1.001
-
-    def test_width_too_large_for_grid(self, maxwellian):
-        # the weighted transform peaks at eta = lambda0/(2 pi); a grid ending
-        # inside the growth region must refuse to certify
-        with pytest.raises(NotAnalyticAtWidth):
-            verify_analyticity(maxwellian, lambda0=2.0, eta_max=0.2, n_samples=2001)
-
-    def test_certificate_is_an_upper_bound(self, two_stream, rng):
-        cert = verify_analyticity(two_stream, lambda0=0.3, eta_max=5.0, n_samples=100001)
-        etas = rng.uniform(-5, 5, size=500)
-        weighted = np.exp(2 * np.pi * 0.3 * np.abs(etas)) * np.abs(
-            profile_fourier(two_stream, etas)
-        )
-        assert np.all(weighted <= cert.C0 * (1 + 1e-7))
 
 
 class TestProfileValidation:
