@@ -675,11 +675,6 @@ class TestEnvelope:
         lo = growth_envelope(stable_params(nu_env=0.05), 2.0, 0.5, 0.0)
         hi = growth_envelope(stable_params(nu_env=0.2), 2.0, 0.5, 0.0)
         assert lo > hi
-        # a constant C >= 1 keeps the start above the source A, with or
-        # without a resonance load
-        assert ENVELOPE_CONSTANT >= 1.0
-        assert hi >= stable_params().A
-        assert growth_envelope(stable_params(A=1.5, c=0.2, nu_env=0.1), 2.0, 0.5, 0.0) >= 1.5
 
     def test_collision_rate_above_width_rejected(self):
         with pytest.raises(ConstraintViolation):
@@ -705,6 +700,30 @@ class TestEnvelope:
         assert echo._switch_time(p, gamma, alpha) == pytest.approx(
             ENVELOPE_CONSTANT * t3, rel=1e-12
         )
+
+    def test_report_bundles_the_envelope(self):
+        # the envelope is its start value, built from the switch time, carried
+        # forward by e^{nu t}
+        p = stable_params(A=1.5, c=0.2, nu_env=0.1)
+        C, T = ENVELOPE_CONSTANT, echo._switch_time(p, 2.0, 0.5)
+        start = growth_envelope(p, 2.0, 0.5, 0.0)
+        want = (
+            C * 1.5 / math.sqrt(0.1) * (1.0 + 0.2 / (0.5 * 0.1))
+            * math.exp(C * T) * math.exp(C * 0.2 * (1.0 + T * T))
+        )
+        assert start == pytest.approx(want, rel=1e-12)
+        assert start >= p.A
+        for t in (0.0, 2.0, 6.0):
+            assert growth_envelope(p, 2.0, 0.5, t) == pytest.approx(
+                start * math.exp(0.1 * t), rel=1e-12
+            )
+
+    def test_report_rejects_sub_unit_constant(self):
+        # the calibrated constant is frozen at C >= 1, so the start never
+        # falls below the source A, with or without a resonance load
+        assert ENVELOPE_CONSTANT >= 1.0
+        for p in (stable_params(nu_env=0.2), stable_params(A=1.5, c=0.2, nu_env=0.1)):
+            assert growth_envelope(p, 2.0, 0.5, 0.0) >= p.A
 
 
 class TestGrowthVerify:
