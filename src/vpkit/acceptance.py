@@ -19,6 +19,9 @@ growth_scenario, for the criterion and the growth demo.
 run_battery executes a named suite and never raises on a failed check: a
 failure, including an unexpected exception inside a criterion, becomes
 report content with passed = False.
+
+scipy.integrate is imported on first use, by criteria 2 (solve_ivp) and 6
+(quad_vec), before their clocks start.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad_vec, solve_ivp
 
 from .echo import (
     BACKWARD_MOMENT_CONSTANT,
@@ -342,6 +344,8 @@ def criterion_1(cache=None) -> CriterionResult:
 
 def criterion_2(cache=None) -> CriterionResult:
     """Closed-form collision substep against a high-order ODE reference."""
+    from scipy.integrate import solve_ivp
+
     t0 = time.perf_counter()
     nu, dt = 0.7, 0.8
     v_max = 6.0
@@ -451,6 +455,8 @@ def criterion_6(cache=None) -> CriterionResult:
     integrated as one 200-vector, real parts then imaginary parts, by a single
     adaptive quad_vec call; the check fails unless that call converged.
     """
+    from scipy.integrate import quad_vec
+
     t0 = time.perf_counter()
     omega, v = (a.ravel() for a in np.meshgrid(
         (0.0, 0.7, 1.4, 2.1, 2.8), (-1.2, -0.4, 0.3, 0.8, 1.5), indexing="ij"

@@ -96,17 +96,6 @@ class SpectralDistribution:
     def row(self, k: int) -> np.ndarray:
         return self.coeffs[k + self.k_max]
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """f real in physical space: f_hat(-k,-eta) = conj(f_hat(k,eta)).
-
-        The leftmost eta bin has no mirror partner on an even grid and is
-        ignored (constructors keep it zero for real fields).
-        """
-        a = self.coeffs[:, 1:]
-        b = np.conj(a[::-1, ::-1])
-        scale = np.abs(a).max() or 1.0
-        return bool(np.abs(a - b).max() <= tol * scale)
-
     def delta_row_mask(self) -> np.ndarray:
         """Rows whose entire mass sits in the eta=0 bin (discrete x-only data)."""
         off = np.abs(self.coeffs).sum(axis=1) - np.abs(self.coeffs[:, self.center_index])

@@ -14,6 +14,11 @@ density history, mode reconstruction from the density, the dispersion
 function (quadrature and Faddeeva-function routes) and the decay rate of its
 root, the stability scan, the single-particle free-streaming response forms,
 and a peak-envelope decay-rate fitter.
+
+scipy is imported on first use, inside the functions that call it (wofz in
+the closed-form dispersion function, quad in its quadrature route, root in
+dispersion_rate, minimize in stability_scan), so importing this module
+loads nothing from scipy.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize, root
-from scipy.special import wofz
 
 from .errors import (
     ConstraintViolation,
@@ -238,6 +240,8 @@ def _laplace_terms(eta, k, nu, lambda_weight, profile):
 
 def _L_closed(eta, k, nu, lambda_weight, profile, what):
     """Faddeeva-function evaluation of the dispersion function (vectorized)."""
+    from scipy.special import wofz
+
     eta = np.asarray(eta, dtype=complex)
     total = np.zeros(eta.shape, dtype=complex)
     for w, a, b in _laplace_terms(eta, k, nu, lambda_weight, profile):
@@ -279,6 +283,8 @@ def dispersion_L(
     if method == "wofz":
         return complex(_L_closed(eta, k, nu, lambda_weight, kern.profile, what))
     if method == "quad":
+        from scipy.integrate import quad
+
         terms = _laplace_terms(eta, k, nu, lambda_weight, kern.profile)
         T = 0.0
         for _, a, b in terms:
@@ -313,6 +319,8 @@ def dispersion_rate(kern: VolterraKernel) -> float:
     the solver reports that it stopped making progress. Raises
     MarginNonPositive when no root is found or the root found does not decay.
     """
+    from scipy.optimize import root
+
     k = kern.k
 
     def mismatch(xy):
@@ -387,6 +395,8 @@ def stability_scan(k_range, nu: float, kern_family, scan: ScanSpec | None = None
     mode and downstream growth control must refuse it. A margin or majorant
     that is not finite raises ConstraintViolation instead of being skipped.
     """
+    from scipy.optimize import minimize
+
     if scan is None:
         scan = ScanSpec()
     kmin, kmax = int(k_range[0]), int(k_range[1])

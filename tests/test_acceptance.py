@@ -9,6 +9,7 @@ tolerance it was held to.
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 from vpkit import acceptance
@@ -91,7 +92,7 @@ def test_criterion_06_free_streaming_identities(cache):
 def _captured_quad_vec(monkeypatch, status=None):
     """Route criterion 6's quad_vec through a recorder; optionally force its status."""
     calls = []
-    real = acceptance.quad_vec
+    real = scipy.integrate.quad_vec
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
@@ -100,7 +101,7 @@ def _captured_quad_vec(monkeypatch, status=None):
         calls.append(out)
         return out
 
-    monkeypatch.setattr(acceptance, "quad_vec", recording)
+    monkeypatch.setattr(scipy.integrate, "quad_vec", recording)
     return calls
 
 

@@ -12,7 +12,10 @@ constructor guards.
 
 import hashlib
 import json
+import os
 import string
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -773,6 +776,28 @@ class TestRuns:
         assert float(echo["t_predicted"]) == pytest.approx(10.0)
         offset = abs(float(echo["t_measured"]) - 10.0) / 10.0
         assert offset <= 0.05
+
+
+_COLD_PROBE = """
+import sys
+from vpkit import cli
+code = cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--quiet"]) if sys.argv[1:] else 0
+print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_cli_loads_no_scipy(tmp_path):
+    # scipy is imported on first use: neither the import of vpkit.cli nor a
+    # free_transport run needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    config = str(SHIPPED_CONFIGS / "free_transport.ini")
+    for args in ([], [config, str(tmp_path / "out")]):
+        done = subprocess.run([sys.executable, "-c", _COLD_PROBE, *args], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []", done.stdout
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_history_csv_matches_the_per_cell_writer():

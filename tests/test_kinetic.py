@@ -440,8 +440,8 @@ from dataclasses import replace
 from vpkit.config import scenario_defaults
 from vpkit.kinetic import run
 config = replace(scenario_defaults("linear_landau").run, k_max=16, n_v=1024, t_end=1.0)
-history, _ = run(config)
-print(hashlib.sha256(history.rho_hat.tobytes()).hexdigest())
+history, diag = run(config)
+print(hashlib.sha256(history.rho_hat.tobytes() + diag["edge_fraction"].tobytes()).hexdigest())
 """
 
 
@@ -531,7 +531,61 @@ class TestMatrixKick:
         assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
+def fft_guard_fraction(state):
+    """The edge-band fraction from a full complex FFT of every row k >= 1: the
+    reference the band-only resolution_guard is checked against."""
+    power = np.abs(np.fft.fft(state.rows[1:], axis=1)) ** 2
+    total = float(power.sum())
+    if total <= 0.0:
+        return 0.0
+    eta = np.fft.fftfreq(state.n_v, d=state.dv)
+    band = np.abs(eta) >= (1.0 - kin.RESOLUTION_BAND) / (2.0 * state.dv)
+    return float(power[:, band].sum() / total)
+
+
+def guard_fraction(state):
+    try:
+        return resolution_guard(state)
+    except ResolutionExceeded as err:
+        return err.fraction
+
+
 class TestResolutionGuard:
+    @pytest.mark.parametrize("n_v, n_band", [(64, 1), (128, 3), (512, 11), (1024, 21)])
+    def test_band_matrix_is_the_fft_band(self, n_v, n_band, rng):
+        band = kin._edge_band(n_v)
+        assert band.shape == (n_v, n_band) and not band.flags.writeable
+        rows = rng.standard_normal((3, n_v)) + 1j * rng.standard_normal((3, n_v))
+        eta = np.fft.fftfreq(n_v, d=0.1)
+        want = np.fft.fft(rows, axis=1)[:, np.abs(eta) >= (1.0 - kin.RESOLUTION_BAND) / 0.2]
+        assert np.abs(rows @ band - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_band_guard_matches_the_fft_guard(self, rng):
+        # measured gap: <= 4.2e-17 over Landau, echo, strong-forcing and random
+        # states, where the fractions run from 1e-22 to 1e-3; the FFT's own
+        # roundoff floor is about 1e-16 of the total
+        tol = 1e-15
+        landau = perturb_density(equilibrium_state(MX_COLD, 4, 512), MX_COLD, 1, 1e-5)
+        echo = perturb_density(equilibrium_state(MX_UNIT, 8, 512, v_max=6.0), MX_UNIT, 1, 1e-3)
+        kick = np.zeros(9, dtype=complex)
+        kick[1:] = 5.0
+        gaps = []
+        for n in range(1, 121):
+            landau = step(landau, 0.05, W_POW, MX_COLD, 0.01)
+            echo = step(echo, 0.02, W_POW, MX_UNIT, 0.0,
+                        external_field_hat=kick if n == 40 else None)
+            if n % 20 == 0:
+                for state in (landau, echo):
+                    gaps.append(abs(guard_fraction(state) - fft_guard_fraction(state)))
+        for k_max, n_v in ((2, 64), (4, 512), (16, 1024)):
+            for _ in range(5):
+                rows = rng.standard_normal((k_max + 1, n_v)) + 1j * rng.standard_normal(
+                    (k_max + 1, n_v))
+                rows[0] = rows[0].real
+                state = PhaseState(rows=rows, time=0.0, k_max=k_max, v_max=3.0)
+                gaps.append(abs(guard_fraction(state) - fft_guard_fraction(state)))
+        assert max(gaps) <= tol
+
     def test_trips_on_filamentation_before_recurrence(self):
         # dv = 0.1875: recurrence at 5.33, the edge band fills around t ~ 2.3
         state = perturb_density(
@@ -771,7 +825,7 @@ class TestEchoExperiment:
 
     def test_trace_times_sit_on_the_step_grid(self):
         short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128)
-        times, _ = kin._march_mode_trace(short, 1, -2, 0.5, 1e-3, 1e-3)
+        times, _ = kin._march_mode_trace({}, short, 1, -2, 0.5, 1e-3, 1e-3)
         assert np.array_equal(times, np.arange(short.n_steps + 1) * short.dt)
         assert times[-1] == 1.0
 
@@ -785,10 +839,41 @@ class TestEchoExperiment:
         cache = {}
         result = criterion_9(cache)
         assert result.passed
-        assert len(calls) == 5 * ECHO_CFG.n_steps  # 5 distinct of 8 marches
+        # 2 seeds march the 250 steps to the kick once each; then the 5
+        # distinct of 8 runs march the remaining 375
+        assert ECHO_CFG.n_steps == 625 and round(5.0 / ECHO_CFG.dt) == 250
+        assert len(calls) == 2 * 250 + 5 * 375
         assert cache[("echo",)] == (base_report, quiet_report) + doubled_reports
         criterion_9(cache)
-        assert len(calls) == 5 * ECHO_CFG.n_steps
+        assert len(calls) == 2 * 250 + 5 * 375
+
+    def test_shared_prefix_trace_equals_an_unshared_march(self, monkeypatch):
+        short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128, record_every=3)
+        l, m, s_force, eps1 = 1, -2, 0.4, 1e-3
+        j_kick = 20
+
+        def unshared(eps2):
+            state = perturb_density(
+                equilibrium_state(short.profile, short.k_max, short.n_v, short.v_max),
+                short.profile, l, eps1)
+            kick = np.zeros(short.k_max + 1, dtype=complex)
+            kick[abs(m)] = 0.5 * eps2 / short.dt
+            trace = [abs(state.dv * state.rows[abs(l + m)].sum())]
+            for n in range(short.n_steps):
+                state = step(state, short.dt, short.interaction, short.profile, short.nu,
+                             external_field_hat=kick if n == j_kick and eps2 else None)
+                trace.append(abs(state.dv * state.rows[abs(l + m)].sum()))
+            return np.array(trace)
+
+        wants = [unshared(eps2) for eps2 in (1e-3, 2e-3, 0.0)]
+        calls = count_steps(monkeypatch)
+        marches = {}
+        traces = [kin._march_mode_trace(marches, short, l, m, s_force, eps1, eps2)[1]
+                  for eps2 in (1e-3, 2e-3, 0.0)]
+        assert ("echo_prefix", short, l, eps1, j_kick) in marches
+        assert len(calls) == j_kick + 3 * (short.n_steps - j_kick)
+        for trace, want in zip(traces, wants):
+            assert trace.tobytes() == want.tobytes()
 
     def test_recurrence_guard(self):
         coarse = KineticRun(
