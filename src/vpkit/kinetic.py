@@ -754,24 +754,28 @@ def _echo_steps(config: KineticRun, state: PhaseState, n0: int, n1: int, externa
 def _march_mode_trace(
     marches: dict, config: KineticRun, l: int, m: int, s_force: float, eps1: float, eps2: float
 ):
-    """March the echo run and return (times, |rho_hat(t, k)|) for k = l + m.
+    """March the echo run and return (times, |rho_hat(t, k)|) for k = l + m,
+    kept in marches under the full march inputs.
 
     The probe enters as an external field eps2/dt * cos(2 pi m x) held for
     the single step that starts at s_force, an impulse of total strength
     eps2 independent of dt. The trace reads stored row |k|: |rho_hat(-k)| =
     |rho_hat(k)|. The j_kick = s_force/dt steps before the kick depend only
     on (config, l, eps1): the state after them and the density rows up to
-    them are kept in marches, and every run from that seed marches only
+    them are kept in marches too, and every run from that seed marches only
     from the kick on."""
+    key = ("echo_march", config, l, m, float(s_force), float(eps1), float(eps2))
+    if key in marches:
+        return marches[key]
     j_kick = int(round(s_force / config.dt))
-    key = ("echo_prefix", config, l, float(eps1), j_kick)
-    if key not in marches:
+    seed_key = ("echo_prefix", config, l, float(eps1), j_kick)
+    if seed_key not in marches:
         state = equilibrium_state(config.profile, config.k_max, config.n_v, config.resolved_v_max())
         state = perturb_density(state, config.profile, l, eps1)
         rho = [state.dv * state.rows.sum(axis=1)]
         state = _echo_steps(config, state, 0, j_kick, None, rho)
-        marches[key] = (state, tuple(rho))
-    state, prefix = marches[key]
+        marches[seed_key] = (state, tuple(rho))
+    state, prefix = marches[seed_key]
     external = None
     if eps2 != 0.0:
         external = np.zeros(config.k_max + 1, dtype=complex)
@@ -782,14 +786,7 @@ def _march_mode_trace(
     # hypot rounds as the scalar complex abs does; numpy's array abs can differ
     # in the last bit
     trace = np.array(rho)[:, abs(l + m)]
-    return times, np.hypot(trace.real, trace.imag)
-
-
-def _echo_trace(marches: dict, config: KineticRun, l, m, s_force, eps1, eps2):
-    """_march_mode_trace through marches, keyed by the full march inputs."""
-    key = ("echo_march", config, l, m, float(s_force), float(eps1), float(eps2))
-    if key not in marches:
-        marches[key] = _march_mode_trace(marches, config, l, m, s_force, eps1, eps2)
+    marches[key] = times, np.hypot(trace.real, trace.imag)
     return marches[key]
 
 
@@ -842,8 +839,8 @@ def echo_experiment(
         raise ConstraintViolation("s_force must sit on the step grid")
 
     marches = {} if marches is None else marches
-    times, kicked = _echo_trace(marches, config, l, m, s_force, eps1, eps2)
-    _, quiet = _echo_trace(marches, config, l, m, s_force, eps1, 0.0)
+    times, kicked = _march_mode_trace(marches, config, l, m, s_force, eps1, eps2)
+    _, quiet = _march_mode_trace(marches, config, l, m, s_force, eps1, 0.0)
     window = times >= s_force + max(3.0 * config.dt, 0.15 * (t_star - s_force))
     t_measured, peak_amp = parabolic_peak(
         times[window], kicked[window], int(np.argmax(kicked[window]))
