@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
     VpkitError,
 )
+from .hybridnorms import SLACK_TOL
 from .kinetic import RESOLUTION_TOL, FieldHistory, echo_experiment, run
 from .lintheory import (
     VolterraKernel,
@@ -160,7 +161,7 @@ def _run_linear_landau(config: SimConfig):
     except (TooFewPeaks, MarginNonPositive) as err:
         fit = _criterion(
             "decay_matches_dispersion_root", False,
-            {"reason": f"{type(err).__name__}: {err}"}, "gap <= 0.05",
+            {"reason": f"{type(err).__name__}: {err}"}, "gap <= 0.05, rms < 0.05",
         )
     criteria = [fit, _mass_criterion(hist), _ran_to_t_end(
         diag["stop_reason"], diag["stop_time"], params.t_end, diag["stop_edge_fraction"]
@@ -308,7 +309,7 @@ def _run_norm_battery(config: SimConfig):
     asserted = sorted(report.items.items())
     criteria = [
         _criterion(
-            f"norm_item_{item}", entry["passed"] and entry["slack"] < 1e-9,
+            f"norm_item_{item}", entry["passed"] and entry["slack"] < SLACK_TOL,
             {"cases": entry["cases"], "max_slack": entry["slack"]},
             "slack < 1e-9",
         )

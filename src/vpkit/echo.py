@@ -19,7 +19,7 @@ here as a module constant, and the tests verify it on a disjoint grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -476,23 +476,22 @@ def echo_moment_forward(spec: EchoKernelSpec, nu: float, t: float):
     return numeric, shape
 
 
-def echo_moment_backward(spec: EchoKernelSpec, nu: float, s: float, T_max: float,
-                         rel_tol: float = 1e-9):
+def echo_moment_backward(spec: EchoKernelSpec, nu: float, s: float, T_max: float):
     """Future-weighted moment from time s and its predicted shape.
 
     Returns (numeric, shape) with numeric = int_s^{T_max} e^{-nu (t-s)} K(t,s) dt
-    and shape = 1/(alpha^2 nu) + 1/(alpha nu^gamma). The truncated tail beyond
-    T_max is bounded by (1+s) e^{-nu (T_max - s)} / nu (the kernel never
-    exceeds 1+s); TailNotResolved is raised if that majorant is not below
-    1e-10 of the computed integral.
+    and shape = 1/(alpha^2 nu) + 1/(alpha nu^gamma); the quadrature works to
+    relative error 1e-9. The truncated tail beyond T_max is bounded by
+    (1+s) e^{-nu (T_max - s)} / nu (the kernel never exceeds 1+s);
+    TailNotResolved is raised if that majorant is not below 1e-10 of the
+    computed integral.
     """
     if not 0.0 < nu < spec.alpha:
         raise ConstraintViolation("need 0 < nu < alpha")
     if s < 0 or T_max <= s:
         raise ConstraintViolation("need 0 <= s < T_max")
     numeric = _adaptive_simpson(
-        lambda t: _exp(-nu * (t - s)) * echo_kernel(spec, t, s),
-        s, T_max, rel_tol=rel_tol,
+        lambda t: _exp(-nu * (t - s)) * echo_kernel(spec, t, s), s, T_max
     )
     tail = (1.0 + s) * math.exp(-nu * (T_max - s)) / nu
     if tail >= 1e-10 * numeric:
@@ -597,8 +596,6 @@ def growth_envelope(params: GrowthParams, gamma: float, alpha: float, t: float) 
     e^{C c (1+T^2)} e^{nu t}, with T the three-term switch time and C the
     frozen calibrated constant ENVELOPE_CONSTANT. Valid for nu_env < alpha.
     """
-    if params.kappa <= 0:
-        raise UnstableConfiguration("no stability margin: the envelope is void")
     if gamma <= 1 or not 0 < alpha < 1:
         raise ConstraintViolation("need gamma > 1 and alpha in (0, 1)")
     if not params.nu_env < alpha:
@@ -613,14 +610,11 @@ def growth_envelope(params: GrowthParams, gamma: float, alpha: float, t: float) 
 class VerifyReport:
     """Outcome of checking a weighted density series against its bounds.
 
-    All three checks passed if the report exists (failures raise, so the ok
-    flags are True on any returned report); the ratios record how much
-    headroom each check had and the worst_* fields locate the tightest time.
+    All three checks passed if the report exists (failures raise); the
+    ratios record how much headroom each check had and the worst_* fields
+    locate the tightest time.
     """
 
-    hypothesis_ok: bool
-    crude_ok: bool
-    envelope_ok: bool
     checked_indices: tuple
     max_hypothesis_ratio: float
     worst_hypothesis_time: float
@@ -732,11 +726,7 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
                 "without a kernel spec the envelope needs nu_env < 1"
             )
         gamma_env, alpha_env = 2.0, 0.5 * (1.0 + nu)
-    env_params = GrowthParams(
-        A=float(source), c0=params.c0, m=params.m, c=params.c, kappa=params.kappa,
-        nu_env=params.nu_env, lambda0=params.lambda0,
-        lambda_weight=params.lambda_weight, C0=params.C0, C_W=params.C_W,
-    )
+    env_params = replace(params, A=float(source))
     env = np.array(
         [growth_envelope(env_params, gamma_env, alpha_env, float(t)) for t in times]
     )
@@ -750,9 +740,6 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
         )
 
     return VerifyReport(
-        hypothesis_ok=True,
-        crude_ok=True,
-        envelope_ok=True,
         checked_indices=tuple(int(i) for i in idx),
         max_hypothesis_ratio=float(max_hyp),
         worst_hypothesis_time=worst_hyp_t,

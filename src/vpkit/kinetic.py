@@ -40,7 +40,7 @@ from .errors import (
     ResolutionExceeded,
     StepTooCoarse,
 )
-from .hybridnorms import NormParams, SpectralDistribution, f_norm, y_norm
+from .hybridnorms import SpectralDistribution
 from .lintheory import parabolic_peak
 from .profiles import (
     Interaction,
@@ -514,17 +514,14 @@ def step(
     return PhaseState(rows=f, time=state.time + dt, k_max=k_max, v_max=state.v_max)
 
 
-def spectral_snapshot(state: PhaseState, subtract: np.ndarray | None = None) -> SpectralDistribution:
-    """Double-Fourier table fhat(k, eta) of the state (optionally minus a k=0 row).
+def spectral_snapshot(state: PhaseState) -> SpectralDistribution:
+    """Double-Fourier table fhat(k, eta) of the state.
 
     The velocity FFT is phased for the grid origin at -v_max and shifted so
     eta = 0 sits at the center index, matching the layout the analytic norms
     expect."""
-    g = state.f.copy()
-    if subtract is not None:
-        g[state.k_max] -= subtract
     eta = np.fft.fftfreq(state.n_v, d=state.dv)
-    coeffs = np.fft.fft(g, axis=1) * state.dv
+    coeffs = np.fft.fft(state.f, axis=1) * state.dv
     coeffs *= np.exp(2j * np.pi * eta * state.v_max)[None, :]
     return SpectralDistribution(
         k_max=state.k_max,
@@ -582,9 +579,8 @@ def on_step_grid(t: float, dt: float) -> bool:
 class KineticRun:
     """Parameters of a direct simulation.
 
-    norms lists analytic-norm diagnostics as ("f"|"y", lam, mu) triples,
-    evaluated on f - f0 at every record time. v_max = None means
-    default_v_max(profile). t_end must sit on the step grid.
+    v_max = None means default_v_max(profile). t_end must sit on the step
+    grid.
     """
 
     profile: VelocityProfile
@@ -599,7 +595,6 @@ class KineticRun:
     n_v: int = 512
     v_max: float | None = None
     record_every: int = 1
-    norms: tuple = ()
 
     def __post_init__(self):
         if self.nu < 0.0:
@@ -622,11 +617,6 @@ class KineticRun:
             raise ConstraintViolation("v_max must be positive")
         if int(self.record_every) != self.record_every or self.record_every < 1:
             raise ConstraintViolation("record_every must be a positive integer")
-        for entry in self.norms:
-            kind, lam, mu = entry
-            if kind not in ("f", "y"):
-                raise ConstraintViolation(f"unknown norm kind {kind!r}")
-            NormParams(lam=float(lam), mu=float(mu))
 
     @property
     def n_steps(self) -> int:
@@ -638,37 +628,26 @@ class KineticRun:
         return default_v_max(self.profile)
 
 
-def _norm_column(kind: str, lam: float, mu: float) -> str:
-    return f"{kind}norm_{lam:g}_{mu:g}"
-
-
 def run(config: KineticRun) -> tuple[FieldHistory, dict]:
     """March the full model and record fields plus scalar diagnostics.
 
     Returns (FieldHistory, diagnostics). The diagnostics dict carries arrays
     "t" (record times n * dt), "mass", "momentum", "l2", "edge_fraction"
-    (the resolution guard's value at each record), one column per configured
-    analytic norm of f - f0, "stop_reason" ("t_end", or "resolution_exceeded"
-    when the recurrence guard trips at a record time, in which case the
-    tables end at the last resolved record), "stop_time" (t_end, or the
-    record time the guard tripped at) and "stop_edge_fraction", the guard's
-    value there. A trip before the second record leaves no history to
-    report and raises ResolutionExceeded."""
+    (the resolution guard's value at each record), "stop_reason" ("t_end",
+    or "resolution_exceeded" when the recurrence guard trips at a record
+    time, in which case the tables end at the last resolved record),
+    "stop_time" (t_end, or the record time the guard tripped at) and
+    "stop_edge_fraction", the guard's value there. A trip before the second
+    record leaves no history to report and raises ResolutionExceeded."""
     v_max = config.resolved_v_max()
     state = equilibrium_state(config.profile, config.k_max, config.n_v, v_max)
     if config.amplitude != 0.0:
         state = perturb_density(
             state, config.profile, config.k_pert, config.amplitude, config.pert_shape
         )
-    f0 = _equilibrium_rows(config.profile, config.n_v, v_max)
-    norm_params = [
-        (_norm_column(kind, lam, mu), kind, NormParams(lam=float(lam), mu=float(mu)))
-        for kind, lam, mu in config.norms
-    ]
 
     times, rho_rows = [], []
     mass, momentum, l2, edge = [], [], [], []
-    norm_series: dict = {name: [] for name, _, _ in norm_params}
     stop_reason = "t_end"
 
     def record(st: PhaseState, t: float):
@@ -680,11 +659,6 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
         mass.append(float(rho[0].real))
         momentum.append(float((st.dv * np.dot(st.rows[0], st.v)).real))
         l2.append(float(np.sqrt(st.dv * (power[0].sum() + 2.0 * power[1:].sum()))))
-        if norm_params:
-            table = spectral_snapshot(st, subtract=f0)
-            for name, kind, params in norm_params:
-                value = f_norm(table, params) if kind == "f" else y_norm(table, params)
-                norm_series[name].append(value)
 
     try:
         record(state, 0.0)
@@ -706,12 +680,10 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
         "momentum": np.array(momentum),
         "l2": np.array(l2),
         "edge_fraction": np.array(edge),
+        "stop_reason": stop_reason,
+        "stop_time": stop_time,
+        "stop_edge_fraction": stop_edge,
     }
-    for name in norm_series:
-        diagnostics[name] = np.array(norm_series[name])
-    diagnostics["stop_reason"] = stop_reason
-    diagnostics["stop_time"] = stop_time
-    diagnostics["stop_edge_fraction"] = stop_edge
     return history, diagnostics
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "VolterraKernel",
     "DensityHistory",
     "StabilityReport",
-    "ScanSpec",
     "kernel_eval",
     "volterra_solve",
     "mode_reconstruct",
@@ -129,7 +128,6 @@ class DensityHistory:
     k: int
     times: np.ndarray
     rho_hat: np.ndarray
-    method: dict
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -189,12 +187,7 @@ def volterra_solve(k: int, f0_trace, kern: VolterraKernel, T: float, dt: float) 
     for m in range(1, n + 1):
         conv = dt * np.dot(kvals[m:0:-1], rho[:m]) - 0.5 * dt * kvals[m] * rho[0]
         rho[m] = (a[m] + conv) / denom
-    return DensityHistory(
-        k=k,
-        times=times,
-        rho_hat=rho,
-        method={"scheme": "product-trapezoid", "order": 2, "dt": float(dt), "nu": kern.nu},
-    )
+    return DensityHistory(k=k, times=times, rho_hat=rho)
 
 
 def mode_reconstruct(hist: DensityHistory, xi: float, t: float, kern: VolterraKernel, f0_hat):
@@ -225,26 +218,22 @@ def mode_reconstruct(hist: DensityHistory, xi: float, t: float, kern: VolterraKe
     return complex(free + np.dot(w, integrand))
 
 
-def _laplace_terms(eta, k, nu, lambda_weight, profile):
+def _laplace_terms(eta, k, nu, profile):
     """Per-component (weight, a, b) of the transformed kernel exp(at - bt^2)."""
-    base = (
-        2j * np.pi * np.conj(eta) * abs(k)
-        + 2.0 * np.pi * lambda_weight * abs(k)
-        - nu
-    )
+    base = 2j * np.pi * np.conj(eta) * abs(k) - nu
     return [
         (w, base - 2j * np.pi * c * k, 2.0 * np.pi**2 * s * s * k * k)
         for w, c, s in profile.components
     ]
 
 
-def _L_closed(eta, k, nu, lambda_weight, profile, what):
+def _L_closed(eta, k, nu, profile, what):
     """Faddeeva-function evaluation of the dispersion function (vectorized)."""
     from scipy.special import wofz
 
     eta = np.asarray(eta, dtype=complex)
     total = np.zeros(eta.shape, dtype=complex)
-    for w, a, b in _laplace_terms(eta, k, nu, lambda_weight, profile):
+    for w, a, b in _laplace_terms(eta, k, nu, profile):
         rb = np.sqrt(b)
         i0 = np.sqrt(np.pi) / (2.0 * rb) * wofz(-1j * a / (2.0 * rb))
         i1 = 1.0 / (2.0 * b) + (a / (2.0 * b)) * i0
@@ -252,22 +241,15 @@ def _L_closed(eta, k, nu, lambda_weight, profile, what):
     return total
 
 
-def dispersion_L(
-    eta,
-    k: int,
-    nu: float,
-    lambda_weight: float = 0.0,
-    *,
-    kern: VolterraKernel,
-    method: str = "wofz",
-):
+def dispersion_L(eta, k: int, nu: float, *, kern: VolterraKernel, method: str = "wofz"):
     """Laplace-side dispersion function of the memory kernel.
 
     Evaluates
 
-        L(eta, k) = int_0^inf exp(2 pi i conj(eta) |k| t)
-                    exp(2 pi lambda_weight |k| t) K_nu(t, k) dt.
+        L(eta, k) = int_0^inf exp(2 pi i conj(eta) |k| t) K_nu(t, k) dt.
 
+    An extra weight exp(2 pi lambda |k| t) in the integrand is the frequency
+    shift eta -> eta + i lambda, so a weighted L is this one evaluated there.
     kern supplies the profile and interaction; k and nu are explicit so scans
     can vary them. method "wofz" uses the closed Gaussian forms through the
     Faddeeva function; method "quad" integrates adaptively to relative error
@@ -281,17 +263,17 @@ def dispersion_L(
         # no phase and no field: the kernel is nu*exp(-nu t)
         return complex(1.0) if nu > 0 else complex(0.0)
     if method == "wofz":
-        return complex(_L_closed(eta, k, nu, lambda_weight, kern.profile, what))
+        return complex(_L_closed(eta, k, nu, kern.profile, what))
     if method == "quad":
         from scipy.integrate import quad
 
-        terms = _laplace_terms(eta, k, nu, lambda_weight, kern.profile)
+        terms = _laplace_terms(eta, k, nu, kern.profile)
         T = 0.0
         for _, a, b in terms:
             ra = float(np.real(a))
             T = max(T, (ra + np.sqrt(ra * ra + 160.0 * b)) / (2.0 * b))
         T = 1.25 * T + 1.0
-        phase = 2j * np.pi * np.conj(eta) * abs(k) + 2.0 * np.pi * lambda_weight * abs(k)
+        phase = 2j * np.pi * np.conj(eta) * abs(k)
 
         def g(t):
             return complex(
@@ -338,23 +320,13 @@ def dispersion_rate(kern: VolterraKernel) -> float:
     return 2.0 * np.pi * abs(k) * float(sol.x[1])
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """Grid specification for the stability-margin scan.
-
-    eta_re_max / eta_im_max default to None, meaning they are sized from the
-    profile's velocity scale (resonances sit near the drift speeds). Modes
-    with |k| > k_cutoff whose analytic majorant keeps |L| small are bounded
-    without scanning.
-    """
-
-    eta_re_max: float | None = None
-    eta_im_max: float | None = None
-    n_re: int = 121
-    n_im: int = 25
-    refine: bool = True
-    k_cutoff: int = 8
-    speed_ratio_threshold: float = 3.0
+# The margin scan's coarse grid: SCAN_N_RE x SCAN_N_IM points over
+# |Re eta| <= 1 + 4 s, -(0.5 + 2 s) <= Im eta <= 0, s the kernel's velocity
+# scale (resonances sit near the drift speeds). Modes with |k| > SCAN_K_CUTOFF
+# whose analytic majorant keeps |L| small are bounded without scanning.
+SCAN_N_RE = 121
+SCAN_N_IM = 25
+SCAN_K_CUTOFF = 8
 
 
 def _margin_majorant(k, nu, profile, interaction):
@@ -371,7 +343,12 @@ def _margin_majorant(k, nu, profile, interaction):
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """Measured stability margin kappa = inf |1 - L| and where it occurs."""
+    """Measured stability margin kappa = inf |1 - L| and where it occurs.
+
+    scan["margins"] maps each scanned mode to (margin, Re eta, Im eta) at its
+    minimum; scan["skipped_lower_bounds"] maps each mode bounded by its
+    majorant alone to that lower bound on its margin.
+    """
 
     kappa: float
     worst_mode: int
@@ -383,13 +360,13 @@ class StabilityReport:
             raise ConstraintViolation("stability margin must be >= 0")
 
 
-def stability_scan(k_range, nu: float, kern_family, scan: ScanSpec | None = None) -> StabilityReport:
+def stability_scan(k_range, nu: float, kern_family) -> StabilityReport:
     """Measure kappa = inf over modes and the closed lower half-plane of |1 - L|.
 
     k_range is an inclusive (k_min, k_max) interval of integer modes; k = 0
     carries no field and is skipped. kern_family is a callable k -> kernel
-    supplying the profile and interaction per mode. Minima found on the coarse
-    grid are refined by Nelder-Mead (clamped to Im eta <= 0). A margin below
+    supplying the profile and interaction per mode. Minima below 1 found on
+    the coarse grid (SCAN_N_RE x SCAN_N_IM) are refined by Nelder-Mead (clamped to Im eta <= 0). A margin below
     root tolerance means 1 - L has a zero in the closed lower half-plane and
     MarginNonPositive is raised: the configuration supports a non-decaying
     mode and downstream growth control must refuse it. A margin or majorant
@@ -397,8 +374,6 @@ def stability_scan(k_range, nu: float, kern_family, scan: ScanSpec | None = None
     """
     from scipy.optimize import minimize
 
-    if scan is None:
-        scan = ScanSpec()
     kmin, kmax = int(k_range[0]), int(k_range[1])
     modes = [k for k in range(kmin, kmax + 1) if k != 0]
     if not modes:
@@ -409,33 +384,29 @@ def stability_scan(k_range, nu: float, kern_family, scan: ScanSpec | None = None
     best = (np.inf, 0, 0j)
     for k in modes:
         kern = kern_family(k)
-        re_max = scan.eta_re_max
-        if re_max is None:
-            re_max = 1.0 + 4.0 * kern.velocity_scale
-        im_max = scan.eta_im_max
-        if im_max is None:
-            im_max = 0.5 + 2.0 * kern.velocity_scale
+        re_max = 1.0 + 4.0 * kern.velocity_scale
+        im_max = 0.5 + 2.0 * kern.velocity_scale
         majorant = _margin_majorant(k, nu, kern.profile, kern.interaction)
         if not np.isfinite(majorant):
             raise ConstraintViolation(f"mode k = {k}: |L| majorant {majorant!r} is not finite")
-        if abs(k) > scan.k_cutoff and majorant <= 0.5:
+        if abs(k) > SCAN_K_CUTOFF and majorant <= 0.5:
             skipped[k] = 1.0 - majorant
             continue
         grid = (
-            np.linspace(-re_max, re_max, scan.n_re)[None, :]
-            + 1j * np.linspace(-im_max, 0.0, scan.n_im)[:, None]
+            np.linspace(-re_max, re_max, SCAN_N_RE)[None, :]
+            + 1j * np.linspace(-im_max, 0.0, SCAN_N_IM)[:, None]
         )
         what = interaction_hat(kern.interaction, k)
-        mvals = np.abs(1.0 - _L_closed(grid, k, nu, 0.0, kern.profile, what))
+        mvals = np.abs(1.0 - _L_closed(grid, k, nu, kern.profile, what))
         flat = int(np.argmin(mvals))
         m0 = float(mvals.flat[flat])
         e0 = complex(grid.flat[flat])
-        if scan.refine and m0 < 1.0:
+        if m0 < 1.0:
 
             def objective(xy):
                 x, y = xy
                 eta = complex(x, min(y, 0.0))
-                val = abs(1.0 - complex(_L_closed(eta, k, nu, 0.0, kern.profile, what)))
+                val = abs(1.0 - complex(_L_closed(eta, k, nu, kern.profile, what)))
                 return val + max(y, 0.0)
 
             res = minimize(
@@ -466,23 +437,13 @@ def stability_scan(k_range, nu: float, kern_family, scan: ScanSpec | None = None
         kappa = tail_bound
         worst_mode = min(skipped, key=skipped.get)
         worst_eta = 0j
-    ref_kern = kern_family(worst_mode if worst_mode != 0 else modes[0])
-    v_te = ref_kern.profile.thermal_speed
-    ratio = abs(worst_eta.real + 1j * nu / (2.0 * np.pi * max(1, abs(worst_mode)))) / v_te
     return StabilityReport(
         kappa=float(kappa),
         worst_mode=int(worst_mode),
         worst_frequency=worst_eta,
         scan={
-            "n_re": scan.n_re,
-            "n_im": scan.n_im,
-            "refined": scan.refine,
-            "k_cutoff": scan.k_cutoff,
             "margins": {k: (m, e.real, e.imag) for k, (m, e) in margins.items()},
             "skipped_lower_bounds": dict(skipped),
-            "phase_speed_ratio": float(ratio),
-            "phase_speed_threshold": float(scan.speed_ratio_threshold),
-            "phase_speed_ok": bool(ratio >= scan.speed_ratio_threshold),
         },
     )
 

@@ -7,6 +7,8 @@ carries the same line, so a red test names the number that moved and the
 tolerance it was held to.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -67,6 +69,7 @@ def test_criterion_03_conservation_audit(cache):
     result = _check(acceptance.criterion_3, cache)
     assert result.measured["runs_audited"] >= 4
     assert result.measured["max_mass_drift"] < 1e-10
+    assert result.tolerances["runs_audited"] == ">= 4"
 
 
 def test_criterion_04_damping_rate_three_routes(cache):
@@ -87,6 +90,7 @@ def test_criterion_06_free_streaming_identities(cache):
     assert result.measured["quadrature_converged"] is True
     assert result.measured["worst_quadrature_error"] <= 1e-8
     assert result.measured["resonance_scaling_deviation"] <= 1e-12
+    assert result.tolerances["grid_points"] == "= 100"
 
 
 def _captured_quad_vec(monkeypatch, status=None):
@@ -157,6 +161,8 @@ def test_criterion_08_moment_decay_shapes(cache):
 def test_criterion_09_plasma_echo_arrival(cache):
     result = _check(acceptance.criterion_9, cache)
     assert result.measured["arrival_offset"] <= 0.05
+    assert result.measured["peak_to_baseline"] >= 100.0
+    assert result.tolerances["peak_to_baseline"] == ">= 100"
     assert abs(result.measured["seed_doubling_ratio"] - 2.0) <= 0.2
     assert abs(result.measured["force_doubling_ratio"] - 2.0) <= 0.2
     assert result.measured["quiet_peak"] < 1e-10
@@ -175,6 +181,20 @@ def test_criterion_11_weighted_growth_control(cache):
     assert result.measured["crude_bound_ratio"] < 1.0
     assert result.measured["envelope_ratio"] < 1.0
     assert _csv_line(result) == PINNED_LINES[11]
+
+
+def test_criterion_11_fails_on_an_envelope_ratio_of_one(monkeypatch):
+    # 1 + 5e-10 is inside growth_verify's own raise slack of 1e-9, so the
+    # report comes back; the criterion still owes its "< 1" tolerance
+    real = acceptance.growth_verify
+
+    def touching(*args, **kwargs):
+        return replace(real(*args, **kwargs), max_envelope_ratio=1.0 + 5e-10)
+
+    monkeypatch.setattr(acceptance, "growth_verify", touching)
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert result.measured["envelope_ratio"] == 1.0 + 5e-10
 
 
 def test_criterion_12_field_decay_slope(cache):

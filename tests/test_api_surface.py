@@ -94,3 +94,147 @@ HANDLED = set().union(*(_handled(tree) for tree in SOURCES.values()))
 @pytest.mark.parametrize("name", ERRORS)
 def test_every_error_class_is_raised_or_caught(name):
     assert name in HANDLED, f"vpkit.errors.{name} is neither raised nor caught in src/"
+
+
+# ---------------------------------------------------------------------------
+# Every settable value has a caller that sets it.
+#
+# A default-valued parameter of a public function or method, or a field of a
+# public dataclass, is a knob. A knob that no call in src/, demos/ or
+# perfbench/ sets always takes one value, and should be a constant. A call
+# sets a parameter when it passes it by keyword, passes enough positional
+# arguments to reach it, or uses * / ** (which may reach any of them); calls
+# are matched to definitions by name, and cls(...) inside a class body is a
+# call of that class. dataclasses.replace(obj, name=...) sets field name.
+
+# (owner, parameter) -> why it stays settable with no caller setting it
+KNOB_ALLOWLIST = {
+    ("EchoKernelSpec", "trunc"): "the tests' trunc-doubling certificate sets it",
+    ("dispersion_L", "method"): "the quad route is the tests' reference for wofz",
+    ("run_battery", "cache"): "the tests share one product cache across calls",
+    **{(f"criterion_{n}", "cache"): "reached through CRITERIA as fn(cache); the tests "
+       "share one product cache" for n in range(1, 13)},
+    ("main", "argv"): "the entry point: the console script calls main(), which parses sys.argv",
+    ("power_law", "amplitude"): "called as build(*args) through config._MODELS",
+    ("power_law", "sign"): "called as build(*args) through config._MODELS",
+    ("PropertyReport", "items"): "state filled after construction",
+    ("PropertyReport", "observed"): "state filled after construction",
+}
+
+CALLER_TREES = [
+    _tree(path)
+    for folder in (SRC, ROOT / "demos", ROOT / "perfbench")
+    for path in sorted(folder.glob("*.py"))
+]
+
+
+def _decorators(node):
+    return set().union(*(_references(d) for d in node.decorator_list))
+
+
+def _init_fields(cls):
+    """Fields of a dataclass body that __init__ takes, in order."""
+    fields = []
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in _references(item.annotation):
+            continue
+        value = item.value
+        if (isinstance(value, ast.Call) and "field" in _references(value.func)
+                and any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is False for kw in value.keywords)):
+            continue
+        fields.append(item.target.id)
+    return fields
+
+
+def _knobs():
+    """name -> [(parameter list the positional arguments fill, knob names)]
+    for every public definition of that name, and the dataclass names."""
+    table, dataclasses = {}, set()
+
+    def function(node, owner=None):
+        if node.name.startswith("_") or _decorators(node) & {"property", "cached_property"}:
+            return
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        if owner is not None and "staticmethod" not in _decorators(node):
+            positional = positional[1:]  # self or cls
+        defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if defaulted:
+            table.setdefault(node.name, []).append((positional, defaulted))
+
+    for tree in SOURCES.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if "dataclass" in _decorators(node):
+                    fields = _init_fields(node)
+                    table.setdefault(node.name, []).append((fields, fields))
+                    dataclasses.add(node.name)
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        function(item, owner=node.name)
+    return table, dataclasses
+
+
+def _calls():
+    """(callee name, positional count, keyword names, starred) per call site."""
+    found = []
+
+    def visit(node, cls_name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name == "cls" and cls_name is not None:
+                    name = cls_name
+                starred = any(isinstance(a, ast.Starred) for a in child.args) or any(
+                    kw.arg is None for kw in child.keywords)
+                keywords = {kw.arg for kw in child.keywords if kw.arg is not None}
+                if name is not None:
+                    found.append((name, len(child.args), keywords, starred))
+            visit(child, cls_name)
+
+    for tree in CALLER_TREES:
+        visit(tree, None)
+    return found
+
+
+def _unset_knobs():
+    knobs, dataclasses = _knobs()
+    fields_by_name = {}
+    for owner in dataclasses:
+        for _, names in knobs[owner]:
+            for name in names:
+                fields_by_name.setdefault(name, set()).add(owner)
+    unset = {(owner, name) for owner, defs in knobs.items() for _, names in defs for name in names}
+    for callee, n_positional, keywords, starred in _calls():
+        if callee == "replace":
+            unset -= {(owner, name) for name in keywords for owner in fields_by_name.get(name, ())}
+            continue
+        for positional, names in knobs.get(callee, ()):
+            for name in names:
+                if starred or name in keywords or name in positional[:n_positional]:
+                    unset.discard((callee, name))
+    return unset
+
+
+def test_every_knob_is_set_by_a_caller():
+    unset = sorted(_unset_knobs() - set(KNOB_ALLOWLIST))
+    assert not unset, (
+        "settable values that no call in src/, demos/ or perfbench/ sets (make each a "
+        f"constant, or allowlist it with a reason): {unset}"
+    )
+
+
+def test_knob_allowlist_names_real_unset_knobs():
+    stale = sorted(set(KNOB_ALLOWLIST) - _unset_knobs())
+    assert not stale, f"allowlisted knobs that are gone or now set by a caller: {stale}"

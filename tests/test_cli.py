@@ -714,6 +714,16 @@ class TestRuns:
         header = (out / "history.csv").read_text().splitlines()[0]
         assert header == "t,k,re_rho,im_rho,abs_rho,re_E,im_E,abs_E"
 
+    def test_linear_landau_without_a_fit_keeps_its_tolerance(self, tmp_path):
+        # t_end = 2 leaves too few envelope peaks for the damping fit
+        path = write_config(tmp_path, "[scenario]\nname = linear_landau\n\n[time]\nt_end = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        crit = json.loads((out / "report.json").read_text())["criteria"][0]
+        assert crit["name"] == "decay_matches_dispersion_root" and not crit["passed"]
+        assert crit["measured"]["reason"].startswith("TooFewPeaks")
+        assert crit["tolerance"] == "gap <= 0.05, rms < 0.05"
+
     def test_linear_landau_at_mode_two_matches_theory(self, tmp_path):
         # mode k decays at 2 pi |k| Im eta0: the k = 2 run decays at 0.361
         # per unit time, twice 2 pi Im eta0

@@ -272,7 +272,7 @@ class TestTransformRoundTrip:
         assert np.isclose(lhs, rhs, rtol=1e-12)
 
     def test_hermitian_field_is_real_on_v_grid(self, rng):
-        f = random_field(rng, k_max=3, eta_grid=eta_grid(), hermitian=True)
+        f = random_field(rng, k_max=3, eta_grid=eta_grid())
         # f_hat(-k, -eta) = conj(f_hat(k, eta)); the leftmost eta bin has no mirror
         a = f.coeffs[:, 1:]
         assert np.abs(a - np.conj(a[::-1, ::-1])).max() <= 1e-12 * np.abs(a).max()

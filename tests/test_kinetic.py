@@ -629,20 +629,15 @@ class TestRunDiagnostics:
         assert np.abs(diag["mass"] - 1.0).max() < 1e-12
         assert np.abs(diag["l2"] / diag["l2"][0] - 1.0).max() < 1e-12
 
-    def test_record_grid_and_norm_columns(self):
+    def test_record_grid(self):
         cfg = KineticRun(
             profile=MX_UNIT, interaction=W_POW, nu=0.0, dt=0.05, t_end=2.0,
             k_pert=1, amplitude=1e-3, k_max=4, n_v=128, record_every=10,
-            norms=(("f", 0.05, 0.1), ("y", 0.02, 0.05)),
         )
         hist, diag = run(cfg)
         assert hist.times[0] == 0.0
         assert hist.times[-1] == pytest.approx(2.0)
         assert np.allclose(np.diff(hist.times), 0.5)
-        for name in ("fnorm_0.05_0.1", "ynorm_0.02_0.05"):
-            col = diag[name]
-            assert col.shape == hist.times.shape
-            assert np.all(np.isfinite(col)) and np.all(col > 0.0)
 
     def test_record_times_are_multiples_of_dt(self):
         cfg = KineticRun(
@@ -685,8 +680,6 @@ class TestRunDiagnostics:
             KineticRun(**{**base, "amplitude": 1e-3, "pert_shape": "ramp"})
         with pytest.raises(ConstraintViolation):
             KineticRun(**{**base, "record_every": 0})
-        with pytest.raises(ConstraintViolation):
-            KineticRun(**{**base, "norms": (("z", 0.1, 0.1),)})
 
 
 def _landau(nu):

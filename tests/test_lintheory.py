@@ -21,7 +21,6 @@ from vpkit.errors import (
     TooFewPeaks,
 )
 from vpkit.lintheory import (
-    ScanSpec,
     StabilityReport,
     VolterraKernel,
     damping_rate_fit,
@@ -344,13 +343,6 @@ class TestDispersion:
         assert mags[0] > mags[1] > mags[2] > mags[3]
         assert mags[-1] < 1e-2
 
-    def test_weight_equals_frequency_shift(self):
-        kern = scenario_kernel()
-        for eta in (0.2 + 0.1j, -0.7 - 0.2j):
-            weighted = dispersion_L(eta, 1, 0.0, lambda_weight=0.3, kern=kern)
-            shifted = dispersion_L(eta + 0.3j, 1, 0.0, kern=kern)
-            assert weighted == pytest.approx(shifted, rel=1e-12)
-
     def test_mean_mode_closed_forms(self):
         kern0 = VolterraKernel(
             nu=0.0, k=0, profile=VelocityProfile.maxwellian(1.0), interaction=REPULSIVE
@@ -458,20 +450,10 @@ class TestStabilityScan:
 
     def test_scan_is_deterministic(self):
         family = lambda k: scenario_kernel(k=k, dt=0.5, horizon=1.0)
-        spec = ScanSpec(n_re=61, n_im=13)
-        r1 = stability_scan((1, 2), 0.0, family, spec)
-        r2 = stability_scan((1, 2), 0.0, family, spec)
+        r1 = stability_scan((1, 2), 0.0, family)
+        r2 = stability_scan((1, 2), 0.0, family)
         assert r1.kappa == r2.kappa
         assert r1.scan["margins"] == r2.scan["margins"]
-
-    def test_phase_speed_ratio_reported(self):
-        family = lambda k: scenario_kernel(k=k, dt=0.5, horizon=1.0)
-        report = stability_scan((1, 2), 0.0, family)
-        # worst frequency ~0.15, v_th = 0.05: the mode rides well above thermal
-        assert report.scan["phase_speed_ratio"] == pytest.approx(
-            abs(report.worst_frequency.real) / VTH_SCEN, rel=1e-9
-        )
-        assert report.scan["phase_speed_ok"]
 
     def test_report_validates_margin_sign(self):
         with pytest.raises(ConstraintViolation):
