@@ -35,7 +35,7 @@ from .acceptance import (
     run_battery,
 )
 from .config import SCENARIOS, SimConfig, parse_config
-from .echo import echo_time, piecewise_integral_check
+from .echo import PHASE_BOUND_GATE, echo_time, exceeds_phase_bound, piecewise_integral_check
 from .errors import (
     EchoBeyondRecurrence,
     MarginNonPositive,
@@ -286,14 +286,14 @@ def _run_kernel_bounds(config: SimConfig):
         t = float(rng.uniform(0.5, config.t_end))
         numeric, bound = piecewise_integral_check(k, l, alpha, t)
         rows.append([k, l, alpha, t, numeric, bound, numeric / bound])
-    violations = sum(numeric > bound * (1.0 + 1e-12) for *_, numeric, bound, _ in rows)
+    violations = sum(exceeds_phase_bound(numeric, bound) for *_, numeric, bound, _ in rows)
     worst = max([0.0] + [ratio for *_, ratio in rows])
     criteria = [
         _criterion(
             "quadrature_under_bound", violations == 0,
             {"cases": config.kernel_cases, "violations": violations,
              "worst_ratio": worst},
-            "numeric <= bound (1 + 1e-12) on every case",
+            f"{PHASE_BOUND_GATE} on every case",
         )
     ]
     files = {

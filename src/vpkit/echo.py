@@ -4,7 +4,8 @@ Filamentation lets a mode pair (k, l) re-excite the field long after the
 initial perturbation has mixed away; the strength of that interaction is
 captured by a two-time kernel K(t, s) built from a supremum over integer mode
 pairs. This module evaluates the kernel exactly on a truncation box, checks
-the closed-form integral table that controls it piece by piece, computes its
+the closed-form bound table that controls it against the phase integrals
+(themselves in closed form, piece by piece), computes its
 collision-weighted moments against their predicted shapes (the forward one in
 closed form over the linear pieces of log K, the backward one by adaptive
 Simpson quadrature), locates echo times, and assembles the growth envelope
@@ -39,6 +40,8 @@ __all__ = [
     "VerifyReport",
     "echo_kernel",
     "piecewise_integral_check",
+    "exceeds_phase_bound",
+    "PHASE_BOUND_GATE",
     "echo_moment_forward",
     "echo_moment_backward",
     "echo_time",
@@ -60,6 +63,9 @@ BACKWARD_MOMENT_CONSTANT = 0.166
 # Envelope/crude-bound calibration: smallest constant passing the weighted
 # Volterra scenarios and the constant-source case is 1.0.
 ENVELOPE_CONSTANT = 2.0
+# What a case of the phase-integral table must satisfy; exceeds_phase_bound
+# is its test.
+PHASE_BOUND_GATE = "numeric <= bound * (1 + 1e-12)"
 
 
 @dataclass(frozen=True)
@@ -277,13 +283,17 @@ def _adaptive_simpson(f, a: float, b: float, abs_tol: float = 1e-13, rel_tol: fl
 
 
 def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
-    """Quadrature vs closed-form bound for the half-interval phase integral.
+    """Closed-form value vs closed-form bound for the half-interval phase integral.
 
-    Evaluates int_0^{t/2} e^{-alpha |k(t-s)+l s|} (1+s) ds numerically
-    (splitting at the phase kink s* = kt/(k-l) when it falls inside) and
+    Evaluates int_0^{t/2} e^{-alpha |k(t-s)+l s|} (1+s) ds exactly and
     returns it next to the four-case closed-form bound (split on how l
     compares with k). The reduction k > 0 is enforced; the bound is rigorous
     for every case, and exact when l = k.
+
+    The phase p(s) = k t + (l - k) s is linear, so the exponent -alpha |p|
+    is linear on each side of the kink s* = kt/(k-l), which lies in (0, t/2)
+    only when l < -k, and each piece is integrated exactly by the rule of
+    echo_moment_forward (_linear_exp_integrals).
     """
     k, l = int(k), int(l)
     if k <= 0:
@@ -293,16 +303,11 @@ def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
     if t <= 0:
         raise ConstraintViolation("need t > 0")
 
-    def integrand(s):
-        return _exp(-alpha * np.abs(k * (t - s) + l * s)) * (1.0 + s)
-
-    kink = k * t / (k - l) if l < k else None
-    if kink is not None and 0.0 < kink < 0.5 * t:
-        numeric = _adaptive_simpson(integrand, 0.0, kink) + _adaptive_simpson(
-            integrand, kink, 0.5 * t
-        )
-    else:
-        numeric = _adaptive_simpson(integrand, 0.0, 0.5 * t)
+    half = 0.5 * t
+    ends = np.array([0.0, k * t / (k - l), half] if l < -k else [0.0, half])
+    g = -alpha * np.abs(k * (t - ends) + l * ends)
+    pieces = _linear_exp_integrals(ends[:-1], ends[1:], g[:-1], g[1:])
+    numeric = math.fsum(pieces.tolist())
     if l > k:
         bound = 1.0 / (alpha * (l - k)) + 1.0 / (alpha * (l - k)) ** 2
     elif l == k:
@@ -317,6 +322,12 @@ def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
         d = abs(k - l)
         bound = 2.0 / (alpha * d) + 2.0 * k * t / (alpha * d * d) + 1.0 / (alpha * d) ** 2
     return numeric, bound
+
+
+def exceeds_phase_bound(numeric: float, bound: float) -> bool:
+    """The gate of the phase-integral table (PHASE_BOUND_GATE): True when
+    numeric exceeds its bound by more than a relative 1e-12 of rounding."""
+    return numeric > bound * (1.0 + 1e-12)
 
 
 def _candidates(spec: EchoKernelSpec, t: float, mid: np.ndarray, rows: np.ndarray,
@@ -402,6 +413,13 @@ def _forward_pieces(spec: EchoKernelSpec, t: float):
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
+# Taylor coefficients 1/(n+1)! and 1/(n! (n+2)) of phi1 and psi, n = 16 .. 0.
+_PHI_SERIES = np.array(
+    [[1.0 / math.factorial(n + 1), 1.0 / (math.factorial(n) * (n + 2))]
+     for n in range(16, -1, -1)]
+)[:, :, None]
+
+
 def _phi(z: np.ndarray):
     """phi1(z) = (e^z - 1)/z and psi(z) = (1 + (z - 1) e^z)/z^2 for z <= 0,
     the integrals of e^{zv} and v e^{zv} over v in [0, 1]. Where z > -1/2
@@ -409,14 +427,28 @@ def _phi(z: np.ndarray):
     sum z^n/(n! (n+2)), 17 terms (the rest is below 1e-20), because the
     closed form of psi cancels there."""
     small = z > -0.5
-    zs = np.where(small, z, 0.0)
-    phi1, psi = np.zeros_like(z), np.zeros_like(z)
-    for n in range(16, -1, -1):
-        phi1 = phi1 * zs + 1.0 / math.factorial(n + 1)
-        psi = psi * zs + 1.0 / (math.factorial(n) * (n + 2))
     zb = np.where(small, -1.0, z)
-    return (np.where(small, phi1, np.expm1(zb) / zb),
-            np.where(small, psi, (1.0 + (zb - 1.0) * np.exp(zb)) / (zb * zb)))
+    phi1, psi = np.expm1(zb) / zb, (1.0 + (zb - 1.0) * np.exp(zb)) / (zb * zb)
+    if small.any():
+        zs = z[small]
+        series = np.zeros((2, zs.size))
+        for coef in _PHI_SERIES:  # Horner, both series at once
+            series = series * zs + coef
+        phi1[small], psi[small] = series
+    return phi1, psi
+
+
+def _linear_exp_integrals(a, b, ga, gb) -> np.ndarray:
+    """int_a^b (1 + s) e^{G(s)} ds per element, for G linear from ga at a to
+    gb at b: with h = b - a and z = gb - ga, e^{ga} h [(1 + a) phi1(z) +
+    h psi(z)]. Where gb > ga the same integral runs from b down to a, so
+    that z <= 0 and nothing overflows."""
+    h = b - a
+    down = gb > ga  # integrate from the higher end
+    phi1, psi = _phi(-np.abs(gb - ga))
+    return np.exp(np.where(down, gb, ga)) * h * (
+        np.where(down, 1.0 + b, 1.0 + a) * phi1 + np.where(down, -h, h) * psi
+    )
 
 
 def echo_moment_forward(spec: EchoKernelSpec, nu: float, t: float):
@@ -456,21 +488,15 @@ def echo_moment_forward(spec: EchoKernelSpec, nu: float, t: float):
 
     phi1(z) = (e^z - 1)/z, psi(z) = (1 + (z - 1) e^z)/z^2. Where B > 0 the
     same integral runs from b down to a, so that z <= 0 and nothing
-    overflows. The pieces are summed with math.fsum. _adaptive_simpson on
-    echo_kernel is the tests' oracle for this integral.
+    overflows (_linear_exp_integrals). The pieces are summed with math.fsum.
+    _adaptive_simpson on echo_kernel is the tests' oracle for this integral.
     """
     if not 0.0 < nu < spec.alpha:
         raise ConstraintViolation("need 0 < nu < alpha")
     if t <= 0:
         raise ConstraintViolation("need t > 0")
     a, b, fa, fb = _forward_pieces(spec, t)
-    h = b - a
-    ga, gb = fa - nu * (t - a), fb - nu * (t - b)
-    down = gb > ga  # integrate from the higher end
-    phi1, psi = _phi(-np.abs(gb - ga))
-    pieces = np.exp(np.where(down, gb, ga)) * h * (
-        np.where(down, 1.0 + b, 1.0 + a) * phi1 + np.where(down, -h, h) * psi
-    )
+    pieces = _linear_exp_integrals(a, b, fa - nu * (t - a), fb - nu * (t - b))
     numeric = math.fsum(pieces.tolist())
     shape = 1.0 / (spec.alpha**3 * nu ** (1.0 + spec.gamma) * t ** (spec.gamma - 1.0))
     return numeric, shape
@@ -611,17 +637,15 @@ class VerifyReport:
     """Outcome of checking a weighted density series against its bounds.
 
     All three checks passed if the report exists (failures raise); the
-    ratios record how much headroom each check had and the worst_* fields
-    locate the tightest time.
+    ratios record how much headroom each check had and worst_hypothesis_time
+    locates the tightest time of the hypothesis check.
     """
 
     checked_indices: tuple
     max_hypothesis_ratio: float
     worst_hypothesis_time: float
     max_crude_ratio: float
-    worst_crude_time: float
     max_envelope_ratio: float
-    worst_envelope_time: float
 
 
 def growth_verify(phi, kernels, source: float, params: GrowthParams,
@@ -744,7 +768,5 @@ def growth_verify(phi, kernels, source: float, params: GrowthParams,
         max_hypothesis_ratio=float(max_hyp),
         worst_hypothesis_time=worst_hyp_t,
         max_crude_ratio=max_crude,
-        worst_crude_time=float(times[int(np.argmax(crude_gap))]),
         max_envelope_ratio=max_env,
-        worst_envelope_time=float(times[int(np.argmax(env_ratio))]),
     )

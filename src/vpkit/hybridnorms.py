@@ -176,22 +176,27 @@ def _lp_norm(rows: np.ndarray, dv: float, p: float) -> np.ndarray:
 def f_norm(f: SpectralDistribution, params: NormParams) -> float:
     """Weighted L1-in-eta, exponentially weighted sum over modes.
 
+    Each row is summed with _kahan_sum, except a finite row with at most one
+    nonzero entry, whose sum is that entry (or 0.0) exactly.
+
     Raises TailNotResolved when the weighted integrand still carries more
     than 1e-8 of the running total at the eta-grid edge: the grid is then too
     short for the requested lam and the truncated value is untrustworthy.
     """
-    eta = f.eta_grid
     d_eta = f.d_eta
     ks = f.modes
     weight_k = np.exp(2.0 * np.pi * params.mu * np.abs(ks))
-    contributions = []
-    edge = 0.0
-    for i, k in enumerate(ks):
-        w = np.exp(2.0 * np.pi * params.lam * np.abs(k * params.tau + eta))
-        integrand = np.abs(f.coeffs[i]) * w
-        contributions.append(weight_k[i] * d_eta * _kahan_sum(integrand))
-        edge = max(edge, weight_k[i] * d_eta * max(integrand[0], integrand[-1]))
-    total = _kahan_sum(contributions)
+    integrand = np.abs(f.coeffs) * np.exp(
+        2.0 * np.pi * params.lam * np.abs(ks[:, None] * params.tau + f.eta_grid)
+    )
+    # Kahan turns a lone inf into NaN, so only finite rows take the exact sum
+    exact = (np.count_nonzero(integrand, axis=1) <= 1) & np.isfinite(integrand).all(axis=1)
+    sums = integrand.sum(axis=1, where=exact[:, None])
+    for i in np.flatnonzero(~exact):
+        sums[i] = _kahan_sum(integrand[i])
+    scale = weight_k * d_eta
+    total = _kahan_sum(scale * sums)
+    edge = np.max(scale * np.maximum(integrand[:, 0], integrand[:, -1]))
     if edge > 1e-8 * total and total > 0.0:
         raise TailNotResolved(
             f"eta-grid edge carries {edge:.3e} against total {total:.3e}"
@@ -201,13 +206,15 @@ def f_norm(f: SpectralDistribution, params: NormParams) -> float:
 
 def y_norm(f: SpectralDistribution, params: NormParams) -> float:
     """Grid supremum of the weighted modulus."""
-    eta = f.eta_grid
-    best = 0.0
-    for i, k in enumerate(f.modes):
-        w = np.exp(2.0 * np.pi * params.lam * np.abs(eta + k * params.tau))
-        row = np.exp(2.0 * np.pi * params.mu * abs(k)) * w * np.abs(f.coeffs[i])
-        best = max(best, float(row.max()))
-    return best
+    ks = f.modes
+    table = (
+        np.exp(2.0 * np.pi * params.mu * np.abs(ks))[:, None]
+        * np.exp(2.0 * np.pi * params.lam * np.abs(f.eta_grid + ks[:, None] * params.tau))
+        * np.abs(f.coeffs)
+    )
+    rows = table.max(axis=1)
+    # a row holding NaN counts for nothing, as it did in a row-by-row max()
+    return float(np.max(rows, initial=0.0, where=~np.isnan(rows)))
 
 
 def z_norm(f: SpectralDistribution, params: NormParams) -> float:
@@ -250,11 +257,11 @@ def z_norm(f: SpectralDistribution, params: NormParams) -> float:
         g = np.fft.ifft(powered, axis=-1, out=powered)
         g *= n_grid * f.d_eta
         lp = _lp_norm(g, dv, params.p)
-        row_totals = np.zeros(live.size)
-        for n in range(n_orders):
-            term = (params.lam**n / math.factorial(n)) * lp[n] if n else lp[n]
-            row_totals += term
-        last_term_total = float(np.sum(term * mu_w[live]))
+        coef = [1.0] + [params.lam**n / math.factorial(n) for n in range(1, n_orders)]
+        terms = np.array(coef)[:, None] * lp
+        # cumsum adds the orders one after another, as the series is written
+        row_totals = np.cumsum(terms, axis=0)[-1]
+        last_term_total = float(np.sum(terms[-1] * mu_w[live]))
         contributions[live] += row_totals * mu_w[live]
     total = _kahan_sum(sorted(contributions, key=abs))
     if params.lam > 0.0 and live.size and total > 0.0:

@@ -461,14 +461,15 @@ def free_streaming_response(omega, k, v, nu, t0, t, profile: VelocityProfile, fo
       collisional form with density nu exp(-nu s); the resonance is broadened
       to modulus 1/nu.
 
-    Inputs broadcast; scalars in, scalar out.
+    omega, v, t0 and t broadcast against each other (the averaged form does
+    not depend on t0 and t); scalars in, scalar out.
     """
     if k == 0:
         raise ConstraintViolation("free-streaming response needs k != 0")
     omega_arr = np.asarray(omega, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     delta = omega_arr - k * v_arr
-    s = float(t) - float(t0)
+    s = np.asarray(t, dtype=float) - np.asarray(t0, dtype=float)
     pref = -1j * profile_sample_dv(profile, v_arr)
     if form in ("transient", "collisional"):
         half = 0.5 * delta * s

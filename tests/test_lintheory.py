@@ -506,6 +506,25 @@ class TestFreeStreaming:
                     im = quad(integrand, 0, hi, args=(1,), limit=800, epsabs=1e-12)[0]
                     assert abs(complex(re, im) - closed) <= 1e-8 * max(1.0, abs(closed))
 
+    @pytest.mark.parametrize("form", ["transient", "collisional"])
+    def test_array_times_match_scalar_calls_bit_for_bit(self, form):
+        # t and t0 broadcast like omega and v; each element is the scalar call
+        omega = np.array([0.0, 0.7, 2.8])[:, None]
+        v = np.array([-1.2, 0.3, 1.5])[:, None]
+        t0 = np.array([0.0, 0.5, 2.0, 0.0, 1.25])
+        t = np.array([0.0, 1e-3, 3.7, 48.0, 250.0])
+        out = free_streaming_response(omega, 2.0, v, 0.35, t0, t, self.PROFILE, form=form)
+        assert out.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                one = free_streaming_response(
+                    float(omega[i, 0]), 2.0, float(v[i, 0]), 0.35, float(t0[j]), float(t[j]),
+                    self.PROFILE, form=form,
+                )
+                assert type(one) is complex
+                got = complex(out[i, j])
+                assert (got.real, got.imag) == (one.real, one.imag), (form, i, j)
+
     def test_zero_mode_rejected(self):
         with pytest.raises(ConstraintViolation):
             free_streaming_response(1.0, 0.0, 1.0, 0.1, 0.0, 1.0, self.PROFILE)
