@@ -20,8 +20,9 @@ run_battery executes a named suite and never raises on a failed check: a
 failure, including an unexpected exception inside a criterion, becomes
 report content with passed = False.
 
-scipy.integrate is imported on first use, by criterion 2 (solve_ivp) alone,
-before its clock starts.
+The battery runs on numpy alone: criterion 2's ODE reference is a
+fixed-step RK4 march, and the dispersion roots of criteria 4 and 12 come
+from lintheory's Newton iteration.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ import numpy as np
 from .echo import (
     BACKWARD_MOMENT_CONSTANT,
     FORWARD_MOMENT_CONSTANT,
+    EXACT_CASE_GATE,
     PHASE_BOUND_GATE,
     EchoKernelSpec,
     GrowthParams,
     echo_moment_backward,
     echo_moment_forward,
-    exceeds_phase_bound,
     growth_verify,
+    phase_table_gate,
     piecewise_integral_check,
 )
 from .config import scenario_defaults
@@ -346,43 +348,50 @@ def criterion_1(cache=None) -> CriterionResult:
     )
 
 
-def criterion_2(cache=None) -> CriterionResult:
-    """Closed-form collision substep against a high-order ODE reference."""
-    from scipy.integrate import solve_ivp
+def _rk4_relaxation(f, target, nu, dt, steps):
+    """Classical fourth-order Runge-Kutta march of df/dt = nu (target - f)
+    over [0, dt] in equal steps: the ODE reference for the closed form."""
+    h = dt / steps
+    for _ in range(steps):
+        k1 = nu * (target - f)
+        k2 = nu * (target - (f + 0.5 * h * k1))
+        k3 = nu * (target - (f + 0.5 * h * k2))
+        k4 = nu * (target - (f + h * k3))
+        f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return f
 
+
+def criterion_2(cache=None) -> CriterionResult:
+    """Closed-form collision substep against a fixed-step RK4 reference.
+
+    The probe is a velocity-shaped perturbation, which sits 3.6e-3 from its
+    relaxation target rho f0 (a density-shaped one equals its target, so any
+    relaxation rate would pass). The reference takes 256 steps.
+    rk4_halving_ratio is the error of 32 steps over that of 64, both against
+    the reference: about 16 for a fourth-order march, reported, not gated."""
     t0 = time.perf_counter()
     nu, dt = 0.7, 0.8
     v_max = 6.0
     state = equilibrium_state(PROFILE_UNIT, k_max=2, n_v=128, v_max=v_max)
-    state = perturb_density(state, PROFILE_UNIT, 1, 3e-2)
+    state = perturb_density(state, PROFILE_UNIT, 1, 3e-2, shape="velocity")
     f = state.f
     rho = rho_hat(state)
     exact = collision_substep(f, rho, dt, nu, PROFILE_UNIT, v_max=v_max)
 
     from .kinetic import _equilibrium_rows
 
-    dv = state.dv
-    f0 = _equilibrium_rows(PROFILE_UNIT, state.n_v, v_max)
-    target = np.outer(rho, f0)
-    shape = f.shape
-
-    def rhs(_t, y):
-        g = y[: y.size // 2].reshape(shape) + 1j * y[y.size // 2 :].reshape(shape)
-        d = nu * (target - g)
-        return np.concatenate([d.real.ravel(), d.imag.ravel()])
-
-    y0 = np.concatenate([f.real.ravel(), f.imag.ravel()])
-    sol = solve_ivp(rhs, (0.0, dt), y0, method="DOP853", rtol=1e-13, atol=1e-16)
-    ref = sol.y[: y0.size // 2, -1].reshape(shape) + 1j * sol.y[y0.size // 2 :, -1].reshape(shape)
-
+    target = np.outer(rho, _equilibrium_rows(PROFILE_UNIT, state.n_v, v_max))
+    ref, coarse, fine = (_rk4_relaxation(f, target, nu, dt, n) for n in (256, 32, 64))
     ode_error = float(np.max(np.abs(exact - ref)))
-    rho_after = dv * exact.sum(axis=1)
+    halving_ratio = float(np.max(np.abs(coarse - ref)) / np.max(np.abs(fine - ref)))
+    rho_after = state.dv * exact.sum(axis=1)
     rho_error = float(np.max(np.abs(rho_after - rho)))
     wall_ok = time.perf_counter() - t0 < 1.0
     ok = ode_error < 1e-12 and rho_error < 1e-14 and wall_ok
     return _result(
         2, "collision_closed_form", t0, ok,
-        {"ode_error": ode_error, "rho_invariance_error": rho_error},
+        {"ode_error": ode_error, "rho_invariance_error": rho_error,
+         "rk4_halving_ratio": halving_ratio},
         {"ode_error": "< 1e-12", "rho_invariance_error": "< 1e-14",
          "wall_seconds": "< 1"},
     )
@@ -531,29 +540,19 @@ def criterion_7(cache=None) -> CriterionResult:
     bound where the bound is exact (l = k)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(7031)
-    n_cases = 200
-    worst_ratio = 0.0
-    violations = 0
-    exact_gaps = []
-    for _ in range(n_cases):
+    cases = []
+    for _ in range(200):
         k = int(rng.integers(1, 9))
         l = int(rng.integers(-12, 13))
         alpha = float(rng.uniform(0.1, 0.9))
         t = float(rng.uniform(0.5, 30.0))
-        numeric, bound = piecewise_integral_check(k, l, alpha, t)
-        worst_ratio = max(worst_ratio, numeric / bound)
-        violations += exceeds_phase_bound(numeric, bound)
-        if l == k:
-            exact_gaps.append(abs(numeric / bound - 1.0))
-    exact_gap = max(exact_gaps, default=math.inf)
+        cases.append((k, l, *piecewise_integral_check(k, l, alpha, t)))
+    table_ok, measured = phase_table_gate(cases)
     wall_ok = time.perf_counter() - t0 < 30.0
-    ok = violations == 0 and exact_gap <= 1e-12 and wall_ok
     return _result(
-        7, "phase_integral_table", t0, ok,
-        {"cases": n_cases, "violations": violations, "worst_ratio": worst_ratio,
-         "exact_cases": len(exact_gaps), "exact_case_gap": exact_gap},
+        7, "phase_integral_table", t0, table_ok and wall_ok, measured,
         {"violations": f"= 0 ({PHASE_BOUND_GATE})",
-         "exact_case_gap": "<= 1e-12 (|numeric/bound - 1| where l = k)",
+         "exact_case_gap": EXACT_CASE_GATE,
          "wall_seconds": "< 30"},
     )
 

@@ -35,7 +35,13 @@ from .acceptance import (
     run_battery,
 )
 from .config import SCENARIOS, SimConfig, parse_config
-from .echo import PHASE_BOUND_GATE, echo_time, exceeds_phase_bound, piecewise_integral_check
+from .echo import (
+    EXACT_CASE_GATE,
+    PHASE_BOUND_GATE,
+    echo_time,
+    phase_table_gate,
+    piecewise_integral_check,
+)
 from .errors import (
     EchoBeyondRecurrence,
     MarginNonPositive,
@@ -279,21 +285,19 @@ def _run_collision_sweep(config: SimConfig):
 def _run_kernel_bounds(config: SimConfig):
     rng = np.random.default_rng(config.seed)
     alpha = config.kernel_alpha
-    rows = []
+    rows, cases = [], []
     for _ in range(config.kernel_cases):
         k = int(rng.integers(1, 9))
         l = int(rng.integers(-12, 13))
         t = float(rng.uniform(0.5, config.t_end))
         numeric, bound = piecewise_integral_check(k, l, alpha, t)
         rows.append([k, l, alpha, t, numeric, bound, numeric / bound])
-    violations = sum(exceeds_phase_bound(numeric, bound) for *_, numeric, bound, _ in rows)
-    worst = max([0.0] + [ratio for *_, ratio in rows])
+        cases.append((k, l, numeric, bound))
+    passed, measured = phase_table_gate(cases)
     criteria = [
         _criterion(
-            "quadrature_under_bound", violations == 0,
-            {"cases": config.kernel_cases, "violations": violations,
-             "worst_ratio": worst},
-            f"{PHASE_BOUND_GATE} on every case",
+            "quadrature_under_bound", passed, measured,
+            f"{PHASE_BOUND_GATE} on every case; exact_case_gap {EXACT_CASE_GATE}",
         )
     ]
     files = {

@@ -40,8 +40,9 @@ __all__ = [
     "VerifyReport",
     "echo_kernel",
     "piecewise_integral_check",
-    "exceeds_phase_bound",
+    "phase_table_gate",
     "PHASE_BOUND_GATE",
+    "EXACT_CASE_GATE",
     "echo_moment_forward",
     "echo_moment_backward",
     "echo_time",
@@ -63,9 +64,11 @@ BACKWARD_MOMENT_CONSTANT = 0.166
 # Envelope/crude-bound calibration: smallest constant passing the weighted
 # Volterra scenarios and the constant-source case is 1.0.
 ENVELOPE_CONSTANT = 2.0
-# What a case of the phase-integral table must satisfy; exceeds_phase_bound
-# is its test.
+# What every case of the phase-integral table must satisfy, and what its
+# l = k cases, whose bound is exact, must satisfy besides; phase_table_gate
+# tests both.
 PHASE_BOUND_GATE = "numeric <= bound * (1 + 1e-12)"
+EXACT_CASE_GATE = "<= 1e-12 (|numeric/bound - 1| where l = k)"
 
 
 @dataclass(frozen=True)
@@ -324,10 +327,25 @@ def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
     return numeric, bound
 
 
-def exceeds_phase_bound(numeric: float, bound: float) -> bool:
-    """The gate of the phase-integral table (PHASE_BOUND_GATE): True when
-    numeric exceeds its bound by more than a relative 1e-12 of rounding."""
-    return numeric > bound * (1.0 + 1e-12)
+def phase_table_gate(cases):
+    """The two-sided gate of a phase-integral table of (k, l, numeric, bound)
+    cases: no numeric above its bound by more than a relative 1e-12 of
+    rounding (PHASE_BOUND_GATE), and |numeric/bound - 1| <= 1e-12 on the
+    l = k cases, where the bound is exact (EXACT_CASE_GATE), so a numeric
+    that comes out too small fails too. A table without an l = k case has
+    nothing to hold to the second side: it reports exact_cases = 0 and a NaN
+    gap. Returns (passed, measured)."""
+    violations = sum(numeric > bound * (1.0 + 1e-12) for _, _, numeric, bound in cases)
+    exact = [abs(numeric / bound - 1.0) for k, l, numeric, bound in cases if l == k]
+    gap = max(exact, default=math.nan)
+    measured = {
+        "cases": len(cases),
+        "violations": violations,
+        "worst_ratio": max([0.0] + [numeric / bound for *_, numeric, bound in cases]),
+        "exact_cases": len(exact),
+        "exact_case_gap": gap,
+    }
+    return violations == 0 and (not exact or gap <= 1e-12), measured
 
 
 def _candidates(spec: EchoKernelSpec, t: float, mid: np.ndarray, rows: np.ndarray,

@@ -205,16 +205,15 @@ def f_norm(f: SpectralDistribution, params: NormParams) -> float:
 
 
 def y_norm(f: SpectralDistribution, params: NormParams) -> float:
-    """Grid supremum of the weighted modulus."""
+    """Grid supremum of the weighted modulus; NaN when an entry is NaN, as
+    f_norm's sum is."""
     ks = f.modes
     table = (
         np.exp(2.0 * np.pi * params.mu * np.abs(ks))[:, None]
         * np.exp(2.0 * np.pi * params.lam * np.abs(f.eta_grid + ks[:, None] * params.tau))
         * np.abs(f.coeffs)
     )
-    rows = table.max(axis=1)
-    # a row holding NaN counts for nothing, as it did in a row-by-row max()
-    return float(np.max(rows, initial=0.0, where=~np.isnan(rows)))
+    return float(np.max(table, initial=0.0))
 
 
 def z_norm(f: SpectralDistribution, params: NormParams) -> float:

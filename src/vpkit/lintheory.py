@@ -11,19 +11,23 @@ out growing modes, while the root of 1 - L in the upper half-plane gives the
 decay rate 2*pi*|k|*Im(eta0) and oscillation frequency 2*pi*|k|*Re(eta0) of
 the density. This module houses the kernel, the marching solver for the
 density history, mode reconstruction from the density, the dispersion
-function (quadrature and Faddeeva-function routes) and the decay rate of its
-root, the stability scan, the single-particle free-streaming response forms,
-and a peak-envelope decay-rate fitter.
+function (Faddeeva-function closed form) and the decay rate of its root, the
+stability scan, the single-particle free-streaming response forms, and a
+peak-envelope decay-rate fitter.
 
-scipy is imported on first use, inside the functions that call it (wofz in
-the closed-form dispersion function, quad in its quadrature route, root in
-dispersion_rate, minimize in stability_scan), so importing this module
-loads nothing from scipy.
+Everything here runs on numpy alone: the Faddeeva function is Weideman's
+rational approximation (_faddeeva), the dispersion root a damped Newton
+iteration, and the scan's refinement a port of Nelder-Mead (_nelder_mead).
+The tests hold each to an independent oracle: a 30-digit Faddeeva
+function, direct quadrature of L, and a reference root finder and minimizer.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -220,28 +224,109 @@ def mode_reconstruct(hist: DensityHistory, xi: float, t: float, kern: VolterraKe
 
 def _laplace_terms(eta, k, nu, profile):
     """Per-component (weight, a, b) of the transformed kernel exp(at - bt^2)."""
-    base = 2j * np.pi * np.conj(eta) * abs(k) - nu
+    base = 2j * math.pi * eta.conjugate() * abs(k) - nu
     return [
-        (w, base - 2j * np.pi * c * k, 2.0 * np.pi**2 * s * s * k * k)
+        (w, base - 2j * math.pi * c * k, 2.0 * math.pi**2 * s * s * k * k)
         for w, c, s in profile.components
     ]
 
 
-def _L_closed(eta, k, nu, profile, what):
-    """Faddeeva-function evaluation of the dispersion function (vectorized)."""
-    from scipy.special import wofz
+# Weideman's rational approximation of the Faddeeva function w(z) =
+# exp(-z^2) erfc(-iz) on the closed upper half-plane ("Computation of the
+# complex error function", SIAM J. Numer. Anal. 31, 1994): with
+# Z = (L + iz)/(L - iz),
+#     w(z) ~ 2 p(Z)/(L - iz)^2 + (1/sqrt(pi))/(L - iz),
+# p the degree N - 1 polynomial whose coefficients are the Fourier
+# coefficients of exp(-t^2)(L^2 + t^2) at t = L tan(theta/2), one FFT.
+_W_TERMS = 40
+_W_SCALE = math.sqrt(_W_TERMS / math.sqrt(2.0))
+_RSQRT_PI = 1.0 / math.sqrt(math.pi)
 
-    eta = np.asarray(eta, dtype=complex)
-    total = np.zeros(eta.shape, dtype=complex)
+
+@lru_cache(maxsize=1)
+def _weideman_coefficients():
+    """p's coefficients, highest degree first (Weideman's cef.m), built on
+    first use."""
+    m = 2 * _W_TERMS
+    t = _W_SCALE * np.tan(np.arange(1 - m, m) * np.pi / (2 * m))
+    f = np.concatenate([[0.0], np.exp(-t * t) * (_W_SCALE**2 + t * t)])
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return tuple(a[_W_TERMS:0:-1].tolist())
+
+
+def _w_upper(x, y):
+    """(Re, Im) of w(x + iy) for y >= 0, in real arithmetic only: the same
+    operations in the same order whether x and y are floats or arrays, so
+    the scalar and array paths of _faddeeva agree bit for bit."""
+    u, v = _W_SCALE + y, _W_SCALE - y
+    den = u * u + x * x
+    dr, di = u / den, x / den  # 1/(L - iz)
+    zr, zi = v * dr - x * di, v * di + x * dr  # Z
+    leading, *rest = _weideman_coefficients()
+    p_re, p_im = leading, 0.0
+    for c in rest:
+        p_re, p_im = p_re * zr - p_im * zi + c, p_re * zi + p_im * zr
+    qr, qi = 2.0 * (p_re * dr - p_im * di) + _RSQRT_PI, 2.0 * (p_re * di + p_im * dr)
+    return qr * dr - qi * di, qr * di + qi * dr
+
+
+def _faddeeva(z):
+    """Faddeeva function w(z), within 1e-14 relative of a 30-digit reference
+    for |Re z| <= 30 and |Im z| <= 6 (tested). The lower half-plane uses
+    w(z) = 2 exp(-z^2) - w(-z). A Python complex takes plain float
+    arithmetic, about 5 us a call, and raises OverflowError where w is out
+    of float range, as cmath.exp does; an array takes numpy (inf there),
+    bit for bit the same values."""
+    if isinstance(z, complex):
+        x, y = z.real, z.imag
+        if y >= 0.0:
+            return complex(*_w_upper(x, y))
+        wr, wi = _w_upper(-x, -y)
+        e = cmath.exp(complex(y * y - x * x, -2.0 * x * y))
+        return complex(2.0 * e.real - wr, 2.0 * e.imag - wi)
+    z = np.asarray(z, dtype=complex)
+    lower = z.imag < 0.0
+    x = np.where(lower, -z.real, z.real)
+    y = np.where(lower, -z.imag, z.imag)
+    wr, wi = _w_upper(x, y)
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = wr, wi
+    zl = z[lower]
+    square = np.empty(zl.shape, dtype=complex)
+    square.real = zl.imag * zl.imag - zl.real * zl.real
+    square.imag = -2.0 * zl.real * zl.imag
+    e = np.exp(square)
+    out.real[lower] = 2.0 * e.real - wr[lower]
+    out.imag[lower] = 2.0 * e.imag - wi[lower]
+    return out
+
+
+def _L_closed(eta, k, nu, profile, what, slope=False):
+    """Faddeeva-function evaluation of the dispersion function.
+
+    eta is a Python complex (plain float arithmetic) or an array. With
+    slope, a scalar eta also gives dL/dzeta, zeta = conj(eta), on which L
+    depends analytically: w'(u) = -2u w(u) + 2i/sqrt(pi).
+    """
+    total = dtotal = 0.0
+    da = 2j * math.pi * abs(k)  # da/dzeta
     for w, a, b in _laplace_terms(eta, k, nu, profile):
-        rb = np.sqrt(b)
-        i0 = np.sqrt(np.pi) / (2.0 * rb) * wofz(-1j * a / (2.0 * rb))
+        rb = math.sqrt(b)
+        u = -1j * a / (2.0 * rb)
+        wu = _faddeeva(u)
+        i0 = math.sqrt(math.pi) / (2.0 * rb) * wu
         i1 = 1.0 / (2.0 * b) + (a / (2.0 * b)) * i0
         total += w * (nu * i0 - what * k * k * i1)
-    return total
+        if slope:
+            di0 = math.sqrt(math.pi) / (2.0 * rb) * (2j * _RSQRT_PI - 2.0 * u * wu) * (
+                math.pi * abs(k) / rb
+            )
+            di1 = (da * i0 + a * di0) / (2.0 * b)
+            dtotal += w * (nu * di0 - what * k * k * di1)
+    return (total, dtotal) if slope else total
 
 
-def dispersion_L(eta, k: int, nu: float, *, kern: VolterraKernel, method: str = "wofz"):
+def dispersion_L(eta, k: int, nu: float, *, kern: VolterraKernel):
     """Laplace-side dispersion function of the memory kernel.
 
     Evaluates
@@ -251,9 +336,8 @@ def dispersion_L(eta, k: int, nu: float, *, kern: VolterraKernel, method: str = 
     An extra weight exp(2 pi lambda |k| t) in the integrand is the frequency
     shift eta -> eta + i lambda, so a weighted L is this one evaluated there.
     kern supplies the profile and interaction; k and nu are explicit so scans
-    can vary them. method "wofz" uses the closed Gaussian forms through the
-    Faddeeva function; method "quad" integrates adaptively to relative error
-    1e-9. Both routes stay available and are cross-checked in the tests.
+    can vary them. Each Gaussian component contributes its closed form
+    through the Faddeeva function; the tests hold it to direct quadrature.
     """
     k = int(k)
     if nu < 0:
@@ -262,62 +346,133 @@ def dispersion_L(eta, k: int, nu: float, *, kern: VolterraKernel, method: str = 
     if k == 0:
         # no phase and no field: the kernel is nu*exp(-nu t)
         return complex(1.0) if nu > 0 else complex(0.0)
-    if method == "wofz":
-        return complex(_L_closed(eta, k, nu, kern.profile, what))
-    if method == "quad":
-        from scipy.integrate import quad
-
-        terms = _laplace_terms(eta, k, nu, kern.profile)
-        T = 0.0
-        for _, a, b in terms:
-            ra = float(np.real(a))
-            T = max(T, (ra + np.sqrt(ra * ra + 160.0 * b)) / (2.0 * b))
-        T = 1.25 * T + 1.0
-        phase = 2j * np.pi * np.conj(eta) * abs(k)
-
-        def g(t):
-            return complex(
-                np.exp(phase * t)
-                * _kernel_values(nu, k, kern.profile, kern.interaction, t)
-            )
-
-        re = quad(lambda t: g(t).real, 0.0, T, limit=400, epsabs=1e-13, epsrel=1e-10)[0]
-        im = quad(lambda t: g(t).imag, 0.0, T, limit=400, epsabs=1e-13, epsrel=1e-10)[0]
-        return complex(re, im)
-    raise ConstraintViolation(f"unknown dispersion method {method!r}")
+    return complex(_L_closed(complex(eta), k, nu, kern.profile, what))
 
 
-# Residual |1 - L| at which a root iterate is accepted even when the solver
-# reports slow progress: hybr stalls there once the residual reaches rounding.
+# Residual |1 - L| at or below which the Newton iterate counts as a root.
 ROOT_RESIDUAL_TOL = 1e-12
+# Newton steps and, per step, halvings of a step that does not reduce |1 - L|.
+_NEWTON_STEPS = 60
+_NEWTON_HALVINGS = 30
 
 
 def dispersion_rate(kern: VolterraKernel) -> float:
     """Decay rate 2*pi*|k|*Im(eta0) of the density mode kern.k.
 
-    eta0 is the root of 1 - L(eta, k) found by Powell's hybrid method from the
-    thermal resonance (Re eta = 3 v_th, Im eta = v_th / 4). An iterate whose
-    residual |1 - L| is at most ROOT_RESIDUAL_TOL counts as a root even when
-    the solver reports that it stopped making progress. Raises
-    MarginNonPositive when no root is found or the root found does not decay.
+    eta0 is the root of 1 - L(eta, k) found by a damped Newton iteration in
+    zeta = conj(eta), on which L is analytic, from the thermal resonance
+    (Re eta = 3 v_th, Im eta = v_th / 4). A step is at most |zeta| / 2 long,
+    so the iteration keeps to the root nearest its start; a step that does
+    not reduce |1 - L| is halved; the iteration ends when the step reaches
+    rounding or no halving helps. Raises MarginNonPositive when the residual
+    |1 - L| there exceeds ROOT_RESIDUAL_TOL or the root found does not decay.
     """
-    from scipy.optimize import root
-
     k = kern.k
+    what = interaction_hat(kern.interaction, k)
 
-    def mismatch(xy):
-        val = 1.0 - dispersion_L(complex(xy[0], xy[1]), k, kern.nu, kern=kern)
-        return [val.real, val.imag]
+    def mismatch(zeta):
+        try:
+            val, slope = _L_closed(zeta.conjugate(), k, kern.nu, kern.profile, what, True)
+        except OverflowError:
+            return math.inf, 0j
+        return 1.0 - val, -slope
 
     vth = kern.profile.thermal_speed
-    sol = root(mismatch, [3.0 * vth, 0.25 * vth], tol=1e-13)
-    residual = float(np.hypot(*sol.fun))
-    if not (sol.success or residual <= ROOT_RESIDUAL_TOL) or sol.x[1] <= 0:
+    zeta = complex(3.0 * vth, -0.25 * vth)
+    f, df = mismatch(zeta)
+    steps = 0
+    while steps < _NEWTON_STEPS and df != 0:
+        step = f / df
+        if not cmath.isfinite(step):
+            break
+        steps += 1
+        if abs(step) > 0.5 * abs(zeta):
+            step *= 0.5 * abs(zeta) / abs(step)
+        if abs(step) <= 1e-15 * abs(zeta):
+            zeta -= step
+            break
+        for _ in range(_NEWTON_HALVINGS):
+            ft, dft = mismatch(zeta - step)
+            if abs(ft) < abs(f):
+                break
+            step *= 0.5
+        else:
+            break
+        zeta, f, df = zeta - step, ft, dft
+    eta = zeta.conjugate()
+    residual = abs(1.0 - dispersion_L(eta, k, kern.nu, kern=kern))
+    if not residual <= ROOT_RESIDUAL_TOL or eta.imag <= 0:
         raise MarginNonPositive(
             f"no decaying dispersion root found for mode k = {k} "
-            f"(residual {residual:.3e}, Im eta = {sol.x[1]:.6g}): {sol.message}"
+            f"(residual {residual:.3e}, Im eta = {eta.imag:.6g}) "
+            f"after {steps} Newton steps"
         )
-    return 2.0 * np.pi * abs(k) * float(sol.x[1])
+    return 2.0 * math.pi * abs(k) * eta.imag
+
+
+# Stopping rules of the scan's Nelder-Mead refinement: simplex spread in
+# eta and in |1 - L|, and the iteration cap.
+_NM_XATOL = 1e-10
+_NM_FATOL = 1e-13
+_NM_MAXITER = 800
+
+
+def _nelder_mead(fun, x0):
+    """Minimize fun over the plane from x0 by the simplex method of Nelder
+    and Mead (Computer Journal 7, 1965): reflection 1, expansion 2,
+    contraction 1/2 and shrink 1/2, with no bounds and no adaptive
+    parameters. The initial simplex (+5% of each nonzero coordinate, else
+    0.00025), the stopping rules and the argsort/take order are those of the
+    reference implementation that the tests match bit for bit in x and fun.
+    Stops when every vertex lies within _NM_XATOL of the best and every value
+    within _NM_FATOL, or after _NM_MAXITER iterations."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for j in range(n):
+        y = x0.copy()
+        y[j] = (1 + 0.05) * y[j] if y[j] != 0 else 0.00025
+        sim[j + 1] = y
+    fsim = np.array([fun(x.copy()) for x in sim])
+    for _ in range(2):  # the reference sorts the initial simplex twice
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    iterations = 1
+    while iterations < _NM_MAXITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= _NM_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = fun(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:  # inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = fun(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j].copy())
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], np.min(fsim)
 
 
 # The margin scan's coarse grid: SCAN_N_RE x SCAN_N_IM points over
@@ -372,8 +527,6 @@ def stability_scan(k_range, nu: float, kern_family) -> StabilityReport:
     mode and downstream growth control must refuse it. A margin or majorant
     that is not finite raises ConstraintViolation instead of being skipped.
     """
-    from scipy.optimize import minimize
-
     kmin, kmax = int(k_range[0]), int(k_range[1])
     modes = [k for k in range(kmin, kmax + 1) if k != 0]
     if not modes:
@@ -406,18 +559,13 @@ def stability_scan(k_range, nu: float, kern_family) -> StabilityReport:
             def objective(xy):
                 x, y = xy
                 eta = complex(x, min(y, 0.0))
-                val = abs(1.0 - complex(_L_closed(eta, k, nu, kern.profile, what)))
+                val = abs(1.0 - _L_closed(eta, k, nu, kern.profile, what))
                 return val + max(y, 0.0)
 
-            res = minimize(
-                objective,
-                [e0.real, e0.imag],
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 800},
-            )
-            if res.fun < m0:
-                m0 = float(res.fun)
-                e0 = complex(res.x[0], min(res.x[1], 0.0))
+            x, fun = _nelder_mead(objective, [e0.real, e0.imag])
+            if fun < m0:
+                m0 = float(fun)
+                e0 = complex(x[0], min(x[1], 0.0))
         if not np.isfinite(m0):
             raise ConstraintViolation(f"mode k = {k}: margin |1 - L| = {m0!r} is not finite")
         margins[k] = (m0, e0)

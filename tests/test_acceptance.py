@@ -67,6 +67,23 @@ def test_criterion_02_collision_closed_form(cache):
     assert result.measured["ode_error"] < 1e-12
     assert result.measured["rho_invariance_error"] < 1e-14
     assert result.wall_seconds < 1.0
+    # the RK4 reference converges at fourth order: 2^4 per halving
+    assert 14.0 <= result.measured["rk4_halving_ratio"] <= 18.0
+
+
+def test_criterion_02_fails_on_a_doubled_relaxation_rate(monkeypatch):
+    # the velocity-shaped probe sits away from its relaxation target, so a
+    # substep relaxing at 2 nu misses the reference by far more than 1e-12
+    real = acceptance.collision_substep
+
+    def doubled(f, rho, dt, nu, *args, **kwargs):
+        return real(f, rho, dt, 2.0 * nu, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "collision_substep", doubled)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert result.measured["ode_error"] > 1e-4
+    assert result.measured["rho_invariance_error"] < 1e-14
 
 
 def test_criterion_03_conservation_audit(cache):

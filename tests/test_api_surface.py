@@ -110,7 +110,6 @@ def test_every_error_class_is_raised_or_caught(name):
 # (owner, parameter) -> why it stays settable with no caller setting it
 KNOB_ALLOWLIST = {
     ("EchoKernelSpec", "trunc"): "the tests' trunc-doubling certificate sets it",
-    ("dispersion_L", "method"): "the quad route is the tests' reference for wofz",
     ("run_battery", "cache"): "the tests share one product cache across calls",
     **{(f"criterion_{n}", "cache"): "reached through CRITERIA as fn(cache); the tests "
        "share one product cache" for n in range(1, 13)},

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vpkit import acceptance as battery
+from vpkit import cli
 from vpkit.cli import (
     SCENARIOS,
     _csv_bytes,
@@ -681,6 +682,43 @@ class TestRuns:
         ) == 0
         assert table1 != (out3 / "kernel_table.csv").read_bytes()
 
+    def test_kernel_table_fails_on_phase_integrals_that_come_out_too_small(
+        self, tmp_path, monkeypatch
+    ):
+        # halved values stay under every bound; the exact l = k cases catch them
+        real = cli.piecewise_integral_check
+
+        def halved(*args):
+            numeric, bound = real(*args)
+            return 0.5 * numeric, bound
+
+        monkeypatch.setattr(cli, "piecewise_integral_check", halved)
+        config = replace(parse_config(SHIPPED_CONFIGS / "kernel_table.ini"),
+                         out_dir=str(tmp_path / "out"))
+        report = run_scenario(config)
+        assert not report.passed
+        measured = report.criteria[0]["measured"]
+        assert measured["violations"] == 0
+        assert measured["exact_cases"] == 9
+        assert measured["exact_case_gap"] == pytest.approx(0.5)
+
+    def test_kernel_table_gate_is_shared_with_criterion_7(self, tmp_path):
+        config = replace(parse_config(SHIPPED_CONFIGS / "kernel_table.ini"),
+                         out_dir=str(tmp_path / "out"))
+        criterion = run_scenario(config).criteria[0]
+        assert criterion["passed"]
+        assert criterion["measured"]["exact_cases"] == 9
+        assert criterion["measured"]["exact_case_gap"] <= 1e-12
+        assert criterion["tolerance"] == (
+            "numeric <= bound * (1 + 1e-12) on every case; "
+            "exact_case_gap <= 1e-12 (|numeric/bound - 1| where l = k)"
+        )
+        # a table without an l = k case is held to the bound alone
+        small = replace(config, kernel_cases=3, seed=4, out_dir=str(tmp_path / "small"))
+        criterion = run_scenario(small).criteria[0]
+        assert criterion["passed"]
+        assert criterion["measured"]["exact_cases"] == 0
+
     def test_collision_sweep_decade_ratio(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -791,23 +829,40 @@ class TestRuns:
 _COLD_PROBE = """
 import sys
 from vpkit import cli
-code = cli.main(["run", sys.argv[1], "--out", sys.argv[2], "--quiet"]) if sys.argv[1:] else 0
+code = cli.main(sys.argv[1:] + ["--quiet"]) if sys.argv[1:] else 0
 print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_cold_cli_loads_no_scipy(tmp_path):
-    # scipy is imported on first use: neither the import of vpkit.cli nor a
-    # free_transport run needs it
+    # no shipped config and no acceptance criterion needs scipy: the import
+    # of vpkit.cli, each config's run and the whole battery, each in a fresh
+    # interpreter, leave no scipy module loaded
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    config = str(SHIPPED_CONFIGS / "free_transport.ini")
-    for args in ([], [config, str(tmp_path / "out")]):
+    configs = sorted(SHIPPED_CONFIGS.glob("*.ini"))
+    assert len(configs) == 7
+    runs = [[]] + [["run", str(c), "--out", str(tmp_path / c.stem)] for c in configs]
+    runs.append(["acceptance", "all", "--out", str(tmp_path / "acceptance")])
+    for args in runs:
         done = subprocess.run([sys.executable, "-c", _COLD_PROBE, *args], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        assert done.stdout.splitlines()[-1] == "0 []", done.stdout
-    assert (tmp_path / "out" / "report.json").exists()
+                              capture_output=True, text=True, timeout=300, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []", (args, done.stdout)
+    for c in configs:
+        assert (tmp_path / c.stem / "report.json").exists()
+    assert (tmp_path / "acceptance" / "acceptance_summary.csv").exists()
+
+
+def test_src_never_names_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    hits = [
+        f"{path.name}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "scipy" in line
+    ]
+    assert hits == []
 
 
 def test_history_csv_matches_the_per_cell_writer():

@@ -113,6 +113,20 @@ class TestYNorm:
         )
         assert np.isclose(y_norm(f, params), expected, rtol=1e-13)
 
+    def test_nan_entry_makes_the_sup_nan(self):
+        # a row holding NaN next to the table's largest entry: the sup is NaN,
+        # as f_norm's sum is, not the max of the other rows
+        grid = eta_grid()
+        coeffs = np.zeros((3, grid.size), dtype=complex)
+        coeffs[0, 10], coeffs[0, 11] = np.nan, 5.0
+        coeffs[1, 64] = 1.0
+        f = SpectralDistribution(1, grid, coeffs)
+        params = NormParams(lam=0.0, mu=0.0)
+        assert np.isnan(y_norm(f, params))
+        assert np.isnan(f_norm(f, params))
+        coeffs[0, 10] = 0.0
+        assert y_norm(SpectralDistribution(1, grid, coeffs), params) == 5.0
+
     def test_below_z_on_smooth_data(self, rng):
         f = random_field(rng, k_max=4, eta_grid=eta_grid())
         for tau in (0.0, 0.5, -1.0):
