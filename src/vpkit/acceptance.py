@@ -62,6 +62,8 @@ from .kinetic import (
     RECURRENCE_SAFETY,
     FieldHistory,
     KineticRun,
+    _history,
+    _march,
     collision_substep,
     echo_experiment,
     equilibrium_state,
@@ -69,7 +71,6 @@ from .kinetic import (
     rho_hat,
     run,
     spectral_snapshot,
-    step,
 )
 from .lintheory import (
     DensityHistory,
@@ -151,28 +152,24 @@ def free_transport_march(config: KineticRun) -> dict:
     Free flight carries fhat_0(k, eta) to fhat_0(k, eta + k t), so the mode-k
     density of a state perturbed at mode k is (amplitude/2) f0_hat(k t)
     exactly. Records at t = j * dt every record_every steps and at the last
-    step. Returns a dict with the FieldHistory "hist", the recorded "trace"
+    step. The march observes the resolution guard at every record and keeps
+    marching past a trip: the exact shift is the stronger test of this run.
+    Returns a dict with the FieldHistory "hist", the recorded "trace"
     of mode k next to its "exact" value, "trace_error", the largest gap on
     records up to RECURRENCE_SAFETY of the "recurrence_time" 1/(k dv)
-    ("compared_up_to" is the last such record), and "mid_state", the state
-    after n_steps // 2 steps.
+    ("compared_up_to" is the last such record), "mid_state", the state
+    after n_steps // 2 steps, "guard_peak", the largest edge fraction over
+    the records, and "guard_trip_time", the first record time it exceeded
+    RESOLUTION_TOL (None when it never did).
     """
     profile, k, amplitude = config.profile, config.k_pert, config.amplitude
     k_max, n_v, v_max, n_steps = config.k_max, config.n_v, config.resolved_v_max(), config.n_steps
     state = perturb_density(
         equilibrium_state(profile, k_max, n_v, v_max), profile, k, amplitude, config.pert_shape
     )
-    times, rho_rows = [0.0], [rho_hat(state)]
-    mid_state = None
-    for j in range(1, n_steps + 1):
-        state = step(state, config.dt, config.interaction, profile, config.nu)
-        if j % config.record_every == 0 or j == n_steps:
-            times.append(j * config.dt)
-            rho_rows.append(rho_hat(state))
-        if j == n_steps // 2:
-            mid_state = state
-    times = np.array(times)
-    hist = FieldHistory(times, state.modes, np.array(rho_rows), config.interaction)
+    march = _march(config, state, 0, n_steps, guard="observe", keep=n_steps // 2)
+    hist = _history(march, config)
+    times = hist.times
     trace = hist.rho_hat[:, k_max + k]
     exact = np.array([0.5 * amplitude * profile_fourier(profile, k * t) for t in times])
     recurrence_time = 1.0 / (k * (2.0 * v_max / n_v))
@@ -184,7 +181,9 @@ def free_transport_march(config: KineticRun) -> dict:
         "trace_error": float(np.max(np.abs(trace - exact)[inside])),
         "compared_up_to": float(times[inside][-1]),
         "recurrence_time": recurrence_time,
-        "mid_state": mid_state,
+        "mid_state": march.kept,
+        "guard_peak": max(march.edge),
+        "guard_trip_time": None if march.trip is None else march.trip[0] * config.dt,
     }
 
 
@@ -277,7 +276,8 @@ def _free_transport_products(cache):
     1e-3, velocity box of six thermal speeds, t_end = 680 < 0.8 * t_rec =
     682.7. The density trace is checked on every record, and the velocity
     spectrum of the -k row at mid-run, 40 percent of the recurrence time 1/dv
-    (past that the shifted transform center leaves the eta window).
+    (past that the shifted transform center leaves the eta window). The
+    resolution guard's peak and first trip time are reported, not gated.
     """
     key = ("free",)
     if key not in cache:
@@ -293,6 +293,8 @@ def _free_transport_products(cache):
             "spectrum_error": float(np.max(np.abs(got_row - want_row))),
             "t_end": free.t_end,
             "recurrence_fraction": free.t_end / march["recurrence_time"],
+            "guard_peak": march["guard_peak"],
+            "guard_trip_time": march["guard_trip_time"],
         }
         _audit_history(cache, "free transport", march["hist"])
     return cache[key]
@@ -342,6 +344,8 @@ def criterion_1(cache=None) -> CriterionResult:
             "spectrum_error": prod["spectrum_error"],
             "t_end": prod["t_end"],
             "recurrence_fraction": prod["recurrence_fraction"],
+            "guard_peak": prod["guard_peak"],
+            "guard_trip_time": prod["guard_trip_time"],
         },
         {"trace_error": "< 1e-10", "spectrum_error": "< 1e-10",
          "wall_seconds": "< 10"},

@@ -191,6 +191,8 @@ def _run_free_transport_check(config: SimConfig):
                 "max_trace_error": march["trace_error"],
                 "compared_up_to": march["compared_up_to"],
                 "recurrence_time": march["recurrence_time"],
+                "guard_peak": march["guard_peak"],
+                "guard_trip_time": march["guard_trip_time"],
             },
             "< 1e-10 up to 0.8 of the grid recurrence time",
         ),

@@ -140,7 +140,9 @@ def _kahan_sum(values) -> float:
         t = total + y
         carry = (t - total) - y
         total = t
-    return total
+    # an infinite term makes the carry inf - inf = NaN; the plain sum is then
+    # the answer (inf, or NaN for a NaN term or infinities of both signs)
+    return total if total == total else sum(values)
 
 
 def to_v_grid(f: SpectralDistribution):
@@ -173,11 +175,22 @@ def _lp_norm(rows: np.ndarray, dv: float, p: float) -> np.ndarray:
     return (dv * (mod**p).sum(axis=-1)) ** (1.0 / p)
 
 
+def _weighted(weight: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """weight * values of one shape, where a zero value contributes 0 even
+    when its weight overflowed to inf (inf * 0 would be NaN); a NaN value
+    stays NaN."""
+    product = weight * values
+    if not np.isfinite(weight).all():
+        product[values == 0.0] = 0.0
+    return product
+
+
 def f_norm(f: SpectralDistribution, params: NormParams) -> float:
     """Weighted L1-in-eta, exponentially weighted sum over modes.
 
-    Each row is summed with _kahan_sum, except a finite row with at most one
-    nonzero entry, whose sum is that entry (or 0.0) exactly.
+    Each row is summed with _kahan_sum, except a row with at most one
+    nonzero entry, whose sum is that entry (or 0.0) exactly. A zero
+    coefficient contributes 0 even where its weight overflows to inf.
 
     Raises TailNotResolved when the weighted integrand still carries more
     than 1e-8 of the running total at the eta-grid edge: the grid is then too
@@ -186,17 +199,17 @@ def f_norm(f: SpectralDistribution, params: NormParams) -> float:
     d_eta = f.d_eta
     ks = f.modes
     weight_k = np.exp(2.0 * np.pi * params.mu * np.abs(ks))
-    integrand = np.abs(f.coeffs) * np.exp(
-        2.0 * np.pi * params.lam * np.abs(ks[:, None] * params.tau + f.eta_grid)
+    integrand = _weighted(
+        np.exp(2.0 * np.pi * params.lam * np.abs(ks[:, None] * params.tau + f.eta_grid)),
+        np.abs(f.coeffs),
     )
-    # Kahan turns a lone inf into NaN, so only finite rows take the exact sum
-    exact = (np.count_nonzero(integrand, axis=1) <= 1) & np.isfinite(integrand).all(axis=1)
+    exact = np.count_nonzero(integrand, axis=1) <= 1
     sums = integrand.sum(axis=1, where=exact[:, None])
     for i in np.flatnonzero(~exact):
         sums[i] = _kahan_sum(integrand[i])
     scale = weight_k * d_eta
-    total = _kahan_sum(scale * sums)
-    edge = np.max(scale * np.maximum(integrand[:, 0], integrand[:, -1]))
+    total = _kahan_sum(_weighted(scale, sums))
+    edge = np.max(_weighted(scale, np.maximum(integrand[:, 0], integrand[:, -1])))
     if edge > 1e-8 * total and total > 0.0:
         raise TailNotResolved(
             f"eta-grid edge carries {edge:.3e} against total {total:.3e}"
@@ -206,12 +219,13 @@ def f_norm(f: SpectralDistribution, params: NormParams) -> float:
 
 def y_norm(f: SpectralDistribution, params: NormParams) -> float:
     """Grid supremum of the weighted modulus; NaN when an entry is NaN, as
-    f_norm's sum is."""
+    f_norm's sum is. A zero coefficient contributes 0 even where its weight
+    overflows to inf."""
     ks = f.modes
-    table = (
+    table = _weighted(
         np.exp(2.0 * np.pi * params.mu * np.abs(ks))[:, None]
-        * np.exp(2.0 * np.pi * params.lam * np.abs(f.eta_grid + ks[:, None] * params.tau))
-        * np.abs(f.coeffs)
+        * np.exp(2.0 * np.pi * params.lam * np.abs(f.eta_grid + ks[:, None] * params.tau)),
+        np.abs(f.coeffs),
     )
     return float(np.max(table, initial=0.0))
 

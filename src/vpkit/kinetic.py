@@ -11,6 +11,13 @@ order: half transport, field solve plus kick, collision, half transport.
 The kick works on real data throughout: its x-transforms are two cached
 real DFT matrix products over per-thread scratch, and v uses real FFTs.
 
+The constants of a step sit in a read-only plan cached per (grid, dt, W,
+profile, nu), and one kernel applies a plan to half-storage rows: step()
+runs it once on a fresh buffer, and every multi-step run (run, the echo
+marches, the free-transport march) goes through one march that advances its
+own copy of the rows in place, records on the rows, and builds a PhaseState
+only for the states it hands out.
+
 Module contents:
 
   * PhaseState / equilibrium_state / perturb_density -- state construction,
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
@@ -230,14 +238,6 @@ def _field_factor(W: Interaction, modes: bytes) -> np.ndarray:
     return factor
 
 
-@lru_cache(maxsize=16)
-def _transport_phase(k_max: int, n_v: int, v_max: float, h: float):
-    modes = np.arange(k_max + 1)
-    phase = np.exp(-2j * np.pi * h * np.outer(modes, velocity_grid(n_v, v_max)))
-    phase.setflags(write=False)
-    return phase
-
-
 def _phase_blocks(n: int) -> tuple[int, int]:
     """(R, Q) of the phase table for n powers: R a power of two near sqrt(n),
     at least 4, and Q = ceil(n / R) blocks, so the table has Q R >= n
@@ -246,10 +246,12 @@ def _phase_blocks(n: int) -> tuple[int, int]:
     return R, -(-n // R)
 
 
-def _phase_powers(theta: np.ndarray, n: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Table exp(i theta_x j), j = 0 .. Q R - 1, of shape (theta.size, Q R)
-    with (R, Q) = _phase_blocks(n): the n powers asked for, padded with the
-    next ones to whole blocks.
+def _phase_powers(theta: np.ndarray, low: np.ndarray, high: np.ndarray,
+                  out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Table exp(i theta_x j), j = 0 .. Q R - 1, of shape (theta.size, Q R),
+    for the exponents low = arange(R) and high = R * arange(Q) of
+    (R, Q) = _phase_blocks(n): the n powers asked for, padded with the next
+    ones to whole blocks.
 
     Factored as exp(i theta_x R q) * exp(i theta_x r) with j = R q + r, so
     each row costs about 2 sqrt(n) complex exponentials instead of n, at the
@@ -257,12 +259,10 @@ def _phase_powers(theta: np.ndarray, n: int, out: np.ndarray, work: np.ndarray) 
     the table's shape; the table is written into out. Both factors
     are broadcast into full tables by copies and multiplied in one
     contiguous pass, which numpy runs without iteration buffers."""
-    R, Q = _phase_blocks(n)
-    low = np.exp(1j * np.outer(theta, np.arange(R)))
-    high = np.exp(1j * np.outer(theta, R * np.arange(Q)))
-    table, factor = (a.reshape(theta.size, Q, R) for a in (out, work))
-    np.copyto(table, high[:, :, None])
-    np.copyto(factor, low[:, None, :])
+    column = theta[:, None]
+    table, factor = (a.reshape(theta.size, high.size, low.size) for a in (out, work))
+    np.copyto(table, np.exp(1j * (column * high))[:, :, None])
+    np.copyto(factor, np.exp(1j * (column * low))[:, None, :])
     table *= factor
     return out
 
@@ -311,7 +311,60 @@ def _work(name: str, shape: tuple, dtype=float) -> np.ndarray:
     return array
 
 
-def _kick(f: np.ndarray, e_hat: np.ndarray, dt: float, dv: float) -> None:
+# The constants of one Strang step of dt on a (k_max, n_v, v_max) grid, as
+# read-only arrays shared by every thread: the grid spacing dv and velocity
+# grid v, the transport phase half of dt/2, the factor field = 2 pi i k
+# W_hat(k) of poisson_field on the modes 0 .. k_max, the kick's x-transforms
+# synth and analyze, the phase table's exponents low and high, the factor
+# shift = -2 pi dt / (n_v dv) that turns an acceleration into the phase per
+# eta bin, and the complex equilibrium row f0 the relaxation blends toward
+# with weight decay = e^{-nu dt} (both None at nu = 0: no relaxation).
+_StepPlan = namedtuple("_StepPlan", "dv v half field synth analyze low high shift f0 decay")
+
+
+@lru_cache(maxsize=16)
+def _step_plan(k_max: int, n_v: int, v_max: float, dt: float, W: Interaction,
+               profile: VelocityProfile, nu: float):
+    """The plan of a step dt (nonzero, finite, nu >= 0) on the grid; raises
+    StepTooCoarse past PHASE_BUDGET."""
+    if abs(dt) * k_max * v_max > PHASE_BUDGET:
+        raise StepTooCoarse(
+            f"|dt|={abs(dt):g} turns the corner phase k_max*v_max="
+            f"{k_max * v_max:g} by more than {PHASE_BUDGET:g}; "
+            f"shrink the step below {PHASE_BUDGET / (k_max * v_max):.3g}"
+        )
+    dv, v, modes = 2.0 * v_max / n_v, velocity_grid(n_v, v_max), np.arange(k_max + 1)
+    R, Q = _phase_blocks(n_v // 2 + 1)
+    half = np.exp(-2j * np.pi * (0.5 * dt) * np.outer(modes, v))
+    f0 = decay = None
+    if nu > 0.0:
+        f0, decay = _equilibrium_rows(profile, n_v, v_max).astype(complex), math.exp(-nu * dt)
+    plan = _StepPlan(dv, v, half, _field_factor(W, modes.tobytes()), *_x_transforms(k_max),
+                     np.arange(R), R * np.arange(Q), -2.0 * np.pi * dt / (n_v * dv), f0, decay)
+    for array in (v, half, plan.low, plan.high, f0):
+        if array is not None:
+            array.setflags(write=False)
+    return plan
+
+
+def _advance(plan: _StepPlan, src: np.ndarray, f: np.ndarray, external=None) -> None:
+    """One Strang step of plan from the half-storage rows src into f, which
+    may be src itself (the march steps in place). external, when given, is
+    added to the field of this step. This is the one step implementation:
+    step() and _march both apply it."""
+    np.multiply(src, plan.half, out=f)
+    e_hat = plan.field * (plan.dv * f.sum(axis=1))
+    e_hat[0] = 0.0  # as poisson_field: the mean force vanishes on the torus
+    if external is not None:
+        e_hat = e_hat + external
+    if e_hat.any():
+        _kick(plan, f, e_hat)
+    if plan.decay is not None:
+        _relax(f, plan.dv * f.sum(axis=1), plan.f0, plan.decay, out=f)
+    f *= plan.half
+
+
+def _kick(plan: _StepPlan, f: np.ndarray, e_hat: np.ndarray) -> None:
     """Shift every column of f (half storage, written in place) in v by the
     frozen field e_hat, through per-thread work arrays.
 
@@ -325,10 +378,8 @@ def _kick(f: np.ndarray, e_hat: np.ndarray, dt: float, dv: float) -> None:
     the same bytes at any thread count. The columns past n_eta ride along
     (the columns of a matrix product never mix) and are never read back."""
     k_max, n_v = f.shape[0] - 1, f.shape[1]
-    synth, analyze = _x_transforms(k_max)
-    n_x, n_eta = synth.shape[0], n_v // 2 + 1
-    R, Q = _phase_blocks(n_eta)
-    n_pad = Q * R
+    synth, analyze = plan.synth, plan.analyze
+    n_x, n_eta, n_pad = synth.shape[0], n_v // 2 + 1, plan.low.size * plan.high.size
     stack = _work("stack", (2 * (k_max + 1), n_v))
     spec = _work("spec", (2 * (k_max + 1), n_pad), complex)
     f_eta = _work("f_eta", (n_x, n_pad), complex)
@@ -338,13 +389,29 @@ def _kick(f: np.ndarray, e_hat: np.ndarray, dt: float, dv: float) -> None:
     np.fft.rfft(stack, axis=1, out=spec[:, :n_eta])
     np.matmul(synth, spec.view(float), out=f_eta.view(float))
     # eta_j = j / (n_v dv), so the shift phase of column x is w_x^j
-    f_eta *= _phase_powers(-2.0 * np.pi * dt / (n_v * dv) * accel, n_eta,
+    f_eta *= _phase_powers(plan.shift * accel, plan.low, plan.high,
                            out=_work("phase", (n_x, n_pad), complex),
                            work=_work("phase_factor", (n_x, n_pad), complex))
     np.matmul(analyze, f_eta.view(float), out=spec.view(float))
     np.fft.irfft(spec[:, :n_eta], n=n_v, axis=1, out=stack)
     np.copyto(f.real, stack[: k_max + 1])
     np.copyto(f.imag, stack[k_max + 1:])
+
+
+def _relax(f: np.ndarray, rho: np.ndarray, f0: np.ndarray, decay: float,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """e^{-nu dt} f + (1 - e^{-nu dt}) rho f0 for decay = e^{-nu dt} and the
+    complex equilibrium row f0, into out (a fresh array when None; f itself
+    when the step relaxes in place)."""
+    # the outer product rho f0, a row at a time: a broadcast product makes numpy
+    # allocate iteration buffers, about 260 kB per call
+    relaxed = _work("relaxed", f.shape, complex)
+    for row, rho_k in zip(relaxed, rho):
+        np.multiply(f0, rho_k, out=row)
+    relaxed *= 1.0 - decay
+    out = np.multiply(f, decay, out=out)
+    out += relaxed
+    return out
 
 
 def collision_substep(
@@ -355,15 +422,13 @@ def collision_substep(
     profile: VelocityProfile,
     *,
     v_max: float,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact relaxation f <- e^{-nu dt} f + (1 - e^{-nu dt}) rho f0.
 
     rho_slice must hold the density modes of f_slice. The discrete
     equilibrium carries unit grid mass, so each density mode is exactly
     invariant; nu = 0 (or dt = 0) returns the input unchanged, dt -> +inf
-    lands on rho f0. out, when given, receives the result and may be f_slice
-    itself (the step relaxes in place).
+    lands on rho f0. The result is a fresh array.
     """
     if nu < 0.0:
         raise ConstraintViolation("collision frequency nu must be >= 0")
@@ -374,21 +439,9 @@ def collision_substep(
     if math.isnan(dt):
         raise ConstraintViolation("dt must not be NaN")
     if nu == 0.0 or dt == 0.0:
-        if out is None:
-            return f.copy()
-        np.copyto(out, f)
-        return out
-    decay = math.exp(-nu * dt)
-    # the outer product rho f0, a row at a time: a broadcast product makes numpy
-    # allocate iteration buffers, about 260 kB per call
+        return f.copy()
     f0 = _equilibrium_rows(profile, f.shape[1], float(v_max)).astype(complex)
-    relaxed = _work("relaxed", f.shape, complex)
-    for row, rho_k in zip(relaxed, rho):
-        np.multiply(f0, rho_k, out=row)
-    relaxed *= 1.0 - decay
-    out = np.multiply(f, decay, out=out)
-    out += relaxed
-    return out
+    return _relax(f, rho, f0, math.exp(-nu * dt))
 
 
 @lru_cache(maxsize=None)
@@ -423,21 +476,27 @@ def resolution_guard(state: PhaseState) -> float:
     would trip on dynamically empty harmonics whose infinitesimal content
     recurs long before anything observable does.)
     """
-    sheared = state.rows[1:]
-    total = state.n_v * float(np.square(sheared.view(float)).sum())
+    return _edge_fraction(state.rows, state.time)
+
+
+def _edge_fraction(rows: np.ndarray, time: float) -> float:
+    """resolution_guard of the half-storage rows of a state at time."""
+    sheared = rows[1:]
+    n_v = rows.shape[1]
+    total = n_v * float(np.square(sheared.view(float)).sum())
     if total <= 0.0:
         return 0.0
-    band = np.square((sheared @ _edge_band(state.n_v)).view(float))
+    band = np.square((sheared @ _edge_band(n_v)).view(float))
     fraction = float(band.sum() / total)
     if fraction > RESOLUTION_TOL:
         k_bad = int(np.argmax(band.sum(axis=1))) + 1
         raise ResolutionExceeded(
             f"the sheared spectrum holds {fraction:.3e} of its energy in the top "
-            f"{RESOLUTION_BAND:.0%} of |eta| bins at t={state.time:g} "
+            f"{RESOLUTION_BAND:.0%} of |eta| bins at t={time:g} "
             f"(tolerance {RESOLUTION_TOL:g}, led by modes k=+-{k_bad}); "
             f"refine the velocity grid",
             fraction=fraction,
-            time=state.time,
+            time=time,
         )
     return fraction
 
@@ -474,6 +533,8 @@ def step(
     kick's and the relaxation's large temporaries are per-thread work arrays
     reused from step to step; the returned state owns fresh rows that share
     no memory with them. Negative dt steps backward; dt = 0 is the identity.
+    The step's constants come from the cached plan of (grid, dt, W, profile,
+    nu), and the step itself is the kernel every march applies.
 
     external_field_hat, when given, is added to the self-consistent field
     for this step only (amplitudes of the modes k = 0 .. k_max of a real
@@ -485,33 +546,15 @@ def step(
         raise ConstraintViolation("collision frequency nu must be >= 0")
     if dt == 0.0:
         return state
-    k_max, n_v = state.k_max, state.n_v
-    if abs(dt) * k_max * state.v_max > PHASE_BUDGET:
-        raise StepTooCoarse(
-            f"|dt|={abs(dt):g} turns the corner phase k_max*v_max="
-            f"{k_max * state.v_max:g} by more than {PHASE_BUDGET:g}; "
-            f"shrink the step below {PHASE_BUDGET / (k_max * state.v_max):.3g}"
-        )
-    modes = np.arange(k_max + 1)
-    half = _transport_phase(k_max, n_v, state.v_max, 0.5 * dt)
-    f = state.rows * half
-
-    rho_mid = state.dv * f.sum(axis=1)
-    e_hat = poisson_field(rho_mid, W, modes)
+    plan = _step_plan(state.k_max, state.n_v, state.v_max, dt, W, profile, nu)
+    ext = None
     if external_field_hat is not None:
         ext = np.asarray(external_field_hat, dtype=complex)
-        if ext.shape != modes.shape:
+        if ext.shape != (state.k_max + 1,):
             raise ConstraintViolation("external field must hold the modes 0..k_max")
-        e_hat = e_hat + ext
-    if np.any(e_hat):
-        _kick(f, e_hat, dt, state.dv)
-
-    if nu > 0.0:
-        rho_post = state.dv * f.sum(axis=1)
-        collision_substep(f, rho_post, dt, nu, profile, v_max=state.v_max, out=f)
-
-    f *= half
-    return PhaseState(rows=f, time=state.time + dt, k_max=k_max, v_max=state.v_max)
+    rows = np.empty(state.rows.shape, dtype=complex)
+    _advance(plan, state.rows, rows, ext)
+    return PhaseState(rows=rows, time=state.time + dt, k_max=state.k_max, v_max=state.v_max)
 
 
 def spectral_snapshot(state: PhaseState) -> SpectralDistribution:
@@ -628,6 +671,76 @@ class KineticRun:
         return default_v_max(self.profile)
 
 
+# What _march made: the last state, the density modes k = 0 .. k_max of every
+# step (row i is step n0 + i), the rows i of the records with their guard
+# fractions, l2 norms and momenta, the (step, ResolutionExceeded) of the first
+# guard trip or None, and the kept state or None.
+_Marched = namedtuple("_Marched", "state rho records edge l2 momentum trip kept")
+
+
+def _history(march: _Marched, config: KineticRun) -> FieldHistory:
+    """The recorded density modes of a march from step 0, at times n * dt."""
+    full = np.ascontiguousarray(_full_modes(march.rho[march.records].T).T)
+    return FieldHistory(march.records * config.dt, march.state.modes, full, config.interaction)
+
+
+def _march(config: KineticRun, state: PhaseState, n0: int, n1: int, *, guard: str,
+           keep: int | None = None) -> _Marched:
+    """March state, the state after n0 steps of config, on to step n1.
+
+    One copy of the rows is advanced in place by the plan of config's step,
+    and every step's density modes are taken. Records fall on the steps in
+    n0 .. n1 that are multiples of config.record_every, and on n1. A record
+    first checks the density modes taken since the last one: a non-finite
+    entry makes its row's sum non-finite, so ConstraintViolation is raised
+    before anything computed from such a state is recorded or returned. It
+    then runs the resolution guard and takes the l2 norm and the momentum.
+    guard names what a trip does: "raise" propagates the ResolutionExceeded
+    (echo marches); "stop" ends the march without the tripping record (run);
+    "observe" records the tripping fraction and marches on (the
+    free-transport march, whose exact-shift check is the stronger test).
+    keep names a step whose state is handed out too.
+    """
+    if guard not in ("raise", "stop", "observe"):
+        raise ValueError(f"unknown guard policy {guard!r}")
+    plan = _step_plan(state.k_max, state.n_v, state.v_max, config.dt, config.interaction,
+                      config.profile, config.nu)
+    f = state.rows.copy()
+    rho = np.empty((n1 - n0 + 1, state.k_max + 1), dtype=complex)
+    t, checked, trip, kept = state.time, 0, None, None
+    records, edge, l2, momentum = [], [], [], []
+    for i, n in enumerate(range(n0, n1 + 1)):
+        if i:
+            _advance(plan, f, f)
+            t += config.dt
+        rho[i] = plan.dv * f.sum(axis=1)
+        if n == keep:
+            kept = PhaseState(rows=f.copy(), time=t, k_max=state.k_max, v_max=state.v_max)
+        if n % config.record_every and n != n1:
+            continue
+        if not np.isfinite(rho[checked:i + 1]).all():
+            raise ConstraintViolation("state contains non-finite entries")
+        checked = i + 1
+        try:
+            fraction = _edge_fraction(f, t)
+        except ResolutionExceeded as err:
+            if guard == "raise":
+                raise
+            # without its traceback, whose frames would hold this march alive
+            trip = trip or (n, err.with_traceback(None))
+            if guard == "stop":
+                break
+            fraction = err.fraction
+        power = np.abs(f) ** 2
+        records.append(n)
+        edge.append(fraction)
+        l2.append(float(np.sqrt(plan.dv * (power[0].sum() + 2.0 * power[1:].sum()))))
+        momentum.append(float((plan.dv * np.dot(f[0], plan.v)).real))
+    last = PhaseState(rows=f, time=t, k_max=state.k_max, v_max=state.v_max)
+    return _Marched(last, rho[: i + 1], np.array(records, dtype=int) - n0, edge, l2,
+                    momentum, trip, kept)
+
+
 def run(config: KineticRun) -> tuple[FieldHistory, dict]:
     """March the full model and record fields plus scalar diagnostics.
 
@@ -639,47 +752,26 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
     "stop_time" (t_end, or the record time the guard tripped at) and
     "stop_edge_fraction", the guard's value there. A trip before the second
     record leaves no history to report and raises ResolutionExceeded."""
-    v_max = config.resolved_v_max()
-    state = equilibrium_state(config.profile, config.k_max, config.n_v, v_max)
+    state = equilibrium_state(config.profile, config.k_max, config.n_v, config.resolved_v_max())
     if config.amplitude != 0.0:
         state = perturb_density(
             state, config.profile, config.k_pert, config.amplitude, config.pert_shape
         )
-
-    times, rho_rows = [], []
-    mass, momentum, l2, edge = [], [], [], []
-    stop_reason = "t_end"
-
-    def record(st: PhaseState, t: float):
-        edge.append(resolution_guard(st))
-        rho = st.dv * st.rows.sum(axis=1)
-        power = np.abs(st.rows) ** 2
-        times.append(t)
-        rho_rows.append(_full_modes(rho))
-        mass.append(float(rho[0].real))
-        momentum.append(float((st.dv * np.dot(st.rows[0], st.v)).real))
-        l2.append(float(np.sqrt(st.dv * (power[0].sum() + 2.0 * power[1:].sum()))))
-
-    try:
-        record(state, 0.0)
-        for n in range(1, config.n_steps + 1):
-            state = step(state, config.dt, config.interaction, config.profile, config.nu)
-            if n % config.record_every == 0 or n == config.n_steps:
-                record(state, n * config.dt)
-        stop_time, stop_edge = times[-1], edge[-1]
-    except ResolutionExceeded as err:
-        if len(times) < 2:
-            raise
+    march = _march(config, state, 0, config.n_steps, guard="stop")
+    if march.trip is not None and march.records.size < 2:
+        raise march.trip[1]
+    history = _history(march, config)
+    if march.trip is None:
+        stop_reason, stop_time, stop_edge = "t_end", float(history.times[-1]), march.edge[-1]
+    else:
         stop_reason = "resolution_exceeded"
-        stop_time, stop_edge = n * config.dt, err.fraction
-
-    history = FieldHistory(np.array(times), state.modes, np.array(rho_rows), config.interaction)
+        stop_time, stop_edge = march.trip[0] * config.dt, march.trip[1].fraction
     diagnostics = {
-        "t": np.array(times),
-        "mass": np.array(mass),
-        "momentum": np.array(momentum),
-        "l2": np.array(l2),
-        "edge_fraction": np.array(edge),
+        "t": history.times.copy(),
+        "mass": march.rho[march.records, 0].real.copy(),
+        "momentum": np.array(march.momentum),
+        "l2": np.array(march.l2),
+        "edge_fraction": np.array(march.edge),
         "stop_reason": stop_reason,
         "stop_time": stop_time,
         "stop_edge_fraction": stop_edge,
@@ -707,22 +799,6 @@ class EchoReport:
         return asdict(self)
 
 
-def _echo_steps(config: KineticRun, state: PhaseState, n0: int, n1: int, external, rho: list):
-    """Steps n0 .. n1 - 1 of an echo march from state, the state after n0
-    steps. external (or None) is the field of step n0 only. Runs
-    resolution_guard after every record_every-th step, appends each new
-    state's density rows to rho and returns the last state."""
-    for n in range(n0, n1):
-        state = step(
-            state, config.dt, config.interaction, config.profile, config.nu,
-            external_field_hat=external if n == n0 else None,
-        )
-        if (n + 1) % config.record_every == 0:
-            resolution_guard(state)
-        rho.append(state.dv * state.rows.sum(axis=1))
-    return state
-
-
 def _march_mode_trace(
     marches: dict, config: KineticRun, l: int, m: int, s_force: float, eps1: float, eps2: float
 ):
@@ -735,7 +811,8 @@ def _march_mode_trace(
     |rho_hat(k)|. The j_kick = s_force/dt steps before the kick depend only
     on (config, l, eps1): the state after them and the density rows up to
     them are kept in marches too, and every run from that seed marches only
-    from the kick on."""
+    from the kick on. The kicked step is a step() call; the steps before and
+    after it are marches that raise on a resolution-guard trip."""
     key = ("echo_march", config, l, m, float(s_force), float(eps1), float(eps2))
     if key in marches:
         return marches[key]
@@ -744,20 +821,20 @@ def _march_mode_trace(
     if seed_key not in marches:
         state = equilibrium_state(config.profile, config.k_max, config.n_v, config.resolved_v_max())
         state = perturb_density(state, config.profile, l, eps1)
-        rho = [state.dv * state.rows.sum(axis=1)]
-        state = _echo_steps(config, state, 0, j_kick, None, rho)
-        marches[seed_key] = (state, tuple(rho))
+        prefix = _march(config, state, 0, j_kick, guard="raise")
+        marches[seed_key] = (prefix.state, prefix.rho)
     state, prefix = marches[seed_key]
     external = None
     if eps2 != 0.0:
         external = np.zeros(config.k_max + 1, dtype=complex)
         external[abs(m)] = 0.5 * eps2 / config.dt
-    rho = list(prefix)
-    _echo_steps(config, state, j_kick, config.n_steps, external, rho)
+    kicked = step(state, config.dt, config.interaction, config.profile, config.nu,
+                  external_field_hat=external)
+    rest = _march(config, kicked, j_kick + 1, config.n_steps, guard="raise")
     times = np.arange(config.n_steps + 1) * config.dt
     # hypot rounds as the scalar complex abs does; numpy's array abs can differ
     # in the last bit
-    trace = np.array(rho)[:, abs(l + m)]
+    trace = np.concatenate([prefix[:, abs(l + m)], rest.rho[:, abs(l + m)]])
     marches[key] = times, np.hypot(trace.real, trace.imag)
     return marches[key]
 

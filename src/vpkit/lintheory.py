@@ -159,7 +159,9 @@ class DensityHistory:
 def volterra_solve(k: int, f0_trace, kern: VolterraKernel, T: float, dt: float) -> DensityHistory:
     """March the closed density equation to time T with step dt.
 
-    f0_trace(t) must return the initial-data trace fhat_0(k, k*t). The update
+    f0_trace(times) must return the initial-data trace fhat_0(k, k*t) at
+    every entry of the array of march times, as an array of their shape (it
+    is called once, on the whole grid t_n = n dt). The update
     is the implicit product-trapezoid rule
 
         rho_n = (a_n + sum_{j<n} w_j K(t_n - t_j) rho_j) / (1 - dt/2 * K(0)),
@@ -183,7 +185,9 @@ def volterra_solve(k: int, f0_trace, kern: VolterraKernel, T: float, dt: float) 
         kvals = kern.samples[: n + 1]
     else:
         kvals = _kernel_values(kern.nu, kern.k, kern.profile, kern.interaction, times)
-    a = np.fromiter((complex(f0_trace(t)) for t in times), dtype=complex, count=n + 1)
+    a = np.array(f0_trace(times), dtype=complex)
+    if a.shape != times.shape:
+        raise ConstraintViolation(f"f0_trace must return one value per march time, not {a.shape}")
     a *= np.exp(-kern.nu * times)
     rho = np.zeros(n + 1, dtype=complex)
     rho[0] = a[0]

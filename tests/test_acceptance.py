@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from vpkit import acceptance
 from vpkit.acceptance import CRITERIA, SUITES, BatteryReport, run_battery
 from vpkit.errors import ConstraintViolation
+from vpkit.kinetic import RESOLUTION_TOL
 from vpkit.lintheory import free_streaming_response
 
 
@@ -60,6 +61,10 @@ def test_criterion_01_free_transport_exactness(cache):
     assert result.measured["trace_error"] < 1e-10
     assert result.measured["spectrum_error"] < 1e-10
     assert result.wall_seconds < 10.0
+    # the march observes the resolution guard: it trips at t = 412 of 680 and
+    # the criterion reports it (the exact shift is the stronger test here)
+    assert result.measured["guard_trip_time"] == 412.0
+    assert result.measured["guard_peak"] > RESOLUTION_TOL
 
 
 def test_criterion_02_collision_closed_form(cache):

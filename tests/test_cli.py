@@ -939,6 +939,8 @@ class TestSharedWithBattery:
         measured = _measured(path, tmp_path)["matches_exact_shift"]
         crit = battery.criterion_1().measured
         assert measured["max_trace_error"] == crit["trace_error"]
+        for key in ("guard_peak", "guard_trip_time"):
+            assert measured[key] == crit[key]
 
 
 CONFIG_ALPHABET = string.ascii_lowercase + string.digits + "[]=._- \n#;:"

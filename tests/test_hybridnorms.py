@@ -127,6 +127,22 @@ class TestYNorm:
         coeffs[0, 10] = 0.0
         assert y_norm(SpectralDistribution(1, grid, coeffs), params) == 5.0
 
+    def test_zero_coefficient_under_an_overflowing_weight_contributes_zero(self):
+        # lam |eta| > ~113 and mu |k| > ~113 overflow the weights to inf; a zero
+        # coefficient there adds 0, where inf * 0 made both norms NaN
+        grid = eta_grid()
+        coeffs = np.zeros((5, grid.size), dtype=complex)
+        coeffs[2, grid.size // 2] = 0.7  # k = 0, eta = 0: weight 1
+        f = SpectralDistribution(2, grid, coeffs)
+        for params in (NormParams(lam=40.0, mu=0.0), NormParams(lam=0.0, mu=40.0)):
+            assert y_norm(f, params) == 0.7
+            assert f_norm(f, params) == 0.7 * f.d_eta
+        # a nonzero coefficient under an infinite weight: both norms are inf
+        coeffs[3, grid.size // 2 + 48] = 1e-3  # eta = 3
+        f = SpectralDistribution(2, grid, coeffs)
+        params = NormParams(lam=40.0, mu=0.0)
+        assert y_norm(f, params) == np.inf and f_norm(f, params) == np.inf
+
     def test_below_z_on_smooth_data(self, rng):
         f = random_field(rng, k_max=4, eta_grid=eta_grid())
         for tau in (0.0, 0.5, -1.0):

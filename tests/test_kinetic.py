@@ -486,7 +486,7 @@ class TestMatrixKick:
             R, Q = kin._phase_blocks(n)
             assert Q * R >= n and (Q * R) % 4 == 0
             out, work = (np.empty((theta.size, Q * R), complex) for _ in range(2))
-            assert kin._phase_powers(theta, n, out, work) is out
+            assert kin._phase_powers(theta, np.arange(R), R * np.arange(Q), out, work) is out
             want = np.exp(1j * np.outer(theta, np.arange(Q * R)))
             assert np.abs(out - want).max() <= 1e-13
 
@@ -769,14 +769,15 @@ def doubled_reports():
 
 
 def count_steps(monkeypatch):
+    """Count applications of the step kernel, which step() and every march run."""
     calls = []
-    real_step = kin.step
+    real_advance = kin._advance
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return real_step(*args, **kwargs)
+        return real_advance(*args, **kwargs)
 
-    monkeypatch.setattr(kin, "step", counted)
+    monkeypatch.setattr(kin, "_advance", counted)
     return calls
 
 
@@ -889,3 +890,188 @@ class TestEchoExperiment:
             echo_experiment(ECHO_CFG, 1, -12, 5.0, 1e-3, 1e-3)
         with pytest.raises(ConstraintViolation):
             echo_experiment(ECHO_CFG, 1, -2, 5.0, 0.0, 1e-3)
+
+
+def _stepped(config, state, n_steps, kick=None):
+    """The states of a march of config made by public step() calls; kick is
+    (n, external field) for an impulse in the step that starts after n steps."""
+    states = [state]
+    for n in range(n_steps):
+        ext = kick[1] if kick is not None and n == kick[0] else None
+        states.append(step(states[-1], config.dt, config.interaction, config.profile,
+                           config.nu, external_field_hat=ext))
+    return states
+
+
+def _record_steps(config, n0, n1):
+    return [n for n in range(n0, n1 + 1) if n % config.record_every == 0 or n == n1]
+
+
+def _start(config, k=None, amplitude=None):
+    state = equilibrium_state(config.profile, config.k_max, config.n_v, config.resolved_v_max())
+    return perturb_density(state, config.profile, k or config.k_pert,
+                           config.amplitude if amplitude is None else amplitude,
+                           config.pert_shape)
+
+
+def _density_rows(states):
+    return np.array([s.dv * s.rows.sum(axis=1) for s in states])
+
+
+MARCH_SETUPS = {
+    "free_flight_k2_v512": KineticRun(
+        profile=MX_UNIT, interaction=W_ZERO, nu=0.0, dt=0.05, t_end=2.0, k_pert=1,
+        amplitude=1e-3, k_max=2, n_v=512, record_every=4),
+    "landau_k4_v512_nu001": KineticRun(
+        profile=MX_COLD, interaction=W_POW, nu=0.01, dt=0.05, t_end=2.0, k_pert=1,
+        amplitude=1e-3, k_max=4, n_v=512),
+    "nonlinear_k4_v256_every5": KineticRun(
+        profile=MX_UNIT, interaction=W_POW, nu=0.01, dt=0.02, t_end=1.0, k_pert=1,
+        amplitude=0.1, k_max=4, n_v=256, v_max=6.0, record_every=5),
+}
+
+
+class TestMergedMarch:
+    """run, the echo marches and the free-transport march all go through
+    kinetic._march, which must make the bytes a loop of public step() calls
+    makes: rows, recorded densities, guard fractions and the repeated-sum
+    time (criterion 1's spectrum_error reads its mid state's time)."""
+
+    @pytest.mark.parametrize("name", sorted(MARCH_SETUPS))
+    def test_run_and_march_equal_a_step_loop(self, name):
+        config = MARCH_SETUPS[name]
+        start = _start(config)
+        states = _stepped(config, start, config.n_steps)
+        recs = _record_steps(config, 0, config.n_steps)
+        recorded = [states[n] for n in recs]
+
+        hist, diag = run(config)
+        assert hist.rho_hat.tobytes() == np.array([rho_hat(s) for s in recorded]).tobytes()
+        assert np.array_equal(diag["t"], np.array(recs) * config.dt)
+        assert diag["edge_fraction"].tobytes() == np.array(
+            [resolution_guard(s) for s in recorded]).tobytes()
+        assert diag["mass"].tobytes() == np.array(
+            [float((s.dv * s.rows.sum(axis=1))[0].real) for s in recorded]).tobytes()
+        assert diag["momentum"].tobytes() == np.array(
+            [float((s.dv * np.dot(s.rows[0], s.v)).real) for s in recorded]).tobytes()
+        power = [np.abs(s.rows) ** 2 for s in recorded]
+        assert diag["l2"].tobytes() == np.array(
+            [float(np.sqrt(s.dv * (p[0].sum() + 2.0 * p[1:].sum())))
+             for s, p in zip(recorded, power)]).tobytes()
+
+        march = kin._march(config, start, 0, config.n_steps, guard="raise",
+                           keep=config.n_steps // 2)
+        for got, want in ((march.state, states[-1]), (march.kept, states[config.n_steps // 2])):
+            assert got.rows.tobytes() == want.rows.tobytes()
+            assert got.time == want.time
+        assert march.rho.tobytes() == _density_rows(states).tobytes()
+        assert march.records.tolist() == recs
+        assert march.edge == [resolution_guard(s) for s in recorded]
+        assert not np.shares_memory(march.state.rows, start.rows)
+
+    def test_free_transport_march_equals_a_step_loop(self):
+        from vpkit.acceptance import free_transport_march
+
+        config = MARCH_SETUPS["free_flight_k2_v512"]
+        states = _stepped(config, _start(config), config.n_steps)
+        recs = _record_steps(config, 0, config.n_steps)
+        march = free_transport_march(config)
+        mid = states[config.n_steps // 2]
+        assert march["mid_state"].rows.tobytes() == mid.rows.tobytes()
+        assert march["mid_state"].time == mid.time
+        assert march["hist"].rho_hat.tobytes() == np.array(
+            [rho_hat(states[n]) for n in recs]).tobytes()
+        assert march["guard_peak"] == max(resolution_guard(states[n]) for n in recs)
+        assert march["guard_trip_time"] is None
+
+    def test_echo_march_with_its_impulse_equals_a_step_loop(self):
+        config = replace(ECHO_CFG, t_end=1.0)  # (8, 512)
+        l, m, s_force, eps1, eps2 = 1, -2, 0.4, 1e-3, 1e-3
+        j_kick = 20
+        kick = np.zeros(config.k_max + 1, dtype=complex)
+        kick[abs(m)] = 0.5 * eps2 / config.dt
+        states = _stepped(config, _start(config, l, eps1), config.n_steps, (j_kick, kick))
+        marches = {}
+        times, trace = kin._march_mode_trace(marches, config, l, m, s_force, eps1, eps2)
+        want = _density_rows(states)[:, abs(l + m)]
+        assert trace.tobytes() == np.hypot(want.real, want.imag).tobytes()
+        prefix, prefix_rho = marches[("echo_prefix", config, l, eps1, j_kick)]
+        assert prefix.rows.tobytes() == states[j_kick].rows.tobytes()
+        assert prefix.time == states[j_kick].time
+        assert prefix_rho.tobytes() == _density_rows(states[: j_kick + 1]).tobytes()
+        rest = kin._march(config, states[j_kick + 1], j_kick + 1, config.n_steps, guard="raise")
+        assert rest.state.rows.tobytes() == states[-1].rows.tobytes()
+        assert rest.state.time == states[-1].time
+        assert rest.edge == [resolution_guard(states[n])
+                             for n in _record_steps(config, j_kick + 1, config.n_steps)]
+
+    def test_cached_prefix_is_unchanged_by_the_marches_that_continue_it(self):
+        config = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128, record_every=3)
+        marches = {}
+        kin._march_mode_trace(marches, config, 1, -2, 0.4, 1e-3, 1e-3)
+        prefix, prefix_rho = marches[("echo_prefix", config, 1, 1e-3, 20)]
+        before = prefix.rows.tobytes(), prefix_rho.tobytes()
+        for eps2 in (2e-3, 5e-4):
+            kin._march_mode_trace(marches, config, 1, -2, 0.4, 1e-3, eps2)
+        assert (prefix.rows.tobytes(), prefix_rho.tobytes()) == before
+        want = _stepped(config, _start(config, 1, 1e-3), 20)[-1]
+        assert prefix.rows.tobytes() == want.rows.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("march", ["run", "free_transport", "echo"])
+    def test_non_finite_rows_raise_before_anything_is_recorded(self, monkeypatch, bad, march):
+        from vpkit.acceptance import free_transport_march
+
+        real_advance, real_guard = kin._advance, kin._edge_fraction
+        steps, guarded = [], []
+
+        def poisoned(plan, src, f, external=None):
+            real_advance(plan, src, f, external)
+            steps.append(1)
+            if len(steps) == 6:  # between records: the cadence below is 4
+                f[1, 7] = bad
+
+        def watched(rows, time):
+            guarded.append(bool(np.isfinite(rows).all()))
+            return real_guard(rows, time)
+
+        monkeypatch.setattr(kin, "_advance", poisoned)
+        monkeypatch.setattr(kin, "_edge_fraction", watched)
+        config = replace(MARCH_SETUPS["free_flight_k2_v512"], interaction=W_POW)
+        with pytest.raises(ConstraintViolation, match="non-finite"), np.errstate(all="ignore"):
+            if march == "run":
+                run(config)
+            elif march == "free_transport":
+                free_transport_march(config)
+            else:
+                kin._march_mode_trace({}, config, 1, 1, 0.5, 1e-3, 1e-3)
+        assert len(steps) < config.n_steps and guarded and all(guarded)
+
+    def test_guard_policies(self):
+        from vpkit.acceptance import free_transport_march
+
+        # dv = 0.1875: the edge band fills around t ~ 2.3, before recurrence at 5.33
+        config = KineticRun(
+            profile=MX_UNIT, interaction=W_ZERO, nu=0.0, dt=0.05, t_end=8.0, k_pert=1,
+            amplitude=1e-3, k_max=2, n_v=64, v_max=6.0, record_every=2,
+        )
+        stopped = kin._march(config, _start(config), 0, config.n_steps, guard="stop")
+        observed = kin._march(config, _start(config), 0, config.n_steps, guard="observe")
+        n_trip, err = stopped.trip
+        assert observed.trip[0] == n_trip and 1.0 < n_trip * config.dt < 4.3
+        assert stopped.records[-1] == n_trip - config.record_every
+        assert observed.records[-1] == config.n_steps
+        assert max(observed.edge) > kin.RESOLUTION_TOL >= max(stopped.edge)
+        assert err.fraction in observed.edge
+        # a kept trip holds no traceback, whose frames would keep the march alive
+        assert err.__traceback__ is None and observed.trip[1].__traceback__ is None
+        with pytest.raises(ResolutionExceeded):
+            kin._march(config, _start(config), 0, config.n_steps, guard="raise")
+        with pytest.raises(ValueError, match="policy"):
+            kin._march(config, _start(config), 0, 4, guard="ignore")
+        # run stops where the free-transport march only reports the trip
+        _, diag = run(config)
+        free = free_transport_march(config)
+        assert diag["stop_time"] == free["guard_trip_time"] == n_trip * config.dt
+        assert free["hist"].times[-1] == config.t_end
+        assert free["guard_peak"] == max(observed.edge)

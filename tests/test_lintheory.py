@@ -45,6 +45,7 @@ from vpkit.lintheory import (
 from vpkit.profiles import (
     Interaction,
     VelocityProfile,
+    profile_fourier,
     profile_sample,
 )
 
@@ -211,6 +212,29 @@ class TestVolterra:
         hist = volterra_solve(1, gaussian_trace, kern, T=5.0, dt=0.05)
         expected = gaussian_trace(hist.times)
         assert np.max(np.abs(hist.rho_hat - expected)) < 1e-15
+
+    def test_trace_is_called_once_on_the_time_grid(self):
+        calls = []
+
+        def trace(t):
+            calls.append(np.array(t, copy=True))
+            return gaussian_trace(t)
+
+        hist = volterra_solve(1, trace, scenario_kernel(), T=1.0, dt=0.02)
+        assert len(calls) == 1 and np.array_equal(calls[0], hist.times)
+        with pytest.raises(ConstraintViolation, match="one value per march time"):
+            volterra_solve(1, lambda t: 1.0, scenario_kernel(), T=1.0, dt=0.02)
+
+    @pytest.mark.parametrize("profile", [SCEN_PROFILE, VelocityProfile.maxwellian(1.0)])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("dt", [0.02, 0.04, 0.5])
+    def test_array_trace_equals_the_per_time_trace_bit_for_bit(self, profile, k, dt):
+        # the shipped profiles' traces, so that the one array call marches the
+        # bytes the per-time calls did (criteria 4 and 5, collision_sweep)
+        times = np.arange(1001) * dt
+        per_time = np.fromiter((complex(profile_fourier(profile, k * t)) for t in times),
+                               dtype=complex, count=times.size)
+        assert profile_fourier(profile, k * times).tobytes() == per_time.tobytes()
 
     def test_initial_value_is_trace_at_zero(self, scenario_hist):
         _, hist = scenario_hist
