@@ -7,7 +7,9 @@ each scenario has one worker here.
 
 Reports are deterministic: the same config and seed reproduce the same CSV
 bytes, and report.json records a sha256 content hash over everything else
-written. Floats are serialized with 17 significant digits everywhere (JSON
+written. Outputs are streamed: each file is written in chunks and hashed as
+it is written, so a run's writer memory does not grow with its history
+length. Floats are serialized with 17 significant digits everywhere (JSON
 carries them as strings so no encoder shortens them); wall-clock time lives
 only in report.json and never inside the hash. The output directory is the
 only setting with an environment override (VPKIT_OUT, beaten by --out).
@@ -94,26 +96,49 @@ def _csv_bytes(header, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _columns_csv(columns: dict, row: str | None = None) -> bytes:
-    """A table of equal-length arrays, header -> column, written column-wise
-    with one %-format per row (default "%.17g" in every cell) and the bytes
-    _cell gives: "%.17g" formats a float as format(v, ".17g") does."""
-    row = row or ",".join(["%.17g"] * len(columns))
-    lines = [",".join(columns)]
-    lines.extend(row % cells for cells in zip(*(c.tolist() for c in columns.values())))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+# rows per chunk of a column table; a history chunk holds whole records
+_CSV_BLOCK_ROWS = 2048
 
 
-def _history_csv(hist: FieldHistory) -> bytes:
-    """One row per (record, mode). The moduli come from np.hypot, which rounds
-    as Python's abs(complex) does where np.abs can differ in the last digit."""
-    rho = hist.rho_hat.ravel()
-    e = hist.e_hat.ravel()
-    return _columns_csv(
-        {"t": np.repeat(hist.times, hist.modes.size), "k": np.tile(hist.modes, hist.times.size),
-         "re_rho": rho.real, "im_rho": rho.imag, "abs_rho": np.hypot(rho.real, rho.imag),
-         "re_E": e.real, "im_E": e.imag, "abs_E": np.hypot(e.real, e.imag)},
+def _csv_chunks(header, row: str, blocks):
+    """A header line, then one chunk per block of equal-length column arrays,
+    each row through the %-format row. "%.17g" formats a float as
+    format(v, ".17g") does, so cells match _cell's bytes."""
+    yield (",".join(header) + "\n").encode("utf-8")
+    row += "\n"
+    for block in blocks:
+        yield "".join(row % cells for cells in zip(*(c.tolist() for c in block))).encode("utf-8")
+
+
+def _columns_csv(columns: dict, row: str | None = None):
+    """A table of equal-length arrays, header -> column, in chunks of
+    _CSV_BLOCK_ROWS rows, with one %-format per row (default "%.17g")."""
+    arrays = list(columns.values())
+    n_rows = min(map(len, arrays), default=0)
+    return _csv_chunks(
+        columns, row or ",".join(["%.17g"] * len(arrays)),
+        ([a[i:i + _CSV_BLOCK_ROWS] for a in arrays] for i in range(0, n_rows, _CSV_BLOCK_ROWS)),
+    )
+
+
+def _history_csv(hist: FieldHistory):
+    """One row per (record, mode), in chunks of whole records. The moduli come
+    from np.hypot, which rounds as Python's abs(complex) does where np.abs can
+    differ in the last digit."""
+    per_chunk = max(1, _CSV_BLOCK_ROWS // hist.modes.size)
+
+    def block(i):
+        times = hist.times[i:i + per_chunk]
+        rho = hist.rho_hat[i:i + per_chunk].ravel()
+        e = hist.e_hat[i:i + per_chunk].ravel()
+        return [np.repeat(times, hist.modes.size), np.tile(hist.modes, times.size),
+                rho.real, rho.imag, np.hypot(rho.real, rho.imag),
+                e.real, e.imag, np.hypot(e.real, e.imag)]
+
+    return _csv_chunks(
+        ["t", "k", "re_rho", "im_rho", "abs_rho", "re_E", "im_E", "abs_E"],
         "%.17g,%d," + ",".join(["%.17g"] * 6),
+        (block(i) for i in range(0, hist.times.size, per_chunk)),
     )
 
 
@@ -143,7 +168,8 @@ def _ran_to_t_end(stop_reason, stopped_at, t_end, edge_fraction) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenario workers: each returns (criteria, files)
+# scenario workers: each returns (criteria, files), files mapping a file name
+# to an iterable of byte chunks (a small file is one chunk)
 
 def _run_linear_landau(config: SimConfig):
     params = config.run
@@ -215,7 +241,7 @@ def _run_echo_experiment(config: SimConfig):
     k = settings.l + settings.force_mode
 
     def refusal(criterion, reason):
-        return [criterion], {"echo.json": _json_bytes({"refusal": reason})}
+        return [criterion], {"echo.json": [_json_bytes({"refusal": reason})]}
 
     if k == 0 or echo_time(settings.l, k, settings.s_force) is None:
         reason = (
@@ -255,7 +281,7 @@ def _run_echo_experiment(config: SimConfig):
             ">= 10 over the unforced baseline",
         ),
     ]
-    return criteria, {"echo.json": _json_bytes(report.as_dict())}
+    return criteria, {"echo.json": [_json_bytes(report.as_dict())]}
 
 
 def _run_collision_sweep(config: SimConfig):
@@ -279,7 +305,7 @@ def _run_collision_sweep(config: SimConfig):
     summary_rows = [[nu, sups[nu]] for nu in nus]
     files = {
         "sweep.csv": _columns_csv(columns),
-        "sweep_summary.csv": _csv_bytes(["nu", "sup_diff"], summary_rows),
+        "sweep_summary.csv": [_csv_bytes(["nu", "sup_diff"], summary_rows)],
     }
     return criteria, files
 
@@ -303,9 +329,9 @@ def _run_kernel_bounds(config: SimConfig):
         )
     ]
     files = {
-        "kernel_table.csv": _csv_bytes(
+        "kernel_table.csv": [_csv_bytes(
             ["k", "l", "alpha", "t", "numeric", "bound", "ratio"], rows
-        )
+        )]
     }
     return criteria, files
 
@@ -327,7 +353,7 @@ def _run_norm_battery(config: SimConfig):
         for item, note in sorted(report.observed.items())
     ]
     files = {
-        "norms.csv": _csv_bytes(["item", "kind", "cases", "value", "passed"], rows)
+        "norms.csv": [_csv_bytes(["item", "kind", "cases", "value", "passed"], rows)]
     }
     return criteria, files
 
@@ -348,7 +374,7 @@ def _run_stability_scan(config: SimConfig):
         refusal = _criterion(
             "positive_stability_margin", False, {"kappa": 0.0, "reason": str(err)}, "kappa > 0"
         )
-        return [refusal], {"stability.csv": _csv_bytes(header, [])}
+        return [refusal], {"stability.csv": [_csv_bytes(header, [])]}
     rows = [[k, m, re, im] for k, (m, re, im) in sorted(report.scan["margins"].items())]
     criteria = [
         _criterion(
@@ -359,7 +385,7 @@ def _run_stability_scan(config: SimConfig):
             "kappa > 0",
         )
     ]
-    files = {"stability.csv": _csv_bytes(header, rows)}
+    files = {"stability.csv": [_csv_bytes(header, rows)]}
     return criteria, files
 
 
@@ -412,37 +438,58 @@ class RunReport:
         }
 
 
+def _write_files(out: Path, files: dict):
+    """Write each file chunk by chunk, in sorted name order, feeding every
+    chunk to that file's sha256 and to the content hash (name, NUL, data per
+    file) as it is written. A file whose chunks raise is removed.
+    Returns (manifest, content hash)."""
+    manifest = []
+    hasher = hashlib.sha256()
+    for name, chunks in sorted(files.items()):
+        path = out / name
+        digest = hashlib.sha256()
+        size = 0
+        hasher.update(name.encode("utf-8"))
+        hasher.update(b"\0")
+        try:
+            with path.open("wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                    digest.update(chunk)
+                    hasher.update(chunk)
+                    size += len(chunk)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+        manifest.append({"name": name, "bytes": size, "sha256": digest.hexdigest()})
+    return manifest, hasher.hexdigest()
+
+
 def run_scenario(config: SimConfig) -> RunReport:
     """Execute one scenario, write its outputs, and report its criteria.
 
     Output files are written to config.out_dir next to a report.json; the
     content hash covers every file except the report itself. Toolkit errors
-    escaping a worker are re-raised with the scenario name prepended.
+    escaping a worker, or raised while its outputs are written, are re-raised
+    with the scenario name prepended; a file whose chunks raise is removed,
+    and no report.json is written.
     """
     t0 = time.perf_counter()
+    out = Path(config.out_dir)
     try:
         criteria, files = _WORKERS[config.scenario](config)
+        out.mkdir(parents=True, exist_ok=True)
+        manifest, content_hash = _write_files(out, files)
     except VpkitError as err:
         message = err.args[0] if err.args else ""
         err.args = (f"[{config.scenario}] {message}",) + err.args[1:]
         raise
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    hasher = hashlib.sha256()
-    for name, data in sorted(files.items()):
-        (out / name).write_bytes(data)
-        digest = hashlib.sha256(data).hexdigest()
-        manifest.append({"name": name, "bytes": len(data), "sha256": digest})
-        hasher.update(name.encode("utf-8"))
-        hasher.update(b"\0")
-        hasher.update(data)
     report = RunReport(
         scenario=config.scenario,
         config_echo={sec: dict(keys) for sec, keys in sorted(config.raw.items())},
         criteria=tuple(criteria),
         manifest=tuple(manifest),
-        content_hash=hasher.hexdigest(),
+        content_hash=content_hash,
         out_dir=str(out),
         wall_seconds=time.perf_counter() - t0,
     )

@@ -193,8 +193,10 @@ def f_norm(f: SpectralDistribution, params: NormParams) -> float:
     coefficient contributes 0 even where its weight overflows to inf.
 
     Raises TailNotResolved when the weighted integrand still carries more
-    than 1e-8 of the running total at the eta-grid edge: the grid is then too
-    short for the requested lam and the truncated value is untrustworthy.
+    than 1e-8 of the running total at the eta-grid edge, or an infinite term
+    there (the relative test cannot compare inf with an overflowed total): the
+    grid is then too short for the requested lam and the truncated value is
+    untrustworthy.
     """
     d_eta = f.d_eta
     ks = f.modes
@@ -210,7 +212,7 @@ def f_norm(f: SpectralDistribution, params: NormParams) -> float:
     scale = weight_k * d_eta
     total = _kahan_sum(_weighted(scale, sums))
     edge = np.max(_weighted(scale, np.maximum(integrand[:, 0], integrand[:, -1])))
-    if edge > 1e-8 * total and total > 0.0:
+    if edge == np.inf or (edge > 1e-8 * total and total > 0.0):
         raise TailNotResolved(
             f"eta-grid edge carries {edge:.3e} against total {total:.3e}"
         )

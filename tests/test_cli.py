@@ -16,9 +16,11 @@ import os
 import string
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from vpkit import acceptance as battery
 from vpkit import cli
 from vpkit.cli import (
     SCENARIOS,
+    _columns_csv,
     _csv_bytes,
     _history_csv,
     acceptance,
@@ -36,7 +39,7 @@ from vpkit.cli import (
 )
 from vpkit.config import _KEYS, EchoSettings, SimConfig
 from vpkit.errors import ConstraintViolation, ParseError, ValidationError, VpkitError
-from vpkit.kinetic import RESOLUTION_TOL, KineticRun, run
+from vpkit.kinetic import RESOLUTION_TOL, FieldHistory, KineticRun, run
 from vpkit.profiles import Interaction, VelocityProfile
 
 SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -865,18 +868,97 @@ def test_src_never_names_scipy():
     assert hits == []
 
 
-def test_history_csv_matches_the_per_cell_writer():
-    # the column writer against a row-by-row reference: every value through
-    # _cell, the moduli from abs() of each complex scalar
-    hist, _ = run(parse_config(SHIPPED_CONFIGS / "linear_landau.ini").run)
-    rows = [
+HISTORY_HEADER = ["t", "k", "re_rho", "im_rho", "abs_rho", "re_E", "im_E", "abs_E"]
+
+
+def history_rows(hist):
+    """The row-by-row reference: every value through _cell, the moduli from
+    abs() of each complex scalar."""
+    return [
         [float(t), int(k), rho.real, rho.imag, abs(rho), e.real, e.imag, abs(e)]
         for t, rho_row, e_row in zip(hist.times, hist.rho_hat, hist.e_hat)
         for k, rho, e in zip(hist.modes, rho_row, e_row)
     ]
+
+
+def synthetic_history(n_records, k_max, seed=0):
+    """A history of random density modes, with no march behind it."""
+    rng = np.random.default_rng(seed)
+    shape = (n_records, 2 * k_max + 1)
+    rho = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return FieldHistory(
+        0.05 * np.arange(1, n_records + 1), np.arange(-k_max, k_max + 1), rho, Interaction()
+    )
+
+
+def test_history_csv_matches_the_per_cell_writer():
+    # the column writer against the row-by-row reference
+    hist, _ = run(parse_config(SHIPPED_CONFIGS / "linear_landau.ini").run)
+    rows = history_rows(hist)
     assert len(rows) == 8109
-    header = ["t", "k", "re_rho", "im_rho", "abs_rho", "re_E", "im_E", "abs_E"]
-    assert _history_csv(hist) == _csv_bytes(header, rows)
+    assert b"".join(_history_csv(hist)) == _csv_bytes(HISTORY_HEADER, rows)
+
+
+class TestChunkBoundaries:
+    """Chunked tables join to the bytes of the one-piece writer _csv_bytes."""
+
+    def test_history_of_a_partial_last_block(self):
+        per_chunk = cli._CSV_BLOCK_ROWS // 33
+        hist = synthetic_history(2 * per_chunk + 5, k_max=16)
+        chunks = list(_history_csv(hist))
+        assert len(chunks) == 4  # the header, two full blocks and five records
+        assert b"".join(chunks) == _csv_bytes(HISTORY_HEADER, history_rows(hist))
+
+    def test_one_record_blocks(self, monkeypatch):
+        # a block narrower than one record still holds one whole record
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 4)
+        hist = synthetic_history(3, k_max=4)
+        chunks = list(_history_csv(hist))
+        assert len(chunks) == 4
+        assert b"".join(chunks) == _csv_bytes(HISTORY_HEADER, history_rows(hist))
+
+    def test_columns_across_blocks(self):
+        rng = np.random.default_rng(1)
+        columns = {"t": np.arange(2 * cli._CSV_BLOCK_ROWS + 3) * 0.1,
+                   "x": rng.standard_normal(2 * cli._CSV_BLOCK_ROWS + 3)}
+        chunks = list(_columns_csv(columns))
+        assert len(chunks) == 4
+        rows = [[float(t), float(x)] for t, x in zip(columns["t"], columns["x"])]
+        assert b"".join(chunks) == _csv_bytes(["t", "x"], rows)
+
+    def test_table_with_no_rows_is_its_header(self):
+        empty = np.zeros(0)
+        table = b"".join(_columns_csv({"t": empty, "x": empty}))
+        assert table == _csv_bytes(["t", "x"], []) == b"t,x\n"
+
+
+def test_history_writer_memory_does_not_grow_with_the_history():
+    hist = synthetic_history(2000, k_max=16)
+    tracemalloc.start()
+    try:
+        written = sum(len(chunk) for chunk in _history_csv(hist))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written > 8e6
+    assert peak < 2e6
+
+
+def test_a_failing_chunk_leaves_no_file_and_no_report(tmp_path, monkeypatch):
+    def failing_history(hist):
+        chunks = _history_csv(hist)
+        yield next(chunks)
+        raise ConstraintViolation("second chunk refused")
+
+    monkeypatch.setattr(cli, "_history_csv", failing_history)
+    out = tmp_path / "out"
+    config = replace(parse_config(SHIPPED_CONFIGS / "linear_landau.ini"), out_dir=str(out))
+    with pytest.raises(ConstraintViolation) as info:
+        run_scenario(config)
+    assert str(info.value).startswith("[linear_landau] second chunk refused")
+    assert not (out / "history.csv").exists()
+    assert not (out / "report.json").exists()
+    assert (out / "diagnostics.csv").exists()  # written in full before history.csv
 
 
 class TestAcceptanceCommand:

@@ -89,6 +89,15 @@ class TestFNorm:
         with pytest.raises(TailNotResolved):
             f_norm(f, NormParams(0.1, 0.0, 0.0))
 
+    def test_tail_guard_fires_when_the_edge_overflows(self):
+        # at lam = 40 the edge weight e^{2 pi lam |eta|} overflows, so edge and
+        # total are both inf and the relative test alone cannot compare them
+        grid = eta_grid(64, 4.0)
+        f = pure_v_field(np.exp(-grid**2 / 0.5), k_max=1, eta_grid=grid)
+        for lam in (2.0, 40.0):
+            with pytest.raises(TailNotResolved):
+                f_norm(f, NormParams(lam, 0.0))
+
     def test_lambda_weight_single_bump(self):
         # single eta bump at eta0 with unit mass: value = e^{2 pi lam |eta0|}
         grid = eta_grid()
