@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vpkit import acceptance as battery
-from vpkit import cli
+from vpkit import cli, kinetic
 from vpkit.cli import (
     SCENARIOS,
     _columns_csv,
@@ -837,24 +837,120 @@ print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"
 """
 
 
-def test_cold_cli_loads_no_scipy(tmp_path):
-    # no shipped config and no acceptance criterion needs scipy: the import
-    # of vpkit.cli, each config's run and the whole battery, each in a fresh
-    # interpreter, leave no scipy module loaded
+@pytest.fixture(scope="module")
+def cold_runs(tmp_path_factory):
+    """The import of vpkit.cli, each shipped config's run and the whole
+    battery, each in a fresh interpreter: (output root, [(args, stdout)])."""
+    root = tmp_path_factory.mktemp("cold")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     configs = sorted(SHIPPED_CONFIGS.glob("*.ini"))
     assert len(configs) == 7
-    runs = [[]] + [["run", str(c), "--out", str(tmp_path / c.stem)] for c in configs]
-    runs.append(["acceptance", "all", "--out", str(tmp_path / "acceptance")])
-    for args in runs:
-        done = subprocess.run([sys.executable, "-c", _COLD_PROBE, *args], env=env,
-                              capture_output=True, text=True, timeout=300, check=True)
-        assert done.stdout.splitlines()[-1] == "0 []", (args, done.stdout)
-    for c in configs:
-        assert (tmp_path / c.stem / "report.json").exists()
-    assert (tmp_path / "acceptance" / "acceptance_summary.csv").exists()
+    runs = [[]] + [["run", str(c), "--out", str(root / c.stem)] for c in configs]
+    runs.append(["acceptance", "all", "--out", str(root / "acceptance")])
+    done = [
+        (args, subprocess.run([sys.executable, "-c", _COLD_PROBE, *args], env=env,
+                              capture_output=True, text=True, timeout=300, check=True).stdout)
+        for args in runs
+    ]
+    return root, done
+
+
+def test_cold_cli_loads_no_scipy(cold_runs):
+    # no shipped config and no acceptance criterion needs scipy: the import
+    # of vpkit.cli, each config's run and the whole battery, each in a fresh
+    # interpreter, leave no scipy module loaded
+    root, done = cold_runs
+    for args, stdout in done:
+        assert stdout.splitlines()[-1] == "0 []", (args, stdout)
+    for c in SHIPPED_CONFIGS.glob("*.ini"):
+        assert (root / c.stem / "report.json").exists()
+    assert (root / "acceptance" / "acceptance_summary.csv").exists()
+
+
+# The content hash and manifest of each shipped config's run, keyed by the
+# config's stem, and the lines of acceptance_summary.csv. An output that moves
+# on purpose is re-pinned here in the same change, so the diff shows it.
+GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
+
+
+def scenario_mismatches(out: Path, stem: str) -> list:
+    """How the run written to out departs from the golden outputs of config
+    stem: its content hash, then each file whose (bytes, sha256) moved, or
+    that is new or missing."""
+    want = GOLDEN["scenarios"][stem]
+    report = json.loads((out / "report.json").read_text())
+    moved = []
+    if report["content_hash"] != want["content_hash"]:
+        moved.append(f"{stem}: content hash {want['content_hash'][:12]} -> "
+                     f"{report['content_hash'][:12]}")
+    pinned = {name: (size, digest) for name, size, digest in want["files"]}
+    got = {e["name"]: (e["bytes"], e["sha256"]) for e in report["files"]}
+    for name in sorted(pinned.keys() | got.keys()):
+        if pinned.get(name) != got.get(name):
+            moved.append(f"{stem}/{name}: {pinned.get(name)} -> {got.get(name)}")
+    return moved
+
+
+def _summary_fields(lines) -> dict:
+    """{(index, name, field): value} over the summary rows: the passed column
+    and each key=value of the detail column."""
+    fields = {}
+    for line in lines[1:]:
+        index, name, passed, detail = line.split(",", 3)
+        fields[(index, name, "passed")] = passed
+        for item in detail.split(";"):
+            key, _, value = item.partition("=")
+            fields[(index, name, key)] = value
+    return fields
+
+
+def summary_mismatches(text: str) -> list:
+    """Each field of an acceptance_summary.csv that moved from the golden
+    summary, old -> new (None where the field is new or gone)."""
+    lines, want = text.splitlines(), GOLDEN["acceptance_summary_csv"]
+    old, new = _summary_fields(want), _summary_fields(lines)
+    moved = [
+        f"acceptance_summary.csv {' '.join(key)}: {old.get(key)} -> {new.get(key)}"
+        for key in dict.fromkeys([*old, *new]) if old.get(key) != new.get(key)
+    ]
+    if lines[:1] != want[:1] or (not moved and lines != want):
+        moved.append("acceptance_summary.csv: header or row order moved")
+    return moved
+
+
+def test_outputs_match_the_golden_file(cold_runs):
+    root, _ = cold_runs
+    assert sorted(GOLDEN["scenarios"]) == sorted(c.stem for c in SHIPPED_CONFIGS.glob("*.ini"))
+    moved = [line for stem in GOLDEN["scenarios"] for line in scenario_mismatches(root / stem, stem)]
+    moved += summary_mismatches((root / "acceptance" / "acceptance_summary.csv").read_text())
+    assert moved == [], "\n".join(moved)
+
+
+def test_golden_check_names_the_files_a_lie_split_step_moves(tmp_path, monkeypatch):
+    real = kinetic._advance
+
+    def lie_split(plan, src, f, external=None):
+        np.multiply(src, plan.half * plan.half, out=f)  # the whole transport before the kick
+        real(plan._replace(half=1.0), f, f, external)
+
+    monkeypatch.setattr(kinetic, "_advance", lie_split)
+    config = parse_config(SHIPPED_CONFIGS / "linear_landau.ini")
+    run_scenario(replace(config, out_dir=str(tmp_path)))
+    moved = scenario_mismatches(tmp_path, "linear_landau")
+    assert moved[0].startswith("linear_landau: content hash c315892ff50f -> ")
+    assert [line.split(":")[0] for line in moved[1:]] == [
+        "linear_landau/diagnostics.csv", "linear_landau/history.csv"]
+
+
+def test_summary_check_names_each_moved_field():
+    lines = list(GOLDEN["acceptance_summary_csv"])
+    lines[9] = lines[9].replace("arrival_offset=", "arrival_offset=1", 1)
+    moved = summary_mismatches("\n".join(lines) + "\n")
+    assert len(moved) == 1
+    assert moved[0].startswith("acceptance_summary.csv 9 plasma_echo_arrival arrival_offset: ")
+    assert summary_mismatches("\n".join(GOLDEN["acceptance_summary_csv"]) + "\n") == []
 
 
 def test_src_never_names_scipy():
