@@ -30,6 +30,14 @@ import numpy as np
 
 from .acceptance import (
     SUITES,
+    CriterionResult,
+    check_collision_sweep,
+    check_decay_fit,
+    check_echo_arrival,
+    check_echo_contrast,
+    check_exact_shift,
+    check_mass_drift,
+    check_norm_item,
     collision_sweep,
     free_transport_march,
     mass_drift,
@@ -49,18 +57,11 @@ from .errors import (
     MarginNonPositive,
     ParseError,
     ResolutionExceeded,
-    TooFewPeaks,
     ValidationError,
     VpkitError,
 )
-from .hybridnorms import SLACK_TOL
 from .kinetic import RESOLUTION_TOL, FieldHistory, echo_experiment, run
-from .lintheory import (
-    VolterraKernel,
-    damping_rate_fit,
-    dispersion_rate,
-    stability_scan,
-)
+from .lintheory import VolterraKernel, dispersion_rate, stability_scan
 
 
 # ---------------------------------------------------------------------------
@@ -142,25 +143,11 @@ def _history_csv(hist: FieldHistory):
     )
 
 
-def _criterion(name, passed, measured, tolerance) -> dict:
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "measured": measured,
-        "tolerance": tolerance,
-    }
-
-
-def _mass_criterion(hist: FieldHistory) -> dict:
-    drift = mass_drift(hist)
-    return _criterion("mass_conserved", drift < 1e-10, {"relative_drift": drift}, "< 1e-10")
-
-
-def _ran_to_t_end(stop_reason, stopped_at, t_end, edge_fraction) -> dict:
+def _ran_to_t_end(stop_reason, stopped_at, t_end, edge_fraction) -> CriterionResult:
     """Whether a guarded march reached t_end: why and when it stopped, and the
     resolution guard's edge fraction there (the tripping value on a trip)."""
-    return _criterion(
-        "ran_to_t_end", stop_reason == "t_end",
+    return CriterionResult(
+        None, "ran_to_t_end", stop_reason == "t_end",
         {"stop_reason": stop_reason, "stopped_at": stopped_at, "t_end": t_end,
          "edge_fraction": edge_fraction},
         f"reaches t_end; resolution guard edge fraction <= {RESOLUTION_TOL:g}",
@@ -174,28 +161,13 @@ def _ran_to_t_end(stop_reason, stopped_at, t_end, edge_fraction) -> dict:
 def _run_linear_landau(config: SimConfig):
     params = config.run
     hist, diag = run(params)
-    window = (0.09 * params.t_end, 0.94 * params.t_end)
-    try:
-        predicted = dispersion_rate(VolterraKernel(
+    fit = check_decay_fit(
+        hist, params.k_pert, (0.09 * params.t_end, 0.94 * params.t_end),
+        lambda: dispersion_rate(VolterraKernel(
             nu=params.nu, k=params.k_pert, profile=params.profile,
-            interaction=params.interaction))
-        column = hist.k_max + params.k_pert
-        rate, _, rms = damping_rate_fit(
-            (hist.times, np.abs(hist.e_hat[:, column])), window
-        )
-        gap = abs(-rate - predicted) / predicted
-        fit = _criterion(
-            "decay_matches_dispersion_root",
-            rate < 0 and gap <= 0.05 and rms < 0.05,
-            {"fit_rate": -rate, "predicted": predicted, "gap": gap, "fit_rms": rms},
-            "gap <= 0.05, rms < 0.05",
-        )
-    except (TooFewPeaks, MarginNonPositive) as err:
-        fit = _criterion(
-            "decay_matches_dispersion_root", False,
-            {"reason": f"{type(err).__name__}: {err}"}, "gap <= 0.05, rms < 0.05",
-        )
-    criteria = [fit, _mass_criterion(hist), _ran_to_t_end(
+            interaction=params.interaction)),
+    )
+    criteria = [fit, check_mass_drift(mass_drift(hist)), _ran_to_t_end(
         diag["stop_reason"], diag["stop_time"], params.t_end, diag["stop_edge_fraction"]
     )]
     series = {key: value for key, value in diag.items() if isinstance(value, np.ndarray)}
@@ -209,21 +181,7 @@ def _run_linear_landau(config: SimConfig):
 def _run_free_transport_check(config: SimConfig):
     march = free_transport_march(config.run)
     hist = march["hist"]
-    criteria = [
-        _criterion(
-            "matches_exact_shift",
-            march["trace_error"] < 1e-10,
-            {
-                "max_trace_error": march["trace_error"],
-                "compared_up_to": march["compared_up_to"],
-                "recurrence_time": march["recurrence_time"],
-                "guard_peak": march["guard_peak"],
-                "guard_trip_time": march["guard_trip_time"],
-            },
-            "< 1e-10 up to 0.8 of the grid recurrence time",
-        ),
-        _mass_criterion(hist),
-    ]
+    criteria = [check_exact_shift(march), check_mass_drift(mass_drift(hist))]
     trace, exact = march["trace"], march["exact"]
     gap = trace - exact
     files = {
@@ -249,7 +207,8 @@ def _run_echo_experiment(config: SimConfig):
             f"on mode {k}: no future echo from s = {settings.s_force:g}"
         )
         return refusal(
-            _criterion("future_echo_exists", False, {"reason": reason}, "t* > s"), reason
+            CriterionResult(None, "future_echo_exists", False, {"reason": reason}, "t* > s"),
+            reason,
         )
     try:
         report = echo_experiment(
@@ -257,30 +216,15 @@ def _run_echo_experiment(config: SimConfig):
             settings.s_force, settings.eps1, settings.eps2,
         )
     except EchoBeyondRecurrence as err:
-        return refusal(_criterion(
-            "echo_inside_recurrence_horizon", False,
+        return refusal(CriterionResult(
+            None, "echo_inside_recurrence_horizon", False,
             {"reason": str(err)}, "t* below 0.8 of the grid recurrence time",
         ), str(err))
     except ResolutionExceeded as err:
         return refusal(
             _ran_to_t_end("resolution_exceeded", err.time, config.t_end, err.fraction), str(err)
         )
-    offset = abs(report.rel_offset)
-    contrast = report.peak_amp / max(report.baseline_amp, 1e-300)
-    criteria = [
-        _criterion(
-            "echo_arrives_on_time", offset <= 0.05,
-            {"t_predicted": report.t_predicted, "t_measured": report.t_measured,
-             "relative_offset": offset},
-            "<= 0.05",
-        ),
-        _criterion(
-            "echo_stands_out", contrast >= 10.0,
-            {"peak_amp": report.peak_amp, "baseline_amp": report.baseline_amp,
-             "contrast": contrast},
-            ">= 10 over the unforced baseline",
-        ),
-    ]
+    criteria = [check_echo_arrival(report), check_echo_contrast(report)]
     return criteria, {"echo.json": [_json_bytes(report.as_dict())]}
 
 
@@ -288,20 +232,7 @@ def _run_collision_sweep(config: SimConfig):
     nus = config.sweep_nus  # ordered ascending by construction
     times, rhos, sups = collision_sweep(config.run, nus)
     columns = {"t": times, **{f"abs_rho_nu{nu:g}": np.abs(rho) for nu, rho in rhos.items()}}
-    ratios = {(a, b): sups[b] / sups[a] for a, b in zip(nus, nus[1:])}
-    criteria = [
-        _criterion(
-            "deviation_shrinks_with_nu", all(sups[a] < sups[b] for a, b in ratios),
-            {f"sup_diff_nu{nu:g}": sups[nu] for nu in nus},
-            "sup |rho_nu - rho_0| strictly increasing in nu",
-        ),
-        _criterion(
-            "decade_ratio_at_least_8",
-            not any(r < 8.0 for (a, b), r in ratios.items() if abs(b / a - 10.0) < 1e-9),
-            {f"ratio_{a:g}_to_{b:g}": r for (a, b), r in ratios.items()},
-            ">= 8 between decade-spaced nus",
-        ),
-    ]
+    criteria = check_collision_sweep(nus, sups)
     summary_rows = [[nu, sups[nu]] for nu in nus]
     files = {
         "sweep.csv": _columns_csv(columns),
@@ -322,12 +253,10 @@ def _run_kernel_bounds(config: SimConfig):
         rows.append([k, l, alpha, t, numeric, bound, numeric / bound])
         cases.append((k, l, numeric, bound))
     passed, measured = phase_table_gate(cases)
-    criteria = [
-        _criterion(
-            "quadrature_under_bound", passed, measured,
-            f"{PHASE_BOUND_GATE} on every case; exact_case_gap {EXACT_CASE_GATE}",
-        )
-    ]
+    criteria = [CriterionResult(
+        None, "quadrature_under_bound", passed, measured,
+        f"{PHASE_BOUND_GATE} on every case; exact_case_gap {EXACT_CASE_GATE}",
+    )]
     files = {
         "kernel_table.csv": [_csv_bytes(
             ["k", "l", "alpha", "t", "numeric", "bound", "ratio"], rows
@@ -339,14 +268,7 @@ def _run_kernel_bounds(config: SimConfig):
 def _run_norm_battery(config: SimConfig):
     report = norm_battery_report(config.seed)
     asserted = sorted(report.items.items())
-    criteria = [
-        _criterion(
-            f"norm_item_{item}", entry["passed"] and entry["slack"] < SLACK_TOL,
-            {"cases": entry["cases"], "max_slack": entry["slack"]},
-            "slack < 1e-9",
-        )
-        for item, entry in asserted
-    ]
+    criteria = [check_norm_item(item, entry) for item, entry in asserted]
     rows = [[item, "asserted", e["cases"], e["slack"], e["passed"]] for item, e in asserted]
     rows += [
         [item, "observed", 0, str(note).replace(",", ";"), True]
@@ -371,14 +293,13 @@ def _run_stability_scan(config: SimConfig):
     try:
         report = stability_scan((1, params.k_max), params.nu, family)
     except MarginNonPositive as err:
-        refusal = _criterion(
-            "positive_stability_margin", False, {"kappa": 0.0, "reason": str(err)}, "kappa > 0"
-        )
+        refusal = CriterionResult(None, "positive_stability_margin", False,
+                                  {"kappa": 0.0, "reason": str(err)}, "kappa > 0")
         return [refusal], {"stability.csv": [_csv_bytes(header, [])]}
     rows = [[k, m, re, im] for k, (m, re, im) in sorted(report.scan["margins"].items())]
     criteria = [
-        _criterion(
-            "positive_stability_margin", report.kappa > 0.0,
+        CriterionResult(
+            None, "positive_stability_margin", report.kappa > 0.0,
             {"kappa": report.kappa, "worst_mode": report.worst_mode,
              "worst_re_eta": report.worst_frequency.real,
              "worst_im_eta": report.worst_frequency.imag},
@@ -407,17 +328,10 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(c["passed"] for c in self.criteria)
+        return all(c.passed for c in self.criteria)
 
     def lines(self):
-        out = []
-        for c in self.criteria:
-            status = "PASS" if c["passed"] else "FAIL"
-            body = "  ".join(
-                f"{k}={format(v, '.6g') if isinstance(v, float) else v}"
-                for k, v in c["measured"].items()
-            )
-            out.append(f"{status} {c['name']}: {body}  [{c['tolerance']}]")
+        out = [c.line() for c in self.criteria]
         status = "PASS" if self.passed else "FAIL"
         out.append(
             f"{status} scenario {self.scenario}: {len(self.manifest)} files in "
@@ -431,7 +345,7 @@ class RunReport:
             "scenario": self.scenario,
             "passed": self.passed,
             "config": self.config_echo,
-            "criteria": list(self.criteria),
+            "criteria": [c.as_dict() for c in self.criteria],
             "files": list(self.manifest),
             "content_hash": self.content_hash,
             "wall_seconds": self.wall_seconds,

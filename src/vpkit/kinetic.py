@@ -23,7 +23,7 @@ Module contents:
   * PhaseState / equilibrium_state / perturb_density -- state construction,
   * step / collision_substep / poisson_field -- the integrator pieces,
   * run -- a full simulation with field history and scalar diagnostics,
-  * echo_experiment -- impulsive two-mode probe locating the plasma echo,
+  * echo_experiment / echo_peak -- impulsive two-mode probe locating the plasma echo,
   * FieldHistory -- the recorded density modes and the field they define.
 
 The discrete equilibrium rows are renormalized to unit grid mass, so the
@@ -839,6 +839,19 @@ def _march_mode_trace(
     return marches[key]
 
 
+def echo_peak(config: KineticRun, l: int, m: int, s_force: float, eps1: float, eps2: float,
+              marches: dict) -> tuple[float, float, float]:
+    """(time, amplitude) of the parabolic peak of an echo run's mode trace, and
+    the trace's largest sample, over the records from max(3 dt, 0.15 (t* -
+    s_force)) past the kick; the run is marched once per marches dict."""
+    times, trace = _march_mode_trace(marches, config, l, m, s_force, eps1, eps2)
+    t_star = echo_time(l, l + m, s_force)
+    window = times >= s_force + max(3.0 * config.dt, 0.15 * (t_star - s_force))
+    times, trace = times[window], trace[window]
+    i = int(np.argmax(trace))
+    return (*parabolic_peak(times, trace, i), float(trace[i]))
+
+
 def echo_experiment(
     config: KineticRun, l: int, k_minus_l: int, s_force: float, eps1: float, eps2: float,
     marches: dict | None = None,
@@ -888,13 +901,8 @@ def echo_experiment(
         raise ConstraintViolation("s_force must sit on the step grid")
 
     marches = {} if marches is None else marches
-    times, kicked = _march_mode_trace(marches, config, l, m, s_force, eps1, eps2)
-    _, quiet = _march_mode_trace(marches, config, l, m, s_force, eps1, 0.0)
-    window = times >= s_force + max(3.0 * config.dt, 0.15 * (t_star - s_force))
-    t_measured, peak_amp = parabolic_peak(
-        times[window], kicked[window], int(np.argmax(kicked[window]))
-    )
-    baseline_amp = float(quiet[window].max())
+    t_measured, peak_amp, _ = echo_peak(config, l, m, s_force, eps1, eps2, marches)
+    baseline_amp = echo_peak(config, l, m, s_force, eps1, 0.0, marches)[2]
     return EchoReport(
         l=l,
         k=k,

@@ -700,7 +700,7 @@ class TestRuns:
                          out_dir=str(tmp_path / "out"))
         report = run_scenario(config)
         assert not report.passed
-        measured = report.criteria[0]["measured"]
+        measured = report.criteria[0].measured
         assert measured["violations"] == 0
         assert measured["exact_cases"] == 9
         assert measured["exact_case_gap"] == pytest.approx(0.5)
@@ -709,18 +709,18 @@ class TestRuns:
         config = replace(parse_config(SHIPPED_CONFIGS / "kernel_table.ini"),
                          out_dir=str(tmp_path / "out"))
         criterion = run_scenario(config).criteria[0]
-        assert criterion["passed"]
-        assert criterion["measured"]["exact_cases"] == 9
-        assert criterion["measured"]["exact_case_gap"] <= 1e-12
-        assert criterion["tolerance"] == (
+        assert criterion.passed
+        assert criterion.measured["exact_cases"] == 9
+        assert criterion.measured["exact_case_gap"] <= 1e-12
+        assert criterion.tolerance == (
             "numeric <= bound * (1 + 1e-12) on every case; "
             "exact_case_gap <= 1e-12 (|numeric/bound - 1| where l = k)"
         )
         # a table without an l = k case is held to the bound alone
         small = replace(config, kernel_cases=3, seed=4, out_dir=str(tmp_path / "small"))
         criterion = run_scenario(small).criteria[0]
-        assert criterion["passed"]
-        assert criterion["measured"]["exact_cases"] == 0
+        assert criterion.passed
+        assert criterion.measured["exact_cases"] == 0
 
     def test_collision_sweep_decade_ratio(self, tmp_path):
         path = write_config(
@@ -1083,7 +1083,7 @@ def _measured(config_path, tmp_path):
     config = replace(parse_config(config_path), out_dir=str(tmp_path / "out"))
     report = run_scenario(config)
     assert report.passed
-    return {c["name"]: c["measured"] for c in report.criteria}
+    return {c.name: c.measured for c in report.criteria}
 
 
 class TestSharedWithBattery:
@@ -1111,6 +1111,23 @@ class TestSharedWithBattery:
         if stem == "linear_landau":  # the battery sets nu itself
             config = replace(config, run=replace(config.run, nu=0.0))
         assert replace(config, out_dir=scenario.out_dir) == scenario
+
+    @pytest.mark.parametrize("gate, config, scenario_criterion, criterion", [
+        ("MASS_DRIFT_TOL", "free_transport", "mass_conserved", battery.criterion_3),
+        ("EXACT_SHIFT_TOL", "free_transport", "matches_exact_shift", battery.criterion_1),
+        ("DECADE_RATIO_MIN", "collision_sweep", "decade_ratio_at_least_", battery.criterion_5),
+    ])
+    def test_a_failing_gate_fails_the_scenario_and_the_criterion(
+        self, tmp_path, monkeypatch, gate, config, scenario_criterion, criterion
+    ):
+        # one threshold no measurement can meet: a drift or error below 0, a
+        # decade ratio of 1e9
+        monkeypatch.setattr(battery, gate, 1e9 if gate == "DECADE_RATIO_MIN" else 0.0)
+        config = replace(parse_config(SHIPPED_CONFIGS / f"{config}.ini"),
+                         out_dir=str(tmp_path / "out"))
+        (failed,) = [c.name for c in run_scenario(config).criteria if not c.passed]
+        assert failed.startswith(scenario_criterion)  # the decade gate names its ratio
+        assert not criterion().passed
 
     def test_default_free_transport_matches_criterion_1(self, tmp_path):
         path = write_config(tmp_path, "[scenario]\nname = free_transport_check\n")

@@ -833,13 +833,16 @@ class TestEchoExperiment:
         cache = {}
         result = criterion_9(cache)
         assert result.passed
-        # 2 seeds march the 250 steps to the kick once each; then the 5
-        # distinct of 8 runs march the remaining 375
+        # 2 seeds march the 250 steps to the kick once each; then the 4
+        # distinct runs it reads march the remaining 375: the probe, its
+        # unforced baseline and each amplitude doubled
         assert ECHO_CFG.n_steps == 625 and round(5.0 / ECHO_CFG.dt) == 250
-        assert len(calls) == 2 * 250 + 5 * 375
-        assert cache[("echo",)] == (base_report, quiet_report) + doubled_reports
+        assert len(calls) == 2 * 250 + 4 * 375
+        assert cache[("echo",)] == (base_report, quiet_report.peak_amp) + tuple(
+            report.peak_amp for report in doubled_reports)
+        assert not [key for key in cache if key[0] == "echo_march" and key[-2:] == (2e-3, 0.0)]
         criterion_9(cache)
-        assert len(calls) == 2 * 250 + 5 * 375
+        assert len(calls) == 2 * 250 + 4 * 375
 
     def test_shared_prefix_trace_equals_an_unshared_march(self, monkeypatch):
         short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128, record_every=3)
