@@ -172,8 +172,8 @@ def check_exact_shift(march: dict) -> CriterionResult:
     EXACT_SHIFT_TOL, reported with the resolution guard's peak and trip time."""
     return CriterionResult(
         None, "matches_exact_shift", march["trace_error"] < EXACT_SHIFT_TOL,
-        {"max_trace_error": march["trace_error"], "compared_up_to": march["compared_up_to"],
-         **{key: march[key] for key in ("recurrence_time", "guard_peak", "guard_trip_time")}},
+        {"max_trace_error": march["trace_error"], **{key: march[key] for key in (
+            "compared_up_to", "recurrence_time", "guard_peak", "guard_trip_time")}},
         f"< {EXACT_SHIFT_TOL:g} up to {RECURRENCE_SAFETY:g} of the grid recurrence time",
     )
 
@@ -381,7 +381,7 @@ def _free_transport_products(cache):
     spectrum of the -k row at mid-run, 40 percent of the recurrence time 1/dv
     (past that the shifted transform center leaves the eta window). The
     resolution guard's peak and first trip time are reported, not gated.
-    Returns (the free_transport_march, the spectrum error).
+    Returns (check_exact_shift of the march, the spectrum error).
     """
     key = ("free",)
     if key not in cache:
@@ -392,7 +392,7 @@ def _free_transport_products(cache):
         want_row = 0.5 * free.amplitude * profile_fourier(
             free.profile, snap.eta_grid - free.k_pert * state.time)
         got_row = snap.coeffs[free.k_max - free.k_pert]
-        cache[key] = march, float(np.max(np.abs(got_row - want_row)))
+        cache[key] = check_exact_shift(march), float(np.max(np.abs(got_row - want_row)))
         _audit_history(cache, "free transport", march["hist"])
     return cache[key]
 
@@ -428,12 +428,12 @@ def criterion_1(cache=None) -> CriterionResult:
     """Free transport reproduces the exact spectral shift."""
     cache = _cache(cache)
     t0 = time.perf_counter()
-    march, spectrum_error = _free_transport_products(cache)
-    shift, t_end = check_exact_shift(march), FREE_TRANSPORT.run.t_end
+    shift, spectrum_error = _free_transport_products(cache)
+    march, t_end = shift.measured, FREE_TRANSPORT.run.t_end
     ok = shift.passed and spectrum_error < EXACT_SHIFT_TOL and time.perf_counter() - t0 < 10.0
     return _result(
         1, "free_transport_exactness", t0, ok,
-        {"trace_error": march["trace_error"], "spectrum_error": spectrum_error, "t_end": t_end,
+        {"trace_error": march["max_trace_error"], "spectrum_error": spectrum_error, "t_end": t_end,
          "recurrence_fraction": t_end / march["recurrence_time"],
          "guard_peak": march["guard_peak"], "guard_trip_time": march["guard_trip_time"]},
         {"trace_error": shift.tolerance, "spectrum_error": f"< {EXACT_SHIFT_TOL:g}",
@@ -694,8 +694,7 @@ def criterion_9(cache=None) -> CriterionResult:
     key = ("echo",)
     if key not in cache:
         # the default probe with its baseline, then the peaks of the unforced
-        # run and of each amplitude doubled: 4 distinct marches, the unforced
-        # one shared
+        # run and of each amplitude doubled: 4 marches, the unforced one shared
         e = ECHO.echo
         probe = (ECHO_CONFIG, e.l, e.force_mode, e.s_force)
         cache[key] = (echo_experiment(*probe, e.eps1, e.eps2, marches=cache),) + tuple(
