@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
     VpkitError,
 )
-from .kinetic import RESOLUTION_TOL, FieldHistory, echo_experiment, run
+from .kinetic import RECURRENCE_SAFETY, RESOLUTION_TOL, FieldHistory, echo_experiment, run
 from .lintheory import VolterraKernel, dispersion_rate, stability_scan
 
 
@@ -218,7 +218,7 @@ def _run_echo_experiment(config: SimConfig):
     except EchoBeyondRecurrence as err:
         return refusal(CriterionResult(
             None, "echo_inside_recurrence_horizon", False,
-            {"reason": str(err)}, "t* below 0.8 of the grid recurrence time",
+            {"reason": str(err)}, f"t* below {RECURRENCE_SAFETY:g} of the grid recurrence time",
         ), str(err))
     except ResolutionExceeded as err:
         return refusal(
