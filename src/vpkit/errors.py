@@ -21,10 +21,6 @@ class SeriesNotConverged(VpkitError):
     """A series norm was truncated while terms were still significant."""
 
 
-class QuadratureNotConverged(VpkitError):
-    """An adaptive quadrature panel missed its tolerance at the depth cap."""
-
-
 class StepTooCoarse(VpkitError):
     """Requested time step cannot resolve the kernel's oscillation."""
 

@@ -21,16 +21,16 @@ from vpkit.lintheory import free_streaming_response
 
 
 # Exact summary-CSV lines of the kernel and norm criteria. Their numbers come
-# from the closed-form phase integrals, the echo kernel, the adaptive Simpson
-# quadrature, the closed-form forward moments and the compensated norm sums,
-# all deterministic to the bit, so any drift in that numerics fails here even
-# inside the tolerances.
+# from the closed-form phase integrals, the echo kernel, the closed-form
+# forward moments, the backward moments over the kernel's exact envelope and
+# the compensated norm sums, all deterministic to the bit, so any drift in
+# that numerics fails here even inside the tolerances.
 PINNED_LINES = {
     7: "7,phase_integral_table,true,cases=200;violations=0;worst_ratio=1.0000000000000071;"
        "exact_cases=9;exact_case_gap=7.1054273576010019e-15",
     8: "8,moment_decay_shapes,true,dyadic_exponent=0.95947019058236305;"
        "exponent_floor=0.80000000000000004;forward_constant_ratio=0.11841259144366238;"
-       "backward_constant_ratio=0.23323510812248258",
+       "backward_constant_ratio=0.23323510812144449",
     11: "11,weighted_growth_control,true,hypothesis_ratio=0.99537899292645904;"
         "crude_bound_ratio=0.40747369623834145;envelope_ratio=0.002217159139367735;"
         "check_points=97",

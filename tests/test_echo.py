@@ -2,12 +2,13 @@
 
 Oracle strategy: the truncated sup kernel is checked bit for bit against a
 scan of the whole truncation box, against an independent brute-force double
-loop and against its closed form on the diagonal s = t; the breadth-first
-adaptive Simpson is checked bit for bit against a depth-first recursion; the
-closed-form forward moment is checked against that Simpson on the kernel,
-against a Gauss-Lobatto rule split at the kernel's tent peaks and against the
-hand integral of its flat floor, and its linear pieces against the kernel's
-exponent; the closed-form phase integrals of the piecewise table are checked
+loop and against its closed form on the diagonal s = t; the closed-form
+forward moment is checked against a Gauss-Lobatto rule on the kernel split at
+its tent peaks and against the hand integral of its flat floor, and its
+linear pieces against the kernel's exponent; the backward moment is checked
+the same way, against a Gauss-Lobatto rule on the kernel split at the peaks
+in t, against its closed form at s = 0, and its envelope pieces against the
+kernel; the closed-form phase integrals of the piecewise table are checked
 against a dense Gauss-Legendre rule, with a dense midpoint-rule referee on the
 kink case; the frozen moment constants
 were calibrated offline on a separate parameter grid (values recorded next to
@@ -40,7 +41,6 @@ from vpkit.errors import (
     ConstraintViolation,
     EnvelopeExceeded,
     InequalityViolated,
-    QuadratureNotConverged,
     TailNotResolved,
     UnstableConfiguration,
 )
@@ -69,79 +69,82 @@ def box_sup_kernel(spec, t, s):
     return float((1.0 + s) * math.exp(box_exponents(spec, t, s).max()))
 
 
-def recursive_simpson(f, a, b, abs_tol=1e-13, rel_tol=1e-9):
-    """Depth-first adaptive Simpson on a scalar integrand: the reference the
-    breadth-first echo._adaptive_simpson must reproduce bit for bit."""
-    if b <= a:
-        return 0.0
-    xs = np.linspace(a, b, 65)
-    fs = np.array([f(x) for x in xs])
-    h = (b - a) / 64.0
-    coarse = h / 3.0 * (fs[0] + fs[-1] + 4.0 * fs[1:-1:2].sum() + 2.0 * fs[2:-2:2].sum())
-    tol = max(abs_tol, rel_tol * abs(coarse)) / 32.0
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
-        err = (left + right - whole) / 15.0
-        if depth <= 0 or abs(err) <= tol:
-            return left + right + err
-        return recurse(x0, x1, f0, flm, f1, left, 0.5 * tol, depth - 1) + recurse(
-            x1, x2, f1, frm, f2, right, 0.5 * tol, depth - 1
-        )
-
-    total = 0.0
-    for i in range(0, 64, 2):
-        whole = (xs[i + 2] - xs[i]) / 6.0 * (fs[i] + 4.0 * fs[i + 1] + fs[i + 2])
-        total += recurse(xs[i], xs[i + 2], fs[i], fs[i + 1], fs[i + 2], whole, tol, 42)
-    return total
-
-
-def simpson_forward(spec, nu, t, rel_tol=1e-9):
-    """The forward moment by adaptive Simpson on the kernel: the oracle of
-    the closed form in echo_moment_forward."""
-    return echo._adaptive_simpson(
-        lambda s: echo_kernel(spec, t, s) * echo._exp(-nu * (t - s)), 0.0, t, rel_tol=rel_tol
-    )
-
-
-def lobatto_forward(spec, nu, t, rel_tol=1e-12):
-    """The forward moment by 16-point Gauss-Lobatto on the kernel: [0, t]
-    split at the peak of every tent that clears the floor, and each panel
-    halved, at most 40 times, until its halves agree with it to rel_tol of
-    the total times its share of [0, t], a share of at least 1e-3 (below
-    that the kernel's own rounding would keep a panel splitting). Every
-    peak is a node, so no tent, however narrow, falls between nodes."""
-    n = 16
+def lobatto(f, ends, rel_tol):
+    """int of f over [ends[0], ends[-1]] by 8-point Gauss-Lobatto: each
+    stretch between consecutive ends halved, at most 40 times, until its
+    halves agree with it to rel_tol of the total times its share of the
+    range, a share of at least 1e-3 (below that the kernel's own rounding
+    would keep a panel splitting). f maps an array of nodes to values.
+    Where the kernel's envelope has a corner, halving does the work, and 8
+    points per panel need about half the kernel calls of 16 for the same
+    agreement with the closed forms."""
+    n = 8
     x = np.concatenate([[-1.0], np.polynomial.legendre.Legendre.basis(n - 1).deriv().roots(), [1.0]])
     w = 2.0 / (n * (n - 1) * np.polynomial.legendre.legval(x, [0.0] * (n - 1) + [1.0]) ** 2)
-    l = np.arange(1.0, spec.trunc + 1.0)[:, None]
-    m = l.T
-    clear = -2.0 * spec.alpha * l - np.log1p((m + l) ** spec.gamma) > -spec.alpha * (1.0 + t)
-    ends = np.unique(np.concatenate([[0.0, t], (m * t / (m + l))[clear]]))
+    span = ends[-1] - ends[0]
 
     def rule(a, b):
-        s = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
-        s[:, 0], s[:, -1] = a, b
-        f = echo_kernel(spec, t, s.ravel()).reshape(s.shape) * np.exp(-nu * (t - s))
-        return 0.5 * (b - a) * (f @ w)
+        u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
+        u[:, 0], u[:, -1] = a, b
+        return 0.5 * (b - a) * (f(u) @ w)
 
     a, b = ends[:-1], ends[1:]
     whole = rule(a, b)
-    tol = rel_tol * whole.sum() / t
+    tol = rel_tol * whole.sum() / span
     done = []
     for _ in range(40):
         c = 0.5 * (a + b)
         left, right = rule(a, c), rule(c, b)
-        ok = np.abs(left + right - whole) <= tol * np.maximum(b - a, 1e-3 * t)
+        ok = np.abs(left + right - whole) <= tol * np.maximum(b - a, 1e-3 * span)
         done += (left + right)[ok].tolist()
         a, b, c = a[~ok], b[~ok], c[~ok]
         a, b = np.concatenate([a, c]), np.concatenate([c, b])
         whole = np.concatenate([left[~ok], right[~ok]])
     return math.fsum(done + whole.tolist())
+
+
+def lobatto_forward(spec, nu, t, rel_tol=1e-12):
+    """The forward moment by Gauss-Lobatto on the kernel, [0, t] split at
+    the peak of every tent that clears the floor. Every peak is a node, so
+    no tent, however narrow, falls between nodes."""
+    l = np.arange(1.0, spec.trunc + 1.0)[:, None]
+    m = l.T
+    clear = -2.0 * spec.alpha * l - np.log1p((m + l) ** spec.gamma) > -spec.alpha * (1.0 + t)
+    ends = np.unique(np.concatenate([[0.0, t], (m * t / (m + l))[clear]]))
+    return lobatto(lambda s: echo_kernel(spec, t, s) * np.exp(-nu * (t - s)), ends, rel_tol)
+
+
+def clearing_peaks(spec, s):
+    """Peaks in t, s (m+l)/m, of the tents k = -m that clear the floor
+    -alpha (1 + t) there, past any T_max included."""
+    l = np.arange(1.0, spec.trunc + 1.0)[:, None]
+    m = l.T
+    peak = s * (m + l) / m
+    clear = -2.0 * spec.alpha * l - np.log1p((m + l) ** spec.gamma) > -spec.alpha * (1.0 + peak)
+    return peak[clear]
+
+
+def lobatto_backward(spec, nu, s, T_max, rel_tol=1e-13):
+    """The backward moment by Gauss-Lobatto on the kernel, [s, T_max] split
+    at the peak of every tent that clears the floor. At rel_tol = 1e-12 the
+    rule itself is off by up to 1.3e-12 on some cases of the random sweep,
+    so the default is 1e-13."""
+    peaks = clearing_peaks(spec, s)
+    ends = np.unique(np.concatenate([[s, T_max], peaks[peaks < T_max]]))
+    return lobatto(lambda t: echo_kernel(spec, t, s) * np.exp(-nu * (t - s)), ends, rel_tol)
+
+
+def backward_cases(seed, n):
+    """(alpha, gamma, nu, s, T_max) drawn like the random sweep of the
+    backward moment: alpha 0.45-0.95, gamma 1.1-3.5, nu/alpha 0.05-0.95,
+    s 0-20, T_max = s + 80/nu."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        alpha, gamma = float(rng.uniform(0.45, 0.95)), float(rng.uniform(1.1, 3.5))
+        nu, s = float(rng.uniform(0.05, 0.95)) * alpha, float(rng.uniform(0.0, 20.0))
+        cases.append((alpha, gamma, nu, s, s + 80.0 / nu))
+    return cases
 
 
 def floor_moment(spec, nu, t):
@@ -355,52 +358,96 @@ class TestCandidateSet:
             assert (1.0 + 2.0**gamma) ** 2 >= 2.0 * (1.0 + 3.0**gamma), gamma
 
 
-class TestBreadthFirstSimpson:
-    def test_kernel_moments_match_recursion(self):
-        spec = EchoKernelSpec(alpha=0.6, gamma=2.5)
-        nu, t = 0.42, 3.0
-        want = recursive_simpson(
-            lambda s: echo_kernel(spec, t, s) * math.exp(-nu * (t - s)), 0.0, t
-        )
-        assert simpson_forward(spec, nu, t) == want
-        s, T_max = 4.0, 4.0 + 80.0 / nu
-        want = recursive_simpson(
-            lambda u: math.exp(-nu * (u - s)) * echo_kernel(spec, u, s), s, T_max
-        )
-        assert echo_moment_backward(spec, nu, s, T_max)[0] == want
+def term_exponent(spec, k, l, t, s):
+    """Exponent of the kernel sup's term (k, l) at (t, s), written as
+    box_exponents writes it."""
+    d = np.abs(k - l)
+    return -spec.alpha * l - np.log1p(d**spec.gamma) - spec.alpha * (
+        (t - s) / t * d + np.abs(k * (t - s) + l * s)
+    )
 
-    def test_one_batched_call_per_level(self):
-        calls = []
 
-        def f(x):
-            calls.append(x.size)
-            return np.exp(-x) * (1.0 + np.sin(7.0 * x) ** 2)
+def sorted_pieces(spec, s, T_max):
+    a, b, k, l = echo._backward_pieces(spec, s, T_max)
+    order = np.lexsort((b, a))
+    return a[order], b[order], k[order], l[order]
 
-        echo._adaptive_simpson(f, 0.0, 5.0)
-        assert calls[0] == 65 and calls[1] == 64
-        assert all(n % 2 == 0 for n in calls[1:])
 
-    def test_jump_inside_a_seed_panel_fails_at_the_depth_cap(self):
-        # 0.3 is no node of the 65-point seed on [0, 1], so the panel holding
-        # the jump never meets its tolerance
-        def step(x):
-            return np.where(x < 0.3, 1.0, 2.0)
+class TestBackwardEnvelope:
+    # criterion 8's backward cases
+    CASES = [
+        (EchoKernelSpec(alpha=0.6, gamma=gamma), nu, s, s + 80.0 / nu)
+        for gamma in (1.7, 2.5) for nu in (0.18, 0.42) for s in (0.0, 4.0)
+    ]
 
-        with pytest.raises(QuadratureNotConverged, match=r"\[0, 1\]: 1 panels reached depth 42"):
-            echo._adaptive_simpson(step, 0.0, 1.0)
-        # a kink at the same place is resolved
-        kink = echo._adaptive_simpson(lambda x: np.abs(x - 0.3), 0.0, 1.0)
-        assert kink == pytest.approx(0.29, rel=1e-9)
+    @pytest.mark.parametrize("alpha, gamma, s, T_max", [
+        (0.6, 1.7, 4.0, 4.0 + 80.0 / 0.18),
+        (0.6, 2.5, 4.0, 43.9),  # a tent peaked past T_max wins its last stretch
+        (0.9, 1.2, 19.0, 120.0),
+        (0.47, 3.3, 2.1, 30.0),
+    ])
+    def test_envelope_matches_kernel(self, alpha, gamma, s, T_max):
+        spec = EchoKernelSpec(alpha=alpha, gamma=gamma)
+        a, b, k, l = sorted_pieces(spec, s, T_max)
+        t = np.sort(np.random.default_rng(11).uniform(s, T_max, 3000))
+        j = np.minimum(np.searchsorted(b, t), b.size - 1)
+        envelope = (1.0 + s) * np.exp(term_exponent(spec, k[j], l[j], t, s))
+        assert np.max(np.abs(envelope / echo_kernel(spec, t, s) - 1.0)) <= 1e-12
+        if T_max == 43.9:
+            last = (k < 0) & (b == T_max)
+            assert np.all(s * (l[last] - k[last]) / -k[last] > T_max)
 
-    def test_capped_panels_fail_the_criterion(self, monkeypatch):
-        # of the kernel-bounds suite only criterion 8's backward moment runs
-        # adaptive Simpson; criterion 7's phase integrals are closed forms
-        monkeypatch.setattr(echo, "_SIMPSON_DEPTH", 3)
+    @pytest.mark.parametrize("alpha, nu, T_max", [
+        (0.6, 0.18, 80.0 / 0.18), (0.6, 0.42, 80.0 / 0.42), (0.5, 0.4, 900.0), (0.95, 0.05, 1600.0),
+    ])
+    def test_floor_only_at_s_zero(self, alpha, nu, T_max):
+        # no tent clears the floor at s = 0, so K = e^{-alpha (1 + t)}
+        spec = EchoKernelSpec(alpha=alpha, gamma=2.0)
+        a, b, k, l = echo._backward_pieces(spec, 0.0, T_max)
+        assert (a.tolist(), b.tolist(), k.tolist(), l.tolist()) == ([0.0], [T_max], [1.0], [1.0])
+        want = math.exp(-alpha) * -math.expm1(-(alpha + nu) * T_max) / (alpha + nu)
+        numeric = echo_moment_backward(spec, nu, 0.0, T_max)[0]
+        assert numeric == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_matches_lobatto_on_criterion_8_cases(self):
+        for spec, nu, s, T_max in self.CASES:
+            want = lobatto_backward(spec, nu, s, T_max)
+            numeric = echo_moment_backward(spec, nu, s, T_max)[0]
+            assert numeric == pytest.approx(want, rel=1e-12, abs=0.0), (spec, nu, s)
+
+    @pytest.mark.parametrize("alpha, gamma, nu, s, T_max", backward_cases(22, 20))
+    def test_matches_lobatto_on_random_cases(self, alpha, gamma, nu, s, T_max):
+        spec = EchoKernelSpec(alpha=alpha, gamma=gamma)
+        want = lobatto_backward(spec, nu, s, T_max)
+        assert echo_moment_backward(spec, nu, s, T_max)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, gamma", [(0.6, 1.7), (0.6, 2.5), (0.95, 1.1)])
+    def test_pieces_tile_the_range(self, alpha, gamma):
+        # equal ratios m/(m+l) give equal peaks, which must split the range
+        # once; over a scan of s the lines that meet at a peak or cross at a
+        # shared point leave zero-width pieces at most, never an overlap
+        spec = EchoKernelSpec(alpha=alpha, gamma=gamma)
+        peaks = clearing_peaks(spec, 10.0)
+        assert np.unique(peaks).size < peaks.size
+        for s in np.linspace(1.5, 20.0, 12):
+            T_max = s + 300.0
+            a, b, k, l = sorted_pieces(spec, s, T_max)
+            assert a[0] == s and b[-1] == T_max
+            assert np.array_equal(a[1:], b[:-1]) and np.all(b >= a)
+            assert math.fsum((b - a).tolist()) == pytest.approx(T_max - s, rel=1e-15)
+
+    def test_unresolved_tail_fails_the_criterion(self, monkeypatch):
+        # a T_max too short for the tail makes criterion 8's backward moment
+        # raise TailNotResolved, which the battery reports as a failure with
+        # its text
+        real = acceptance.echo_moment_backward
+        monkeypatch.setattr(acceptance, "echo_moment_backward",
+                            lambda spec, nu, s, T_max: real(spec, nu, s, s + 1.0))
         report = acceptance.run_battery("kernel_bounds")
         assert [(r.index, r.passed) for r in report.results] == [(7, True), (8, False)]
         error = report.results[1].measured["error"]
-        assert error.startswith("QuadratureNotConverged: adaptive Simpson on [")
-        assert "reached depth 3" in error
+        assert error.startswith("TailNotResolved: tail majorant ")
+        assert "raise T_max" in error
 
 
 def gauss_legendre_phase_integral(k, l, alpha, t, panels=200, points=30):
@@ -565,7 +612,7 @@ class TestMoments:
         def fitted(moment):
             return max(moment(nu, t) / echo_moment_forward(spec, nu, t)[1] for nu, t in grid)
 
-        coarse = fitted(lambda nu, t: simpson_forward(spec, nu, t, rel_tol=1e-6))
+        coarse = fitted(lambda nu, t: lobatto_forward(spec, nu, t, rel_tol=1e-6))
         refined = fitted(lambda nu, t: echo_moment_forward(spec, nu, t)[0])
         assert 0.5 <= coarse / refined <= 2.0
 
@@ -577,10 +624,10 @@ class TestForwardClosedForm:
         for gamma in (1.7, 2.5) for nu in (0.18, 0.42) for t in (3.0, 24.0)
     ]
 
-    def test_matches_simpson_on_criterion_8_cases(self):
+    def test_matches_lobatto_on_criterion_8_cases(self):
         for spec, nu, t in self.CASES:
-            want = simpson_forward(spec, nu, t)
-            assert echo_moment_forward(spec, nu, t)[0] == pytest.approx(want, rel=1e-9, abs=0.0)
+            want = lobatto_forward(spec, nu, t)
+            assert echo_moment_forward(spec, nu, t)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha, gamma, nu, t", [
         # adaptive Simpson misses a narrow tent on these two and comes out
@@ -630,7 +677,7 @@ class TestForwardClosedForm:
         assert fa[0] == fb[0] == -spec.alpha * (1.0 + t)
         numeric = echo_moment_forward(spec, nu, t)[0]
         assert numeric == pytest.approx(floor_moment(spec, nu, t), rel=1e-14, abs=0.0)
-        assert numeric == pytest.approx(simpson_forward(spec, nu, t), rel=1e-9, abs=0.0)
+        assert numeric == pytest.approx(lobatto_forward(spec, nu, t), rel=1e-12, abs=0.0)
 
     def test_phi_series_meets_closed_form(self):
         # the series branch of phi1 and psi at z > -1/2 joins the closed form

@@ -453,25 +453,36 @@ class TestBattery:
 
 
 def test_battery_evaluates_each_z_norm_once(monkeypatch):
-    # the seeded battery visits 531 distinct (field, params) pairs; the
-    # reference run, with the per-field cache switched off, recomputes every
-    # repeat and must agree with the cached run bit for bit
+    # the seeded battery visits 531 distinct (field, params) pairs, which
+    # need only 269 distinct L^p tables (field, tau, p, orders); the
+    # reference run, with the per-field cache and the shared tables switched
+    # off, recomputes every repeat and must agree with the cached run bit
+    # for bit
     from vpkit import hybridnorms
     from vpkit.acceptance import norm_battery_report
 
-    calls = []
-    real = hybridnorms.z_norm
+    calls, tables = [], []
+    real_z, real_table = hybridnorms.z_norm, hybridnorms._lp_table
 
-    def counted(f, params):
+    def counted(f, params, shared=None):
         calls.append((id(f), params))
-        return real(f, params)
+        return real_z(f, params, shared)
+
+    def counted_table(*args):
+        tables.append(args[2:])
+        return real_table(*args)
 
     monkeypatch.setattr(hybridnorms, "z_norm", counted)
+    monkeypatch.setattr(hybridnorms, "_lp_table", counted_table)
     report = norm_battery_report(20125)
     assert len(calls) <= 531
-    cached_calls = len(calls)
+    assert len(tables) <= 269
+    cached_calls, cached_tables = len(calls), len(tables)
     calls.clear()
+    tables.clear()
     monkeypatch.setattr(hybridnorms, "cache", lambda fn: fn)
+    monkeypatch.setattr(hybridnorms, "z_norm", lambda f, params, shared=None: counted(f, params))
     reference = norm_battery_report(20125)
     assert len(calls) > cached_calls
+    assert len(tables) > cached_tables
     assert report == reference
