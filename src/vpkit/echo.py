@@ -118,12 +118,15 @@ _ENVELOPE_TOL = 1e-12
 # _PANEL_EFOLDS. 24 nodes on 0.5 e-folds move criterion 8's moments by at most
 # 2.2e-16 relative and 200 random ones by 4.4e-16; 8 nodes on 2 e-folds are
 # still within 1.3e-15.
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GAUSS_NODES = 16
 _PANEL_EFOLDS = 2.0
 # Intervals between tent peaks whose candidate lines are held at once. At 64
 # their temporaries (about 1 MB at trunc = 64) stay under the peak memory of
 # the rest of the kernel battery; 128 raised that peak by 0.5 MB, 256 by 2 MB.
 _ENVELOPE_CHUNK = 64
+# The same for the backward envelope, whose handover loop holds more
+# temporaries per interval: 1.9 MB at 64 intervals, 0.85 MB at 16.
+_BACKWARD_CHUNK = 16
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -410,8 +413,8 @@ def _backward_pieces(spec: EchoKernelSpec, s: float, T_max: float):
     B = np.concatenate([alpha * m, -alpha * m, [-alpha]])
     C = np.concatenate([alpha * d * s, alpha * d * s, [0.0]])
     out = []
-    for i in range(0, ends.size - 1, _ENVELOPE_CHUNK):
-        lo, hi = ends[:-1][i : i + _ENVELOPE_CHUNK], ends[1:][i : i + _ENVELOPE_CHUNK]
+    for i in range(0, ends.size - 1, _BACKWARD_CHUNK):
+        lo, hi = ends[:-1][i : i + _BACKWARD_CHUNK], ends[1:][i : i + _BACKWARD_CHUNK]
         mid = 0.5 * (lo + hi)
         idx = _candidates(spec, rows * s / (mid[:, None] - s), mid, rows, live, peak)
         line = A[idx] + B[idx] * lo[:, None] + C[idx] / lo[:, None]
@@ -483,6 +486,14 @@ def _linear_exp_integrals(a, b, ga, gb, ramp: bool = True) -> np.ndarray:
     return np.exp(np.where(down, gb, ga)) * h * weight
 
 
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    """Nodes and weights of the _GAUSS_NODES-point Gauss-Legendre rule on
+    [-1, 1], built on first use: importing numpy.polynomial adds 0.8 MB to
+    the peak memory of runs that take no backward moment."""
+    return np.polynomial.legendre.leggauss(_GAUSS_NODES)
+
+
 def _tent_integrals(spec: EchoKernelSpec, nu: float, s: float, a, b, k, l) -> np.ndarray:
     """int_a^b e^{G(t)} dt per element, G(t) = E(t) - nu (t - s) for E the
     exponent of the sup's term (k, l) as echo_kernel forms it, by the
@@ -499,13 +510,14 @@ def _tent_integrals(spec: EchoKernelSpec, nu: float, s: float, a, b, k, l) -> np
     piece = np.repeat(np.arange(a.size), n)
     width = ((b - a) / n)[piece]
     start = a[piece] + width * (np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n))
-    t = start[:, None] + (0.5 * width)[:, None] * (1.0 + _GAUSS_NODES)
+    nodes, weights = _gauss_rule()
+    t = start[:, None] + (0.5 * width)[:, None] * (1.0 + nodes)
     k, l, d = k[piece, None], l[piece, None], d[piece, None]
     tau = t - s
     expo = (-alpha * l - _log_denominator(spec)[d.astype(np.intp)]) - alpha * (
         tau / t * d + np.abs(k * tau + l * s)
     )
-    return 0.5 * width * (np.exp(expo - nu * tau) @ _GAUSS_WEIGHTS)
+    return 0.5 * width * (np.exp(expo - nu * tau) @ weights)
 
 
 def echo_moment_forward(spec: EchoKernelSpec, nu: float, t: float):
