@@ -245,7 +245,7 @@ def _lp_table(f: SpectralDistribution, live: np.ndarray, tau: float, p: float,
     powered = np.empty((n_orders, live.size, n_grid), dtype=complex)
     powered[0] = np.fft.ifftshift(f.coeffs[live], axes=1)
     for n in range(1, n_orders):
-        powered[n] = powered[n - 1] * mult
+        np.multiply(powered[n - 1], mult, out=powered[n])
     g = np.fft.ifft(powered, axis=-1, out=powered)
     g *= n_grid * f.d_eta
     return _lp_norm(g, 1.0 / (n_grid * f.d_eta), p)
@@ -259,31 +259,34 @@ def z_norm(f: SpectralDistribution, params: NormParams, tables: dict | None = No
     x-only limit of the series. Resolved rows are evaluated spectrally and
     measured in L^p on the conjugate v grid.
 
-    lam and mu enter only after the L^p table of the derivative orders
-    (_lp_table), which depends on the field, tau, p and the number of
-    orders. A caller that evaluates one field at many params passes the same
-    dict as tables on each call; the tables are kept there by
-    (tau, p, orders) and reused, with bit-identical results.
+    lam and mu enter only after the field's delta and resolved rows and the
+    L^p table of the derivative orders (_lp_table), which depends on the
+    field, tau, p and the number of orders. A caller that evaluates one
+    field at many params passes the same dict as tables on each call; the
+    rows are kept there under "rows" and the tables by (tau, p, orders), and
+    reused, with bit-identical results.
     """
-    delta_rows = f.delta_row_mask()
+    tables = {} if tables is None else tables
+    if "rows" not in tables:
+        delta_rows = f.delta_row_mask()
+        tables["rows"] = (np.flatnonzero(delta_rows),
+                          np.flatnonzero(~delta_rows & f.coeffs.any(axis=1)))
+    delta, live = tables["rows"]
     ks = f.modes
     mu_w = np.exp(2.0 * np.pi * params.mu * np.abs(ks))
 
     contributions = np.zeros(ks.size)
     last_term_total = 0.0
     # delta rows: closed-form series sum
-    for i, k in enumerate(ks):
-        if delta_rows[i]:
-            c = abs(f.coeffs[i, f.center_index]) * f.d_eta
-            contributions[i] = mu_w[i] * c * math.exp(
-                2.0 * np.pi * params.lam * abs(params.tau * k)
-            )
+    for i in delta:
+        c = abs(f.coeffs[i, f.center_index]) * f.d_eta
+        contributions[i] = mu_w[i] * c * math.exp(
+            2.0 * np.pi * params.lam * abs(params.tau * ks[i])
+        )
     # resolved rows: series over n, summed order by order, in the order a
     # per-order loop adds them
-    live = np.flatnonzero(~delta_rows & f.coeffs.any(axis=1))
     if live.size:
         n_orders = params.n_max + 1 if params.lam > 0.0 else 1
-        tables = {} if tables is None else tables
         key = (params.tau, params.p, n_orders)
         if key not in tables:
             tables[key] = _lp_table(f, live, params.tau, params.p, n_orders)
