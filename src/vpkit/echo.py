@@ -109,9 +109,9 @@ class EchoKernelSpec:
 _CHUNK = 128
 # Rows of the sup evaluated together once row 1 has set a first bound.
 _ROW_BLOCK = 8
-# Exponent gap below which a line does not count as clearing the forward
-# envelope, so that splitting stops at rounding. Such a line moves the moment
-# by under 1e-12 relative, on a stretch narrower than 1e-12 over its slope gap.
+# Exponent gap below which a line does not count as clearing the forward or
+# the backward envelope, so that splitting stops at rounding. Such a line
+# moves the moment by under 1e-12 relative.
 _ENVELOPE_TOL = 1e-12
 # The backward moment's rule on the tent pieces of its envelope: Gauss-Legendre
 # with _GAUSS_NODES nodes on panels over which the exponent changes by at most
