@@ -23,6 +23,7 @@ Representation conventions:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -102,7 +103,14 @@ class SpectralDistribution:
         return (off == 0.0) & (np.abs(self.coeffs[:, self.center_index]) > 0.0)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralDistribution":
-        return SpectralDistribution(self.k_max, self.eta_grid, coeffs)
+        """This grid with other coefficients of the same shape. The grid was
+        checked when this table was made, so only the shape is checked."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != self.coeffs.shape:
+            raise ValueError(f"coeffs shape {coeffs.shape} != {self.coeffs.shape}")
+        table = copy.copy(self)
+        object.__setattr__(table, "coeffs", coeffs)
+        return table
 
 
 @dataclass(frozen=True)
@@ -232,18 +240,21 @@ def y_norm(f: SpectralDistribution, params: NormParams) -> float:
     return float(np.max(table, initial=0.0))
 
 
-def _lp_table(f: SpectralDistribution, live: np.ndarray, tau: float, p: float,
+def _lp_table(f: SpectralDistribution, rows: tuple, tau: float, p: float,
               n_orders: int) -> np.ndarray:
     """L^p norms on the conjugate v grid of (d_v + 2 pi i tau l)^n f_hat(l, .)
-    for n = 0 .. n_orders - 1 (axis 0) and the rows live (axis 1).
+    for n = 0 .. n_orders - 1 (axis 0) and the resolved rows of f (axis 1).
 
-    The spectra of every order are stacked as (orders, rows, n_eta) and
-    inverted by one transform written over the stack (a fresh output array
-    per call made the seeded norm battery's z_norm calls 1.6x slower)."""
+    rows is z_norm's "rows" entry of f: the delta and resolved row indices,
+    the resolved rows ifftshifted and the ifftshifted eta grid. The spectra
+    of every order are stacked as (orders, rows, n_eta) and inverted by one
+    transform written over the stack (a fresh output array per call made the
+    seeded norm battery's z_norm calls 1.6x slower)."""
+    _, live, shifted, eta = rows
     n_grid = f.n_eta
-    mult = np.fft.ifftshift(2j * np.pi * (f.eta_grid + f.modes[live, None] * tau), axes=1)
+    mult = 2j * np.pi * (eta + f.modes[live, None] * tau)
     powered = np.empty((n_orders, live.size, n_grid), dtype=complex)
-    powered[0] = np.fft.ifftshift(f.coeffs[live], axes=1)
+    powered[0] = shifted
     for n in range(1, n_orders):
         np.multiply(powered[n - 1], mult, out=powered[n])
     g = np.fft.ifft(powered, axis=-1, out=powered)
@@ -263,15 +274,17 @@ def z_norm(f: SpectralDistribution, params: NormParams, tables: dict | None = No
     L^p table of the derivative orders (_lp_table), which depends on the
     field, tau, p and the number of orders. A caller that evaluates one
     field at many params passes the same dict as tables on each call; the
-    rows are kept there under "rows" and the tables by (tau, p, orders), and
-    reused, with bit-identical results.
+    rows (with the resolved rows and the eta grid ifftshifted for the
+    tables) are kept there under "rows" and the tables by (tau, p, orders),
+    and reused, with bit-identical results.
     """
     tables = {} if tables is None else tables
     if "rows" not in tables:
         delta_rows = f.delta_row_mask()
-        tables["rows"] = (np.flatnonzero(delta_rows),
-                          np.flatnonzero(~delta_rows & f.coeffs.any(axis=1)))
-    delta, live = tables["rows"]
+        live = np.flatnonzero(~delta_rows & f.coeffs.any(axis=1))
+        tables["rows"] = (np.flatnonzero(delta_rows), live,
+                          np.fft.ifftshift(f.coeffs[live], axes=1), np.fft.ifftshift(f.eta_grid))
+    delta, live = tables["rows"][:2]
     ks = f.modes
     mu_w = np.exp(2.0 * np.pi * params.mu * np.abs(ks))
 
@@ -289,7 +302,7 @@ def z_norm(f: SpectralDistribution, params: NormParams, tables: dict | None = No
         n_orders = params.n_max + 1 if params.lam > 0.0 else 1
         key = (params.tau, params.p, n_orders)
         if key not in tables:
-            tables[key] = _lp_table(f, live, params.tau, params.p, n_orders)
+            tables[key] = _lp_table(f, tables["rows"], params.tau, params.p, n_orders)
         coef = [1.0] + [params.lam**n / math.factorial(n) for n in range(1, n_orders)]
         terms = np.array(coef)[:, None] * tables[key]
         # cumsum adds the orders one after another, as the series is written
@@ -325,10 +338,7 @@ def multiply_by_v(f: SpectralDistribution) -> SpectralDistribution:
 
 def directional_derivative(f: SpectralDistribution, tau: float) -> SpectralDistribution:
     """Spectral table of (d_v + tau d_x) f: multiplier 2 pi i (eta + tau k)."""
-    out = np.empty_like(f.coeffs)
-    for i, k in enumerate(f.modes):
-        out[i] = f.coeffs[i] * (2j * np.pi * (f.eta_grid + tau * k))
-    return f.with_coeffs(out)
+    return f.with_coeffs(f.coeffs * (2j * np.pi * (f.eta_grid + tau * f.modes[:, None])))
 
 
 def pure_x_field(amplitudes: dict, k_max: int, eta_grid: np.ndarray) -> SpectralDistribution:

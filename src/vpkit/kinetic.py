@@ -18,12 +18,21 @@ marches, the free-transport march) goes through one march that advances its
 own copy of the rows in place, records on the rows, and builds a PhaseState
 only for the states it hands out.
 
+Marches that do not depend on each other (the battery's Landau runs, the
+echo runs from their shared prefixes) can go side by side: _side_by_side
+runs lane 0 of a list of calls in this process and each other lane in an
+os.fork()ed child, one lane held to each CPU, when the process runs a
+single thread (pin BLAS to one thread, OPENBLAS_NUM_THREADS=1, to allow
+it), and otherwise runs them all here. A march is the same code on the
+same inputs either way, so its results are the same bytes.
+
 Module contents:
 
   * PhaseState / equilibrium_state / perturb_density -- state construction,
   * step / collision_substep / poisson_field -- the integrator pieces,
   * run -- a full simulation with field history and scalar diagnostics,
-  * echo_experiment / echo_peak -- impulsive two-mode probe locating the plasma echo,
+  * echo_experiment / echo_peak / march_echo_runs -- impulsive two-mode probe
+    locating the plasma echo,
   * FieldHistory -- the recorded density modes and the field they define.
 
 The discrete equilibrium rows are renormalized to unit grid mass, so the
@@ -34,10 +43,13 @@ the (tiny, but visible at 1e-14) quadrature defect of the raw samples.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import threading
+import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -47,6 +59,7 @@ from .errors import (
     EchoBeyondRecurrence,
     ResolutionExceeded,
     StepTooCoarse,
+    VpkitError,
 )
 from .hybridnorms import SpectralDistribution
 from .lintheory import parabolic_peak
@@ -741,6 +754,136 @@ def _march(config: KineticRun, state: PhaseState, n0: int, n1: int, *, guard: st
                     momentum, trip, kept)
 
 
+def _single_threaded() -> bool:
+    """Whether /proc/self/status reads Threads: 1 (False where it cannot be
+    read). An unpinned OpenBLAS pool is a second thread."""
+    try:
+        with open("/proc/self/status", "rb") as status:
+            return b"\nThreads:\t1\n" in status.read()
+    except OSError:
+        return False
+
+
+def _lanes(n_calls: int) -> int:
+    """How many lanes _side_by_side deals n_calls calls into: one per CPU of
+    the affinity mask and at most one per call, when the process runs a
+    single thread; otherwise 1. A fork of a threaded process is unsafe, and
+    two processes each running a BLAS pool over both CPUs oversubscribe."""
+    if n_calls < 2 or not hasattr(os, "sched_getaffinity") or not _single_threaded():
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_calls)
+
+
+def _lane_outcome(calls) -> tuple:
+    """(results, None) of calls made in order, or (the results before it, the
+    exception) of the first call that raised."""
+    results = []
+    try:
+        for call in calls:
+            results.append(call())
+    except Exception as err:
+        return results, err
+    return results, None
+
+
+def _fork_lane(calls, cpu: int):
+    """Make calls in an os.fork()ed child held to CPU cpu: (pid, read end of
+    its pipe), or None when the fork fails.
+
+    The child sends back one pickle, the lane's outcome and the warnings its
+    calls issued, and leaves by os._exit, so it writes nothing else and runs
+    none of this process's exit handlers. It exits with status 1 when it
+    cannot send the outcome (one that does not pickle, or a BaseException
+    such as KeyboardInterrupt)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            os.sched_setaffinity(0, {cpu})
+            with warnings.catch_warnings(record=True) as caught:
+                outcome = _lane_outcome(calls)
+            issued = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+            payload = pickle.dumps((outcome, issued), pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _side_by_side(calls) -> list:
+    """The results of independent zero-argument calls, in call order.
+
+    The calls are dealt in turn into _lanes(len(calls)) lanes. Lane 0 runs
+    in this process; each other lane runs in an os.fork()ed child
+    (_fork_lane), whose pickled results and exceptions come back through a
+    pipe, and whose warnings are issued again here. A lane whose fork fails
+    runs here too. Lane i is held to the i-th CPU of the affinity mask, and
+    this process's mask is restored on return: left to the scheduler, two
+    marches in two processes ran no faster than one after the other on a
+    2-CPU virtual machine. A lane stops at its first failing call, and the
+    exception raised is that of the first failing call in call order, the
+    one a loop over the calls would raise. A child that exits without
+    sending its outcome raises VpkitError naming its exit status. Every
+    child is reaped before this returns or raises; one still running then
+    (this process was interrupted) is killed first.
+
+    A monkeypatch made before the call is seen by the children, but what a
+    child does to this process's objects is lost: the children's memory,
+    like their time, lies outside this process's own accounts."""
+    n = _lanes(len(calls))
+    lanes = [calls[lane::n] for lane in range(n)]
+    if n == 1:
+        return [call() for call in calls]
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    forked, outcomes = {}, [None] * n
+    try:
+        os.sched_setaffinity(0, {cpus[0]})
+        for lane in range(1, n):
+            child = _fork_lane(lanes[lane], cpus[lane % len(cpus)])
+            if child is not None:
+                forked[lane] = child
+        for lane in range(n):
+            if lane not in forked:
+                outcomes[lane] = _lane_outcome(lanes[lane])
+        for lane, (pid, read) in forked.items():
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            outcomes[lane] = ([], VpkitError(
+                f"a forked lane exited with status {code} and sent no result"))
+            if payload:
+                outcomes[lane], issued = pickle.loads(payload)
+                for message, category, filename, lineno in issued:
+                    warnings.warn_explicit(message, category, filename, lineno)
+    finally:
+        for lane, (pid, read) in forked.items():
+            os.close(read)
+            if outcomes[lane] is None:  # not reaped: this process was interrupted
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        os.sched_setaffinity(0, mask)
+    results = []
+    for i in range(len(calls)):
+        done, err = outcomes[i % n]
+        if i // n == len(done):
+            raise err
+        results.append(done[i // n])
+    return results
+
+
 def run(config: KineticRun) -> tuple[FieldHistory, dict]:
     """March the full model and record fields plus scalar diagnostics.
 
@@ -799,6 +942,56 @@ class EchoReport:
         return asdict(self)
 
 
+def _echo_prefix(config: KineticRun, l: int, eps1: float, j_kick: int) -> tuple:
+    """The state after the j_kick steps of an echo run before its kick, and
+    the density rows up to it."""
+    state = equilibrium_state(config.profile, config.k_max, config.n_v, config.resolved_v_max())
+    prefix = _march(config, perturb_density(state, config.profile, l, eps1), 0, j_kick,
+                    guard="raise")
+    return prefix.state, prefix.rho
+
+
+def _echo_trace(config: KineticRun, l: int, m: int, eps2: float, j_kick: int,
+                seed: tuple) -> tuple:
+    """(times, |rho_hat(t, l + m)|) of an echo run from its _echo_prefix seed."""
+    state, prefix = seed
+    external = None
+    if eps2 != 0.0:
+        external = np.zeros(config.k_max + 1, dtype=complex)
+        external[abs(m)] = 0.5 * eps2 / config.dt
+    kicked = step(state, config.dt, config.interaction, config.profile, config.nu,
+                  external_field_hat=external)
+    rest = _march(config, kicked, j_kick + 1, config.n_steps, guard="raise")
+    times = np.arange(config.n_steps + 1) * config.dt
+    # hypot rounds as the scalar complex abs does; numpy's array abs can differ
+    # in the last bit
+    trace = np.concatenate([prefix[:, abs(l + m)], rest.rho[:, abs(l + m)]])
+    return times, np.hypot(trace.real, trace.imag)
+
+
+def march_echo_runs(config: KineticRun, l: int, m: int, s_force: float, runs,
+                    marches: dict) -> None:
+    """March the echo runs (eps1, eps2) of the probe (config, l, m, s_force)
+    that marches does not hold yet, and keep them there, as _march_mode_trace
+    does: each distinct prefix once, the prefixes side by side, then the runs
+    from them side by side (_side_by_side)."""
+    j_kick = int(round(s_force / config.dt))
+    runs = [(float(eps1), float(eps2)) for eps1, eps2 in dict.fromkeys(runs)]
+    todo = [amps for amps in runs
+            if ("echo_march", config, l, m, float(s_force), *amps) not in marches]
+    seeds = [eps1 for eps1 in dict.fromkeys(eps1 for eps1, _ in todo)
+             if ("echo_prefix", config, l, eps1, j_kick) not in marches]
+    prefixes = _side_by_side([partial(_echo_prefix, config, l, eps1, j_kick) for eps1 in seeds])
+    for eps1, prefix in zip(seeds, prefixes):
+        marches["echo_prefix", config, l, eps1, j_kick] = prefix
+    traces = _side_by_side([
+        partial(_echo_trace, config, l, m, eps2, j_kick,
+                marches["echo_prefix", config, l, eps1, j_kick])
+        for eps1, eps2 in todo])
+    for amps, trace in zip(todo, traces):
+        marches["echo_march", config, l, m, float(s_force), *amps] = trace
+
+
 def _march_mode_trace(
     marches: dict, config: KineticRun, l: int, m: int, s_force: float, eps1: float, eps2: float
 ):
@@ -813,30 +1006,8 @@ def _march_mode_trace(
     them are kept in marches too, and every run from that seed marches only
     from the kick on. The kicked step is a step() call; the steps before and
     after it are marches that raise on a resolution-guard trip."""
-    key = ("echo_march", config, l, m, float(s_force), float(eps1), float(eps2))
-    if key in marches:
-        return marches[key]
-    j_kick = int(round(s_force / config.dt))
-    seed_key = ("echo_prefix", config, l, float(eps1), j_kick)
-    if seed_key not in marches:
-        state = equilibrium_state(config.profile, config.k_max, config.n_v, config.resolved_v_max())
-        state = perturb_density(state, config.profile, l, eps1)
-        prefix = _march(config, state, 0, j_kick, guard="raise")
-        marches[seed_key] = (prefix.state, prefix.rho)
-    state, prefix = marches[seed_key]
-    external = None
-    if eps2 != 0.0:
-        external = np.zeros(config.k_max + 1, dtype=complex)
-        external[abs(m)] = 0.5 * eps2 / config.dt
-    kicked = step(state, config.dt, config.interaction, config.profile, config.nu,
-                  external_field_hat=external)
-    rest = _march(config, kicked, j_kick + 1, config.n_steps, guard="raise")
-    times = np.arange(config.n_steps + 1) * config.dt
-    # hypot rounds as the scalar complex abs does; numpy's array abs can differ
-    # in the last bit
-    trace = np.concatenate([prefix[:, abs(l + m)], rest.rho[:, abs(l + m)]])
-    marches[key] = times, np.hypot(trace.real, trace.imag)
-    return marches[key]
+    march_echo_runs(config, l, m, s_force, [(eps1, eps2)], marches)
+    return marches["echo_march", config, l, m, float(s_force), float(eps1), float(eps2)]
 
 
 def echo_peak(config: KineticRun, l: int, m: int, s_force: float, eps1: float, eps2: float,
@@ -866,7 +1037,8 @@ def echo_experiment(
     peak times and the peak against an unkicked baseline.
 
     Each distinct march (the kicked run and its eps2 = 0 baseline) is made
-    once per marches dict: a call with eps2 = 0 reuses its kicked trace as
+    once per marches dict, the two side by side (march_echo_runs): a call
+    with eps2 = 0 reuses its kicked trace as
     the baseline, and callers that pass one dict to several experiments
     share the baselines and repeated runs between them. Runs from the same
     seed (config, l, eps1) also share their steps before the kick."""
@@ -901,6 +1073,7 @@ def echo_experiment(
         raise ConstraintViolation("s_force must sit on the step grid")
 
     marches = {} if marches is None else marches
+    march_echo_runs(config, l, m, s_force, [(eps1, eps2), (eps1, 0.0)], marches)
     t_measured, peak_amp, _ = echo_peak(config, l, m, s_force, eps1, eps2, marches)
     baseline_amp = echo_peak(config, l, m, s_force, eps1, 0.0, marches)[2]
     return EchoReport(

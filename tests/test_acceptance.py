@@ -98,6 +98,25 @@ def test_criterion_03_conservation_audit(cache):
     assert result.tolerance["runs_audited"] == ">= 4"
 
 
+def test_criterion_03_fails_when_a_run_stops_before_t_end(monkeypatch):
+    # the Landau runs' edge fraction passes 1e-17 before t = 1 (the
+    # nonlinear run's stays below 2e-19): with the guard at that tolerance
+    # both stop there. The runs go side by side, so one stops in a forked
+    # child, out of sight of any wrapper of kinetic.run in this process
+    from vpkit import kinetic
+
+    monkeypatch.setattr(kinetic, "RESOLUTION_TOL", 1e-17)
+    monkeypatch.setattr(kinetic, "_lanes", lambda n: min(n, 2))
+    cache = {}
+    result = acceptance.criterion_3(cache)
+    _, diag = cache[("landau", 0.0)]
+    assert not result.passed
+    assert result.measured["stopped_run"] == "landau nu=0"
+    assert result.measured["stop_reason"] == diag["stop_reason"] == "resolution_exceeded"
+    assert result.measured["stop_time"] == diag["stop_time"] < acceptance.LANDAU_CONFIG.t_end
+    assert result.measured["max_mass_drift"] < 1e-10  # the mass gate alone would pass
+
+
 def test_criterion_04_damping_rate_three_routes(cache):
     result = _check(acceptance.criterion_4, cache)
     assert result.measured["worst_pairwise_gap"] <= 0.05

@@ -833,18 +833,24 @@ _COLD_PROBE = """
 import sys
 from vpkit import cli
 code = cli.main(sys.argv[1:] + ["--quiet"]) if sys.argv[1:] else 0
-print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+      sorted(name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules))
 """
 
 
 @pytest.fixture(scope="module")
 def cold_runs(tmp_path_factory):
     """The import of vpkit.cli, each shipped config's run and the whole
-    battery, each in a fresh interpreter: (output root, [(args, stdout)])."""
+    battery, each in a fresh interpreter: (output root, [(args, stdout)]).
+
+    BLAS is pinned to one thread, so each interpreter runs a single thread
+    and marches side by side where it can (kinetic._side_by_side); the
+    in-process tests cover the serial path."""
     root = tmp_path_factory.mktemp("cold")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
     configs = sorted(SHIPPED_CONFIGS.glob("*.ini"))
     assert len(configs) == 7
     runs = [[]] + [["run", str(c), "--out", str(root / c.stem)] for c in configs]
@@ -858,12 +864,14 @@ def cold_runs(tmp_path_factory):
 
 
 def test_cold_cli_loads_no_scipy(cold_runs):
-    # no shipped config and no acceptance criterion needs scipy: the import
-    # of vpkit.cli, each config's run and the whole battery, each in a fresh
-    # interpreter, leave no scipy module loaded
+    # no shipped config and no acceptance criterion needs scipy, and the
+    # marches made side by side need no process pool: the import of
+    # vpkit.cli, each config's run and the whole battery, each in a fresh
+    # interpreter, leave no scipy, multiprocessing or concurrent.futures
+    # module loaded
     root, done = cold_runs
     for args, stdout in done:
-        assert stdout.splitlines()[-1] == "0 []", (args, stdout)
+        assert stdout.splitlines()[-1] == "0 [] []", (args, stdout)
     for c in SHIPPED_CONFIGS.glob("*.ini"):
         assert (root / c.stem / "report.json").exists()
     assert (root / "acceptance" / "acceptance_summary.csv").exists()

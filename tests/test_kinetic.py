@@ -31,6 +31,7 @@ from vpkit.errors import (
     EchoBeyondRecurrence,
     ResolutionExceeded,
     StepTooCoarse,
+    VpkitError,
 )
 from vpkit.kinetic import (
     EchoReport,
@@ -769,7 +770,10 @@ def doubled_reports():
 
 
 def count_steps(monkeypatch):
-    """Count applications of the step kernel, which step() and every march run."""
+    """Count applications of the step kernel, which step() and every march run.
+
+    The marches are held in this process: a forked lane of _side_by_side
+    would count into its own copy of the list."""
     calls = []
     real_advance = kin._advance
 
@@ -778,7 +782,141 @@ def count_steps(monkeypatch):
         return real_advance(*args, **kwargs)
 
     monkeypatch.setattr(kin, "_advance", counted)
+    monkeypatch.setattr(kin, "_lanes", lambda n_calls: 1)
     return calls
+
+
+def two_lanes(monkeypatch):
+    """Let _side_by_side fork one lane whatever the CPUs and threads."""
+    monkeypatch.setattr(kin, "_lanes", lambda n_calls: min(n_calls, 2))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSideBySide:
+    def test_results_come_back_in_call_order(self, monkeypatch):
+        two_lanes(monkeypatch)
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        got = kin._side_by_side([lambda i=i: (i, os.getpid(), os.sched_getaffinity(0))
+                                 for i in range(5)])
+        assert [i for i, _, _ in got] == list(range(5))
+        # calls 0, 2, 4 ran here, 1 and 3 in one forked child, each lane held
+        # to its own CPU while it ran; this process's mask is back
+        assert {pid for _, pid, _ in got[::2]} == {os.getpid()}
+        assert len({pid for _, pid, _ in got[1::2]} - {os.getpid()}) == 1
+        assert [cpu for _, _, cpu in got] == [{cpus[lane % len(cpus)]} for lane in (0, 1, 0, 1, 0)]
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child_left()
+
+    def test_a_childs_exception_reaches_the_caller_whole(self, monkeypatch):
+        two_lanes(monkeypatch)
+
+        def trip():
+            raise ResolutionExceeded("edge band full", fraction=0.25, time=3.5)
+
+        with pytest.raises(ResolutionExceeded, match="edge band full") as caught:
+            kin._side_by_side([lambda: 1, trip])
+        assert (caught.value.fraction, caught.value.time) == (0.25, 3.5)
+        assert_no_child_left()
+
+    def test_the_first_failure_in_call_order_is_raised(self, monkeypatch):
+        two_lanes(monkeypatch)
+
+        def fails(message):
+            def call():
+                raise ValueError(message)
+            return call
+
+        # call 1 runs in the child, call 2 here after call 0
+        with pytest.raises(ValueError, match="call 1"):
+            kin._side_by_side([lambda: 0, fails("call 1"), fails("call 2")])
+        with pytest.raises(ValueError, match="call 0"):
+            kin._side_by_side([fails("call 0"), fails("call 1")])
+        assert_no_child_left()
+
+    def test_a_child_that_exits_without_a_result_raises(self, monkeypatch):
+        two_lanes(monkeypatch)
+        with pytest.raises(VpkitError, match="status 3"):
+            kin._side_by_side([lambda: 1, lambda: os._exit(3)])
+        assert_no_child_left()
+
+    def test_an_interrupted_caller_kills_and_reaps_its_child(self, monkeypatch):
+        import time
+
+        two_lanes(monkeypatch)
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            kin._side_by_side([interrupted, lambda: time.sleep(60)])
+        assert time.perf_counter() - t0 < 30.0
+        assert_no_child_left()
+
+    def test_a_childs_warnings_are_issued_here(self, monkeypatch):
+        import warnings
+
+        two_lanes(monkeypatch)
+
+        def warns():
+            warnings.warn("from the forked lane", RuntimeWarning)
+            return 2
+
+        with pytest.warns(RuntimeWarning, match="from the forked lane"):
+            assert kin._side_by_side([lambda: 1, warns]) == [1, 2]
+
+    def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
+        import threading
+
+        forks = []
+
+        def refused():
+            forks.append(1)
+            raise OSError(11, "fork refused")
+
+        calls = [lambda: 1, lambda: 2, lambda: 3]
+        single_threaded = kin._single_threaded
+        pins = []
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus))
+        monkeypatch.setattr(kin, "_single_threaded", lambda: True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert kin._side_by_side(calls) == [1, 2, 3] and forks == [] and pins == []
+        # the control: two CPUs and one thread fork a lane, which runs here
+        # when the fork fails, with this process held to the first CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert kin._side_by_side(calls) == [1, 2, 3] and forks == [1]
+        assert pins == [{0}, {0, 1}]
+        monkeypatch.setattr(kin, "_single_threaded", single_threaded)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not kin._single_threaded()
+            assert kin._side_by_side(calls) == [1, 2, 3] and forks == [1]
+        finally:
+            release.set()
+            thread.join()
+
+    def test_echo_runs_side_by_side_match_the_serial_bytes(self, monkeypatch):
+        short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128)
+        runs = [(1e-3, 1e-3), (1e-3, 0.0), (2e-3, 1e-3)]
+        serial, forked = {}, {}
+        monkeypatch.setattr(kin, "_lanes", lambda n_calls: 1)
+        kin.march_echo_runs(short, 1, -2, 0.5, runs, serial)
+        two_lanes(monkeypatch)
+        kin.march_echo_runs(short, 1, -2, 0.5, runs, forked)
+        assert serial.keys() == forked.keys() and len(serial) == 5  # 3 runs, 2 prefixes
+        for key, (times, trace) in serial.items():
+            if key[0] == "echo_march":
+                assert forked[key][0].tobytes() == times.tobytes()
+                assert forked[key][1].tobytes() == trace.tobytes()
+        assert_no_child_left()
 
 
 class TestEchoExperiment:
