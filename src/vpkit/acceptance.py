@@ -48,7 +48,7 @@ from .echo import (
     echo_moment_forward,
     growth_verify,
     phase_table_gate,
-    piecewise_integral_check,
+    random_phase_table,
 )
 from .config import scenario_defaults
 from .errors import ConstraintViolation, MarginNonPositive, TooFewPeaks
@@ -149,11 +149,12 @@ class CriterionResult:
         return {key: value for key, value in asdict(self).items() if value is not None}
 
 
-def _result(index, name, t0, ok, measured, tolerance) -> CriterionResult:
+def _result(index, t0, ok, measured, tolerance) -> CriterionResult:
+    """Criterion index's record, under its name in CRITERIA."""
     wall = time.perf_counter() - t0
     measured = dict(measured)
     measured["wall_seconds"] = wall
-    return CriterionResult(index, name, ok, measured, dict(tolerance), wall)
+    return CriterionResult(index, CRITERIA[index][0], ok, measured, dict(tolerance), wall)
 
 
 def _cache(cache) -> dict:
@@ -442,7 +443,7 @@ def criterion_1(cache=None) -> CriterionResult:
     march, t_end = shift.measured, FREE_TRANSPORT.run.t_end
     ok = shift.passed and spectrum_error < EXACT_SHIFT_TOL and time.perf_counter() - t0 < 10.0
     return _result(
-        1, "free_transport_exactness", t0, ok,
+        1, t0, ok,
         {"trace_error": march["max_trace_error"], "spectrum_error": spectrum_error, "t_end": t_end,
          "recurrence_fraction": t_end / march["recurrence_time"],
          "guard_peak": march["guard_peak"], "guard_trip_time": march["guard_trip_time"]},
@@ -492,7 +493,7 @@ def criterion_2(cache=None) -> CriterionResult:
     wall_ok = time.perf_counter() - t0 < 1.0
     ok = ode_error < 1e-12 and rho_error < 1e-14 and wall_ok
     return _result(
-        2, "collision_closed_form", t0, ok,
+        2, t0, ok,
         {"ode_error": ode_error, "rho_invariance_error": rho_error,
          "rk4_halving_ratio": halving_ratio},
         {"ode_error": "< 1e-12", "rho_invariance_error": "< 1e-14",
@@ -517,7 +518,7 @@ def criterion_3(cache=None) -> CriterionResult:
         label, (reason, stop_time) = stopped[0]
         measured.update(stopped_run=label, stop_reason=reason, stop_time=stop_time)
     return _result(
-        3, "conservation_audit", t0, mass.passed and len(audit) >= 4 and not stopped,
+        3, t0, mass.passed and len(audit) >= 4 and not stopped,
         measured,
         {"runs_audited": ">= 4", "max_mass_drift": mass.tolerance,
          "stop_reason": "t_end for every kinetic run"},
@@ -530,13 +531,16 @@ def criterion_4(cache=None) -> CriterionResult:
     t0 = time.perf_counter()
     measured = {}
     worst_gap = 0.0
+    reasons = []
     _run_products(cache, *LANDAU_KEYS)
+    routes = {"dispersion": _dispersion_rate, "volterra": _volterra_rate, "kinetic": _kinetic_rate}
     for nu in (0.0, 1e-2):
-        rates = {
-            "dispersion": _dispersion_rate(cache, nu),
-            "volterra": _volterra_rate(cache, nu),
-            "kinetic": _kinetic_rate(cache, nu),
-        }
+        rates = {}
+        for label, route in routes.items():
+            try:
+                rates[label] = route(cache, nu)
+            except (TooFewPeaks, MarginNonPositive) as err:
+                reasons.append(f"{label}_nu{nu:g}: {type(err).__name__}: {err}")
         names = list(rates)
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
@@ -545,10 +549,12 @@ def criterion_4(cache=None) -> CriterionResult:
         for label, value in rates.items():
             measured[f"{label}_nu{nu:g}"] = value
     measured["worst_pairwise_gap"] = worst_gap
+    if reasons:
+        measured["reason"] = "; ".join(reasons)
     wall_ok = time.perf_counter() - t0 < 120.0
-    ok = worst_gap <= RATE_GAP_TOL and wall_ok
+    ok = not reasons and worst_gap <= RATE_GAP_TOL and wall_ok
     return _result(
-        4, "damping_rate_three_routes", t0, ok, measured,
+        4, t0, ok, measured,
         {"worst_pairwise_gap": f"<= {RATE_GAP_TOL:g}", "wall_seconds": "< 120"},
     )
 
@@ -564,7 +570,7 @@ def criterion_5(cache=None) -> CriterionResult:
     measured.update((f"decade_ratio_{decade[a]}_{decade[b]}", sups[a] / sups[b])
                     for a, b in zip(nus, nus[1:]))
     return _result(
-        5, "collision_continuity", t0, shrinks.passed and decades.passed, measured,
+        5, t0, shrinks.passed and decades.passed, measured,
         {"sup_diffs": shrinks.tolerance, "decade_ratios": decades.tolerance},
     )
 
@@ -636,7 +642,7 @@ def criterion_6(cache=None) -> CriterionResult:
             res_dev = max(res_dev, abs(abs(r2) / abs(r1) - 2.0))
     ok = converged and worst <= 1e-8 and res_dev <= 1e-12 and cases == 100
     return _result(
-        6, "free_streaming_identities", t0, ok,
+        6, t0, ok,
         {"grid_points": cases, "quadrature_converged": converged,
          "worst_quadrature_error": worst, "resonance_scaling_deviation": res_dev},
         {"grid_points": "= 100",
@@ -650,18 +656,11 @@ def criterion_7(cache=None) -> CriterionResult:
     """Random phase-integral battery: never above its case bound, and on the
     bound where the bound is exact (l = k)."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7031)
-    cases = []
-    for _ in range(200):
-        k = int(rng.integers(1, 9))
-        l = int(rng.integers(-12, 13))
-        alpha = float(rng.uniform(0.1, 0.9))
-        t = float(rng.uniform(0.5, 30.0))
-        cases.append((k, l, *piecewise_integral_check(k, l, alpha, t)))
+    cases = random_phase_table(np.random.default_rng(7031), 200, 30.0)
     table_ok, measured = phase_table_gate(cases)
     wall_ok = time.perf_counter() - t0 < 30.0
     return _result(
-        7, "phase_integral_table", t0, table_ok and wall_ok, measured,
+        7, t0, table_ok and wall_ok, measured,
         {"violations": f"= 0 ({PHASE_BOUND_GATE})",
          "exact_case_gap": EXACT_CASE_GATE,
          "wall_seconds": "< 30"},
@@ -693,7 +692,7 @@ def criterion_8(cache=None) -> CriterionResult:
                 bwd_worst = max(bwd_worst, numeric / (BACKWARD_MOMENT_CONSTANT * shape))
     ok = exponent >= floor and fwd_worst <= 1.0 and bwd_worst <= 1.0
     return _result(
-        8, "moment_decay_shapes", t0, ok,
+        8, t0, ok,
         {
             "dyadic_exponent": exponent,
             "exponent_floor": floor,
@@ -728,7 +727,7 @@ def criterion_9(cache=None) -> CriterionResult:
     ok = (arrival.passed and contrast.passed and quiet_peak < 1e-10 and wall_ok
           and abs(seed_ratio - 2.0) <= 0.2 and abs(force_ratio - 2.0) <= 0.2)
     return _result(
-        9, "plasma_echo_arrival", t0, ok,
+        9, t0, ok,
         {
             "t_predicted": base.t_predicted,
             "t_measured": base.t_measured,
@@ -760,7 +759,7 @@ def criterion_10(cache=None) -> CriterionResult:
         measured[f"slack_{item}"] = slack.measured["max_slack"]
         ok = ok and slack.passed
     return _result(
-        10, "norm_battery", t0, ok, measured,
+        10, t0, ok, measured,
         {"slacks": f"< {_SLACK_TEXT} on items i, ii, viii, viiii, iX"},
     )
 
@@ -808,7 +807,7 @@ def criterion_11(cache=None) -> CriterionResult:
         and rep.max_envelope_ratio < 1.0
     )
     return _result(
-        11, "weighted_growth_control", t0, ok,
+        11, t0, ok,
         {
             "hypothesis_ratio": rep.max_hypothesis_ratio,
             "crude_bound_ratio": rep.max_crude_ratio,
@@ -828,13 +827,11 @@ def criterion_12(cache=None) -> CriterionResult:
     ok = True
     for (_, nu), (hist, _) in zip(LANDAU_KEYS, _run_products(cache, *LANDAU_KEYS)):
         fit = check_decay_fit(hist, 1, FIT_WINDOW, lambda: _dispersion_rate(cache, nu))
-        measured[f"slope_nu{nu:g}"] = fit.measured["fit_rate"]
-        measured[f"predicted_nu{nu:g}"] = fit.measured["predicted"]
-        measured[f"gap_nu{nu:g}"] = fit.measured["gap"]
-        measured[f"fit_rms_nu{nu:g}"] = fit.measured["fit_rms"]
+        for key, value in fit.measured.items():
+            measured[f"{'slope' if key == 'fit_rate' else key}_nu{nu:g}"] = value
         ok = ok and fit.passed
     return _result(
-        12, "field_decay_slope", t0, ok, measured, {"fit": fit.tolerance},
+        12, t0, ok, measured, {"fit": fit.tolerance},
     )
 
 

@@ -50,7 +50,7 @@ from .echo import (
     PHASE_BOUND_GATE,
     echo_time,
     phase_table_gate,
-    piecewise_integral_check,
+    random_phase_table,
 )
 from .errors import (
     EchoBeyondRecurrence,
@@ -242,16 +242,8 @@ def _run_collision_sweep(config: SimConfig):
 
 
 def _run_kernel_bounds(config: SimConfig):
-    rng = np.random.default_rng(config.seed)
-    alpha = config.kernel_alpha
-    rows, cases = [], []
-    for _ in range(config.kernel_cases):
-        k = int(rng.integers(1, 9))
-        l = int(rng.integers(-12, 13))
-        t = float(rng.uniform(0.5, config.t_end))
-        numeric, bound = piecewise_integral_check(k, l, alpha, t)
-        rows.append([k, l, alpha, t, numeric, bound, numeric / bound])
-        cases.append((k, l, numeric, bound))
+    cases = random_phase_table(np.random.default_rng(config.seed), config.kernel_cases,
+                               config.t_end, alpha=config.kernel_alpha)
     passed, measured = phase_table_gate(cases)
     criteria = [CriterionResult(
         None, "quadrature_under_bound", passed, measured,
@@ -259,7 +251,8 @@ def _run_kernel_bounds(config: SimConfig):
     )]
     files = {
         "kernel_table.csv": [_csv_bytes(
-            ["k", "l", "alpha", "t", "numeric", "bound", "ratio"], rows
+            ["k", "l", "alpha", "t", "numeric", "bound", "ratio"],
+            [[*case, case[-2] / case[-1]] for case in cases],
         )]
     }
     return criteria, files

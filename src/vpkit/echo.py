@@ -41,6 +41,7 @@ __all__ = [
     "echo_kernel",
     "piecewise_integral_check",
     "phase_table_gate",
+    "random_phase_table",
     "PHASE_BOUND_GATE",
     "EXACT_CASE_GATE",
     "echo_moment_forward",
@@ -277,16 +278,30 @@ def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
     return numeric, bound
 
 
+def random_phase_table(rng, count: int, t_max: float, alpha=None):
+    """count random phase-integral cases (k, l, alpha, t, numeric, bound),
+    drawn from rng in the order k in 1..8, l in -12..12, alpha uniform in
+    [0.1, 0.9] (only when alpha is None), t uniform in [0.5, t_max]."""
+    cases = []
+    for _ in range(count):
+        k = int(rng.integers(1, 9))
+        l = int(rng.integers(-12, 13))
+        a = float(rng.uniform(0.1, 0.9)) if alpha is None else alpha
+        t = float(rng.uniform(0.5, t_max))
+        cases.append((k, l, a, t, *piecewise_integral_check(k, l, a, t)))
+    return cases
+
+
 def phase_table_gate(cases):
-    """The two-sided gate of a phase-integral table of (k, l, numeric, bound)
-    cases: no numeric above its bound by more than a relative 1e-12 of
-    rounding (PHASE_BOUND_GATE), and |numeric/bound - 1| <= 1e-12 on the
-    l = k cases, where the bound is exact (EXACT_CASE_GATE), so a numeric
+    """The two-sided gate of a phase-integral table of (k, l, alpha, t,
+    numeric, bound) cases: no numeric above its bound by more than a relative
+    1e-12 of rounding (PHASE_BOUND_GATE), and |numeric/bound - 1| <= 1e-12 on
+    the l = k cases, where the bound is exact (EXACT_CASE_GATE), so a numeric
     that comes out too small fails too. A table without an l = k case has
     nothing to hold to the second side: it reports exact_cases = 0 and a NaN
     gap. Returns (passed, measured)."""
-    violations = sum(numeric > bound * (1.0 + 1e-12) for _, _, numeric, bound in cases)
-    exact = [abs(numeric / bound - 1.0) for k, l, numeric, bound in cases if l == k]
+    violations = sum(numeric > bound * (1.0 + 1e-12) for *_, numeric, bound in cases)
+    exact = [abs(numeric / bound - 1.0) for k, l, *_, numeric, bound in cases if l == k]
     gap = max(exact, default=math.nan)
     measured = {
         "cases": len(cases),

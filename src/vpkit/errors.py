@@ -70,6 +70,9 @@ class ParseError(VpkitError):
         self.reason = reason
         super().__init__(f"line {line}: {key}: {reason}")
 
+    def __reduce__(self):
+        return type(self), (self.line, self.key, self.reason)
+
 
 class ValidationError(VpkitError):
     """One or more config values violate module preconditions.
@@ -80,3 +83,6 @@ class ValidationError(VpkitError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+    def __reduce__(self):
+        return type(self), (self.problems,)

@@ -12,14 +12,15 @@ decay rate 2*pi*|k|*Im(eta0) and oscillation frequency 2*pi*|k|*Re(eta0) of
 the density. This module houses the kernel, the marching solver for the
 density history, mode reconstruction from the density, the dispersion
 function (Faddeeva-function closed form) and the decay rate of its root, the
-stability scan, the single-particle free-streaming response forms, and a
+stability margin, the single-particle free-streaming response forms, and a
 peak-envelope decay-rate fitter.
 
 Everything here runs on numpy alone: the Faddeeva function is Weideman's
 rational approximation (_faddeeva), the dispersion root a damped Newton
-iteration, and the scan's refinement a port of Nelder-Mead (_nelder_mead).
-The tests hold each to an independent oracle: a 30-digit Faddeeva
-function, direct quadrature of L, and a reference root finder and minimizer.
+iteration, and the stability margin one pass along the real axis per mode
+(_axis_pass). The tests hold each to an independent oracle: a 30-digit
+Faddeeva function, direct quadrature of L, a reference root finder, and a
+dense real-axis scan with a reference minimizer.
 """
 
 from __future__ import annotations
@@ -414,90 +415,101 @@ def dispersion_rate(kern: VolterraKernel) -> float:
     return 2.0 * math.pi * abs(k) * eta.imag
 
 
-# Stopping rules of the scan's Nelder-Mead refinement: simplex spread in
-# eta and in |1 - L|, and the iteration cap.
-_NM_XATOL = 1e-10
-_NM_FATOL = 1e-13
-_NM_MAXITER = 800
-
-
-def _nelder_mead(fun, x0):
-    """Minimize fun over the plane from x0 by the simplex method of Nelder
-    and Mead (Computer Journal 7, 1965): reflection 1, expansion 2,
-    contraction 1/2 and shrink 1/2, with no bounds and no adaptive
-    parameters. The initial simplex (+5% of each nonzero coordinate, else
-    0.00025), the stopping rules and the argsort/take order are those of the
-    reference implementation that the tests match bit for bit in x and fun.
-    Stops when every vertex lies within _NM_XATOL of the best and every value
-    within _NM_FATOL, or after _NM_MAXITER iterations."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for j in range(n):
-        y = x0.copy()
-        y[j] = (1 + 0.05) * y[j] if y[j] != 0 else 0.00025
-        sim[j + 1] = y
-    fsim = np.array([fun(x.copy()) for x in sim])
-    for _ in range(2):  # the reference sorts the initial simplex twice
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    iterations = 1
-    while iterations < _NM_MAXITER:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= _NM_XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= _NM_FATOL):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = fun(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = fun(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = fun(xc)
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:  # inside contraction
-                xcc = 0.5 * xbar + 0.5 * sim[-1]
-                fxcc = fun(xcc)
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = fun(sim[j].copy())
-        iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    return sim[0], np.min(fsim)
-
-
-# The margin scan's coarse grid: SCAN_N_RE x SCAN_N_IM points over
-# |Re eta| <= 1 + 4 s, -(0.5 + 2 s) <= Im eta <= 0, s the kernel's velocity
-# scale (resonances sit near the drift speeds). Modes with |k| > SCAN_K_CUTOFF
-# whose analytic majorant keeps |L| small are bounded without scanning.
-SCAN_N_RE = 121
-SCAN_N_IM = 25
+# Modes with |k| > SCAN_K_CUTOFF whose phase-dropped majorant keeps |L| small
+# are bounded without a pass along the axis.
 SCAN_K_CUTOFF = 8
+# Axis samples per narrowest component spread, the rounds that refine each
+# candidate minimum and the factor each narrows it by, and the margin below
+# which 1 - L has a root.
+_AXIS_PER_SPREAD = 8
+_ZOOM_ROUNDS = 5
+_ZOOM = 64
+_ROOT_MARGIN = 1e-7
 
 
-def _margin_majorant(k, nu, profile, interaction):
-    """Bound for |L| on the closed lower half-plane (all phases dropped), or inf."""
-    what = abs(interaction_hat(interaction, k))
-    tot = 0.0
-    for w, _, s in profile.components:
-        b = 2.0 * np.pi**2 * s * s * k * k
-        if b == 0.0:
-            return np.inf
-        tot += w * (nu * np.sqrt(np.pi) / (2.0 * np.sqrt(b)) + what * k * k / (2.0 * b))
-    return tot
+def _phase_dropped_bounds(k, nu, profile, interaction):
+    """(majorant, slope, tail) of L(., k) with every phase dropped, from the
+    moments int_0^inf t^n exp(-b t^2) dt of each component, b = 2 pi^2 s^2 k^2:
+    |L| <= majorant and |dL/dzeta| <= slope on the closed lower half-plane,
+    and |L(x)| <= tail / |x| on the real axis (by parts in t, with K(0) = nu:
+    tail = (nu + int |K'|) / (2 pi |k|)). A b out of float range raises
+    ConstraintViolation."""
+    q = abs(interaction_hat(interaction, k)) * k * k
+    majorant = slope = variation = 0.0
+    for w, c, s in profile.components:
+        b = 2.0 * math.pi**2 * s * s * k * k
+        if not 0.0 < b < math.inf:
+            raise ConstraintViolation(
+                f"mode k = {k}: spread {s!r} puts the kernel's Gaussian rate {b!r} out of range"
+            )
+        m0 = math.sqrt(math.pi) / (2.0 * math.sqrt(b))  # int exp(-b t^2)
+        m1 = 1.0 / (2.0 * b)  # int t exp(-b t^2); int t^2 exp(-b t^2) = m0 m1
+        bound = nu * m0 + q * m1
+        majorant += w * bound
+        slope += w * (nu * m1 + q * m0 * m1)
+        # |K'| <= exp(-b t^2) ((nu + 2 pi |c k| + 2 b t)(nu + q t) + q), q = |W_hat| k^2
+        variation += w * ((nu + 2.0 * math.pi * abs(c * k)) * bound + nu + 2.0 * q * m0)
+    scale = 2.0 * math.pi * abs(k)
+    return majorant, scale * slope, (nu + variation) / scale
+
+
+def _axis_pass(k, nu, profile, interaction, slope, tail):
+    """(winding, margin, x) of 1 - L(x, k) along the real axis.
+
+    The samples sit at x = a sinh(j h / a), a = max |c| + 8 s over the
+    components, h their narrowest spread / _AXIS_PER_SPREAD: spacing h
+    where the resonances sit, growing like |x| beyond. They reach 2 tail,
+    past which |L| <= 1/2 adds no winding, and tail / (1 - m) for the
+    smallest sampled margin m < 1, past which |1 - L| >= m. A gap longer
+    than max |1 - L| at its ends / (2 slope) is halved until none is, so
+    1 - L turns by less than pi/6 across each and the principal arg
+    differences sum to the exact winding. The pass stops halving once a
+    sample's |1 - L| falls below _ROOT_MARGIN. The smallest sample, and
+    every local minimum of the samples that the slope bound lets fall below
+    it, is refined by _ZOOM_ROUNDS resamplings at 2 _ZOOM + 1 points from
+    neighbour to neighbour, each round _ZOOM times narrower around the
+    smallest.
+    """
+    what = interaction_hat(interaction, k)
+
+    def gap(x):
+        return 1.0 - _L_closed(x + 0j, k, nu, profile, what)
+
+    core = max(abs(c) + 8.0 * s for _, c, s in profile.components)
+    h = min(s for _, _, s in profile.components) / _AXIS_PER_SPREAD
+
+    def sample(reach):
+        n = math.ceil(core * math.asinh(reach / core) / h)
+        x = core * np.sinh(np.arange(-n, n + 1) * (h / core))
+        return x, gap(x)
+
+    x, f = sample(max(core, 2.0 * tail))
+    m = float(np.min(np.abs(f)))
+    if m < 1.0 and tail / (1.0 - m) > x[-1]:
+        x, f = sample(tail / (1.0 - m))
+    while True:
+        size = np.abs(f)
+        if not np.all(np.isfinite(size)):
+            raise ConstraintViolation(f"mode k = {k}: |1 - L| on the real axis is not finite")
+        if size.min() < _ROOT_MARGIN:
+            break
+        long = np.flatnonzero(2.0 * slope * np.diff(x) > np.maximum(size[:-1], size[1:]))
+        if long.size == 0:
+            break
+        mid = 0.5 * (x[long] + x[long + 1])
+        x, f = np.insert(x, long + 1, mid), np.insert(f, long + 1, gap(mid))
+    turn = np.angle(f[0]) + np.sum(np.angle(f[1:] / f[:-1])) - np.angle(f[-1])
+    dips = ((size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
+            & (size[1:-1] - slope * (x[2:] - x[:-2]) < size.min()))
+    dips[np.argmin(size[1:-1])] = True
+    i = np.flatnonzero(dips) + 1
+    at, width = x[i], np.maximum(x[i + 1] - x[i], x[i] - x[i - 1])
+    for _ in range(_ZOOM_ROUNDS):
+        t = at[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 2 * _ZOOM + 1)
+        v = np.abs(gap(t))
+        at, width = t[np.arange(at.size), np.argmin(v, axis=1)], width / _ZOOM
+    m0, x0 = v.flat[np.argmin(v)], t.flat[np.argmin(v)]
+    return round(turn / (2.0 * math.pi)), float(m0), float(x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,79 +536,52 @@ def stability_scan(k_range, nu: float, kern_family) -> StabilityReport:
 
     k_range is an inclusive (k_min, k_max) interval of integer modes; k = 0
     carries no field and is skipped. kern_family is a callable k -> kernel
-    supplying the profile and interaction per mode. Minima below 1 found on
-    the coarse grid (SCAN_N_RE x SCAN_N_IM) are refined by Nelder-Mead (clamped to Im eta <= 0). A margin below
-    root tolerance means 1 - L has a zero in the closed lower half-plane and
-    MarginNonPositive is raised: the configuration supports a non-decaying
-    mode and downstream growth control must refuse it. A margin or majorant
-    that is not finite raises ConstraintViolation instead of being skipped.
+    supplying the profile and interaction per mode.
+
+    1 - L is analytic in zeta = conj(eta) there and tends to 1 at infinity,
+    so its winding along the real axis counts its zeros (Penrose 1960), and
+    with none its infimum lies on the axis (_axis_pass). A nonzero winding
+    or an axis margin below _ROOT_MARGIN raises MarginNonPositive: the
+    configuration supports a non-decaying mode and downstream growth control
+    must refuse it. Otherwise the margin is the axis minimum, at frequency
+    (x, +0.0), or 1, the limit at infinity, at (inf, +0.0) where the axis
+    minimum exceeds 1. A bound or margin that is not finite raises
+    ConstraintViolation instead of being skipped.
     """
     kmin, kmax = int(k_range[0]), int(k_range[1])
     modes = [k for k in range(kmin, kmax + 1) if k != 0]
     if not modes:
         raise ConstraintViolation("k_range contains no nonzero modes")
 
-    margins: dict[int, tuple[float, complex]] = {}
+    margins: dict[int, tuple[float, float, float]] = {}
     skipped: dict[int, float] = {}
-    best = (np.inf, 0, 0j)
+    best = (math.inf, 0, 0j)
     for k in modes:
         kern = kern_family(k)
-        re_max = 1.0 + 4.0 * kern.velocity_scale
-        im_max = 0.5 + 2.0 * kern.velocity_scale
-        majorant = _margin_majorant(k, nu, kern.profile, kern.interaction)
-        if not np.isfinite(majorant):
-            raise ConstraintViolation(f"mode k = {k}: |L| majorant {majorant!r} is not finite")
+        bounds = _phase_dropped_bounds(k, nu, kern.profile, kern.interaction)
+        if not all(map(math.isfinite, bounds)):
+            raise ConstraintViolation(f"mode k = {k}: |L| bounds {bounds!r} are not finite")
+        majorant, slope, tail = bounds
         if abs(k) > SCAN_K_CUTOFF and majorant <= 0.5:
-            skipped[k] = 1.0 - majorant
-            continue
-        grid = (
-            np.linspace(-re_max, re_max, SCAN_N_RE)[None, :]
-            + 1j * np.linspace(-im_max, 0.0, SCAN_N_IM)[:, None]
-        )
-        what = interaction_hat(kern.interaction, k)
-        mvals = np.abs(1.0 - _L_closed(grid, k, nu, kern.profile, what))
-        flat = int(np.argmin(mvals))
-        m0 = float(mvals.flat[flat])
-        e0 = complex(grid.flat[flat])
-        if m0 < 1.0:
-
-            def objective(xy):
-                x, y = xy
-                eta = complex(x, min(y, 0.0))
-                val = abs(1.0 - _L_closed(eta, k, nu, kern.profile, what))
-                return val + max(y, 0.0)
-
-            x, fun = _nelder_mead(objective, [e0.real, e0.imag])
-            if fun < m0:
-                m0 = float(fun)
-                e0 = complex(x[0], min(x[1], 0.0))
-        if not np.isfinite(m0):
-            raise ConstraintViolation(f"mode k = {k}: margin |1 - L| = {m0!r} is not finite")
-        margins[k] = (m0, e0)
-        if m0 < best[0]:
-            best = (m0, k, e0)
-        if m0 < 1e-7:
-            raise MarginNonPositive(
-                f"root of 1 - L at eta = {e0:.6g} for mode k = {k} (margin {m0:.3e}): "
-                "configuration supports a non-decaying mode"
-            )
-
-    kappa = best[0]
-    worst_mode = best[1]
-    worst_eta = best[2]
-    tail_bound = min(skipped.values()) if skipped else None
-    if tail_bound is not None and tail_bound < kappa:
-        kappa = tail_bound
-        worst_mode = min(skipped, key=skipped.get)
-        worst_eta = 0j
+            margin = skipped[k] = 1.0 - majorant
+            eta = 0j
+        else:
+            winding, margin, x = _axis_pass(k, nu, kern.profile, kern.interaction, slope, tail)
+            if margin > 1.0:
+                margin, x = 1.0, math.inf
+            eta = complex(x, 0.0)
+            margins[k] = (margin, x, 0.0)
+            if winding or margin < _ROOT_MARGIN:
+                raise MarginNonPositive(
+                    f"1 - L winds {winding} time(s) along the real axis for mode k = {k} "
+                    f"(margin {margin:.3e} at eta = {eta:.6g}): "
+                    "configuration supports a non-decaying mode"
+                )
+        if margin < best[0]:
+            best = (margin, k, eta)
     return StabilityReport(
-        kappa=float(kappa),
-        worst_mode=int(worst_mode),
-        worst_frequency=worst_eta,
-        scan={
-            "margins": {k: (m, e.real, e.imag) for k, (m, e) in margins.items()},
-            "skipped_lower_bounds": dict(skipped),
-        },
+        kappa=float(best[0]), worst_mode=int(best[1]), worst_frequency=best[2],
+        scan={"margins": margins, "skipped_lower_bounds": skipped},
     )
 
 

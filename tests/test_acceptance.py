@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vpkit import acceptance
+from vpkit import acceptance, echo
 from vpkit.acceptance import CRITERIA, SUITES, BatteryReport, run_battery
-from vpkit.errors import ConstraintViolation
+from vpkit.errors import ConstraintViolation, TooFewPeaks
 from vpkit.kinetic import RESOLUTION_TOL, EchoReport
 from vpkit.lintheory import free_streaming_response
 
@@ -187,13 +187,13 @@ def test_criterion_07_phase_integral_table(cache):
 
 def test_criterion_07_fails_on_phase_integrals_that_come_out_too_small(monkeypatch):
     # halved values stay under every bound; the exact l = k cases catch them
-    real = acceptance.piecewise_integral_check
+    real = echo.piecewise_integral_check
 
     def halved(*args):
         numeric, bound = real(*args)
         return 0.5 * numeric, bound
 
-    monkeypatch.setattr(acceptance, "piecewise_integral_check", halved)
+    monkeypatch.setattr(echo, "piecewise_integral_check", halved)
     result = acceptance.criterion_7()
     assert not result.passed
     assert result.measured["violations"] == 0
@@ -262,6 +262,21 @@ def test_criterion_12_field_decay_slope(cache):
     for nu_tag in ("nu0", "nu0.01"):
         assert result.measured[f"gap_{nu_tag}"] <= 0.05
         assert result.measured[f"fit_rms_{nu_tag}"] < 0.05
+
+
+def test_decay_criteria_fail_with_their_numbers_when_no_fit_can_be_had(monkeypatch):
+    def no_peaks(series, window):
+        raise TooFewPeaks("found 0 envelope peaks")
+
+    monkeypatch.setattr(acceptance, "damping_rate_fit", no_peaks)
+    c4, c12 = run_battery("linear_landau").results
+    for result in (c4, c12):
+        assert not result.passed, result.line()
+        assert "error" not in result.measured
+        assert any(key.startswith("reason") for key in result.measured)
+    assert "volterra_nu0: TooFewPeaks: found 0 envelope peaks" in c4.measured["reason"]
+    assert c4.measured["dispersion_nu0"] > 0.0
+    assert c12.measured["reason_nu0"] == "TooFewPeaks: found 0 envelope peaks"
 
 
 class TestBattery:

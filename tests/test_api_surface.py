@@ -8,9 +8,12 @@ by its own unit tests fails here.
 """
 
 import ast
+import pickle
 from pathlib import Path
 
 import pytest
+
+from vpkit import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vpkit"
@@ -94,6 +97,24 @@ HANDLED = set().union(*(_handled(tree) for tree in SOURCES.values()))
 @pytest.mark.parametrize("name", ERRORS)
 def test_every_error_class_is_raised_or_caught(name):
     assert name in HANDLED, f"vpkit.errors.{name} is neither raised nor caught in src/"
+
+
+# constructor arguments of the error classes that take more than a message
+ERROR_ARGS = {
+    "ParseError": (3, "dt", "not a number"),
+    "ValidationError": (["a", "b"],),
+    "ResolutionExceeded": ("edge band", 0.25, 7.5),
+}
+
+
+@pytest.mark.parametrize("name", ERRORS)
+def test_every_error_survives_a_pickle_round_trip(name):
+    # a forked lane sends its exception back as a pickle
+    error = getattr(errors, name)(*ERROR_ARGS.get(name, ("message",)))
+    copy = pickle.loads(pickle.dumps(error, pickle.HIGHEST_PROTOCOL))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vpkit import acceptance as battery
-from vpkit import cli, kinetic
+from vpkit import cli, echo, kinetic
 from vpkit.cli import (
     SCENARIOS,
     _columns_csv,
@@ -689,13 +689,13 @@ class TestRuns:
         self, tmp_path, monkeypatch
     ):
         # halved values stay under every bound; the exact l = k cases catch them
-        real = cli.piecewise_integral_check
+        real = echo.piecewise_integral_check
 
         def halved(*args):
             numeric, bound = real(*args)
             return 0.5 * numeric, bound
 
-        monkeypatch.setattr(cli, "piecewise_integral_check", halved)
+        monkeypatch.setattr(echo, "piecewise_integral_check", halved)
         config = replace(parse_config(SHIPPED_CONFIGS / "kernel_table.ini"),
                          out_dir=str(tmp_path / "out"))
         report = run_scenario(config)
