@@ -7,8 +7,8 @@ e^{2 pi (lam t + mu)}, and the result phi must obey three nested statements:
   crude bound  |phi| <= 2A exp(C (...t + t^2...)), valid but enormous
   envelope     the calibrated bound C A ... e^{nu t}, tight enough to use
 
-growth_verify checks all three on a grid of times and raises if any fails;
-here they pass with room to spare, and the script prints how much.
+growth_verify reports, for each, its largest ratio to the bound on a grid of
+times; here all three hold with room to spare, and the script prints how much.
 
 Run:  python3 demos/demo_growth_envelope.py   (about a second)
 """

@@ -14,16 +14,19 @@ Run:  python3 demos/demo_plasma_echo.py   (about four seconds)
 
 from vpkit.acceptance import ECHO, ECHO_CONFIG
 from vpkit.echo import echo_time
-from vpkit.kinetic import echo_experiment
+from vpkit.kinetic import echo_report, echo_traces
 
 # The echo_experiment scenario's defaults, as `vpkit run` and the battery use them.
 L, FORCE, S = ECHO.echo.l, ECHO.echo.force_mode, ECHO.echo.s_force
 EPS1, EPS2 = ECHO.echo.eps1, ECHO.echo.eps2
-# One dict for all three experiments: each distinct run (three kicked, two
-# unkicked baselines) is marched once.
-MARCHES = {}
+# Three kicked runs and their two unkicked baselines: 5 distinct runs from 2
+# seeds, each seed's steps before the kick marched once.
+base, quiet, seed2, quiet2, kick2 = echo_traces(
+    ECHO_CONFIG, L, FORCE, S,
+    [(EPS1, EPS2), (EPS1, 0.0), (2 * EPS1, EPS2), (2 * EPS1, 0.0), (EPS1, 2 * EPS2)],
+)
 
-report = echo_experiment(ECHO_CONFIG, L, FORCE, S, eps1=EPS1, eps2=EPS2, marches=MARCHES)
+report = echo_report(L, FORCE, S, base, quiet)
 contrast = report.peak_amp / report.baseline_amp
 print(f"seed mode {L}, force mode {FORCE} at s = {S:g}  ->  response mode {report.k}")
 print(f"  predicted arrival t* = {report.t_predicted:g}")
@@ -34,8 +37,8 @@ print(f"  quiet baseline      = {report.baseline_amp:.3e}  "
       f"(contrast {contrast:.0f}x)")
 
 # The echo is a second-order effect: linear in the seed and in the kick.
-double_seed = echo_experiment(ECHO_CONFIG, L, FORCE, S, eps1=2 * EPS1, eps2=EPS2, marches=MARCHES)
-double_kick = echo_experiment(ECHO_CONFIG, L, FORCE, S, eps1=EPS1, eps2=2 * EPS2, marches=MARCHES)
+double_seed = echo_report(L, FORCE, S, seed2, quiet2)
+double_kick = echo_report(L, FORCE, S, kick2, quiet)
 print()
 print(f"doubling the seed multiplies the peak by "
       f"{double_seed.peak_amp / report.peak_amp:.3f}")

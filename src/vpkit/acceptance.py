@@ -3,7 +3,7 @@
 Each criterion_* function runs one self-contained numerical check and returns
 a CriterionResult holding the measured numbers next to the tolerances they
 were held to, plus its wall time (criteria with a time budget fail when they
-blow it). Expensive products (Landau runs, Volterra marches, dispersion
+blow it). Expensive products (Landau runs, Volterra solutions, dispersion
 roots) are built once per battery through a shared cache, and the
 conservation audit inspects the same histories the physics checks used.
 The kinetic runs a criterion needs that do not depend on each other (the
@@ -70,10 +70,10 @@ from .kinetic import (
     _march,
     _side_by_side,
     collision_substep,
-    echo_experiment,
     echo_peak,
+    echo_report,
+    echo_traces,
     equilibrium_state,
-    march_echo_runs,
     perturb_density,
     rho_hat,
     run,
@@ -350,11 +350,6 @@ def norm_battery_report(seed: int) -> PropertyReport:
     return prop13_battery(suite, params)
 
 
-def _audit_history(cache, label, hist: FieldHistory) -> None:
-    """Record the mass drift of a finished run for criterion 3."""
-    cache.setdefault("audit", {})[label] = mass_drift(hist)
-
-
 # The nonlinear run of criterion 3's audit, at ten times the Landau amplitude.
 NONLINEAR_CONFIG = KineticRun(
     profile=PROFILE_UNIT, interaction=REPULSIVE, nu=0.01,
@@ -371,15 +366,9 @@ _RUNS = {**{key: (replace(LANDAU_CONFIG, nu=key[1]), f"landau nu={key[1]:g}")
 
 def _run_products(cache, *keys) -> list:
     """The (history, diagnostics) of each run of _RUNS named by keys, marched
-    once per cache: the runs not yet in it side by side (_side_by_side), each
-    audited for criterion 3 and its stop noted there."""
+    once per cache: the runs not yet in it side by side (_side_by_side)."""
     todo = [key for key in keys if key not in cache]
-    for key, (hist, diag) in zip(todo, _side_by_side([partial(run, _RUNS[key][0])
-                                                       for key in todo])):
-        cache[key] = hist, diag
-        label = _RUNS[key][1]
-        _audit_history(cache, label, hist)
-        cache.setdefault("stops", {})[label] = diag["stop_reason"], diag["stop_time"]
+    cache.update(zip(todo, _side_by_side([partial(run, _RUNS[key][0]) for key in todo])))
     return [cache[key] for key in keys]
 
 
@@ -392,7 +381,8 @@ def _free_transport_products(cache):
     spectrum of the -k row at mid-run, 40 percent of the recurrence time 1/dv
     (past that the shifted transform center leaves the eta window). The
     resolution guard's peak and first trip time are reported, not gated.
-    Returns (check_exact_shift of the march, the spectrum error).
+    Returns (check_exact_shift of the march, the spectrum error, the mass
+    drift of its history).
     """
     key = ("free",)
     if key not in cache:
@@ -403,8 +393,8 @@ def _free_transport_products(cache):
         want_row = 0.5 * free.amplitude * profile_fourier(
             free.profile, snap.eta_grid - free.k_pert * state.time)
         got_row = snap.coeffs[free.k_max - free.k_pert]
-        cache[key] = check_exact_shift(march), float(np.max(np.abs(got_row - want_row)))
-        _audit_history(cache, "free transport", march["hist"])
+        cache[key] = (check_exact_shift(march), float(np.max(np.abs(got_row - want_row))),
+                      mass_drift(march["hist"]))
     return cache[key]
 
 
@@ -439,7 +429,7 @@ def criterion_1(cache=None) -> CriterionResult:
     """Free transport reproduces the exact spectral shift."""
     cache = _cache(cache)
     t0 = time.perf_counter()
-    shift, spectrum_error = _free_transport_products(cache)
+    shift, spectrum_error, _ = _free_transport_products(cache)
     march, t_end = shift.measured, FREE_TRANSPORT.run.t_end
     ok = shift.passed and spectrum_error < EXACT_SHIFT_TOL and time.perf_counter() - t0 < 10.0
     return _result(
@@ -505,20 +495,23 @@ def criterion_3(cache=None) -> CriterionResult:
     """Mass audit over every marched history (its field is derived from rho_hat)."""
     cache = _cache(cache)
     t0 = time.perf_counter()
-    _free_transport_products(cache)
-    _run_products(cache, *LANDAU_KEYS, ("nonlinear",))
-    audit = cache["audit"]
-    mass = check_mass_drift(max(audit.values()))
-    measured = {"runs_audited": len(audit), "max_mass_drift": mass.measured["relative_drift"]}
+    drifts = {"free transport": _free_transport_products(cache)[2]}
+    keys = (*LANDAU_KEYS, ("nonlinear",))
+    runs = {_RUNS[key][1]: products for key, products in zip(keys, _run_products(cache, *keys))}
+    drifts.update((label, mass_drift(hist)) for label, (hist, _) in runs.items())
+    mass = check_mass_drift(max(drifts.values()))
+    measured = {"runs_audited": len(drifts), "max_mass_drift": mass.measured["relative_drift"]}
     # a run that stopped early audits a truncated history: the criterion
     # names the first one (a wrapper of kinetic.run in this process does
     # not see a run marched in a forked lane)
-    stopped = [(label, stop) for label, stop in cache["stops"].items() if stop[0] != "t_end"]
+    stopped = [(label, diag) for label, (_, diag) in runs.items()
+               if diag["stop_reason"] != "t_end"]
     if stopped:
-        label, (reason, stop_time) = stopped[0]
-        measured.update(stopped_run=label, stop_reason=reason, stop_time=stop_time)
+        label, diag = stopped[0]
+        measured.update(stopped_run=label, stop_reason=diag["stop_reason"],
+                        stop_time=diag["stop_time"])
     return _result(
-        3, t0, mass.passed and len(audit) >= 4 and not stopped,
+        3, t0, mass.passed and len(drifts) >= 4 and not stopped,
         measured,
         {"runs_audited": ">= 4", "max_mass_drift": mass.tolerance,
          "stop_reason": "t_end for every kinetic run"},
@@ -710,15 +703,14 @@ def criterion_9(cache=None) -> CriterionResult:
     t0 = time.perf_counter()
     key = ("echo",)
     if key not in cache:
-        # the default probe with its baseline, then the peaks of the unforced
-        # run and of each amplitude doubled: 4 marches from 2 prefixes, the
-        # unforced one shared, all made side by side first
+        # the default probe against its unforced baseline, then the peaks of
+        # that baseline and of each amplitude doubled: 4 runs from 2 prefixes
         e = ECHO.echo
-        probe = (ECHO_CONFIG, e.l, e.force_mode, e.s_force)
         runs = ((e.eps1, e.eps2), (e.eps1, 0.0), (2 * e.eps1, e.eps2), (e.eps1, 2 * e.eps2))
-        march_echo_runs(*probe, runs, cache)
-        cache[key] = (echo_experiment(*probe, e.eps1, e.eps2, marches=cache),) + tuple(
-            echo_peak(*probe, eps1, eps2, cache)[1] for eps1, eps2 in runs[1:])
+        probe, quiet, *doubled = echo_traces(ECHO_CONFIG, e.l, e.force_mode, e.s_force, runs)
+        base = echo_report(e.l, e.force_mode, e.s_force, probe, quiet)
+        cache[key] = (base,) + tuple(echo_peak(trace, e.s_force, base.t_predicted)[1]
+                                     for trace in (quiet, *doubled))
     base, quiet_peak, seed_peak, force_peak = cache[key]
     arrival, contrast = check_echo_arrival(base), check_echo_contrast(base)
     seed_ratio = seed_peak / base.peak_amp

@@ -37,14 +37,6 @@ class UnstableConfiguration(VpkitError):
     """Growth-control bounds were requested for a configuration with no margin."""
 
 
-class InequalityViolated(VpkitError):
-    """A pointwise integral inequality failed on the supplied data."""
-
-
-class EnvelopeExceeded(VpkitError):
-    """A trajectory escaped its certified envelope."""
-
-
 class ResolutionExceeded(VpkitError):
     """Filamentation reached the velocity grid; results past here are artifacts.
 

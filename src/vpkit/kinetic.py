@@ -14,7 +14,7 @@ real DFT matrix products over per-thread scratch, and v uses real FFTs.
 The constants of a step sit in a read-only plan cached per (grid, dt, W,
 profile, nu), and one kernel applies a plan to half-storage rows: step()
 runs it once on a fresh buffer, and every multi-step run (run, the echo
-marches, the free-transport march) goes through one march that advances its
+runs, the free-transport march) goes through one march that advances its
 own copy of the rows in place, records on the rows, and builds a PhaseState
 only for the states it hands out.
 
@@ -31,7 +31,7 @@ Module contents:
   * PhaseState / equilibrium_state / perturb_density -- state construction,
   * step / collision_substep / poisson_field -- the integrator pieces,
   * run -- a full simulation with field history and scalar diagnostics,
-  * echo_experiment / echo_peak / march_echo_runs -- impulsive two-mode probe
+  * echo_traces / echo_report / echo_experiment -- impulsive two-mode probe
     locating the plasma echo,
   * FieldHistory -- the recorded density modes and the field they define.
 
@@ -709,8 +709,8 @@ def _march(config: KineticRun, state: PhaseState, n0: int, n1: int, *, guard: st
     before anything computed from such a state is recorded or returned. It
     then runs the resolution guard and takes the l2 norm and the momentum.
     guard names what a trip does: "raise" propagates the ResolutionExceeded
-    (echo marches); "stop" ends the march without the tripping record (run);
-    "observe" records the tripping fraction and marches on (the
+    (echo runs); "stop" ends the march without the tripping record (run);
+    "observe" records the tripping fraction and goes on (the
     free-transport march, whose exact-shift check is the stronger test).
     keep names a step whose state is handed out too.
     """
@@ -829,7 +829,7 @@ def _side_by_side(calls) -> list:
     pipe, and whose warnings are issued again here. A lane whose fork fails
     runs here too. Lane i is held to the i-th CPU of the affinity mask, and
     this process's mask is restored on return: left to the scheduler, two
-    marches in two processes ran no faster than one after the other on a
+    runs in two processes ran no faster than one after the other on a
     2-CPU virtual machine. A lane stops at its first failing call, and the
     exception raised is that of the first failing call in call order, the
     one a loop over the calls would raise. A child that exits without
@@ -969,81 +969,25 @@ def _echo_trace(config: KineticRun, l: int, m: int, eps2: float, j_kick: int,
     return times, np.hypot(trace.real, trace.imag)
 
 
-def march_echo_runs(config: KineticRun, l: int, m: int, s_force: float, runs,
-                    marches: dict) -> None:
-    """March the echo runs (eps1, eps2) of the probe (config, l, m, s_force)
-    that marches does not hold yet, and keep them there, as _march_mode_trace
-    does: each distinct prefix once, the prefixes side by side, then the runs
-    from them side by side (_side_by_side)."""
-    j_kick = int(round(s_force / config.dt))
-    runs = [(float(eps1), float(eps2)) for eps1, eps2 in dict.fromkeys(runs)]
-    todo = [amps for amps in runs
-            if ("echo_march", config, l, m, float(s_force), *amps) not in marches]
-    seeds = [eps1 for eps1 in dict.fromkeys(eps1 for eps1, _ in todo)
-             if ("echo_prefix", config, l, eps1, j_kick) not in marches]
-    prefixes = _side_by_side([partial(_echo_prefix, config, l, eps1, j_kick) for eps1 in seeds])
-    for eps1, prefix in zip(seeds, prefixes):
-        marches["echo_prefix", config, l, eps1, j_kick] = prefix
-    traces = _side_by_side([
-        partial(_echo_trace, config, l, m, eps2, j_kick,
-                marches["echo_prefix", config, l, eps1, j_kick])
-        for eps1, eps2 in todo])
-    for amps, trace in zip(todo, traces):
-        marches["echo_march", config, l, m, float(s_force), *amps] = trace
-
-
-def _march_mode_trace(
-    marches: dict, config: KineticRun, l: int, m: int, s_force: float, eps1: float, eps2: float
-):
-    """March the echo run and return (times, |rho_hat(t, k)|) for k = l + m,
-    kept in marches under the full march inputs.
-
-    The probe enters as an external field eps2/dt * cos(2 pi m x) held for
-    the single step that starts at s_force, an impulse of total strength
-    eps2 independent of dt. The trace reads stored row |k|: |rho_hat(-k)| =
-    |rho_hat(k)|. The j_kick = s_force/dt steps before the kick depend only
-    on (config, l, eps1): the state after them and the density rows up to
-    them are kept in marches too, and every run from that seed marches only
-    from the kick on. The kicked step is a step() call; the steps before and
-    after it are marches that raise on a resolution-guard trip."""
-    march_echo_runs(config, l, m, s_force, [(eps1, eps2)], marches)
-    return marches["echo_march", config, l, m, float(s_force), float(eps1), float(eps2)]
-
-
-def echo_peak(config: KineticRun, l: int, m: int, s_force: float, eps1: float, eps2: float,
-              marches: dict) -> tuple[float, float, float]:
-    """(time, amplitude) of the parabolic peak of an echo run's mode trace, and
-    the trace's largest sample, over the records from max(3 dt, 0.15 (t* -
-    s_force)) past the kick; the run is marched once per marches dict."""
-    times, trace = _march_mode_trace(marches, config, l, m, s_force, eps1, eps2)
-    t_star = echo_time(l, l + m, s_force)
-    window = times >= s_force + max(3.0 * config.dt, 0.15 * (t_star - s_force))
-    times, trace = times[window], trace[window]
-    i = int(np.argmax(trace))
-    return (*parabolic_peak(times, trace, i), float(trace[i]))
-
-
-def echo_experiment(
-    config: KineticRun, l: int, k_minus_l: int, s_force: float, eps1: float, eps2: float,
-    marches: dict | None = None,
-) -> EchoReport:
-    """Kick a streaming mode-l perturbation at mode k-l and locate the echo.
+def echo_traces(config: KineticRun, l: int, m: int, s_force: float, runs) -> list:
+    """One (times, |rho_hat(t, k)|), k = l + m, per echo run (eps1, eps2) of
+    the probe (config, l, m, s_force), in the order of runs.
 
     An initial density perturbation of size eps1 at mode l free-streams to
-    time s_force, where an impulsive external field of strength eps2 at
-    mode k - l transfers its phase-mixed content to mode k = l + k_minus_l.
-    The mode-k density trace then rises out of nothing at the predicted
-    t* = s_force (k - l)/k; the report carries the predicted and measured
-    peak times and the peak against an unkicked baseline.
-
-    Each distinct march (the kicked run and its eps2 = 0 baseline) is made
-    once per marches dict, the two side by side (march_echo_runs): a call
-    with eps2 = 0 reuses its kicked trace as
-    the baseline, and callers that pass one dict to several experiments
-    share the baselines and repeated runs between them. Runs from the same
-    seed (config, l, eps1) also share their steps before the kick."""
-    l = int(l)
-    m = int(k_minus_l)
+    s_force, where an external field eps2/dt * cos(2 pi m x), held for the
+    single step that starts there (an impulse of total strength eps2
+    independent of dt), transfers its phase-mixed content to mode k. The
+    trace reads stored row |k|: |rho_hat(-k)| = |rho_hat(k)|. The j_kick =
+    s_force/dt steps before the kick depend only on eps1, so they are
+    marched once per distinct eps1, and each distinct run is marched from
+    the kick on; the prefixes go side by side, then the runs (_side_by_side).
+    The kicked step is a step() call; the march before it and the one after
+    it raise on a resolution-guard trip. A probe whose modes leave the band,
+    whose echo falls before the kick, past t_end or past RECURRENCE_SAFETY
+    of the grid recurrence time (EchoBeyondRecurrence), whose kick is off
+    the step grid, or a run without eps1 > 0 and eps2 >= 0, is refused
+    before any march."""
+    l, m = int(l), int(m)
     k = l + m
     if l == 0 or m == 0 or k == 0:
         raise ConstraintViolation("echo probe needs nonzero modes l, k-l and k")
@@ -1051,7 +995,8 @@ def echo_experiment(
         raise ConstraintViolation("echo modes must fit inside the retained band")
     if not (s_force > 0.0):
         raise ConstraintViolation("the kick time must be positive")
-    if not (eps1 > 0.0) or eps2 < 0.0:
+    runs = [(float(eps1), float(eps2)) for eps1, eps2 in runs]
+    if any(not (eps1 > 0.0) or eps2 < 0.0 for eps1, eps2 in runs):
         raise ConstraintViolation("need eps1 > 0 and eps2 >= 0")
     t_star = echo_time(l, k, s_force)
     if t_star is None:
@@ -1071,11 +1016,36 @@ def echo_experiment(
         )
     if not on_step_grid(s_force, config.dt):
         raise ConstraintViolation("s_force must sit on the step grid")
+    j_kick = int(round(s_force / config.dt))
+    distinct = list(dict.fromkeys(runs))
+    seeds = list(dict.fromkeys(eps1 for eps1, _ in distinct))
+    prefixes = dict(zip(seeds, _side_by_side(
+        [partial(_echo_prefix, config, l, eps1, j_kick) for eps1 in seeds])))
+    traces = dict(zip(distinct, _side_by_side(
+        [partial(_echo_trace, config, l, m, eps2, j_kick, prefixes[eps1])
+         for eps1, eps2 in distinct])))
+    return [traces[amps] for amps in runs]
 
-    marches = {} if marches is None else marches
-    march_echo_runs(config, l, m, s_force, [(eps1, eps2), (eps1, 0.0)], marches)
-    t_measured, peak_amp, _ = echo_peak(config, l, m, s_force, eps1, eps2, marches)
-    baseline_amp = echo_peak(config, l, m, s_force, eps1, 0.0, marches)[2]
+
+def echo_peak(trace, s_force: float, t_star: float) -> tuple[float, float, float]:
+    """(time, amplitude) of the parabolic peak of an echo trace (times on the
+    step grid from 0, values), and its largest sample, over the records from
+    max(3 dt, 0.15 (t_star - s_force)) past the kick at s_force."""
+    times, values = trace
+    window = times >= s_force + max(3.0 * times[1], 0.15 * (t_star - s_force))
+    times, values = times[window], values[window]
+    i = int(np.argmax(values))
+    return (*parabolic_peak(times, values, i), float(values[i]))
+
+
+def echo_report(l: int, m: int, s_force: float, kicked, baseline) -> EchoReport:
+    """The EchoReport of the probe (l, m, s_force) from the echo_traces of a
+    kicked run and of its unkicked baseline: the kicked trace's peak against
+    the predicted t* = s_force (k - l)/k, k = l + m, and the baseline's
+    largest sample over the same window."""
+    l, k = int(l), int(l) + int(m)
+    t_star = echo_time(l, k, s_force)
+    t_measured, peak_amp, _ = echo_peak(kicked, s_force, t_star)
     return EchoReport(
         l=l,
         k=k,
@@ -1083,5 +1053,18 @@ def echo_experiment(
         t_predicted=float(t_star),
         t_measured=t_measured,
         peak_amp=peak_amp,
-        baseline_amp=baseline_amp,
+        baseline_amp=echo_peak(baseline, s_force, t_star)[2],
     )
+
+
+def echo_experiment(
+    config: KineticRun, l: int, k_minus_l: int, s_force: float, eps1: float, eps2: float
+) -> EchoReport:
+    """Kick a streaming mode-l perturbation at mode k-l and locate the echo.
+
+    The echo_report of the kicked run (eps1, eps2) against its eps2 = 0
+    baseline, both from one echo_traces call: the mode-k density trace rises
+    out of nothing at the predicted t* = s_force (k - l)/k. A call with
+    eps2 = 0 is one march, its kicked trace read as the baseline."""
+    runs = [(eps1, eps2), (eps1, 0.0)]
+    return echo_report(l, k_minus_l, s_force, *echo_traces(config, l, k_minus_l, s_force, runs))

@@ -102,11 +102,12 @@ class VolterraKernel:
         n = int(round(self.horizon / self.dt))
         times = np.arange(n + 1) * self.dt
         object.__setattr__(self, "times", times)
-        object.__setattr__(
-            self,
-            "samples",
-            _kernel_values(self.nu, self.k, self.profile, self.interaction, times),
-        )
+        # a spread that squares out of float range makes inf * 0 at t = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            samples = _kernel_values(self.nu, self.k, self.profile, self.interaction, times)
+        if not np.all(np.isfinite(samples)):
+            raise ConstraintViolation(f"the kernel of {self.profile} has non-finite samples")
+        object.__setattr__(self, "samples", samples)
 
     @property
     def velocity_scale(self) -> float:

@@ -244,8 +244,8 @@ def test_criterion_11_weighted_growth_control(cache):
 
 
 def test_criterion_11_fails_on_an_envelope_ratio_of_one(monkeypatch):
-    # 1 + 5e-10 is inside growth_verify's own raise slack of 1e-9, so the
-    # report comes back; the criterion still owes its "< 1" tolerance
+    # growth_verify reports its ratios and gates none: an envelope ratio a
+    # hair above 1 must fail the criterion's own "< 1" tolerance
     real = acceptance.growth_verify
 
     def touching(*args, **kwargs):
@@ -255,6 +255,21 @@ def test_criterion_11_fails_on_an_envelope_ratio_of_one(monkeypatch):
     result = acceptance.criterion_11()
     assert not result.passed
     assert result.measured["envelope_ratio"] == 1.0 + 5e-10
+
+
+def test_criterion_11_fails_with_its_ratios_under_a_flipped_volterra_kernel(monkeypatch):
+    from vpkit import lintheory
+
+    real = lintheory._kernel_values
+    monkeypatch.setattr(lintheory, "_kernel_values", lambda *args: -real(*args))
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert "error" not in result.measured
+    # the weighted density escapes its envelope (measured 51.5); the
+    # hypothesis and the crude bound still hold
+    assert result.measured["envelope_ratio"] > 1.0
+    assert result.measured["hypothesis_ratio"] <= 1.0 + 1e-9
+    assert result.measured["crude_bound_ratio"] < 1.0
 
 
 def test_criterion_12_field_decay_slope(cache):

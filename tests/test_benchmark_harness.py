@@ -1,8 +1,9 @@
 """Smoke test of the benchmark harness in perfbench/.
 
 Every workload builds, and one scenario job and one criterion job run through
-the harness and pass, so a change that breaks what the benchmark calls fails
-here rather than only in a benchmark run.
+the harness and pass, and the echo scenario job and criterion 9's job pass
+under an installed tracer, so a change that breaks what the benchmark calls
+or wraps fails here rather than only in a benchmark run.
 """
 
 import importlib.util
@@ -32,3 +33,27 @@ def test_workloads_build_and_their_jobs_pass(tmp_path):
     for name in ("stability_scan", "criterion_2"):
         outcome = jobs[name].run(ctx)
         assert outcome.passed, (name, outcome.lines)
+
+
+def test_echo_jobs_pass_under_the_tracer(tmp_path):
+    # a traced pass wraps every name in tracing.LAYER_FUNCTIONS, and reads
+    # kinetic.echo_experiment's first six positional arguments: a name that
+    # is gone or re-signatured fails here, not only inside a benchmark run
+    workloads = _perfbench("workloads")
+    tracing = _perfbench("tracing")
+    jobs = {
+        job.name: job
+        for name in ("scenarios", "march_battery")
+        for job in workloads.build(name, ROOT, 0, tmp_path / name).jobs
+    }
+    tracer = tracing.Tracer()
+    ctx = workloads.PassContext(workloads.CountingCache(), tmp_path / "out", tracer)
+    tracer.install()
+    try:
+        for name in ("echo", "criterion_9"):
+            outcome = jobs[name].run(ctx)
+            assert outcome.passed, (name, outcome.lines)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(["echo", "criterion_9"])
+    assert metrics["kinetic.echo_experiment.calls"][0] == 1  # the echo scenario's probe

@@ -39,8 +39,6 @@ from vpkit.echo import (
 )
 from vpkit.errors import (
     ConstraintViolation,
-    EnvelopeExceeded,
-    InequalityViolated,
     TailNotResolved,
     UnstableConfiguration,
 )
@@ -819,8 +817,8 @@ class TestGrowthVerify:
 
     def test_envelope_crossing_is_caught(self):
         # A self-consistent series (a one-step kernel reproduces its growth
-        # exactly) that outruns e^{nu t} must trip the envelope check, not
-        # the hypothesis check.
+        # exactly) that outruns e^{nu t} must exceed the envelope, not the
+        # hypothesis or the crude bound.
         nu = 0.25
         p = stable_params(nu_env=nu)
         ts = np.linspace(0.0, 12.0, 481)
@@ -829,16 +827,20 @@ class TestGrowthVerify:
         phi = np.exp(g * ts).astype(complex)
         k0 = np.zeros_like(ts, dtype=complex)
         k0[1] = math.exp((g + nu) * dt) / dt
-        with pytest.raises(EnvelopeExceeded):
-            growth_verify((ts, phi), (k0, None, 0.0, 1.5), 1.0, p)
+        rep = growth_verify((ts, phi), (k0, None, 0.0, 1.5), 1.0, p)
+        assert rep.max_envelope_ratio > 5.0 and rep.worst_envelope_time == 12.0
+        assert rep.max_hypothesis_ratio <= 1.0 + 1e-9
+        assert rep.max_crude_ratio < 1.0
 
     def test_inconsistent_data_is_caught(self):
         p = stable_params()
         ts = np.linspace(0.0, 12.0, 481)
         phi = np.full(ts.size, 1.0, dtype=complex)
         phi[300:] = 100.0
-        with pytest.raises(InequalityViolated):
-            growth_verify((ts, phi), (None, None, 0.0, 1.5), 1.0, p)
+        rep = growth_verify((ts, phi), (None, None, 0.0, 1.5), 1.0, p)
+        # the jump at t = 7.5 breaks the hypothesis a hundredfold there
+        assert rep.max_hypothesis_ratio == pytest.approx(100.0, rel=1e-12)
+        assert rep.worst_hypothesis_time == ts[300]
 
     def test_weighted_collisional_density_passes(self, scenario_weighted):
         times, phi, k0w, A, nu_c = scenario_weighted

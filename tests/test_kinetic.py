@@ -906,16 +906,14 @@ class TestSideBySide:
     def test_echo_runs_side_by_side_match_the_serial_bytes(self, monkeypatch):
         short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128)
         runs = [(1e-3, 1e-3), (1e-3, 0.0), (2e-3, 1e-3)]
-        serial, forked = {}, {}
         monkeypatch.setattr(kin, "_lanes", lambda n_calls: 1)
-        kin.march_echo_runs(short, 1, -2, 0.5, runs, serial)
+        serial = kin.echo_traces(short, 1, -2, 0.5, runs)
         two_lanes(monkeypatch)
-        kin.march_echo_runs(short, 1, -2, 0.5, runs, forked)
-        assert serial.keys() == forked.keys() and len(serial) == 5  # 3 runs, 2 prefixes
-        for key, (times, trace) in serial.items():
-            if key[0] == "echo_march":
-                assert forked[key][0].tobytes() == times.tobytes()
-                assert forked[key][1].tobytes() == trace.tobytes()
+        forked = kin.echo_traces(short, 1, -2, 0.5, runs)
+        assert len(serial) == len(forked) == 3
+        for (times, trace), (forked_times, forked_trace) in zip(serial, forked):
+            assert forked_times.tobytes() == times.tobytes()
+            assert forked_trace.tobytes() == trace.tobytes()
         assert_no_child_left()
 
 
@@ -957,7 +955,7 @@ class TestEchoExperiment:
 
     def test_trace_times_sit_on_the_step_grid(self):
         short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128)
-        times, _ = kin._march_mode_trace({}, short, 1, -2, 0.5, 1e-3, 1e-3)
+        [(times, _)] = kin.echo_traces(short, 1, -2, 0.5, [(1e-3, 1e-3)])
         assert np.array_equal(times, np.arange(short.n_steps + 1) * short.dt)
         assert times[-1] == 1.0
 
@@ -978,9 +976,19 @@ class TestEchoExperiment:
         assert len(calls) == 2 * 250 + 4 * 375
         assert cache[("echo",)] == (base_report, quiet_report.peak_amp) + tuple(
             report.peak_amp for report in doubled_reports)
-        assert not [key for key in cache if key[0] == "echo_march" and key[-2:] == (2e-3, 0.0)]
+        assert list(cache) == [("echo",)]  # no trace is kept beside the criterion's peaks
         criterion_9(cache)
         assert len(calls) == 2 * 250 + 4 * 375
+
+    def test_the_echo_scenario_marches_one_prefix_and_two_runs(self, monkeypatch, tmp_path):
+        from vpkit.cli import main
+
+        calls = count_steps(monkeypatch)
+        config = Path(__file__).resolve().parents[1] / "configs" / "echo.ini"
+        assert main(["run", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        # the 250 steps to the kick once, then the probe and its unforced
+        # baseline each march the remaining 375
+        assert len(calls) == 250 + 2 * 375
 
     def test_shared_prefix_trace_equals_an_unshared_march(self, monkeypatch):
         short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128, record_every=3)
@@ -1002,11 +1010,9 @@ class TestEchoExperiment:
 
         wants = [unshared(eps2) for eps2 in (1e-3, 2e-3, 0.0)]
         calls = count_steps(monkeypatch)
-        marches = {}
-        traces = [kin._march_mode_trace(marches, short, l, m, s_force, eps1, eps2)[1]
-                  for eps2 in (1e-3, 2e-3, 0.0)]
-        assert ("echo_prefix", short, l, eps1, j_kick) in marches
-        assert len(calls) == j_kick + 3 * (short.n_steps - j_kick)
+        traces = [trace for _, trace in kin.echo_traces(
+            short, l, m, s_force, [(eps1, eps2) for eps2 in (1e-3, 2e-3, 0.0)])]
+        assert len(calls) == j_kick + 3 * (short.n_steps - j_kick)  # one shared prefix
         for trace, want in zip(traces, wants):
             assert trace.tobytes() == want.tobytes()
 
@@ -1031,6 +1037,13 @@ class TestEchoExperiment:
             echo_experiment(ECHO_CFG, 1, -12, 5.0, 1e-3, 1e-3)
         with pytest.raises(ConstraintViolation):
             echo_experiment(ECHO_CFG, 1, -2, 5.0, 0.0, 1e-3)
+
+    @pytest.mark.parametrize("bad", [(0.0, 1e-3), (1e-3, -1e-3), (np.nan, 1e-3)])
+    def test_a_bad_run_anywhere_in_the_list_is_refused_before_any_step(self, monkeypatch, bad):
+        calls = count_steps(monkeypatch)
+        with pytest.raises(ConstraintViolation, match="eps1 > 0 and eps2 >= 0"):
+            kin.echo_traces(ECHO_CFG, 1, -2, 5.0, [(1e-3, 1e-3), bad])
+        assert calls == []
 
 
 def _stepped(config, state, n_steps, kick=None):
@@ -1132,11 +1145,10 @@ class TestMergedMarch:
         kick = np.zeros(config.k_max + 1, dtype=complex)
         kick[abs(m)] = 0.5 * eps2 / config.dt
         states = _stepped(config, _start(config, l, eps1), config.n_steps, (j_kick, kick))
-        marches = {}
-        times, trace = kin._march_mode_trace(marches, config, l, m, s_force, eps1, eps2)
+        [(times, trace)] = kin.echo_traces(config, l, m, s_force, [(eps1, eps2)])
         want = _density_rows(states)[:, abs(l + m)]
         assert trace.tobytes() == np.hypot(want.real, want.imag).tobytes()
-        prefix, prefix_rho = marches[("echo_prefix", config, l, eps1, j_kick)]
+        prefix, prefix_rho = kin._echo_prefix(config, l, eps1, j_kick)
         assert prefix.rows.tobytes() == states[j_kick].rows.tobytes()
         assert prefix.time == states[j_kick].time
         assert prefix_rho.tobytes() == _density_rows(states[: j_kick + 1]).tobytes()
@@ -1146,15 +1158,21 @@ class TestMergedMarch:
         assert rest.edge == [resolution_guard(states[n])
                              for n in _record_steps(config, j_kick + 1, config.n_steps)]
 
-    def test_cached_prefix_is_unchanged_by_the_marches_that_continue_it(self):
+    def test_cached_prefix_is_unchanged_by_the_marches_that_continue_it(self, monkeypatch):
         config = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128, record_every=3)
-        marches = {}
-        kin._march_mode_trace(marches, config, 1, -2, 0.4, 1e-3, 1e-3)
-        prefix, prefix_rho = marches[("echo_prefix", config, 1, 1e-3, 20)]
-        before = prefix.rows.tobytes(), prefix_rho.tobytes()
-        for eps2 in (2e-3, 5e-4):
-            kin._march_mode_trace(marches, config, 1, -2, 0.4, 1e-3, eps2)
-        assert (prefix.rows.tobytes(), prefix_rho.tobytes()) == before
+        made, real_prefix = [], kin._echo_prefix
+
+        def kept(*args):
+            made.append(real_prefix(*args))
+            return made[-1]
+
+        monkeypatch.setattr(kin, "_echo_prefix", kept)
+        monkeypatch.setattr(kin, "_lanes", lambda n_calls: 1)  # the prefix is made here
+        kin.echo_traces(config, 1, -2, 0.4, [(1e-3, eps2) for eps2 in (1e-3, 2e-3, 5e-4)])
+        [(prefix, prefix_rho)] = made
+        fresh, fresh_rho = real_prefix(config, 1, 1e-3, 20)
+        assert (prefix.rows.tobytes(), prefix_rho.tobytes()) == (
+            fresh.rows.tobytes(), fresh_rho.tobytes())
         want = _stepped(config, _start(config, 1, 1e-3), 20)[-1]
         assert prefix.rows.tobytes() == want.rows.tobytes()
 
@@ -1184,8 +1202,8 @@ class TestMergedMarch:
                 run(config)
             elif march == "free_transport":
                 free_transport_march(config)
-            else:
-                kin._march_mode_trace({}, config, 1, 1, 0.5, 1e-3, 1e-3)
+            else:  # l = 1 kicked at m = -2 at s = 0.5: the echo on k = -1 at t* = 1
+                kin.echo_traces(config, 1, -2, 0.5, [(1e-3, 1e-3)])
         assert len(steps) < config.n_steps and guarded and all(guarded)
 
     def test_guard_policies(self):

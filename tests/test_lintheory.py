@@ -159,6 +159,15 @@ class TestKernel:
             )
             assert kernel_eval(kern, t) == pytest.approx(expected, rel=1e-9)
 
+    def test_non_finite_samples_are_refused_naming_the_profile(self):
+        # the spread squares to inf, so f0_hat(0) is inf * 0 = NaN; the
+        # refusal is the only sign, with no RuntimeWarning before it
+        wide = VelocityProfile.maxwellian(1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolation, match=r"1e\+200.*non-finite"):
+                VolterraKernel(nu=0.0, k=1, profile=wide, interaction=REPULSIVE)
+
     def test_cached_samples_reproducible(self):
         kern = scenario_kernel(nu=0.07, dt=0.05, horizon=3.0)
         direct = np.array([kernel_eval(kern, t) for t in kern.times])
