@@ -22,13 +22,11 @@ from vpkit.acceptance import (
     unit_density,
 )
 from vpkit.kinetic import run
-from vpkit.lintheory import VolterraKernel, damping_rate_fit, dispersion_rate
+from vpkit.lintheory import damping_rate_fit, dispersion_rate
 
 
 def rate_from_dispersion(nu):
-    return dispersion_rate(
-        VolterraKernel(nu=nu, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE)
-    )
+    return dispersion_rate(1, nu, PROFILE_SHIPPED, REPULSIVE)
 
 
 def rate_from_volterra(nu):

@@ -41,6 +41,7 @@ from .echo import (
     BACKWARD_MOMENT_CONSTANT,
     FORWARD_MOMENT_CONSTANT,
     EXACT_CASE_GATE,
+    GROWTH_CHECK_POINTS,
     PHASE_BOUND_GATE,
     EchoKernelSpec,
     GrowthParams,
@@ -85,7 +86,6 @@ from .lintheory import (
     damping_rate_fit,
     dispersion_rate,
     free_streaming_response,
-    kernel_eval,
     volterra_solve,
 )
 from .profiles import profile_fourier
@@ -305,7 +305,7 @@ def unit_density(profile, interaction, nu, k, T, dt) -> DensityHistory:
     kern = VolterraKernel(
         nu=nu, k=k, profile=profile, interaction=interaction, dt=dt, horizon=T
     )
-    return volterra_solve(k, lambda t: profile_fourier(profile, k * t), kern, T=T, dt=dt)
+    return volterra_solve(lambda t: profile_fourier(profile, k * t), kern)
 
 
 def collision_sweep(config: KineticRun, nus) -> tuple:
@@ -402,9 +402,7 @@ def _dispersion_rate(cache, nu):
     """Decay rate of the shipped k = 1 mode from its dispersion root, cached."""
     key = ("root", float(nu))
     if key not in cache:
-        cache[key] = dispersion_rate(VolterraKernel(
-            nu=float(nu), k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE
-        ))
+        cache[key] = dispersion_rate(1, float(nu), PROFILE_SHIPPED, REPULSIVE)
     return cache[key]
 
 
@@ -756,43 +754,35 @@ def criterion_10(cache=None) -> CriterionResult:
     )
 
 
-# Check points of criterion 11: a verification grid distinct from the
-# calibration grid the frozen envelope constant was fitted on.
-GROWTH_CHECK_POINTS = 97
-
-
 def growth_scenario():
-    """Inputs (phi, kernels, A, params) of growth_verify for criterion 11.
+    """Inputs (phi, k0_series, spec, params) of growth_verify for criterion 11.
 
     The shipped model at nu = 0.02, marched from unit data to t = 20 in steps
     of 0.04, with the density weighted by e^{2 pi (lam t + mu)}, lam = 0.008
-    and mu = 0.1: phi is (times, weighted density), kernels holds the
-    weighted Volterra kernel, the resonance kernel EchoKernelSpec(0.5, 2) and
-    the algebraic constants (c0, m) = (0.05, 1.5), and A bounds the weighted
-    free part.
+    and mu = 0.1: phi is (times, weighted density), k0_series the weighted
+    Volterra kernel on the march grid, spec the resonance kernel
+    EchoKernelSpec(0.5, 2), and params holds the algebraic constants
+    (c0, m) = (0.05, 1.5) and the bound A on the weighted free part.
     """
     nu_c, lam, mu = 0.02, 0.008, 0.1
-    kern = VolterraKernel(nu=nu_c, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE)
-    hist = unit_density(PROFILE_SHIPPED, REPULSIVE, nu_c, 1, 20.0, 0.04)
-    times = hist.times
+    kern = VolterraKernel(nu=nu_c, k=1, profile=PROFILE_SHIPPED, interaction=REPULSIVE,
+                          dt=0.04, horizon=20.0)
+    times = kern.times
     weight = np.exp(2.0 * np.pi * (lam * times + mu))
-    phi = hist.rho_hat * weight
+    phi = volterra_solve(lambda t: profile_fourier(PROFILE_SHIPPED, t), kern).rho_hat * weight
     free = profile_fourier(PROFILE_SHIPPED, times) * np.exp(-nu_c * times) * weight
-    A = float(np.max(np.abs(free)))
-    k0w = kernel_eval(kern, times) * np.exp(nu_c * times) * np.exp(2.0 * np.pi * lam * times)
+    k0w = kern.samples * np.exp(nu_c * times) * np.exp(2.0 * np.pi * lam * times)
     params = GrowthParams(
-        A=A, c0=0.05, m=1.5, c=0.05, kappa=0.22, nu_env=nu_c,
+        A=float(np.max(np.abs(free))), c0=0.05, m=1.5, c=0.05, kappa=0.22, nu_env=nu_c,
         lambda0=0.02, lambda_weight=lam, C0=1.1, C_W=1.0,
     )
-    kernels = (k0w, EchoKernelSpec(alpha=0.5, gamma=2.0), 0.05, 1.5)
-    return (times, phi), kernels, A, params
+    return (times, phi), k0w, EchoKernelSpec(alpha=0.5, gamma=2.0), params
 
 
 def criterion_11(cache=None) -> CriterionResult:
     """Weighted density obeys its integral hypothesis and certified bounds."""
     t0 = time.perf_counter()
-    phi, kernels, A, params = growth_scenario()
-    rep = growth_verify(phi, kernels, A, params, n_checks=GROWTH_CHECK_POINTS)
+    rep = growth_verify(*growth_scenario())
     ok = (
         rep.max_hypothesis_ratio <= 1.0 + 1e-9
         and rep.max_crude_ratio < 1.0

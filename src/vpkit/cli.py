@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -61,7 +62,7 @@ from .errors import (
     VpkitError,
 )
 from .kinetic import RECURRENCE_SAFETY, RESOLUTION_TOL, FieldHistory, echo_experiment, run
-from .lintheory import VolterraKernel, dispersion_rate, stability_scan
+from .lintheory import dispersion_rate, stability_scan
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +164,7 @@ def _run_linear_landau(config: SimConfig):
     hist, diag = run(params)
     fit = check_decay_fit(
         hist, params.k_pert, (0.09 * params.t_end, 0.94 * params.t_end),
-        lambda: dispersion_rate(VolterraKernel(
-            nu=params.nu, k=params.k_pert, profile=params.profile,
-            interaction=params.interaction)),
+        lambda: dispersion_rate(params.k_pert, params.nu, params.profile, params.interaction),
     )
     criteria = [fit, check_mass_drift(mass_drift(hist)), _ran_to_t_end(
         diag["stop_reason"], diag["stop_time"], params.t_end, diag["stop_edge_fraction"]
@@ -252,7 +251,8 @@ def _run_kernel_bounds(config: SimConfig):
     files = {
         "kernel_table.csv": [_csv_bytes(
             ["k", "l", "alpha", "t", "numeric", "bound", "ratio"],
-            [[*case, case[-2] / case[-1]] for case in cases],
+            # no ratio where the bound underflowed to 0
+            [[*case, case[-2] / case[-1] if case[-1] else math.nan] for case in cases],
         )]
     }
     return criteria, files
@@ -275,16 +275,9 @@ def _run_norm_battery(config: SimConfig):
 
 def _run_stability_scan(config: SimConfig):
     params = config.run
-
-    def family(k):
-        return VolterraKernel(
-            nu=params.nu, k=k, profile=params.profile,
-            interaction=params.interaction, dt=0.05, horizon=30.0,
-        )
-
     header = ["k", "margin", "re_eta", "im_eta"]
     try:
-        report = stability_scan((1, params.k_max), params.nu, family)
+        report = stability_scan((1, params.k_max), params.nu, params.profile, params.interaction)
     except MarginNonPositive as err:
         refusal = CriterionResult(None, "positive_stability_margin", False,
                                   {"kappa": 0.0, "reason": str(err)}, "kappa > 0")

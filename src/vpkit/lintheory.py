@@ -50,7 +50,6 @@ __all__ = [
     "VolterraKernel",
     "DensityHistory",
     "StabilityReport",
-    "kernel_eval",
     "volterra_solve",
     "mode_reconstruct",
     "dispersion_L",
@@ -73,10 +72,8 @@ def _kernel_values(nu, k, profile, interaction, times):
 class VolterraKernel:
     """Memory kernel of the closed density equation, cached on a time grid.
 
-    The cache holds closed-form samples at times 0, dt, ..., horizon; the
-    marching solver reuses them when its grid matches. kernel_eval always
-    recomputes from the closed form, so cache and direct evaluation agree to
-    rounding.
+    The cache holds closed-form samples at times 0, dt, ..., horizon, the
+    grid the marching solver runs on.
     """
 
     nu: float
@@ -116,17 +113,6 @@ class VolterraKernel:
         return self.profile.thermal_speed + drift
 
 
-def kernel_eval(kern: VolterraKernel, t):
-    """Evaluate the memory kernel at time(s) t >= 0 from the closed form."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ConstraintViolation("kernel time must be >= 0")
-    vals = _kernel_values(kern.nu, kern.k, kern.profile, kern.interaction, t)
-    if vals.ndim == 0:
-        return complex(vals)
-    return vals
-
-
 @dataclass(frozen=True, eq=False)
 class DensityHistory:
     """Density mode rho_hat(t, k) on a uniform time grid."""
@@ -158,43 +144,34 @@ class DensityHistory:
         return i
 
 
-def volterra_solve(k: int, f0_trace, kern: VolterraKernel, T: float, dt: float) -> DensityHistory:
-    """March the closed density equation to time T with step dt.
+def volterra_solve(f0_trace, kern: VolterraKernel) -> DensityHistory:
+    """March the closed density equation of mode kern.k over the kernel's
+    own grid kern.times = 0, dt, ..., horizon.
 
     f0_trace(times) must return the initial-data trace fhat_0(k, k*t) at
     every entry of the array of march times, as an array of their shape (it
-    is called once, on the whole grid t_n = n dt). The update
-    is the implicit product-trapezoid rule
+    is called once, on the whole grid). The update is the implicit
+    product-trapezoid rule
 
         rho_n = (a_n + sum_{j<n} w_j K(t_n - t_j) rho_j) / (1 - dt/2 * K(0)),
 
-    with a_n = exp(-nu t_n) f0_trace(t_n) and end weights dt/2: second order
-    and deterministic given (T, dt).
+    with a_n = exp(-nu t_n) f0_trace(t_n), K the kernel's cached samples and
+    end weights dt/2: second order and deterministic given the kernel.
     """
-    k = int(k)
-    if k != kern.k:
-        raise ConstraintViolation(f"kernel is for mode {kern.k}, solve requested k={k}")
-    if dt <= 0 or T <= 0:
-        raise ConstraintViolation("need dt > 0 and T > 0")
+    k, dt, times, kvals = kern.k, kern.dt, kern.times, kern.samples
     if dt * abs(k) * kern.velocity_scale >= 0.25:
         raise StepTooCoarse(
             f"dt={dt:g} does not resolve the kernel phase at k={k} "
             f"(velocity scale {kern.velocity_scale:.3g}): need dt*|k|*scale < 0.25"
         )
-    n = int(round(T / dt))
-    times = np.arange(n + 1) * dt
-    if abs(kern.dt - dt) <= 1e-12 * dt and kern.samples.size >= n + 1:
-        kvals = kern.samples[: n + 1]
-    else:
-        kvals = _kernel_values(kern.nu, kern.k, kern.profile, kern.interaction, times)
     a = np.array(f0_trace(times), dtype=complex)
     if a.shape != times.shape:
         raise ConstraintViolation(f"f0_trace must return one value per march time, not {a.shape}")
     a *= np.exp(-kern.nu * times)
-    rho = np.zeros(n + 1, dtype=complex)
+    rho = np.zeros(times.size, dtype=complex)
     rho[0] = a[0]
     denom = 1.0 - 0.5 * dt * kvals[0]
-    for m in range(1, n + 1):
+    for m in range(1, times.size):
         conv = dt * np.dot(kvals[m:0:-1], rho[:m]) - 0.5 * dt * kvals[m] * rho[0]
         rho[m] = (a[m] + conv) / denom
     return DensityHistory(k=k, times=times, rho_hat=rho)
@@ -332,8 +309,9 @@ def _L_closed(eta, k, nu, profile, what, slope=False):
     return (total, dtotal) if slope else total
 
 
-def dispersion_L(eta, k: int, nu: float, *, kern: VolterraKernel):
-    """Laplace-side dispersion function of the memory kernel.
+def dispersion_L(eta, k: int, nu: float, profile: VelocityProfile, interaction: Interaction):
+    """Laplace-side dispersion function of the memory kernel K_nu(t, k) of
+    the model (profile, interaction).
 
     Evaluates
 
@@ -341,18 +319,16 @@ def dispersion_L(eta, k: int, nu: float, *, kern: VolterraKernel):
 
     An extra weight exp(2 pi lambda |k| t) in the integrand is the frequency
     shift eta -> eta + i lambda, so a weighted L is this one evaluated there.
-    kern supplies the profile and interaction; k and nu are explicit so scans
-    can vary them. Each Gaussian component contributes its closed form
-    through the Faddeeva function; the tests hold it to direct quadrature.
+    Each Gaussian component contributes its closed form through the
+    Faddeeva function; the tests hold it to direct quadrature.
     """
     k = int(k)
     if nu < 0:
         raise ConstraintViolation("collision frequency must be >= 0")
-    what = interaction_hat(kern.interaction, k)
     if k == 0:
         # no phase and no field: the kernel is nu*exp(-nu t)
         return complex(1.0) if nu > 0 else complex(0.0)
-    return complex(_L_closed(complex(eta), k, nu, kern.profile, what))
+    return complex(_L_closed(complex(eta), k, nu, profile, interaction_hat(interaction, k)))
 
 
 # Residual |1 - L| at or below which the Newton iterate counts as a root.
@@ -362,8 +338,9 @@ _NEWTON_STEPS = 60
 _NEWTON_HALVINGS = 30
 
 
-def dispersion_rate(kern: VolterraKernel) -> float:
-    """Decay rate 2*pi*|k|*Im(eta0) of the density mode kern.k.
+def dispersion_rate(k: int, nu: float, profile: VelocityProfile,
+                    interaction: Interaction) -> float:
+    """Decay rate 2*pi*|k|*Im(eta0) of the density mode k of the model.
 
     eta0 is the root of 1 - L(eta, k) found by a damped Newton iteration in
     zeta = conj(eta), on which L is analytic, from the thermal resonance
@@ -373,17 +350,16 @@ def dispersion_rate(kern: VolterraKernel) -> float:
     rounding or no halving helps. Raises MarginNonPositive when the residual
     |1 - L| there exceeds ROOT_RESIDUAL_TOL or the root found does not decay.
     """
-    k = kern.k
-    what = interaction_hat(kern.interaction, k)
+    what = interaction_hat(interaction, k)
 
     def mismatch(zeta):
         try:
-            val, slope = _L_closed(zeta.conjugate(), k, kern.nu, kern.profile, what, True)
+            val, slope = _L_closed(zeta.conjugate(), k, nu, profile, what, True)
         except OverflowError:
             return math.inf, 0j
         return 1.0 - val, -slope
 
-    vth = kern.profile.thermal_speed
+    vth = profile.thermal_speed
     zeta = complex(3.0 * vth, -0.25 * vth)
     f, df = mismatch(zeta)
     steps = 0
@@ -406,7 +382,7 @@ def dispersion_rate(kern: VolterraKernel) -> float:
             break
         zeta, f, df = zeta - step, ft, dft
     eta = zeta.conjugate()
-    residual = abs(1.0 - dispersion_L(eta, k, kern.nu, kern=kern))
+    residual = abs(1.0 - dispersion_L(eta, k, nu, profile, interaction))
     if not residual <= ROOT_RESIDUAL_TOL or eta.imag <= 0:
         raise MarginNonPositive(
             f"no decaying dispersion root found for mode k = {k} "
@@ -426,6 +402,9 @@ _AXIS_PER_SPREAD = 8
 _ZOOM_ROUNDS = 5
 _ZOOM = 64
 _ROOT_MARGIN = 1e-7
+# Samples one axis pass may hold at once: about 50 times the 1,846 that the
+# shipped config, the growth demo and the tests reach at most.
+AXIS_SAMPLE_BUDGET = 100_000
 
 
 def _phase_dropped_bounds(k, nu, profile, interaction):
@@ -469,18 +448,27 @@ def _axis_pass(k, nu, profile, interaction, slope, tail):
     every local minimum of the samples that the slope bound lets fall below
     it, is refined by _ZOOM_ROUNDS resamplings at 2 _ZOOM + 1 points from
     neighbour to neighbour, each round _ZOOM times narrower around the
-    smallest.
+    smallest. A sampling, halving or refinement that would hold more than
+    AXIS_SAMPLE_BUDGET samples raises ConstraintViolation before it is made.
     """
     what = interaction_hat(interaction, k)
 
     def gap(x):
         return 1.0 - _L_closed(x + 0j, k, nu, profile, what)
 
+    def afford(count):
+        if count > AXIS_SAMPLE_BUDGET:
+            raise ConstraintViolation(
+                f"mode k = {k}: the pass along the real axis needs {count} samples, "
+                f"past its budget of {AXIS_SAMPLE_BUDGET}"
+            )
+
     core = max(abs(c) + 8.0 * s for _, c, s in profile.components)
     h = min(s for _, _, s in profile.components) / _AXIS_PER_SPREAD
 
     def sample(reach):
         n = math.ceil(core * math.asinh(reach / core) / h)
+        afford(2 * n + 1)
         x = core * np.sinh(np.arange(-n, n + 1) * (h / core))
         return x, gap(x)
 
@@ -497,6 +485,7 @@ def _axis_pass(k, nu, profile, interaction, slope, tail):
         long = np.flatnonzero(2.0 * slope * np.diff(x) > np.maximum(size[:-1], size[1:]))
         if long.size == 0:
             break
+        afford(x.size + long.size)
         mid = 0.5 * (x[long] + x[long + 1])
         x, f = np.insert(x, long + 1, mid), np.insert(f, long + 1, gap(mid))
     turn = np.angle(f[0]) + np.sum(np.angle(f[1:] / f[:-1])) - np.angle(f[-1])
@@ -505,6 +494,7 @@ def _axis_pass(k, nu, profile, interaction, slope, tail):
     dips[np.argmin(size[1:-1])] = True
     i = np.flatnonzero(dips) + 1
     at, width = x[i], np.maximum(x[i + 1] - x[i], x[i] - x[i - 1])
+    afford(at.size * (2 * _ZOOM + 1))
     for _ in range(_ZOOM_ROUNDS):
         t = at[:, None] + width[:, None] * np.linspace(-1.0, 1.0, 2 * _ZOOM + 1)
         v = np.abs(gap(t))
@@ -532,12 +522,13 @@ class StabilityReport:
             raise ConstraintViolation("stability margin must be >= 0")
 
 
-def stability_scan(k_range, nu: float, kern_family) -> StabilityReport:
-    """Measure kappa = inf over modes and the closed lower half-plane of |1 - L|.
+def stability_scan(k_range, nu: float, profile: VelocityProfile,
+                   interaction: Interaction) -> StabilityReport:
+    """Measure kappa = inf over modes and the closed lower half-plane of
+    |1 - L| for the model (profile, interaction) at collision frequency nu.
 
     k_range is an inclusive (k_min, k_max) interval of integer modes; k = 0
-    carries no field and is skipped. kern_family is a callable k -> kernel
-    supplying the profile and interaction per mode.
+    carries no field and is skipped.
 
     1 - L is analytic in zeta = conj(eta) there and tends to 1 at infinity,
     so its winding along the real axis counts its zeros (Penrose 1960), and
@@ -553,13 +544,14 @@ def stability_scan(k_range, nu: float, kern_family) -> StabilityReport:
     modes = [k for k in range(kmin, kmax + 1) if k != 0]
     if not modes:
         raise ConstraintViolation("k_range contains no nonzero modes")
+    if nu < 0:
+        raise ConstraintViolation("collision frequency must be >= 0")
 
     margins: dict[int, tuple[float, float, float]] = {}
     skipped: dict[int, float] = {}
     best = (math.inf, 0, 0j)
     for k in modes:
-        kern = kern_family(k)
-        bounds = _phase_dropped_bounds(k, nu, kern.profile, kern.interaction)
+        bounds = _phase_dropped_bounds(k, nu, profile, interaction)
         if not all(map(math.isfinite, bounds)):
             raise ConstraintViolation(f"mode k = {k}: |L| bounds {bounds!r} are not finite")
         majorant, slope, tail = bounds
@@ -567,7 +559,7 @@ def stability_scan(k_range, nu: float, kern_family) -> StabilityReport:
             margin = skipped[k] = 1.0 - majorant
             eta = 0j
         else:
-            winding, margin, x = _axis_pass(k, nu, kern.profile, kern.interaction, slope, tail)
+            winding, margin, x = _axis_pass(k, nu, profile, interaction, slope, tail)
             if margin > 1.0:
                 margin, x = 1.0, math.inf
             eta = complex(x, 0.0)

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vpkit import acceptance as battery
-from vpkit import cli, echo, kinetic
+from vpkit import cli, echo, kinetic, lintheory
 from vpkit.cli import (
     SCENARIOS,
     _columns_csv,
@@ -508,6 +508,47 @@ def test_non_finite_model_is_refused_not_passed(tmp_path, attempt, error):
     # a stability scan over non-finite margins used to report kappa = inf
     with pytest.raises(error):
         attempt(tmp_path)
+
+
+def test_kernel_table_with_an_underflowed_bound_fails_with_its_numbers(tmp_path, capsys):
+    # near t = 241.5 the l = k = 8 case's exact bound exp(-alpha k t)(t/2 + t^2/8)
+    # underflows to 0, which neither the gate nor the ratio column may divide by
+    path = write_config(tmp_path, KERNEL + "[time]\nt_end = 261.5\n\n[kernel]\ncases = 128\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "FAIL quadrature_under_bound: cases=128  violations=0" in capsys.readouterr().out
+    crit = json.loads((out / "report.json").read_text())["criteria"][0]
+    assert crit["passed"] is False and crit["measured"]["zero_bounds"] == 1
+    rows = (out / "kernel_table.csv").read_text().splitlines()
+    assert [row for row in rows if row.endswith(",0,0,nan")] == [
+        "8,8,0.5,241.54137170348554,0,0,nan"]
+
+
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+from vpkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_scan_past_its_sample_budget_exits_1_with_the_count(tmp_path):
+    # spreads 0.0018 to 1.69 drive an unbudgeted pass along the real axis
+    # to 7 million samples, a MemoryError under this cap: the pass must stop
+    # at its budget before it allocates. Child process: capped and timed
+    path = write_config(
+        tmp_path, MIXTURE + "components = 0.3:0:0.0018, 0.4:0.5:1.69, 0.3:-0.2:0.042\n\n"
+        "[interaction]\ngamma = 5.8\namplitude = 0.29\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "run", str(path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+    assert done.stderr == (
+        "error: [stability_scan] mode k = 1: the pass along the real axis needs 109841 "
+        f"samples, past its budget of {lintheory.AXIS_SAMPLE_BUDGET}\n")
 
 
 def test_amplitude_above_the_decay_bound_exits_2(tmp_path, capsys):

@@ -740,24 +740,24 @@ class TestEnvelope:
         p = stable_params(A=2.0, nu_env=0.05)
         for t in (0.0, 3.0, 11.0):
             want = ENVELOPE_CONSTANT * 2.0 / math.sqrt(0.05) * math.exp(0.05 * t)
-            assert growth_envelope(p, 2.0, 0.5, t) == pytest.approx(want, rel=1e-15)
+            assert growth_envelope(p, SPEC_HALF, t) == pytest.approx(want, rel=1e-15)
 
     def test_monotone_in_every_load_parameter(self):
         base = stable_params(A=1.0, c0=0.2, c=0.3, nu_env=0.1, m=1.6)
-        e = growth_envelope(base, 2.0, 0.5, 4.0)
-        assert growth_envelope(stable_params(A=2.0, c0=0.2, c=0.3, nu_env=0.1, m=1.6), 2.0, 0.5, 4.0) > e
-        assert growth_envelope(stable_params(A=1.0, c0=0.4, c=0.3, nu_env=0.1, m=1.6), 2.0, 0.5, 4.0) > e
-        assert growth_envelope(stable_params(A=1.0, c0=0.2, c=0.6, nu_env=0.1, m=1.6), 2.0, 0.5, 4.0) > e
-        assert growth_envelope(base, 2.0, 0.5, 9.0) > e
+        e = growth_envelope(base, SPEC_HALF, 4.0)
+        assert growth_envelope(stable_params(A=2.0, c0=0.2, c=0.3, nu_env=0.1, m=1.6), SPEC_HALF, 4.0) > e
+        assert growth_envelope(stable_params(A=1.0, c0=0.4, c=0.3, nu_env=0.1, m=1.6), SPEC_HALF, 4.0) > e
+        assert growth_envelope(stable_params(A=1.0, c0=0.2, c=0.6, nu_env=0.1, m=1.6), SPEC_HALF, 4.0) > e
+        assert growth_envelope(base, SPEC_HALF, 9.0) > e
 
     def test_weak_collisions_inflate_the_start(self):
-        lo = growth_envelope(stable_params(nu_env=0.05), 2.0, 0.5, 0.0)
-        hi = growth_envelope(stable_params(nu_env=0.2), 2.0, 0.5, 0.0)
+        lo = growth_envelope(stable_params(nu_env=0.05), SPEC_HALF, 0.0)
+        hi = growth_envelope(stable_params(nu_env=0.2), SPEC_HALF, 0.0)
         assert lo > hi
 
     def test_collision_rate_above_width_rejected(self):
         with pytest.raises(ConstraintViolation):
-            growth_envelope(stable_params(nu_env=0.6), 2.0, 0.5, 1.0)
+            growth_envelope(stable_params(nu_env=0.6), SPEC_HALF, 1.0)
 
     def test_switch_time_term_dominance(self):
         gamma, alpha = 2.0, 0.5
@@ -785,7 +785,7 @@ class TestEnvelope:
         # forward by e^{nu t}
         p = stable_params(A=1.5, c=0.2, nu_env=0.1)
         C, T = ENVELOPE_CONSTANT, echo._switch_time(p, 2.0, 0.5)
-        start = growth_envelope(p, 2.0, 0.5, 0.0)
+        start = growth_envelope(p, SPEC_HALF, 0.0)
         want = (
             C * 1.5 / math.sqrt(0.1) * (1.0 + 0.2 / (0.5 * 0.1))
             * math.exp(C * T) * math.exp(C * 0.2 * (1.0 + T * T))
@@ -793,7 +793,7 @@ class TestEnvelope:
         assert start == pytest.approx(want, rel=1e-12)
         assert start >= p.A
         for t in (0.0, 2.0, 6.0):
-            assert growth_envelope(p, 2.0, 0.5, t) == pytest.approx(
+            assert growth_envelope(p, SPEC_HALF, t) == pytest.approx(
                 start * math.exp(0.1 * t), rel=1e-12
             )
 
@@ -802,7 +802,7 @@ class TestEnvelope:
         # falls below the source A, with or without a resonance load
         assert ENVELOPE_CONSTANT >= 1.0
         for p in (stable_params(nu_env=0.2), stable_params(A=1.5, c=0.2, nu_env=0.1)):
-            assert growth_envelope(p, 2.0, 0.5, 0.0) >= p.A
+            assert growth_envelope(p, SPEC_HALF, 0.0) >= p.A
 
 
 class TestGrowthVerify:
@@ -810,7 +810,7 @@ class TestGrowthVerify:
         p = stable_params(A=2.0)
         ts = np.linspace(0.0, 10.0, 201)
         phi = np.full(201, 2.0, dtype=complex)
-        rep = growth_verify((ts, phi), (None, None, 0.0, 1.5), 2.0, p)
+        rep = growth_verify((ts, phi), np.zeros(ts.size), SPEC_HALF, p)
         assert rep.max_hypothesis_ratio == pytest.approx(1.0, abs=1e-9)
         assert rep.max_crude_ratio == pytest.approx(0.5, rel=1e-9)
         assert rep.max_envelope_ratio < 1.0
@@ -827,7 +827,7 @@ class TestGrowthVerify:
         phi = np.exp(g * ts).astype(complex)
         k0 = np.zeros_like(ts, dtype=complex)
         k0[1] = math.exp((g + nu) * dt) / dt
-        rep = growth_verify((ts, phi), (k0, None, 0.0, 1.5), 1.0, p)
+        rep = growth_verify((ts, phi), k0, SPEC_HALF, p)
         assert rep.max_envelope_ratio > 5.0 and rep.worst_envelope_time == 12.0
         assert rep.max_hypothesis_ratio <= 1.0 + 1e-9
         assert rep.max_crude_ratio < 1.0
@@ -837,19 +837,18 @@ class TestGrowthVerify:
         ts = np.linspace(0.0, 12.0, 481)
         phi = np.full(ts.size, 1.0, dtype=complex)
         phi[300:] = 100.0
-        rep = growth_verify((ts, phi), (None, None, 0.0, 1.5), 1.0, p)
+        rep = growth_verify((ts, phi), np.zeros(ts.size), SPEC_HALF, p)
         # the jump at t = 7.5 breaks the hypothesis a hundredfold there
         assert rep.max_hypothesis_ratio == pytest.approx(100.0, rel=1e-12)
         assert rep.worst_hypothesis_time == ts[300]
 
     def test_weighted_collisional_density_passes(self, scenario_weighted):
         times, phi, k0w, A, nu_c = scenario_weighted
-        spec = EchoKernelSpec(alpha=0.5, gamma=2.0)
         p = GrowthParams(
             A=A, c0=0.05, m=1.5, c=0.05, kappa=0.22, nu_env=nu_c,
             lambda0=0.02, lambda_weight=0.008, C0=1.1, C_W=1.0,
         )
-        rep = growth_verify((times, phi), (k0w, spec, 0.05, 1.5), A, p)
+        rep = growth_verify((times, phi), k0w, SPEC_HALF, p)
         assert rep.max_hypothesis_ratio <= 1.0 + 1e-9
         assert rep.max_crude_ratio < 1.0
         assert rep.max_envelope_ratio < 0.01
@@ -858,24 +857,17 @@ class TestGrowthVerify:
         p = stable_params()
         ts = np.linspace(0.0, 5.0, 51)
         phi = np.ones(51, dtype=complex)
+        k0 = np.zeros(51)
         with pytest.raises(ConstraintViolation):
-            growth_verify((ts, phi), (None, None, 0.1, 1.5), 1.0, p)
+            growth_verify((ts + 1.0, phi), k0, SPEC_HALF, p)
         with pytest.raises(ConstraintViolation):
-            growth_verify((ts, phi), (None, None, 0.0, 2.5), 1.0, p)
-        with pytest.raises(ConstraintViolation):
-            growth_verify((ts + 1.0, phi), (None, None, 0.0, 1.5), 1.0, p)
-        with pytest.raises(ConstraintViolation):
-            growth_verify((ts**1.1, phi), (None, None, 0.0, 1.5), 1.0, p)
-        with pytest.raises(ConstraintViolation):
-            growth_verify(
-                (ts, phi), (None, None, 0.0, 1.5), 1.0, stable_params(c=0.1)
-            )
+            growth_verify((ts**1.1, phi), k0, SPEC_HALF, p)
 
 
 @pytest.fixture(scope="module")
 def scenario_weighted():
     """Weighted single-mode density from the collisional Volterra march."""
-    from vpkit.lintheory import VolterraKernel, kernel_eval, volterra_solve
+    from vpkit.lintheory import VolterraKernel, volterra_solve
     from vpkit.profiles import Interaction, VelocityProfile
 
     nu_c = 0.02
@@ -887,14 +879,12 @@ def scenario_weighted():
         dt=0.04,
         horizon=20.0,
     )
-    hist = volterra_solve(
-        1, lambda t: np.exp(-2.0 * np.pi**2 * t * t), kern, T=20.0, dt=0.04
-    )
+    hist = volterra_solve(lambda t: np.exp(-2.0 * np.pi**2 * t * t), kern)
     times = np.asarray(hist.times)
     lam, mu = 0.008, 0.1
     weight = np.exp(2.0 * np.pi * (lam * times + mu))
     phi = np.asarray(hist.rho_hat) * weight
     free = np.exp(-2.0 * np.pi**2 * times**2) * np.exp(-nu_c * times) * weight
     A = float(np.max(np.abs(free)))
-    k0w = kernel_eval(kern, times) * np.exp(nu_c * times) * np.exp(2.0 * np.pi * lam * times)
+    k0w = kern.samples * np.exp(nu_c * times) * np.exp(2.0 * np.pi * lam * times)
     return times, phi, k0w, A, nu_c

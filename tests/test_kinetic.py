@@ -731,9 +731,7 @@ class TestLinearRegime:
         kern = VolterraKernel(
             nu=nu, k=1, profile=MX_COLD, interaction=W_POW, dt=0.05, horizon=45.0
         )
-        sol = volterra_solve(
-            1, lambda t: 0.5e-5 * profile_fourier(MX_COLD, t), kern, 45.0, 0.05
-        )
+        sol = volterra_solve(lambda t: 0.5e-5 * profile_fourier(MX_COLD, t), kern)
         mode = hist.rho_hat[:, hist.k_max + 1]
         n = min(mode.size, sol.rho_hat.size)
         diff = np.abs(mode[:n] - sol.rho_hat[:n]).max()

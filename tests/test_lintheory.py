@@ -37,7 +37,6 @@ from vpkit.lintheory import (
     dispersion_L,
     dispersion_rate,
     free_streaming_response,
-    kernel_eval,
     mode_reconstruct,
     stability_scan,
     volterra_solve,
@@ -75,6 +74,11 @@ def scenario_kernel(nu=0.0, k=1, dt=0.02, horizon=60.0):
     )
 
 
+def closed_kernel(kern, t):
+    """The kernel's closed form at time(s) t, as VolterraKernel samples it."""
+    return lintheory._kernel_values(kern.nu, kern.k, kern.profile, kern.interaction, t)
+
+
 def gaussian_trace(t):
     """fhat_0(1, t) for a unit-amplitude single-mode Gaussian in v."""
     return np.exp(-2.0 * np.pi**2 * t * t)
@@ -93,12 +97,12 @@ def transform_oracle(profile, eta, window=24.0):
     return re + 1j * im
 
 
-def quad_dispersion_L(eta, k, nu, kern):
+def quad_dispersion_L(eta, k, nu, profile, interaction):
     """L(eta, k) by adaptive quadrature of its defining integral
     int_0^T exp(2 pi i conj(eta) |k| t) K_nu(t, k) dt, to relative 1e-10,
     with T past every component's Gaussian decay."""
     T = 0.0
-    for _, a, b in lintheory._laplace_terms(complex(eta), k, nu, kern.profile):
+    for _, a, b in lintheory._laplace_terms(complex(eta), k, nu, profile):
         ra = float(np.real(a))
         T = max(T, (ra + np.sqrt(ra * ra + 160.0 * b)) / (2.0 * b))
     T = 1.25 * T + 1.0
@@ -107,7 +111,7 @@ def quad_dispersion_L(eta, k, nu, kern):
     def g(t):
         return complex(
             np.exp(phase * t)
-            * lintheory._kernel_values(nu, k, kern.profile, kern.interaction, t)
+            * lintheory._kernel_values(nu, k, profile, interaction, t)
         )
 
     re = quad(lambda t: g(t).real, 0.0, T, limit=400, epsabs=1e-13, epsrel=1e-10)[0]
@@ -119,7 +123,8 @@ def find_dispersion_root(kern, nu, guess):
     """Independent 2-d root finder on 1 - L (not the scan's minimizer)."""
 
     def F(xy):
-        val = 1.0 - dispersion_L(complex(xy[0], xy[1]), kern.k, nu, kern=kern)
+        val = 1.0 - dispersion_L(complex(xy[0], xy[1]), kern.k, nu, kern.profile,
+                                 kern.interaction)
         return [val.real, val.imag]
 
     sol = scipy_root(F, [guess.real, guess.imag], tol=1e-13)
@@ -130,7 +135,7 @@ def find_dispersion_root(kern, nu, guess):
 @pytest.fixture(scope="module")
 def scenario_hist():
     kern = scenario_kernel()
-    return kern, volterra_solve(1, gaussian_trace, kern, T=60.0, dt=0.02)
+    return kern, volterra_solve(gaussian_trace, kern)
 
 
 class TestKernel:
@@ -138,14 +143,14 @@ class TestKernel:
         kern = VolterraKernel(
             nu=0.3, k=2, profile=VelocityProfile.maxwellian(1.0), interaction=REPULSIVE
         )
-        assert kernel_eval(kern, 0.0) == 0.3 + 0j
+        assert closed_kernel(kern, 0.0) == 0.3 + 0j
 
     def test_collisionless_kernel_frozen_value(self):
         kern = VolterraKernel(
             nu=0.0, k=1, profile=VelocityProfile.maxwellian(1.0), interaction=REPULSIVE
         )
         expected = -0.5 * FROZEN_DECAY_ETA1  # -W_hat(1) * f0_hat(1) * 1^2 * 1
-        assert kernel_eval(kern, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert closed_kernel(kern, 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_kernel_matches_transform_oracle(self):
         profile = VelocityProfile.maxwellian(0.7)
@@ -157,7 +162,7 @@ class TestKernel:
                 * transform_oracle(profile, 2 * t)
                 * (0.4 - what * 4.0 * t)
             )
-            assert kernel_eval(kern, t) == pytest.approx(expected, rel=1e-9)
+            assert closed_kernel(kern, t) == pytest.approx(expected, rel=1e-9)
 
     def test_non_finite_samples_are_refused_naming_the_profile(self):
         # the spread squares to inf, so f0_hat(0) is inf * 0 = NaN; the
@@ -170,7 +175,7 @@ class TestKernel:
 
     def test_cached_samples_reproducible(self):
         kern = scenario_kernel(nu=0.07, dt=0.05, horizon=3.0)
-        direct = np.array([kernel_eval(kern, t) for t in kern.times])
+        direct = np.array([closed_kernel(kern, t) for t in kern.times])
         assert np.max(np.abs(direct - kern.samples)) < 1e-14
 
     def test_drift_changes_phase_not_modulus(self):
@@ -179,19 +184,15 @@ class TestKernel:
         kd = VolterraKernel(nu=0.0, k=1, profile=drifting, interaction=REPULSIVE)
         kc = VolterraKernel(nu=0.0, k=1, profile=centered, interaction=REPULSIVE)
         ts = np.array([0.2, 0.7, 1.1])
-        vd, vc = kernel_eval(kd, ts), kernel_eval(kc, ts)
+        vd, vc = closed_kernel(kd, ts), closed_kernel(kc, ts)
         assert np.max(np.abs(np.abs(vd) - np.abs(vc))) < 1e-15
         assert np.max(np.abs(vd.imag)) > 1e-12  # the drift does rotate the phase
 
     def test_vectorized_matches_scalar(self):
         kern = scenario_kernel(nu=0.02)
         ts = np.linspace(0.0, 2.0, 7)
-        vec = kernel_eval(kern, ts)
-        assert np.array_equal(vec, np.array([kernel_eval(kern, t) for t in ts]))
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ConstraintViolation):
-            kernel_eval(scenario_kernel(), -0.1)
+        vec = closed_kernel(kern, ts)
+        assert np.array_equal(vec, np.array([closed_kernel(kern, t) for t in ts]))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -208,8 +209,8 @@ class TestKernel:
         kern_1 = VolterraKernel(
             nu=0.0, k=1, profile=profile, interaction=REPULSIVE, dt=0.5, horizon=1.0
         )
-        assert kernel_eval(kern_a, t) == pytest.approx(
-            amp * kernel_eval(kern_1, t), rel=1e-12, abs=1e-300
+        assert closed_kernel(kern_a, t) == pytest.approx(
+            amp * closed_kernel(kern_1, t), rel=1e-12, abs=1e-300
         )
 
 
@@ -219,7 +220,7 @@ class TestVolterra:
             nu=0.0, k=1, profile=VelocityProfile.maxwellian(1.0),
             interaction=Interaction.zero(), dt=0.05, horizon=5.0,
         )
-        hist = volterra_solve(1, gaussian_trace, kern, T=5.0, dt=0.05)
+        hist = volterra_solve(gaussian_trace, kern)
         expected = gaussian_trace(hist.times)
         assert np.max(np.abs(hist.rho_hat - expected)) < 1e-15
 
@@ -230,10 +231,10 @@ class TestVolterra:
             calls.append(np.array(t, copy=True))
             return gaussian_trace(t)
 
-        hist = volterra_solve(1, trace, scenario_kernel(), T=1.0, dt=0.02)
+        hist = volterra_solve(trace, scenario_kernel(horizon=1.0))
         assert len(calls) == 1 and np.array_equal(calls[0], hist.times)
         with pytest.raises(ConstraintViolation, match="one value per march time"):
-            volterra_solve(1, lambda t: 1.0, scenario_kernel(), T=1.0, dt=0.02)
+            volterra_solve(lambda t: 1.0, scenario_kernel(horizon=1.0))
 
     @pytest.mark.parametrize("profile", [SCEN_PROFILE, VelocityProfile.maxwellian(1.0)])
     @pytest.mark.parametrize("k", [1, 2])
@@ -256,17 +257,13 @@ class TestVolterra:
             interaction=REPULSIVE, dt=0.1, horizon=1.0,
         )
         with pytest.raises(StepTooCoarse):
-            volterra_solve(4, gaussian_trace, kern, T=1.0, dt=0.1)
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ConstraintViolation):
-            volterra_solve(2, gaussian_trace, scenario_kernel(), T=1.0, dt=0.02)
+            volterra_solve(gaussian_trace, kern)
 
     def test_self_convergence_is_second_order(self):
-        kern = scenario_kernel(dt=0.01, horizon=20.0)
         sols = {}
         for dt in (0.04, 0.02, 0.01):
-            sols[dt] = volterra_solve(1, gaussian_trace, kern, T=20.0, dt=dt).rho_hat
+            kern = scenario_kernel(dt=dt, horizon=20.0)
+            sols[dt] = volterra_solve(gaussian_trace, kern).rho_hat
         e_coarse = np.max(np.abs(sols[0.04] - sols[0.02][::2]))
         e_fine = np.max(np.abs(sols[0.02] - sols[0.01][::2]))
         order = np.log2(e_coarse / e_fine)
@@ -283,7 +280,7 @@ class TestVolterra:
 
     def test_collisional_rate_matches_shifted_root(self):
         kern = scenario_kernel(nu=1e-2)
-        hist = volterra_solve(1, gaussian_trace, kern, T=60.0, dt=0.02)
+        hist = volterra_solve(gaussian_trace, kern)
         eta0 = find_dispersion_root(kern, 1e-2, ROOT_NU0)
         gamma = 2.0 * np.pi * eta0.imag
         assert gamma == pytest.approx(RATE_NU001, abs=1e-7)
@@ -294,7 +291,7 @@ class TestVolterra:
         base = {}
         for nu in (0.0, 1e-4, 1e-3, 1e-2):
             kern = scenario_kernel(nu=nu, dt=0.02, horizon=20.0)
-            base[nu] = volterra_solve(1, gaussian_trace, kern, T=20.0, dt=0.02).rho_hat
+            base[nu] = volterra_solve(gaussian_trace, kern).rho_hat
         d2 = np.max(np.abs(base[1e-2] - base[0.0]))
         d3 = np.max(np.abs(base[1e-3] - base[0.0]))
         d4 = np.max(np.abs(base[1e-4] - base[0.0]))
@@ -309,7 +306,7 @@ class TestVolterra:
         weight = np.exp(2.0 * np.pi * lam * 1 * ts)
         phi = hist.rho_hat * weight
         a_w = gaussian_trace(ts) * weight
-        kw = kernel_eval(kern, ts) * weight
+        kw = closed_kernel(kern, ts) * weight
         for n in (250, 1100, 2999):
             w = np.full(n + 1, dt)
             w[0] = w[-1] = 0.5 * dt
@@ -339,7 +336,7 @@ class TestVolterra:
             nu=0.0, k=1, profile=VelocityProfile.maxwellian(1.0),
             interaction=Interaction.zero(), dt=0.05, horizon=4.0,
         )
-        hist = volterra_solve(1, gaussian_trace, kern, T=4.0, dt=0.05)
+        hist = volterra_solve(gaussian_trace, kern)
         f0_hat = lambda eta: np.exp(-2.0 * np.pi**2 * eta * eta)
         xi, t = 0.7, 2.0
         val = mode_reconstruct(hist, xi, t, kern, f0_hat)
@@ -353,21 +350,17 @@ class TestVolterra:
 
 class TestDispersion:
     def test_frozen_value_both_routes(self):
-        kern = VolterraKernel(
-            nu=0.0, k=1, profile=VelocityProfile.maxwellian(1.0), interaction=REPULSIVE
-        )
-        closed = dispersion_L(0.0, 1, 0.0, kern=kern)
-        numeric = quad_dispersion_L(0.0, 1, 0.0, kern)
+        profile = VelocityProfile.maxwellian(1.0)
+        closed = dispersion_L(0.0, 1, 0.0, profile, REPULSIVE)
+        numeric = quad_dispersion_L(0.0, 1, 0.0, profile, REPULSIVE)
         assert closed == pytest.approx(FROZEN_L_AT_ZERO, rel=1e-12)
         assert numeric == pytest.approx(FROZEN_L_AT_ZERO, rel=1e-9)
 
     def test_eta_zero_reduces_to_gaussian_moment(self):
         vth = 0.7
-        kern = VolterraKernel(
-            nu=0.0, k=1, profile=VelocityProfile.maxwellian(vth), interaction=REPULSIVE
-        )
         moment = quad(lambda t: t * np.exp(-2 * np.pi**2 * vth**2 * t * t), 0, 10)[0]
-        assert dispersion_L(0.0, 1, 0.0, kern=kern) == pytest.approx(
+        profile = VelocityProfile.maxwellian(vth)
+        assert dispersion_L(0.0, 1, 0.0, profile, REPULSIVE) == pytest.approx(
             -0.5 * moment, rel=1e-10
         )
         assert moment == pytest.approx(1.0 / (4 * np.pi**2 * vth**2), rel=1e-10)
@@ -383,41 +376,31 @@ class TestDispersion:
         ids=["maxwellian", "narrow", "two-stream"],
     )
     def test_quadrature_and_faddeeva_routes_agree(self, profile, nu):
-        kern = VolterraKernel(nu=nu, k=1, profile=profile, interaction=REPULSIVE)
         for eta in (0.3 + 0.1j, -1.1 - 0.4j, 2.0 + 0.0j, 0.15 + 0.011j):
-            closed = dispersion_L(eta, 1, nu, kern=kern)
-            numeric = quad_dispersion_L(eta, 1, nu, kern)
+            closed = dispersion_L(eta, 1, nu, profile, REPULSIVE)
+            numeric = quad_dispersion_L(eta, 1, nu, profile, REPULSIVE)
             assert abs(closed - numeric) <= 1e-9 * max(1e-4, abs(closed))
 
     def test_higher_mode_routes_agree(self):
-        kern = VolterraKernel(nu=0.01, k=3, profile=SCEN_PROFILE, interaction=REPULSIVE)
         eta = 0.2 - 0.1j
-        closed = dispersion_L(eta, 3, 0.01, kern=kern)
-        numeric = quad_dispersion_L(eta, 3, 0.01, kern)
+        closed = dispersion_L(eta, 3, 0.01, SCEN_PROFILE, REPULSIVE)
+        numeric = quad_dispersion_L(eta, 3, 0.01, SCEN_PROFILE, REPULSIVE)
         assert abs(closed - numeric) <= 1e-9 * max(1e-6, abs(closed))
 
     def test_zero_interaction_vanishes(self):
-        kern = VolterraKernel(
-            nu=0.0, k=2, profile=VelocityProfile.maxwellian(1.0),
-            interaction=Interaction.zero(),
-        )
-        assert dispersion_L(0.4 - 0.3j, 2, 0.0, kern=kern) == 0j
+        profile = VelocityProfile.maxwellian(1.0)
+        assert dispersion_L(0.4 - 0.3j, 2, 0.0, profile, Interaction.zero()) == 0j
 
     def test_decay_into_lower_half_plane(self):
-        kern = scenario_kernel()
-        mags = [abs(dispersion_L(0.15 - 1j * y, 1, 0.0, kern=kern)) for y in (0.0, 1.0, 3.0, 8.0)]
+        mags = [abs(dispersion_L(0.15 - 1j * y, 1, 0.0, SCEN_PROFILE, REPULSIVE))
+                for y in (0.0, 1.0, 3.0, 8.0)]
         assert mags[0] > mags[1] > mags[2] > mags[3]
         assert mags[-1] < 1e-2
 
     def test_mean_mode_closed_forms(self):
-        kern0 = VolterraKernel(
-            nu=0.0, k=0, profile=VelocityProfile.maxwellian(1.0), interaction=REPULSIVE
-        )
-        kern1 = VolterraKernel(
-            nu=0.3, k=0, profile=VelocityProfile.maxwellian(1.0), interaction=REPULSIVE
-        )
-        assert dispersion_L(0.5, 0, 0.0, kern=kern0) == 0j
-        assert dispersion_L(0.5, 0, 0.3, kern=kern1) == 1.0 + 0j
+        profile = VelocityProfile.maxwellian(1.0)
+        assert dispersion_L(0.5, 0, 0.0, profile, REPULSIVE) == 0j
+        assert dispersion_L(0.5, 0, 0.3, profile, REPULSIVE) == 1.0 + 0j
 
     def test_root_location_matches_frozen(self):
         kern = scenario_kernel()
@@ -428,19 +411,21 @@ class TestDispersion:
 
 class TestDispersionRate:
     def test_matches_independent_root(self):
-        assert dispersion_rate(scenario_kernel()) == pytest.approx(RATE_NU0, abs=1e-7)
-        assert dispersion_rate(scenario_kernel(nu=1e-2)) == pytest.approx(
+        assert dispersion_rate(1, 0.0, SCEN_PROFILE, REPULSIVE) == pytest.approx(
+            RATE_NU0, abs=1e-7
+        )
+        assert dispersion_rate(1, 1e-2, SCEN_PROFILE, REPULSIVE) == pytest.approx(
             RATE_NU001, abs=1e-7
         )
 
     def test_rate_carries_the_mode_number(self):
         # the density of mode k decays at 2 pi |k| Im eta0, not 2 pi Im eta0
-        kern = scenario_kernel(nu=1e-2, k=2)
+        kern = scenario_kernel(nu=1e-2, k=2, horizon=25.0)
         eta0 = find_dispersion_root(kern, 1e-2, 0.12 + 0.03j)
-        rate = dispersion_rate(kern)
+        rate = dispersion_rate(2, 1e-2, SCEN_PROFILE, REPULSIVE)
         assert rate == pytest.approx(2.0 * np.pi * 2 * eta0.imag, rel=1e-9)
         trace = lambda t: gaussian_trace(2 * VTH_SCEN * t)  # fhat_0(2, 2t)
-        hist = volterra_solve(2, trace, kern, T=25.0, dt=0.02)
+        hist = volterra_solve(trace, kern)
         fitted, _, _ = damping_rate_fit(hist, (2.0, 23.0))
         assert abs(-fitted - rate) / rate < 1e-3
 
@@ -452,10 +437,9 @@ class TestDispersionRate:
                0.0215, 0.0224],
     )
     def test_stalled_search_at_a_root_is_accepted(self, nu):
-        kern = scenario_kernel(nu=nu)
-        rate = dispersion_rate(kern)
+        rate = dispersion_rate(1, nu, SCEN_PROFILE, REPULSIVE)
         trace = lambda t: gaussian_trace(VTH_SCEN * t)  # fhat_0(1, t)
-        hist = volterra_solve(1, trace, kern, T=60.0, dt=0.02)
+        hist = volterra_solve(trace, scenario_kernel(nu=nu))
         fitted, _, _ = damping_rate_fit(hist, (8.0, 55.0))
         assert abs(-fitted - rate) / rate < 1e-4
 
@@ -470,11 +454,10 @@ class TestDispersionRate:
         ],
     )
     def test_no_decaying_root_raises(self, profile, interaction):
-        kern = VolterraKernel(nu=0.0, k=1, profile=profile, interaction=interaction)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a refusal, with no numpy warning on the way
             with pytest.raises(MarginNonPositive, match="no decaying dispersion root"):
-                dispersion_rate(kern)
+                dispersion_rate(1, 0.0, profile, interaction)
 
     # Criteria 4 and 12, the benchmark's nu choices, and a fine nu sweep at
     # k = 1 and 2, all at the shipped v_th = 0.05. Strongly damped modes
@@ -489,25 +472,24 @@ class TestDispersionRate:
     def test_newton_matches_hybr(self):
         worst = 0.0
         for k, nu in self.NEWTON_CASES:
-            kern = scenario_kernel(nu=nu, k=k)
-            rate = dispersion_rate(kern)
-            reference = hybr_rate(kern)
+            rate = dispersion_rate(k, nu, SCEN_PROFILE, REPULSIVE)
+            reference = hybr_rate(k, nu, SCEN_PROFILE, REPULSIVE)
             worst = max(worst, abs(rate - reference) / reference)
         assert worst <= 1e-12
 
 
-def hybr_rate(kern):
+def hybr_rate(k, nu, profile, interaction):
     """The decay rate by scipy's hybr from dispersion_rate's start, accepted
     as dispersion_rate accepts a root: converged, or at a residual <= 1e-12."""
     def mismatch(xy):
-        val = 1.0 - dispersion_L(complex(xy[0], xy[1]), kern.k, kern.nu, kern=kern)
+        val = 1.0 - dispersion_L(complex(xy[0], xy[1]), k, nu, profile, interaction)
         return [val.real, val.imag]
 
-    vth = kern.profile.thermal_speed
+    vth = profile.thermal_speed
     sol = scipy_root(mismatch, [3.0 * vth, 0.25 * vth], tol=1e-13)
     assert sol.success or np.hypot(*sol.fun) <= 1e-12, sol.message
     assert sol.x[1] > 0
-    return 2.0 * np.pi * abs(kern.k) * sol.x[1]
+    return 2.0 * np.pi * abs(k) * sol.x[1]
 
 
 def mpmath_faddeeva(z):
@@ -563,19 +545,21 @@ _RNG = np.random.default_rng(3)
 RANDOM_SET = [random_mixture(_RNG) for _ in range(60)]
 
 
-def axis_oracle(kern, nu, n=20_001):
+def axis_oracle(k, nu, profile, interaction, n=20_001):
     """(winding, minimum) of 1 - L along the real axis: the winding from
-    np.unwrap of its phase on n points over +-10 (1 + 4 velocity_scale)
+    np.unwrap of its phase on n points over +-10 (1 + 4 velocity scale)
     between 1 at either infinity, the minimum from scipy's minimize_scalar
-    on every sampled local minimum."""
-    what = interaction_hat(kern.interaction, kern.k)
+    on every sampled local minimum. The velocity scale is the RMS spread
+    plus the largest drift."""
+    what = interaction_hat(interaction, k)
 
     def margin(x):
-        return abs(1.0 - dispersion_L(complex(x, 0.0), kern.k, nu, kern=kern))
+        return abs(1.0 - dispersion_L(complex(x, 0.0), k, nu, profile, interaction))
 
-    reach = 10.0 * (1.0 + 4.0 * kern.velocity_scale)
+    scale = profile.thermal_speed + max(abs(c) for _, c, _ in profile.components)
+    reach = 10.0 * (1.0 + 4.0 * scale)
     x = np.linspace(-reach, reach, n)
-    gap = 1.0 - lintheory._L_closed(x + 0j, kern.k, nu, kern.profile, what)
+    gap = 1.0 - lintheory._L_closed(x + 0j, k, nu, profile, what)
     phase = np.unwrap(np.angle(np.concatenate([[1.0], gap, [1.0]])))
     size = np.abs(gap)
     dips = np.flatnonzero((size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])) + 1
@@ -586,47 +570,34 @@ def axis_oracle(kern, nu, n=20_001):
 
 class TestStabilityScan:
     def test_zero_interaction_margin_is_exactly_one(self):
-        family = lambda k: VolterraKernel(
-            nu=0.0, k=k, profile=VelocityProfile.maxwellian(1.0),
-            interaction=Interaction.zero(), dt=0.5, horizon=1.0,
-        )
-        report = stability_scan((1, 4), 0.0, family)
+        report = stability_scan((1, 4), 0.0, VelocityProfile.maxwellian(1.0), Interaction.zero())
         assert report.kappa == 1.0
 
     def test_scenario_margin_matches_offline_scan(self):
-        family = lambda k: scenario_kernel(k=k, dt=0.5, horizon=1.0)
-        report = stability_scan((1, 4), 0.0, family)
+        report = stability_scan((1, 4), 0.0, SCEN_PROFILE, REPULSIVE)
         assert abs(report.kappa - KAPPA_SCEN) < 2e-3
         assert abs(report.worst_mode) == 1
         assert abs(abs(report.worst_frequency.real) - 0.15) < 0.02
         assert -1e-3 <= report.worst_frequency.imag <= 0.0
 
     def test_margin_grows_with_mode(self):
-        family = lambda k: scenario_kernel(k=k, dt=0.5, horizon=1.0)
-        report = stability_scan((1, 3), 0.0, family)
+        report = stability_scan((1, 3), 0.0, SCEN_PROFILE, REPULSIVE)
         margins = report.scan["margins"]
         assert margins[2][0] > margins[1][0]
         assert margins[3][0] > margins[2][0]
 
     def test_collapse_root_raises(self):
-        profile = VelocityProfile.maxwellian(0.1)
-        family = lambda k: VolterraKernel(
-            nu=0.0, k=k, profile=profile, interaction=ATTRACTIVE, dt=0.5, horizon=1.0
-        )
         with pytest.raises(MarginNonPositive):
-            stability_scan((1, 2), 0.0, family)
+            stability_scan((1, 2), 0.0, VelocityProfile.maxwellian(0.1), ATTRACTIVE)
 
     def test_random_unstable_mixture_raises(self):
         # a root off the axis: |1 - L| stays near 0.4 on it, and only the
         # winding tells
         profile, interaction, nu = RANDOM_SET[53]
-        kern = VolterraKernel(nu=nu, k=1, profile=profile, interaction=interaction,
-                              dt=0.5, horizon=1.0)
-        winding, margin = axis_oracle(kern, nu)
+        winding, margin = axis_oracle(1, nu, profile, interaction)
         assert winding == 1 and margin > 0.3
-        family = lambda k: replace(kern, k=k)
         with pytest.raises(MarginNonPositive, match="winds 1 time"):
-            stability_scan((1, 4), nu, family)
+            stability_scan((1, 4), nu, profile, interaction)
 
     def test_root_next_to_the_axis_is_counted(self):
         # mixture 53 with its amplitude a hair above the marginal 0.368950:
@@ -634,42 +605,36 @@ class TestStabilityScan:
         # 7.6e-5, and the samples alone miss its turn; just below, no root
         profile, interaction, nu = RANDOM_SET[53]
 
-        def family_at(amplitude):
-            near = replace(interaction, amplitude=amplitude)
-            return lambda k: VolterraKernel(nu=nu, k=k, profile=profile, interaction=near,
-                                            dt=0.5, horizon=1.0)
+        def scan_at(amplitude):
+            return stability_scan((1, 1), nu, profile, replace(interaction, amplitude=amplitude))
 
         with pytest.raises(MarginNonPositive, match="winds 1 time"):
-            stability_scan((1, 1), nu, family_at(0.36898717))
-        assert 0.0 < stability_scan((1, 1), nu, family_at(0.3689)).kappa < 2e-4
+            scan_at(0.36898717)
+        assert 0.0 < scan_at(0.3689).kappa < 2e-4
 
     # 7: the 2-D scan overstated two modes by up to 2.5e-3; 20, 52, 54: two
     # local minima within 6e-5 of each other
     @pytest.mark.parametrize("case", [7, 20, 52, 54])
     def test_random_mixture_matches_the_dense_axis_oracle(self, case):
         profile, interaction, nu = RANDOM_SET[case]
-        family = lambda k: VolterraKernel(nu=nu, k=k, profile=profile,
-                                          interaction=interaction, dt=0.5, horizon=1.0)
-        report = stability_scan((1, 4), nu, family)
+        report = stability_scan((1, 4), nu, profile, interaction)
         for k, (margin, re_eta, im_eta) in report.scan["margins"].items():
-            winding, oracle = axis_oracle(family(k), nu)
+            winding, oracle = axis_oracle(k, nu, profile, interaction)
             assert winding == 0
             assert abs(margin - min(oracle, 1.0)) <= 1e-10 * oracle
             assert im_eta == 0.0
         assert report.kappa == min(m for m, _, _ in report.scan["margins"].values())
 
     def test_high_modes_skipped_by_majorant(self):
-        family = lambda k: scenario_kernel(k=k, dt=0.5, horizon=1.0)
-        report = stability_scan((1, 12), 0.0, family)
+        report = stability_scan((1, 12), 0.0, SCEN_PROFILE, REPULSIVE)
         skipped = report.scan["skipped_lower_bounds"]
         assert sorted(skipped) == [9, 10, 11, 12]
         assert all(lb > 0.8 for lb in skipped.values())
         assert sorted(report.scan["margins"]) == [1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_scan_is_deterministic(self):
-        family = lambda k: scenario_kernel(k=k, dt=0.5, horizon=1.0)
-        r1 = stability_scan((1, 2), 0.0, family)
-        r2 = stability_scan((1, 2), 0.0, family)
+        r1 = stability_scan((1, 2), 0.0, SCEN_PROFILE, REPULSIVE)
+        r2 = stability_scan((1, 2), 0.0, SCEN_PROFILE, REPULSIVE)
         assert r1.kappa == r2.kappa
         assert r1.scan["margins"] == r2.scan["margins"]
 
