@@ -52,7 +52,7 @@ from .echo import (
     random_phase_table,
 )
 from .config import scenario_defaults
-from .errors import ConstraintViolation, MarginNonPositive, TooFewPeaks
+from .errors import MarginNonPositive, TooFewPeaks, ValidationError
 from .hybridnorms import (
     SLACK_TOL,
     NormParams,
@@ -890,10 +890,12 @@ class BatteryReport:
 
 
 def run_battery(suite: str = "all", cache: dict | None = None) -> BatteryReport:
-    """Run one named acceptance suite; failures become report content."""
+    """Run one named acceptance suite; failures become report content. An
+    unknown suite name is refused with ValidationError, which the CLI reports
+    as a usage error."""
     if suite not in SUITES:
         known = ", ".join(sorted(SUITES))
-        raise ConstraintViolation(f"unknown acceptance suite {suite!r} (known: {known})")
+        raise ValidationError([f"acceptance suite: unknown suite {suite!r} (known: {known})"])
     cache = _cache(cache)
     t0 = time.perf_counter()
     results = []

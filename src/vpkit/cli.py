@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +46,7 @@ from .acceptance import (
     run_battery,
 )
 from .config import SCENARIOS, SimConfig, parse_config
-from .echo import (
-    EXACT_CASE_GATE,
-    PHASE_BOUND_GATE,
-    echo_time,
-    phase_table_gate,
-    random_phase_table,
-)
+from .echo import EXACT_CASE_GATE, PHASE_BOUND_GATE, phase_table_gate, random_phase_table
 from .errors import (
     EchoBeyondRecurrence,
     MarginNonPositive,
@@ -60,8 +54,11 @@ from .errors import (
     ResolutionExceeded,
     ValidationError,
     VpkitError,
+    broken,
 )
-from .kinetic import RECURRENCE_SAFETY, RESOLUTION_TOL, FieldHistory, echo_experiment, run
+from .kinetic import (
+    FUTURE_ECHO, RECURRENCE_SAFETY, RESOLUTION_TOL, FieldHistory, echo_experiment, run,
+)
 from .lintheory import dispersion_rate, stability_scan
 
 
@@ -195,19 +192,15 @@ def _run_free_transport_check(config: SimConfig):
 
 def _run_echo_experiment(config: SimConfig):
     settings = config.echo
-    k = settings.l + settings.force_mode
 
     def refusal(criterion, reason):
         return [criterion], {"echo.json": [_json_bytes({"refusal": reason})]}
 
-    if k == 0 or echo_time(settings.l, k, settings.s_force) is None:
-        reason = (
-            f"seed mode {settings.l} forced at mode {settings.force_mode} responds "
-            f"on mode {k}: no future echo from s = {settings.s_force:g}"
-        )
+    no_echo = broken((FUTURE_ECHO,), asdict(settings))
+    if no_echo:
         return refusal(
-            CriterionResult(None, "future_echo_exists", False, {"reason": reason}, "t* > s"),
-            reason,
+            CriterionResult(None, "future_echo_exists", False, {"reason": no_echo[0]}, "t* > s"),
+            no_echo[0],
         )
     try:
         report = echo_experiment(
@@ -400,13 +393,11 @@ def run_scenario(config: SimConfig) -> RunReport:
 def acceptance(suite: str = "all", out_dir: str | None = None):
     """Run an acceptance suite; write its summary when out_dir is given.
 
-    Failures are content in the returned report, never exceptions. The CSV
+    Failures are content in the returned report, never exceptions; an unknown
+    suite is refused by run_battery with ValidationError. The CSV
     summary excludes wall times so repeated runs are byte-identical; the
     JSON report carries them.
     """
-    if suite not in SUITES:
-        known = ", ".join(sorted(SUITES))
-        raise ValidationError([f"acceptance suite: unknown suite {suite!r} (known: {known})"])
     battery = run_battery(suite)
     if out_dir is not None:
         out = Path(out_dir)

@@ -2,11 +2,14 @@
 
 A config is sectioned key = value text; sections mirror the library modules
 ([profile], [interaction], [grid], [time], ...). One table, _KEYS, declares
-every key with its type, default (per scenario where they differ), bound and
-problem message; defaults, the allowed keys, scenario-gated sections and the
-per-key checks all come from it, and the checks that span keys are short
-functions beside it. Every problem is reported at once, not just the first.
-A valid config becomes a SimConfig that holds the KineticRun it describes.
+every key with its type and default (per scenario where they differ);
+defaults, the allowed keys and the scenario-gated sections come from it. A
+key's value is held to the rules of the object it sets, stated beside that
+object (profiles, kinetic, echo) and reported here under the key's label;
+only the keys no object reads have bounds of their own (_OWN_RULES), and a
+scenario's own demands are a short function. Every problem is reported at
+once, not just the first. A valid config becomes a SimConfig that holds the
+KineticRun it describes.
 
 scenario_defaults(name) is the SimConfig of a config that names only the
 scenario. The acceptance battery and the demos run these defaults, so a
@@ -21,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .echo import echo_time
-from .errors import ParseError, ValidationError
-from .kinetic import PHASE_BUDGET, KineticRun, default_v_max, on_step_grid
-from .profiles import Interaction, VelocityProfile
+from .echo import KERNEL_RULES
+from .errors import ParseError, ValidationError, broken
+from .kinetic import PHASE_RULE, PROBE_RULES, RUN_RULES, KineticRun, default_v_max
+from .profiles import INTERACTION_RULES, MAXWELLIAN_RULES, Interaction, VelocityProfile
 
 # in the order "known: ..." problems list them; vpkit.cli has a worker for each
 SCENARIOS = (
@@ -56,27 +59,20 @@ def _finite_or_auto(label, text, problems):
 
 
 def _triples(label, text, problems):
-    """weight:center:spread components with positive weights summing to 1."""
+    """The weight:center:spread components that are three finite numbers,
+    each other piece a problem; None when they break VelocityProfile's rules."""
     comps = []
     for piece in filter(None, (p.strip() for p in text.split(","))):
         parts = piece.split(":")
         if len(parts) != 3:
             problems.append(f"{label}: {piece!r} is not weight:center:spread")
             continue
-        w, c, s = (_value(float, label, part, problems) for part in parts)
-        if None in (w, c, s):
-            continue
-        if w <= 0 or s <= 0:
-            problems.append(f"{label}: {piece!r} needs weight > 0 and spread > 0")
-        else:
-            comps.append((w, c, s))
-    if not comps:
-        problems.append(f"{label}: at least one weight:center:spread triple")
-    elif abs(sum(w for w, _, _ in comps) - 1.0) > 1e-12:
-        problems.append(f"{label}: weights must sum to 1")
-    else:
-        return comps
-    return None
+        numbers = [_value(float, label, part, problems) for part in parts]
+        if None not in numbers:
+            comps.append(tuple(numbers))
+    found = VelocityProfile.problems(comps, label)
+    problems.extend(found)
+    return None if found else comps
 
 
 def _nus(label, text, problems):
@@ -113,59 +109,71 @@ _KIND_OF = {f"{sec}.{key}": kind for sec, kinds in _MODELS.items()
 # Cold Maxwellian for the Landau-damping family of runs.
 _COLD = dict.fromkeys(("linear_landau", "free_transport_check", "collision_sweep"), "0.05")
 
-# One row per config key: (section, key, type, default, check, message).
-# type is float, int, str or a parser of the whole text. default is the text
-# used when the file omits the key (None: no default), or per-scenario texts
-# with a None entry for the other scenarios; without that entry the key, and
-# its section, belong to the one scenario named. check is the bound a parsed
-# value must meet and message the problem when it fails ({!r}: the text).
+# One row per config key: (section, key, type, default). type is float, int,
+# str or a parser of the whole text. default is the text used when the file
+# omits the key (None: no default), or per-scenario texts with a None entry
+# for the other scenarios; without that entry the key, and its section,
+# belong to the one scenario named.
 _KEYS = (
-    ("scenario", "name", str, None, None, None),
-    ("scenario", "nu", float, "0", lambda v: v >= 0, "collision frequency must be >= 0"),
-    ("scenario", "seed", int, "0", lambda v: v >= 0, "must be >= 0"),
-    ("profile", "kind", str, "maxwellian", lambda v: v in _MODELS["profile"],
-     "unknown kind {!r} (maxwellian, sum_of_maxwellians)"),
-    ("profile", "thermal_speed", float, {None: "1", **_COLD}, lambda v: v > 0, "must be > 0"),
-    ("profile", "components", _triples, None, None, None),
-    ("interaction", "kind", str, {None: "power_law", "free_transport_check": "zero"},
-     lambda v: v in _MODELS["interaction"], "unknown kind {!r} (power_law, zero)"),
-    ("interaction", "gamma", float, "2", lambda v: v > 1,
-     "must exceed 1 for a summable potential"),
-    ("interaction", "amplitude", float, "1", lambda v: 0 < v <= 1,
-     "must lie in (0, 1] (the decay bound)"),
-    ("interaction", "sign", int, "1", lambda v: v in (1, -1), "must be 1 or -1"),
-    ("perturbation", "mode", int, "1", lambda v: v >= 1, "must be >= 1"),
-    ("perturbation", "amplitude", float, {None: "1e-5", "free_transport_check": "1e-3"},
-     lambda v: v >= 0, "must be >= 0"),
-    ("perturbation", "shape", str, "density", lambda v: v in ("density", "velocity"),
-     "unknown shape {!r} (density, velocity)"),
-    ("grid", "k_max", int, {None: "4", "free_transport_check": "2", "echo_experiment": "8"},
-     lambda v: v >= 1, "must be >= 1"),
-    ("grid", "n_v", int, "512", lambda v: v >= 8 and v % 2 == 0, "must be an even integer >= 8"),
+    ("scenario", "name", str, None),
+    ("scenario", "nu", float, "0"),
+    ("scenario", "seed", int, "0"),
+    ("profile", "kind", str, "maxwellian"),
+    ("profile", "thermal_speed", float, {None: "1", **_COLD}),
+    ("profile", "components", _triples, None),
+    ("interaction", "kind", str, {None: "power_law", "free_transport_check": "zero"}),
+    ("interaction", "gamma", float, "2"),
+    ("interaction", "amplitude", float, "1"),
+    ("interaction", "sign", int, "1"),
+    ("perturbation", "mode", int, "1"),
+    ("perturbation", "amplitude", float, {None: "1e-5", "free_transport_check": "1e-3"}),
+    ("perturbation", "shape", str, "density"),
+    ("grid", "k_max", int, {None: "4", "free_transport_check": "2", "echo_experiment": "8"}),
+    ("grid", "n_v", int, "512"),
     ("grid", "v_max", _finite_or_auto,
-     {None: "auto", "free_transport_check": "0.3", "echo_experiment": "6"},
-     lambda v: v == "auto" or v > 0, "must be > 0 (or auto)"),
+     {None: "auto", "free_transport_check": "0.3", "echo_experiment": "6"}),
     ("time", "dt", float, {None: "0.05", "free_transport_check": "0.5",
-                           "echo_experiment": "0.02", "collision_sweep": "0.04"},
-     lambda v: v > 0, "must be > 0"),
+                           "echo_experiment": "0.02", "collision_sweep": "0.04"}),
     ("time", "t_end", float, {None: "45", "free_transport_check": "680",
                               "echo_experiment": "12.5", "collision_sweep": "40",
-                              "kernel_bounds": "30"}, None, None),
-    ("outputs", "directory", str, "out", bool, "must be non-empty"),
-    ("outputs", "cadence", int, {None: "1", "free_transport_check": "4", "echo_experiment": "25"},
-     lambda v: v >= 1, "must be >= 1"),
-    ("echo", "l", int, {"echo_experiment": "1"}, None, None),
-    ("echo", "force_mode", int, {"echo_experiment": "-2"}, None, None),
-    ("echo", "s_force", float, {"echo_experiment": "5"}, lambda v: v > 0, "must be > 0"),
-    ("echo", "eps1", float, {"echo_experiment": "1e-3"}, lambda v: v > 0,
-     "seed amplitude must be > 0"),
-    ("echo", "eps2", float, {"echo_experiment": "1e-3"}, lambda v: v >= 0,
-     "forcing amplitude must be >= 0"),
-    ("sweep", "nus", _nus, {"collision_sweep": "1e-4,1e-3,1e-2"}, None, None),
-    ("kernel", "alpha", float, {"kernel_bounds": "0.5"}, lambda v: 0 < v < 1,
-     "must lie in (0, 1)"),
-    ("kernel", "cases", int, {"kernel_bounds": "200"}, lambda v: 1 <= v <= 100000,
-     "must lie in 1..100000"),
+                              "kernel_bounds": "30"}),
+    ("outputs", "directory", str, "out"),
+    ("outputs", "cadence", int, {None: "1", "free_transport_check": "4", "echo_experiment": "25"}),
+    ("echo", "l", int, {"echo_experiment": "1"}),
+    ("echo", "force_mode", int, {"echo_experiment": "-2"}),
+    ("echo", "s_force", float, {"echo_experiment": "5"}),
+    ("echo", "eps1", float, {"echo_experiment": "1e-3"}),
+    ("echo", "eps2", float, {"echo_experiment": "1e-3"}),
+    ("sweep", "nus", _nus, {"collision_sweep": "1e-4,1e-3,1e-2"}),
+    ("kernel", "alpha", float, {"kernel_bounds": "0.5"}),
+    ("kernel", "cases", int, {"kernel_bounds": "200"}),
+)
+
+# The bounds of the keys that set no object's field (errors.broken rules).
+_OWN_RULES = (
+    (("scenario.seed",), lambda seed: seed >= 0, "must be >= 0"),
+    (("profile.kind",), lambda kind: kind in _MODELS["profile"],
+     "unknown kind {!r} (maxwellian, sum_of_maxwellians)"),
+    (("outputs.directory",), bool, "must be non-empty"),
+    (("kernel.cases",), lambda cases: 1 <= cases <= 100000, "must lie in 1..100000"),
+)
+
+# The rules a config is held to, its own and each object's, with the labels
+# of the keys that set the fields; _RUN labels a KineticRun's.
+_RUN = {
+    "nu": "scenario.nu", "dt": "time.dt", "t_end": "time.t_end", "k_pert": "perturbation.mode",
+    "amplitude": "perturbation.amplitude", "pert_shape": "perturbation.shape",
+    "k_max": "grid.k_max", "n_v": "grid.n_v", "v_max": "grid.v_max",
+    "record_every": "outputs.cadence",
+}
+_CHECKS = (
+    (_OWN_RULES, {}),
+    (MAXWELLIAN_RULES, {"thermal_speed": "profile.thermal_speed"}),
+    (INTERACTION_RULES, {f: f"interaction.{f}" for f in ("kind", "gamma", "amplitude", "sign")}),
+    (RUN_RULES, _RUN),
+    (PROBE_RULES, {**{f: f"echo.{f}" for f in ("l", "force_mode", "s_force", "eps1", "eps2")},
+                   **{f: _RUN[f] for f in ("k_max", "dt", "t_end")}}),
+    (KERNEL_RULES, {"alpha": "kernel.alpha"}),
 )
 
 # Every key's section.key label, and the scenario each section is gated to
@@ -173,7 +181,7 @@ _KEYS = (
 _LABELS = {f"{sec}.{key}" for sec, key, *_ in _KEYS}
 _SECTIONS = {
     sec: next(iter(default)) if isinstance(default, dict) and None not in default else None
-    for sec, _, _, default, _, _ in _KEYS
+    for sec, _, _, default in _KEYS
 }
 
 
@@ -210,36 +218,9 @@ class SimConfig:
     n_v = property(lambda self: self.run.n_v)
 
 
-def _grid_problems(scenario, v):
-    """The perturbed mode inside the band, t_end on the step grid, and the
-    kernel_bounds sampling window [0.5, t_end]."""
-    mode, k_max = v["perturbation.mode"], v["grid.k_max"]
-    dt, t_end = v["time.dt"], v["time.t_end"]
-    if None not in (mode, k_max) and mode > k_max:
-        yield "perturbation.mode: must not exceed grid.k_max"
-    if None not in (dt, t_end):
-        if t_end < dt:
-            yield "time.t_end: must cover at least one step"
-        elif not on_step_grid(t_end, dt):
-            yield "time.t_end: must be an integer number of steps of dt"
-    if scenario == "kernel_bounds" and t_end is not None and t_end <= 0.5:
-        yield "time.t_end: kernel_bounds samples times in [0.5, t_end] and needs t_end > 0.5"
-
-
-def _marching_problems(scenario, v, profile, interaction):
-    """The splitting phase budget (which the marching guard also enforces) at
-    parse time, and free flight for free_transport_check."""
-    dt, k_max, v_max = v["time.dt"], v["grid.k_max"], v["grid.v_max"]
-    if v_max == "auto":
-        v_max = None if profile is None else default_v_max(profile)
-    marched = ("linear_landau", "free_transport_check", "echo_experiment")
-    if scenario in marched and None not in (dt, k_max, v_max):
-        budget = dt * k_max * v_max
-        if budget > PHASE_BUDGET:
-            yield (
-                f"time.dt: dt * k_max * v_max = {budget:.3g} exceeds the splitting "
-                f"phase budget {PHASE_BUDGET:g}; shrink dt or the grid"
-            )
+def _scenario_problems(scenario, v, interaction):
+    """Free flight for free_transport_check, and the kernel_bounds sampling
+    window [0.5, t_end]."""
     if scenario == "free_transport_check":
         if interaction is not None and interaction.kind != "zero":
             yield (
@@ -248,33 +229,8 @@ def _marching_problems(scenario, v, profile, interaction):
             )
         if v["scenario.nu"] is not None and v["scenario.nu"] != 0.0:
             yield "scenario.nu: free_transport_check needs nu = 0"
-
-
-def _echo_problems(v):
-    """Seed, forcing and response modes inside the band; the forcing time
-    before t_end and on the step grid, and the echo it predicts by t_end."""
-    l, force, k_max = v["echo.l"], v["echo.force_mode"], v["grid.k_max"]
-    if l is not None and (l < 1 or (k_max is not None and l > k_max)):
-        yield "echo.l: seed mode must lie in 1..grid.k_max"
-        l = None
-    if force is not None and (force == 0 or (k_max is not None and abs(force) > k_max)):
-        yield "echo.force_mode: must be nonzero with |force_mode| <= grid.k_max"
-        force = None
-    if None not in (l, force, k_max) and abs(l + force) > k_max:
-        yield "echo.force_mode: the response mode l + force_mode must fit inside the retained band"
-    s_force, dt, t_end = v["echo.s_force"], v["time.dt"], v["time.t_end"]
-    if s_force is not None:
-        if t_end is not None and s_force >= t_end:
-            yield "echo.s_force: must land before time.t_end"
-        elif dt is not None and not on_step_grid(s_force, dt):
-            yield "echo.s_force: must sit on the step grid"
-        elif None not in (l, force, t_end) and l + force != 0:
-            t_star = echo_time(l, l + force, s_force)
-            if t_star is not None and t_star > t_end:
-                yield (
-                    f"echo.s_force: the echo it launches arrives at t* = {t_star:g}, "
-                    f"after time.t_end = {t_end:g}"
-                )
+    if scenario == "kernel_bounds" and v["time.t_end"] is not None and v["time.t_end"] <= 0.5:
+        yield "time.t_end: kernel_bounds samples times in [0.5, t_end] and needs t_end > 0.5"
 
 
 def parse_config(path, *, force_scenario: str | None = None, seed: int | None = None) -> SimConfig:
@@ -341,7 +297,7 @@ def _resolve(user: dict) -> SimConfig:
 
     # every section the scenario reads, its defaults under the file's text
     merged = {sec: {} for sec, owner in _SECTIONS.items() if owner in (None, scenario)}
-    for sec, key, _, default, _, _ in _KEYS:
+    for sec, key, _, default in _KEYS:
         if isinstance(default, dict):
             default = default.get(scenario, default.get(None))
         if sec in merged and default is not None:
@@ -358,24 +314,25 @@ def _resolve(user: dict) -> SimConfig:
                 else:
                     problems.append(f"{sec}.{key}: unknown key")
 
-    # each key the scenario reads, parsed and held to its bound (None once
-    # it has a problem)
+    # each key the scenario reads, as its type (None once it has a problem)
     v = {}
-    for sec, key, kind, _, check, message in _KEYS:
+    for sec, key, kind, _ in _KEYS:
         label = f"{sec}.{key}"
         if sec not in merged:
             continue
         reader = _KIND_OF.get(label)
         if reader is not None and merged[sec]["kind"] != reader:
-            if v[f"{sec}.kind"] is not None and key in user.get(sec, {}):
+            if merged[sec]["kind"] in _MODELS[sec] and key in user.get(sec, {}):
                 problems.append(f"{label}: only applies to kind = {reader}")
             continue
-        text = merged[sec].get(key, "")
-        value = _value(kind, label, text, problems)
-        if value is not None and check is not None and not check(value):
-            problems.append(f"{label}: {message.format(text)}")
-            value = None
-        v[label] = value
+        v[label] = _value(kind, label, merged[sec].get(key, ""), problems)
+
+    # every value held to the rules of what it sets; auto v_max waits for the profile
+    auto = v["grid.v_max"] == "auto"
+    if auto:
+        v["grid.v_max"] = None
+    for rules, names in _CHECKS:
+        problems.extend(broken(rules, v, names))
 
     models = dict.fromkeys(_MODELS)  # the profile and interaction, once their keys are valid
     for sec, kinds in _MODELS.items():
@@ -385,25 +342,18 @@ def _resolve(user: dict) -> SimConfig:
             models[sec] = None if None in args else build(*args)
     profile, interaction = models["profile"], models["interaction"]
 
-    problems.extend(_grid_problems(scenario, v))
-    problems.extend(_marching_problems(scenario, v, profile, interaction))
-    if scenario == "echo_experiment":
-        problems.extend(_echo_problems(v))
+    # the splitting phase budget of a marched run, which the march would refuse
+    if scenario in ("linear_landau", "free_transport_check", "echo_experiment"):
+        v_max = default_v_max(profile) if auto and profile is not None else v["grid.v_max"]
+        problems.extend(broken((PHASE_RULE,), {**v, "grid.v_max": v_max}, _RUN))
+    problems.extend(_scenario_problems(scenario, v, interaction))
     if problems:
         raise ValidationError(problems)
 
     echo = None
     if scenario == "echo_experiment":
         echo = EchoSettings(*(v[f"echo.{f.name}"] for f in fields(EchoSettings)))
-    params = KineticRun(
-        profile=profile, interaction=interaction, nu=v["scenario.nu"],
-        dt=v["time.dt"], t_end=v["time.t_end"],
-        k_pert=v["perturbation.mode"], amplitude=v["perturbation.amplitude"],
-        pert_shape=v["perturbation.shape"],
-        k_max=v["grid.k_max"], n_v=v["grid.n_v"],
-        v_max=None if v["grid.v_max"] == "auto" else v["grid.v_max"],
-        record_every=v["outputs.cadence"],
-    )
+    params = KineticRun(profile, interaction, **{f: v[label] for f, label in _RUN.items()})
     return SimConfig(
         scenario, params, seed=v["scenario.seed"], out_dir=v["outputs.directory"], echo=echo,
         sweep_nus=v.get("sweep.nus", ()),

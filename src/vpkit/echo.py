@@ -30,7 +30,10 @@ from .errors import (
     ConstraintViolation,
     TailNotResolved,
     UnstableConfiguration,
+    broken,
+    refuse,
 )
+from .profiles import GAMMA_RULE
 
 __all__ = [
     "EchoKernelSpec",
@@ -73,6 +76,20 @@ GROWTH_CHECK_POINTS = 97
 PHASE_BOUND_GATE = "numeric <= bound * (1 + 1e-12)"
 EXACT_CASE_GATE = "<= 1e-12 (|numeric/bound - 1| where l = k)"
 
+# The kernel's rules (errors.broken): an EchoKernelSpec keeps the first four,
+# the last of which certifies the l-tail of its truncation box; the phase
+# integral and the moments keep alpha's, the weak-collision regime's and t's.
+KERNEL_RULES = (
+    (("alpha",), lambda alpha: 0 < alpha < 1, "must lie in (0, 1)"),
+    GAMMA_RULE,
+    (("trunc",), lambda n: n >= 2 and float(n).is_integer(), "must be an integer >= 2"),
+    (("trunc", "alpha"), lambda n, alpha: alpha * (n - 1) >= 12.0 * math.log(10.0),
+     lambda n, alpha: f"{n} leaves an l-tail above 1e-12 of the sup at alpha={alpha:g}: "
+                      "need alpha*(trunc-1) > 12*ln(10)"),
+    (("nu", "alpha"), lambda nu, alpha: 0 < nu < alpha, "must lie in (0, alpha)"),
+    (("t",), lambda t: t > 0, "must be > 0"),
+)
+
 
 @dataclass(frozen=True)
 class EchoKernelSpec:
@@ -91,20 +108,10 @@ class EchoKernelSpec:
     trunc: int = 64
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConstraintViolation("alpha must lie in (0, 1)")
-        if self.gamma <= 1.0:
-            raise ConstraintViolation("gamma must exceed 1")
-        if int(self.trunc) != self.trunc or self.trunc < 2:
-            raise ConstraintViolation("trunc must be an integer >= 2")
+        refuse(broken(KERNEL_RULES, dict(vars(self))))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "trunc", int(self.trunc))
-        if self.alpha * (self.trunc - 1) < 12.0 * math.log(10.0):
-            raise ConstraintViolation(
-                f"trunc={self.trunc} leaves an l-tail above 1e-12 of the sup "
-                f"at alpha={self.alpha:g}: need alpha*(trunc-1) > 12*ln(10)"
-            )
 
 
 # Points per kernel batch: the (6, rows, points) candidate temporaries of one
@@ -254,10 +261,7 @@ def piecewise_integral_check(k: int, l: int, alpha: float, t: float):
     k, l = int(k), int(l)
     if k <= 0:
         raise ConstraintViolation("the table is reduced to k > 0")
-    if not 0.0 < alpha < 1.0:
-        raise ConstraintViolation("alpha must lie in (0, 1)")
-    if t <= 0:
-        raise ConstraintViolation("need t > 0")
+    refuse(broken(KERNEL_RULES, {"alpha": alpha, "t": t}))
 
     half = 0.5 * t
     ends = np.array([0.0, k * t / (k - l), half] if l < -k else [0.0, half])
@@ -584,10 +588,7 @@ def echo_moment_forward(spec: EchoKernelSpec, nu: float, t: float):
     A Gauss-Lobatto rule on echo_kernel, split at every clearing peak, is
     the tests' oracle for this integral.
     """
-    if not 0.0 < nu < spec.alpha:
-        raise ConstraintViolation("need 0 < nu < alpha")
-    if t <= 0:
-        raise ConstraintViolation("need t > 0")
+    refuse(broken(KERNEL_RULES, {"nu": nu, "alpha": spec.alpha, "t": t}))
     a, b, fa, fb = _forward_pieces(spec, t)
     pieces = _linear_exp_integrals(a, b, fa - nu * (t - a), fb - nu * (t - b))
     numeric = math.fsum(pieces.tolist())
@@ -643,8 +644,7 @@ def echo_moment_backward(spec: EchoKernelSpec, nu: float, s: float, T_max: float
     moment the tests check agrees with a Gauss-Lobatto rule on echo_kernel,
     split at every clearing peak, to 1e-12 relative.
     """
-    if not 0.0 < nu < spec.alpha:
-        raise ConstraintViolation("need 0 < nu < alpha")
+    refuse(broken(KERNEL_RULES, {"nu": nu, "alpha": spec.alpha}))
     if s < 0 or T_max <= s:
         raise ConstraintViolation("need 0 <= s < T_max")
     a, b, k, l = _backward_pieces(spec, s, T_max)

@@ -1,8 +1,13 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the checker of rules.
 
 Every guard that refuses to return a number it cannot stand behind raises one
 of these, so callers can tell a numerical refusal from a programming error.
+Each rule on a value is stated once, beside the object it constrains, as a
+(fields, holds, text) triple; broken() reports the rules some values break,
+for that object and for the config that sets its values.
 """
+
+import re
 
 
 class VpkitError(Exception):
@@ -78,3 +83,38 @@ class ValidationError(VpkitError):
 
     def __reduce__(self):
         return type(self), (self.problems,)
+
+
+def broken(rules, values, names=None) -> list:
+    """The "name: text" problem of each rule that values break, in rule order.
+
+    A rule is (fields, holds, text): holds(*values of the fields) says
+    whether it holds, and a break is reported under the first field's name.
+    text is a str.format template of those values ({!r}) and of field names
+    ({k_max}), or a function of the values that returns one. values maps
+    each field's name (names[field], or the field itself) to its value. A
+    rule is skipped where a value it reads is missing or None, or where one
+    of its fields already broke a rule here. A value that breaks a rule of
+    its own is set to None in values, so no later rule reads it; one that
+    breaks a relation to another value stays.
+    """
+    names = names or {}
+    problems, bad = [], set()
+    for fields, holds, text in rules:
+        args = [values.get(names.get(f, f)) for f in fields]
+        if None in args or (bad and not bad.isdisjoint(fields)) or holds(*args):
+            continue
+        bad.add(fields[0])
+        key = names.get(fields[0], fields[0])
+        if len(fields) == 1:
+            values[key] = None
+        template = text(*args) if callable(text) else text
+        labels = {f: names.get(f, f) for f in re.findall(r"\{(\w+)\}", template)}
+        problems.append(f"{key}: {template.format(*args, **labels)}")
+    return problems
+
+
+def refuse(problems, error=ConstraintViolation) -> None:
+    """Raise error with every problem, if there are any."""
+    if problems:
+        raise error("; ".join(problems))

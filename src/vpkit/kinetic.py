@@ -43,6 +43,7 @@ the (tiny, but visible at 1e-14) quadrature defect of the raw samples.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import threading
@@ -60,15 +61,12 @@ from .errors import (
     ResolutionExceeded,
     StepTooCoarse,
     VpkitError,
+    broken,
+    refuse,
 )
 from .hybridnorms import SpectralDistribution
 from .lintheory import parabolic_peak
-from .profiles import (
-    Interaction,
-    VelocityProfile,
-    interaction_hat,
-    profile_sample,
-)
+from .profiles import NU_RULE, Interaction, VelocityProfile, interaction_hat, profile_sample
 
 # Charge-to-mass ratio of the kick. With the 2*pi Fourier convention the
 # field multiplier is 2*pi*i*k*W_hat(k), and the linearized density response
@@ -88,6 +86,75 @@ RESOLUTION_TOL = 1e-3
 # Fraction of the velocity-grid recurrence time 1/(|k| dv) that echo
 # predictions may use before the grid can no longer represent the echo.
 RECURRENCE_SAFETY = 0.8
+
+
+def on_step_grid(t: float, dt: float) -> bool:
+    """Whether t is a whole number of steps dt, to 1e-9 max(1, t); False when
+    t / dt is not finite (a subnormal dt)."""
+    n = t / dt
+    return math.isfinite(n) and abs(round(n) * dt - t) <= 1e-9 * max(1.0, t)
+
+
+def _echo_arrival(s_force, l, force_mode) -> float:
+    """The time t* of the echo a probe launches; 0 when it launches none."""
+    k = l + force_mode
+    return (echo_time(l, k, s_force) if k else None) or 0.0
+
+
+# The rules of a run, a state and an echo probe (errors.broken). A KineticRun
+# keeps RUN_RULES, a PhaseState the grid's, perturb_density the mode's and
+# shape's, a step the phase budget (StepTooCoarse) and echo_traces the
+# probe's; FUTURE_ECHO is the probe rule whose break the echo scenario
+# reports as a refusal.
+_INTEGER = (lambda n: float(n).is_integer(), "not an integer: {!r}")
+GRID_RULES = (
+    (("k_max",), *_INTEGER),
+    (("k_max",), lambda k: k >= 1, "must be >= 1"),
+    (("n_v",), lambda n: n >= 8 and n % 2 == 0 and float(n).is_integer(),
+     "must be an even integer >= 8"),
+    (("v_max",), lambda v: v > 0, "must be > 0 (or auto)"),
+)
+RUN_RULES = (
+    NU_RULE,
+    (("dt",), lambda dt: dt > 0, "must be > 0"),
+    (("t_end", "dt"), operator.ge, "must cover at least one step"),
+    (("t_end", "dt"), on_step_grid, "must be an integer number of steps of dt"),
+    *GRID_RULES,
+    (("k_pert",), *_INTEGER),
+    (("k_pert",), lambda k: k >= 1, "must be >= 1"),
+    (("k_pert", "k_max"), operator.le, "must not exceed {k_max}"),
+    (("amplitude",), lambda a: a >= 0, "must be >= 0"),
+    (("pert_shape",), lambda shape: shape in ("density", "velocity"),
+     "unknown shape {!r} (density, velocity)"),
+    (("record_every",), *_INTEGER),
+    (("record_every",), lambda n: n >= 1, "must be >= 1"),
+)
+PHASE_RULE = (
+    ("dt", "k_max", "v_max"), lambda dt, k_max, v_max: abs(dt) * k_max * v_max <= PHASE_BUDGET,
+    lambda dt, k_max, v_max: f"dt * k_max * v_max = {abs(dt) * k_max * v_max:.3g} exceeds "
+                             f"the splitting phase budget {PHASE_BUDGET:g}; shrink dt or the grid",
+)
+PROBE_RULES = (
+    (("l", "k_max"), lambda l, k_max: 1 <= l <= k_max, "seed mode must lie in 1..{k_max}"),
+    (("force_mode", "k_max"), lambda m, k_max: m != 0 and abs(m) <= k_max,
+     "must be nonzero with |force_mode| <= {k_max}"),
+    (("force_mode", "l", "k_max"), lambda m, l, k_max: abs(l + m) <= k_max,
+     "the response mode l + force_mode must fit inside the retained band"),
+    (("s_force",), lambda s: s > 0, "must be > 0"),
+    (("s_force", "t_end"), operator.lt, "must land before {t_end}"),
+    (("s_force", "dt"), on_step_grid, "must sit on the step grid"),
+    (("s_force", "l", "force_mode", "t_end"),
+     lambda s, l, m, t_end: _echo_arrival(s, l, m) <= t_end,
+     lambda s, l, m, t_end: f"the echo it launches arrives at t* = {_echo_arrival(s, l, m):g}, "
+                            f"after {{t_end}} = {t_end:g}"),
+    (("eps1",), lambda eps1: eps1 > 0, "seed amplitude must be > 0"),
+    (("eps2",), lambda eps2: eps2 >= 0, "forcing amplitude must be >= 0"),
+)
+FUTURE_ECHO = (
+    ("force_mode", "l", "s_force"), lambda m, l, s: _echo_arrival(s, l, m) > 0,
+    lambda m, l, s: f"seed mode {l} forced at mode {m} responds on mode {l + m}: "
+                    f"no future echo from s = {s:g}",
+)
 
 
 def default_v_max(profile: VelocityProfile) -> float:
@@ -128,11 +195,9 @@ class PhaseState:
     v_max: float
 
     def __post_init__(self):
-        if int(self.k_max) != self.k_max or self.k_max < 1:
-            raise ConstraintViolation("k_max must be a positive integer")
-        if not (self.v_max > 0.0):
-            raise ConstraintViolation("v_max must be positive")
         rows = np.asarray(self.rows, dtype=complex)
+        refuse(broken(GRID_RULES, {"k_max": self.k_max, "v_max": float(self.v_max),
+                                   "n_v": rows.shape[1] if rows.ndim == 2 else None}))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "k_max", int(self.k_max))
         object.__setattr__(self, "time", float(self.time))
@@ -140,8 +205,6 @@ class PhaseState:
             raise ConstraintViolation(
                 f"rows must hold modes 0..k_max = {self.k_max + 1} rows, got shape {rows.shape}"
             )
-        if rows.shape[1] < 8 or rows.shape[1] % 2:
-            raise ConstraintViolation("velocity grid needs an even count >= 8")
         if not np.all(np.isfinite(rows.view(float))):
             raise ConstraintViolation("state contains non-finite entries")
         if np.any(rows[0].imag):
@@ -194,16 +257,11 @@ def perturb_density(
     uses g = v f0 (an odd current-type modulation). For real amplitude eps
     the physical perturbation is eps * g(v) * cos(2 pi k x).
     """
+    refuse(broken(RUN_RULES, {"k": k, "k_max": state.k_max, "shape": shape},
+                  {"k_pert": "k", "pert_shape": "shape"}))
     k = int(k)
-    if not (1 <= k <= state.k_max):
-        raise ConstraintViolation(f"perturbation mode k={k} outside 1..{state.k_max}")
     base = _equilibrium_rows(profile, state.n_v, state.v_max)
-    if shape == "density":
-        g = base
-    elif shape == "velocity":
-        g = state.v * base
-    else:
-        raise ConstraintViolation(f"unknown perturbation shape {shape!r}")
+    g = base if shape == "density" else state.v * base
     rows = state.rows.copy()
     rows[k] += 0.5 * complex(amplitude) * g
     return PhaseState(rows=rows, time=state.time, k_max=state.k_max, v_max=state.v_max)
@@ -260,7 +318,7 @@ def _phase_blocks(n: int) -> tuple[int, int]:
 
 
 def _phase_powers(theta: np.ndarray, low: np.ndarray, high: np.ndarray,
-                  out: np.ndarray, work: np.ndarray) -> np.ndarray:
+                  out: np.ndarray) -> np.ndarray:
     """Table exp(i theta_x j), j = 0 .. Q R - 1, of shape (theta.size, Q R),
     for the exponents low = arange(R) and high = R * arange(Q) of
     (R, Q) = _phase_blocks(n): the n powers asked for, padded with the next
@@ -268,15 +326,11 @@ def _phase_powers(theta: np.ndarray, low: np.ndarray, high: np.ndarray,
 
     Factored as exp(i theta_x R q) * exp(i theta_x r) with j = R q + r, so
     each row costs about 2 sqrt(n) complex exponentials instead of n, at the
-    same few-ulp accuracy. out and work are C-contiguous complex arrays of
-    the table's shape; the table is written into out. Both factors
-    are broadcast into full tables by copies and multiplied in one
-    contiguous pass, which numpy runs without iteration buffers."""
+    same few-ulp accuracy. The table is written into out, a C-contiguous
+    complex array of its shape, by one broadcast product of the factors."""
     column = theta[:, None]
-    table, factor = (a.reshape(theta.size, high.size, low.size) for a in (out, work))
-    np.copyto(table, np.exp(1j * (column * high))[:, :, None])
-    np.copyto(factor, np.exp(1j * (column * low))[:, None, :])
-    table *= factor
+    np.multiply(np.exp(1j * (column * high))[:, :, None], np.exp(1j * (column * low))[:, None, :],
+                out=out.reshape(theta.size, high.size, low.size))
     return out
 
 
@@ -340,12 +394,7 @@ def _step_plan(k_max: int, n_v: int, v_max: float, dt: float, W: Interaction,
                profile: VelocityProfile, nu: float):
     """The plan of a step dt (nonzero, finite, nu >= 0) on the grid; raises
     StepTooCoarse past PHASE_BUDGET."""
-    if abs(dt) * k_max * v_max > PHASE_BUDGET:
-        raise StepTooCoarse(
-            f"|dt|={abs(dt):g} turns the corner phase k_max*v_max="
-            f"{k_max * v_max:g} by more than {PHASE_BUDGET:g}; "
-            f"shrink the step below {PHASE_BUDGET / (k_max * v_max):.3g}"
-        )
+    refuse(broken((PHASE_RULE,), {"dt": dt, "k_max": k_max, "v_max": v_max}), StepTooCoarse)
     dv, v, modes = 2.0 * v_max / n_v, velocity_grid(n_v, v_max), np.arange(k_max + 1)
     R, Q = _phase_blocks(n_v // 2 + 1)
     half = np.exp(-2j * np.pi * (0.5 * dt) * np.outer(modes, v))
@@ -403,8 +452,7 @@ def _kick(plan: _StepPlan, f: np.ndarray, e_hat: np.ndarray) -> None:
     np.matmul(synth, spec.view(float), out=f_eta.view(float))
     # eta_j = j / (n_v dv), so the shift phase of column x is w_x^j
     f_eta *= _phase_powers(plan.shift * accel, plan.low, plan.high,
-                           out=_work("phase", (n_x, n_pad), complex),
-                           work=_work("phase_factor", (n_x, n_pad), complex))
+                           out=_work("phase", (n_x, n_pad), complex))
     np.matmul(analyze, f_eta.view(float), out=spec.view(float))
     np.fft.irfft(spec[:, :n_eta], n=n_v, axis=1, out=stack)
     np.copyto(f.real, stack[: k_max + 1])
@@ -443,8 +491,7 @@ def collision_substep(
     invariant; nu = 0 (or dt = 0) returns the input unchanged, dt -> +inf
     lands on rho f0. The result is a fresh array.
     """
-    if nu < 0.0:
-        raise ConstraintViolation("collision frequency nu must be >= 0")
+    refuse(broken((NU_RULE,), {"nu": nu}))
     f = np.asarray(f_slice, dtype=complex)
     rho = np.asarray(rho_slice, dtype=complex)
     if f.ndim != 2 or rho.shape != (f.shape[0],):
@@ -555,8 +602,7 @@ def step(
     """
     if not math.isfinite(dt):
         raise ConstraintViolation("dt must be finite")
-    if nu < 0.0:
-        raise ConstraintViolation("collision frequency nu must be >= 0")
+    refuse(broken((NU_RULE,), {"nu": nu}))
     if dt == 0.0:
         return state
     plan = _step_plan(state.k_max, state.n_v, state.v_max, dt, W, profile, nu)
@@ -624,19 +670,12 @@ class FieldHistory:
         return int(self.modes.max())
 
 
-def on_step_grid(t: float, dt: float) -> bool:
-    """Whether t is a whole number of steps dt, to 1e-9 max(1, t); False when
-    t / dt is not finite (a subnormal dt)."""
-    n = t / dt
-    return math.isfinite(n) and abs(round(n) * dt - t) <= 1e-9 * max(1.0, t)
-
-
 @dataclass(frozen=True)
 class KineticRun:
-    """Parameters of a direct simulation.
+    """Parameters of a direct simulation, held to RUN_RULES.
 
-    v_max = None means default_v_max(profile). t_end must sit on the step
-    grid.
+    v_max = None (auto) means default_v_max(profile). t_end must sit on the
+    step grid.
     """
 
     profile: VelocityProfile
@@ -653,26 +692,7 @@ class KineticRun:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.nu < 0.0:
-            raise ConstraintViolation("collision frequency nu must be >= 0")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ConstraintViolation("dt must be positive and finite")
-        if not (self.t_end >= self.dt):
-            raise ConstraintViolation("t_end must cover at least one step")
-        if not on_step_grid(self.t_end, self.dt):
-            raise ConstraintViolation("t_end must be an integer number of steps")
-        if int(self.k_max) != self.k_max or self.k_max < 1:
-            raise ConstraintViolation("k_max must be a positive integer")
-        if int(self.n_v) != self.n_v or self.n_v < 8 or self.n_v % 2:
-            raise ConstraintViolation("n_v must be an even integer >= 8")
-        if self.amplitude != 0.0 and not (1 <= int(self.k_pert) <= self.k_max):
-            raise ConstraintViolation("perturbation mode must lie in 1..k_max")
-        if self.pert_shape not in ("density", "velocity"):
-            raise ConstraintViolation(f"unknown perturbation shape {self.pert_shape!r}")
-        if self.v_max is not None and not (self.v_max > 0.0):
-            raise ConstraintViolation("v_max must be positive")
-        if int(self.record_every) != self.record_every or self.record_every < 1:
-            raise ConstraintViolation("record_every must be a positive integer")
+        refuse(broken(RUN_RULES, dict(vars(self))))
 
     @property
     def n_steps(self) -> int:
@@ -951,58 +971,53 @@ def _echo_prefix(config: KineticRun, l: int, eps1: float, j_kick: int) -> tuple:
     return prefix.state, prefix.rho
 
 
-def _echo_trace(config: KineticRun, l: int, m: int, eps2: float, j_kick: int,
+def _echo_trace(config: KineticRun, l: int, force_mode: int, eps2: float, j_kick: int,
                 seed: tuple) -> tuple:
-    """(times, |rho_hat(t, l + m)|) of an echo run from its _echo_prefix seed."""
+    """(times, |rho_hat(t, l + force_mode)|) of an echo run from its
+    _echo_prefix seed."""
     state, prefix = seed
+    k = l + force_mode
     external = None
     if eps2 != 0.0:
         external = np.zeros(config.k_max + 1, dtype=complex)
-        external[abs(m)] = 0.5 * eps2 / config.dt
+        external[abs(force_mode)] = 0.5 * eps2 / config.dt
     kicked = step(state, config.dt, config.interaction, config.profile, config.nu,
                   external_field_hat=external)
     rest = _march(config, kicked, j_kick + 1, config.n_steps, guard="raise")
     times = np.arange(config.n_steps + 1) * config.dt
     # hypot rounds as the scalar complex abs does; numpy's array abs can differ
     # in the last bit
-    trace = np.concatenate([prefix[:, abs(l + m)], rest.rho[:, abs(l + m)]])
+    trace = np.concatenate([prefix[:, abs(k)], rest.rho[:, abs(k)]])
     return times, np.hypot(trace.real, trace.imag)
 
 
-def echo_traces(config: KineticRun, l: int, m: int, s_force: float, runs) -> list:
-    """One (times, |rho_hat(t, k)|), k = l + m, per echo run (eps1, eps2) of
-    the probe (config, l, m, s_force), in the order of runs.
+def echo_traces(config: KineticRun, l: int, force_mode: int, s_force: float, runs) -> list:
+    """One (times, |rho_hat(t, k)|), k = l + force_mode, per echo run (eps1,
+    eps2) of the probe (config, l, force_mode, s_force), in the order of runs.
 
     An initial density perturbation of size eps1 at mode l free-streams to
-    s_force, where an external field eps2/dt * cos(2 pi m x), held for the
-    single step that starts there (an impulse of total strength eps2
+    s_force, where an external field eps2/dt * cos(2 pi force_mode x), held
+    for the single step that starts there (an impulse of total strength eps2
     independent of dt), transfers its phase-mixed content to mode k. The
     trace reads stored row |k|: |rho_hat(-k)| = |rho_hat(k)|. The j_kick =
     s_force/dt steps before the kick depend only on eps1, so they are
     marched once per distinct eps1, and each distinct run is marched from
     the kick on; the prefixes go side by side, then the runs (_side_by_side).
     The kicked step is a step() call; the march before it and the one after
-    it raise on a resolution-guard trip. A probe whose modes leave the band,
-    whose echo falls before the kick, past t_end or past RECURRENCE_SAFETY
-    of the grid recurrence time (EchoBeyondRecurrence), whose kick is off
-    the step grid, or a run without eps1 > 0 and eps2 >= 0, is refused
-    before any march."""
-    l, m = int(l), int(m)
-    k = l + m
-    if l == 0 or m == 0 or k == 0:
-        raise ConstraintViolation("echo probe needs nonzero modes l, k-l and k")
-    if max(abs(l), abs(m), abs(k)) > config.k_max:
-        raise ConstraintViolation("echo modes must fit inside the retained band")
-    if not (s_force > 0.0):
-        raise ConstraintViolation("the kick time must be positive")
+    it raise on a resolution-guard trip. A probe that breaks PROBE_RULES or
+    FUTURE_ECHO (ConstraintViolation), or whose echo falls past
+    RECURRENCE_SAFETY of the grid recurrence time (EchoBeyondRecurrence), is
+    refused before any march."""
+    l, force_mode = int(l), int(force_mode)
     runs = [(float(eps1), float(eps2)) for eps1, eps2 in runs]
-    if any(not (eps1 > 0.0) or eps2 < 0.0 for eps1, eps2 in runs):
-        raise ConstraintViolation("need eps1 > 0 and eps2 >= 0")
+    problems = broken((*PROBE_RULES, FUTURE_ECHO), {
+        "l": l, "force_mode": force_mode, "s_force": s_force,
+        "k_max": config.k_max, "dt": config.dt, "t_end": config.t_end})
+    for eps1, eps2 in runs:
+        problems += broken(PROBE_RULES, {"eps1": eps1, "eps2": eps2})
+    refuse(list(dict.fromkeys(problems)))
+    k = l + force_mode
     t_star = echo_time(l, k, s_force)
-    if t_star is None:
-        raise ConstraintViolation(
-            f"modes l={l}, k={k} launch no future echo from s={s_force:g}"
-        )
     dv = 2.0 * config.resolved_v_max() / config.n_v
     t_rec = 1.0 / (abs(k) * dv)
     if t_star > RECURRENCE_SAFETY * t_rec:
@@ -1010,19 +1025,13 @@ def echo_traces(config: KineticRun, l: int, m: int, s_force: float, runs) -> lis
             f"predicted echo at t*={t_star:g} lies beyond {RECURRENCE_SAFETY:g} of "
             f"the velocity-grid recurrence time {t_rec:g}; refine the grid"
         )
-    if t_star > config.t_end:
-        raise ConstraintViolation(
-            f"horizon t_end={config.t_end:g} ends before the predicted echo at {t_star:g}"
-        )
-    if not on_step_grid(s_force, config.dt):
-        raise ConstraintViolation("s_force must sit on the step grid")
     j_kick = int(round(s_force / config.dt))
     distinct = list(dict.fromkeys(runs))
     seeds = list(dict.fromkeys(eps1 for eps1, _ in distinct))
     prefixes = dict(zip(seeds, _side_by_side(
         [partial(_echo_prefix, config, l, eps1, j_kick) for eps1 in seeds])))
     traces = dict(zip(distinct, _side_by_side(
-        [partial(_echo_trace, config, l, m, eps2, j_kick, prefixes[eps1])
+        [partial(_echo_trace, config, l, force_mode, eps2, j_kick, prefixes[eps1])
          for eps1, eps2 in distinct])))
     return [traces[amps] for amps in runs]
 

@@ -37,8 +37,11 @@ from .errors import (
     MarginNonPositive,
     StepTooCoarse,
     TooFewPeaks,
+    broken,
+    refuse,
 )
 from .profiles import (
+    NU_RULE,
     Interaction,
     VelocityProfile,
     interaction_hat,
@@ -86,8 +89,7 @@ class VolterraKernel:
     samples: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ConstraintViolation("collision frequency must be >= 0")
+        refuse(broken((NU_RULE,), {"nu": self.nu}))
         if int(self.k) != self.k:
             raise ConstraintViolation("mode k must be an integer")
         if self.dt <= 0 or self.horizon <= 0:
@@ -323,8 +325,7 @@ def dispersion_L(eta, k: int, nu: float, profile: VelocityProfile, interaction: 
     Faddeeva function; the tests hold it to direct quadrature.
     """
     k = int(k)
-    if nu < 0:
-        raise ConstraintViolation("collision frequency must be >= 0")
+    refuse(broken((NU_RULE,), {"nu": nu}))
     if k == 0:
         # no phase and no field: the kernel is nu*exp(-nu t)
         return complex(1.0) if nu > 0 else complex(0.0)
@@ -348,8 +349,11 @@ def dispersion_rate(k: int, nu: float, profile: VelocityProfile,
     so the iteration keeps to the root nearest its start; a step that does
     not reduce |1 - L| is halved; the iteration ends when the step reaches
     rounding or no halving helps. Raises MarginNonPositive when the residual
-    |1 - L| there exceeds ROOT_RESIDUAL_TOL or the root found does not decay.
+    |1 - L| there exceeds ROOT_RESIDUAL_TOL or the root found does not decay,
+    and ConstraintViolation for k = 0, which carries no field.
     """
+    if k == 0:
+        raise ConstraintViolation("mode k = 0 carries no field and has no dispersion root")
     what = interaction_hat(interaction, k)
 
     def mismatch(zeta):
@@ -544,8 +548,7 @@ def stability_scan(k_range, nu: float, profile: VelocityProfile,
     modes = [k for k in range(kmin, kmax + 1) if k != 0]
     if not modes:
         raise ConstraintViolation("k_range contains no nonzero modes")
-    if nu < 0:
-        raise ConstraintViolation("collision frequency must be >= 0")
+    refuse(broken((NU_RULE,), {"nu": nu}))
 
     margins: dict[int, tuple[float, float, float]] = {}
     skipped: dict[int, float] = {}

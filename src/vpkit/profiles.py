@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation
+from .errors import broken, refuse
 
 __all__ = [
     "VelocityProfile",
@@ -26,6 +26,18 @@ __all__ = [
     "profile_sample_dv",
     "interaction_hat",
 ]
+
+# The model's rules (errors.broken): a collision frequency's, a Maxwellian's
+# spread, and an interaction's, whose power-law rules bind kind power_law only.
+NU_RULE = (("nu",), lambda nu: nu >= 0, "collision frequency must be >= 0")
+MAXWELLIAN_RULES = ((("thermal_speed",), lambda s: s > 0, "must be > 0"),)
+GAMMA_RULE = (("gamma",), lambda g: 1 < g < math.inf, "must exceed 1 for a summable potential")
+INTERACTION_RULES = (
+    (("kind",), lambda kind: kind in ("power_law", "zero"), "unknown kind {!r} (power_law, zero)"),
+    GAMMA_RULE,
+    (("amplitude",), lambda a: 0 < a <= 1, "must lie in (0, 1] (the decay bound)"),
+    (("sign",), lambda sign: sign in (1, -1), "must be 1 or -1"),
+)
 
 
 @dataclass(frozen=True)
@@ -41,24 +53,31 @@ class VelocityProfile:
     def __post_init__(self):
         comps = tuple((float(w), float(c), float(s)) for w, c, s in self.components)
         object.__setattr__(self, "components", comps)
-        if not comps:
-            raise ConstraintViolation("profile needs at least one component")
-        total = 0.0
-        for w, c, s in comps:
+        refuse(self.problems(comps))
+
+    @staticmethod
+    def problems(components, name="components") -> list:
+        """The "name: text" problems of (weight, center, spread) components:
+        each must be finite with weight > 0 and spread > 0, and the weights of
+        those that are must sum to 1."""
+        problems, total, n = [], 0.0, 0
+        for w, c, s in components:
+            piece = f"'{w:g}:{c:g}:{s:g}'"
             if not all(map(math.isfinite, (w, c, s))):
-                raise ConstraintViolation(f"profile component {(w, c, s)!r} is not finite")
-            if w <= 0.0:
-                raise ConstraintViolation("mixture weights must be positive")
-            if s <= 0.0:
-                raise ConstraintViolation("thermal speeds must be positive")
-            total += w
-        if abs(total - 1.0) > 1e-12:
-            raise ConstraintViolation(
-                f"mixture weights sum to {total!r}, expected 1 (unit mass)"
-            )
+                problems.append(f"{name}: {piece} is not finite")
+            elif w <= 0 or s <= 0:
+                problems.append(f"{name}: {piece} needs weight > 0 and spread > 0")
+            else:
+                total, n = total + w, n + 1
+        if not n:
+            problems.append(f"{name}: at least one weight:center:spread triple")
+        elif abs(total - 1.0) > 1e-12:
+            problems.append(f"{name}: weights must sum to 1")
+        return problems
 
     @classmethod
     def maxwellian(cls, thermal_speed: float) -> "VelocityProfile":
+        refuse(broken(MAXWELLIAN_RULES, {"thermal_speed": thermal_speed}))
         return cls(components=((1.0, 0.0, float(thermal_speed)),))
 
     @classmethod
@@ -90,7 +109,7 @@ class Interaction:
     kind "power_law": W_hat(k) = sign * amplitude / (1 + |k|^gamma), k != 0.
     kind "zero": no interaction (free transport reference).
     sign +1 gives the stable (repulsive-like) coupling under this package's
-    field convention; -1 flips it.
+    field convention; -1 flips it. Held to INTERACTION_RULES.
     """
 
     kind: str = "power_law"
@@ -99,17 +118,8 @@ class Interaction:
     sign: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("power_law", "zero"):
-            raise ConstraintViolation(f"unknown interaction kind {self.kind!r}")
-        if not (math.isfinite(self.gamma) and math.isfinite(self.amplitude)):
-            raise ConstraintViolation("interaction gamma and amplitude must be finite")
-        if self.kind == "power_law":
-            if self.gamma <= 1.0:
-                raise ConstraintViolation(
-                    f"power-law decay needs gamma > 1, got {self.gamma!r}"
-                )
-            if self.sign not in (1, -1):
-                raise ConstraintViolation("sign must be +1 or -1")
+        read = ("kind", "gamma", "amplitude", "sign") if self.kind == "power_law" else ("kind",)
+        refuse(broken(INTERACTION_RULES, {f: getattr(self, f) for f in read}))
 
     @classmethod
     def zero(cls) -> "Interaction":
@@ -153,19 +163,12 @@ def profile_sample_dv(profile: VelocityProfile, v):
 
 
 def interaction_hat(W: Interaction, k):
-    """Fourier multiplier W_hat(k) of scalar modes. Zero at k=0; decay bound enforced.
-
-    Raises ConstraintViolation if the configured amplitude would break
-    |W_hat(k)| <= 1/(1+|k|^gamma).
-    """
+    """Fourier multiplier W_hat(k) of scalar modes, zero at k=0. An
+    Interaction's amplitude lies in (0, 1], so |W_hat(k)| <= 1/(1+|k|^gamma)."""
     k = np.asarray(k)
     if W.kind == "zero":
         out = np.zeros(k.shape if k.ndim else (), dtype=float)
         return float(out) if out.ndim == 0 else out
-    if abs(W.amplitude) > 1.0:
-        raise ConstraintViolation(
-            f"amplitude {W.amplitude!r} exceeds the decay bound 1/(1+|k|^gamma)"
-        )
     kabs = np.abs(np.asarray(k, dtype=float))
     out = np.where(
         kabs == 0.0,

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from vpkit import acceptance, echo
 from vpkit.acceptance import CRITERIA, SUITES, BatteryReport, run_battery
-from vpkit.errors import ConstraintViolation, TooFewPeaks
+from vpkit.errors import TooFewPeaks, ValidationError
 from vpkit.kinetic import RESOLUTION_TOL, EchoReport
 from vpkit.lintheory import free_streaming_response
 
@@ -307,7 +307,7 @@ class TestBattery:
         assert SUITES["norm_battery"] == (10,)
 
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ConstraintViolation, match="unknown acceptance suite"):
+        with pytest.raises(ValidationError, match="unknown suite 'everything'"):
             run_battery("everything")
 
     def test_failures_become_report_content(self, monkeypatch):

@@ -477,6 +477,161 @@ def test_problem_messages_are_reported_in_full(tmp_path, text, expected):
     assert sorted(problems_of(write_config(tmp_path, text))) == sorted(expected)
 
 
+# Each rule of a model, run or probe value is stated once, beside its object.
+# One row per rule: (config text with one bad key, the config's problem, a
+# call of the API object with the same bad value, the object's problem). The
+# texts are the same rule's text under the key's label and under the field's
+# name.
+_RUN_OK = dict(profile=VelocityProfile.maxwellian(1.0), interaction=Interaction.power_law(2.0),
+               nu=0.0, dt=0.05, t_end=1.0, k_max=4, n_v=64)
+_STATE = kinetic.equilibrium_state(VelocityProfile.maxwellian(1.0), 2, 64)
+
+
+def _probe(l=1, force_mode=-2, s_force=5.0, eps1=1e-3, eps2=1e-3):
+    return lambda: kinetic.echo_traces(battery.ECHO_CONFIG, l, force_mode, s_force, [(eps1, eps2)])
+
+
+def _state(**change):
+    return lambda: kinetic.PhaseState(**{**dict(rows=np.zeros((3, 64)), time=0.0, k_max=2,
+                                                 v_max=1.0), **change})
+
+
+SHARED_RULES = [
+    (MINIMAL_LANDAU + "nu = -1\n", "scenario.nu: collision frequency must be >= 0",
+     lambda: KineticRun(**{**_RUN_OK, "nu": -1.0}), "nu: collision frequency must be >= 0"),
+    (MINIMAL_LANDAU + "nu = -1\n", "scenario.nu: collision frequency must be >= 0",
+     lambda: kinetic.step(_STATE, 0.05, Interaction.zero(), VelocityProfile.maxwellian(1.0), -1.0),
+     "nu: collision frequency must be >= 0"),
+    (MINIMAL_LANDAU + "nu = -1\n", "scenario.nu: collision frequency must be >= 0",
+     lambda: lintheory.dispersion_L(0.1, 1, -1.0, VelocityProfile.maxwellian(1.0),
+                                    Interaction.power_law(2.0)),
+     "nu: collision frequency must be >= 0"),
+    (MINIMAL_LANDAU + "[time]\ndt = 0\n", "time.dt: must be > 0",
+     lambda: KineticRun(**{**_RUN_OK, "dt": 0.0}), "dt: must be > 0"),
+    (MINIMAL_LANDAU + "[time]\nt_end = 0.01\n", "time.t_end: must cover at least one step",
+     lambda: KineticRun(**{**_RUN_OK, "t_end": 0.01}), "t_end: must cover at least one step"),
+    (MINIMAL_LANDAU + "[time]\nt_end = 45.02\n",
+     "time.t_end: must be an integer number of steps of dt",
+     lambda: KineticRun(**{**_RUN_OK, "t_end": 1.02}),
+     "t_end: must be an integer number of steps of dt"),
+    (MINIMAL_LANDAU + "[grid]\nk_max = 0\n", "grid.k_max: must be >= 1",
+     lambda: KineticRun(**{**_RUN_OK, "k_max": 0}), "k_max: must be >= 1"),
+    (MINIMAL_LANDAU + "[grid]\nk_max = 0\n", "grid.k_max: must be >= 1",
+     _state(k_max=0, rows=np.zeros((1, 64))), "k_max: must be >= 1"),
+    (MINIMAL_LANDAU + "[grid]\nn_v = 6\n", "grid.n_v: must be an even integer >= 8",
+     lambda: KineticRun(**{**_RUN_OK, "n_v": 6}), "n_v: must be an even integer >= 8"),
+    (MINIMAL_LANDAU + "[grid]\nn_v = 6\n", "grid.n_v: must be an even integer >= 8",
+     _state(rows=np.zeros((3, 6))), "n_v: must be an even integer >= 8"),
+    (MINIMAL_LANDAU + "[grid]\nv_max = -1\n", "grid.v_max: must be > 0 (or auto)",
+     lambda: KineticRun(**{**_RUN_OK, "v_max": -1.0}), "v_max: must be > 0 (or auto)"),
+    (MINIMAL_LANDAU + "[grid]\nv_max = -1\n", "grid.v_max: must be > 0 (or auto)",
+     _state(v_max=-1.0), "v_max: must be > 0 (or auto)"),
+    (MINIMAL_LANDAU + "[perturbation]\nmode = 0\n", "perturbation.mode: must be >= 1",
+     lambda: kinetic.perturb_density(_STATE, VelocityProfile.maxwellian(1.0), 0, 1e-3),
+     "k: must be >= 1"),
+    (MINIMAL_LANDAU + "[perturbation]\nmode = 5\n", "perturbation.mode: must not exceed grid.k_max",
+     lambda: KineticRun(**{**_RUN_OK, "k_pert": 5}), "k_pert: must not exceed k_max"),
+    (MINIMAL_LANDAU + "[perturbation]\nshape = odd\n",
+     "perturbation.shape: unknown shape 'odd' (density, velocity)",
+     lambda: KineticRun(**{**_RUN_OK, "pert_shape": "odd"}),
+     "pert_shape: unknown shape 'odd' (density, velocity)"),
+    (MINIMAL_LANDAU + "[perturbation]\namplitude = -1\n", "perturbation.amplitude: must be >= 0",
+     lambda: KineticRun(**{**_RUN_OK, "amplitude": -1.0}), "amplitude: must be >= 0"),
+    (MINIMAL_LANDAU + "[outputs]\ncadence = 0\n", "outputs.cadence: must be >= 1",
+     lambda: KineticRun(**{**_RUN_OK, "record_every": 0}), "record_every: must be >= 1"),
+    (MINIMAL_LANDAU + "[profile]\nthermal_speed = 1\n\n[time]\ndt = 0.2\nt_end = 40\n",
+     "time.dt: dt * k_max * v_max = 4.8 exceeds the splitting phase budget 2; shrink dt or the grid",
+     lambda: kinetic.step(kinetic.equilibrium_state(VelocityProfile.maxwellian(1.0), 4, 64), 0.2,
+                          Interaction.zero(), VelocityProfile.maxwellian(1.0), 0.0),
+     "dt: dt * k_max * v_max = 4.8 exceeds the splitting phase budget 2; shrink dt or the grid"),
+    (MINIMAL_LANDAU + "[profile]\nthermal_speed = 0\n", "profile.thermal_speed: must be > 0",
+     lambda: VelocityProfile.maxwellian(0.0), "thermal_speed: must be > 0"),
+    (MIXTURE + "components = 1:0:-1, 0.5:0:1, 0.5:1:1\n",
+     "profile.components: '1:0:-1' needs weight > 0 and spread > 0",
+     lambda: VelocityProfile(((1.0, 0.0, -1.0), (0.5, 0.0, 1.0), (0.5, 1.0, 1.0))),
+     "components: '1:0:-1' needs weight > 0 and spread > 0"),
+    (MIXTURE + "components = 0.5:0:1, 0.3:0:2\n", "profile.components: weights must sum to 1",
+     lambda: VelocityProfile(((0.5, 0.0, 1.0), (0.3, 0.0, 2.0))),
+     "components: weights must sum to 1"),
+    (MINIMAL_LANDAU + "[interaction]\nkind = yukawa\n",
+     "interaction.kind: unknown kind 'yukawa' (power_law, zero)",
+     lambda: Interaction(kind="yukawa"), "kind: unknown kind 'yukawa' (power_law, zero)"),
+    (MINIMAL_LANDAU + "[interaction]\ngamma = 1\n",
+     "interaction.gamma: must exceed 1 for a summable potential",
+     lambda: Interaction.power_law(1.0), "gamma: must exceed 1 for a summable potential"),
+    (MINIMAL_LANDAU + "[interaction]\ngamma = 1\n",
+     "interaction.gamma: must exceed 1 for a summable potential",
+     lambda: echo.EchoKernelSpec(alpha=0.5, gamma=1.0),
+     "gamma: must exceed 1 for a summable potential"),
+    (MINIMAL_LANDAU + "[interaction]\namplitude = 0\n",
+     "interaction.amplitude: must lie in (0, 1] (the decay bound)",
+     lambda: Interaction.power_law(2.0, 0.0), "amplitude: must lie in (0, 1] (the decay bound)"),
+    (MINIMAL_LANDAU + "[interaction]\namplitude = 1.5\n",
+     "interaction.amplitude: must lie in (0, 1] (the decay bound)",
+     lambda: Interaction.power_law(2.0, 1.5), "amplitude: must lie in (0, 1] (the decay bound)"),
+    (MINIMAL_LANDAU + "[interaction]\nsign = 2\n", "interaction.sign: must be 1 or -1",
+     lambda: Interaction.power_law(2.0, 1.0, 2), "sign: must be 1 or -1"),
+    (KERNEL + "[kernel]\nalpha = 1\n", "kernel.alpha: must lie in (0, 1)",
+     lambda: echo.EchoKernelSpec(alpha=1.0, gamma=2.0), "alpha: must lie in (0, 1)"),
+    (KERNEL + "[kernel]\nalpha = 1\n", "kernel.alpha: must lie in (0, 1)",
+     lambda: echo.piecewise_integral_check(1, 1, 1.0, 1.0), "alpha: must lie in (0, 1)"),
+    (ECHO + "l = 9\n", "echo.l: seed mode must lie in 1..grid.k_max",
+     _probe(l=9), "l: seed mode must lie in 1..k_max"),
+    (ECHO + "force_mode = 0\n", "echo.force_mode: must be nonzero with |force_mode| <= grid.k_max",
+     _probe(force_mode=0), "force_mode: must be nonzero with |force_mode| <= k_max"),
+    (ECHO + "l = 7\nforce_mode = 5\n",
+     "echo.force_mode: the response mode l + force_mode must fit inside the retained band",
+     _probe(l=7, force_mode=5),
+     "force_mode: the response mode l + force_mode must fit inside the retained band"),
+    (ECHO + "s_force = -1\n", "echo.s_force: must be > 0", _probe(s_force=-1.0),
+     "s_force: must be > 0"),
+    (ECHO + "s_force = 20\n", "echo.s_force: must land before time.t_end", _probe(s_force=20.0),
+     "s_force: must land before t_end"),
+    (ECHO + "s_force = 5.001\n", "echo.s_force: must sit on the step grid",
+     _probe(s_force=5.001), "s_force: must sit on the step grid"),
+    (ECHO + "s_force = 7\n",
+     "echo.s_force: the echo it launches arrives at t* = 14, after time.t_end = 12.5",
+     _probe(s_force=7.0), "s_force: the echo it launches arrives at t* = 14, after t_end = 12.5"),
+    (ECHO + "eps1 = 0\n", "echo.eps1: seed amplitude must be > 0", _probe(eps1=0.0),
+     "eps1: seed amplitude must be > 0"),
+    (ECHO + "eps2 = -1\n", "echo.eps2: forcing amplitude must be >= 0", _probe(eps2=-1.0),
+     "eps2: forcing amplitude must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("text, problem, call, refusal", SHARED_RULES,
+                         ids=[f"{i:02d} {refusal}" for i, (*_, refusal) in enumerate(SHARED_RULES)])
+def test_each_shared_rule_is_one_rule_for_the_object_and_the_config(
+        tmp_path, text, problem, call, refusal):
+    assert problem in problems_of(write_config(tmp_path, text))
+    with pytest.raises(VpkitError) as info:
+        call()
+    assert str(info.value) == refusal
+
+
+def test_a_config_breaking_many_object_rules_lists_every_problem(tmp_path):
+    text = (
+        "[scenario]\nname = echo_experiment\nnu = -1\nseed = -1\n\n"
+        "[profile]\nthermal_speed = 0\n\n[interaction]\namplitude = 1.5\nsign = 0\n\n"
+        "[perturbation]\nshape = odd\n\n[grid]\nn_v = 6\n\n[outputs]\ncadence = 0\n\n"
+        "[kernel]\nalpha = 2\n\n[echo]\nl = 0\ns_force = 5.001\neps2 = -1\n"
+    )
+    assert sorted(problems_of(write_config(tmp_path, text))) == sorted([
+        "[kernel]: section only applies to scenario kernel_bounds",
+        "scenario.nu: collision frequency must be >= 0",
+        "scenario.seed: must be >= 0",
+        "profile.thermal_speed: must be > 0",
+        "interaction.amplitude: must lie in (0, 1] (the decay bound)",
+        "interaction.sign: must be 1 or -1",
+        "perturbation.shape: unknown shape 'odd' (density, velocity)",
+        "grid.n_v: must be an even integer >= 8",
+        "outputs.cadence: must be >= 1",
+        "echo.l: seed mode must lie in 1..grid.k_max",
+        "echo.s_force: must sit on the step grid",
+        "echo.eps2: forcing amplitude must be >= 0",
+    ])
+
+
 def _run_config(text):
     def attempt(tmp_path):
         path = write_config(tmp_path, text)
@@ -1275,7 +1430,7 @@ def test_readme_documents_every_config_key():
         for line in block.splitlines() if line.startswith("| `")
     }
     assert set(rows) == {f"`{sec}.{key}`" for sec, key, *_ in _KEYS}
-    for sec, key, _, default, _, _ in _KEYS:
+    for sec, key, _, default in _KEYS:
         if default is None:
             expected = "none"
         elif isinstance(default, str):

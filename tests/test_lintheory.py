@@ -459,6 +459,11 @@ class TestDispersionRate:
             with pytest.raises(MarginNonPositive, match="no decaying dispersion root"):
                 dispersion_rate(1, 0.0, profile, interaction)
 
+    def test_mode_zero_is_refused_as_a_constraint(self):
+        # its Gaussian rate is 0, so the closed form would divide by zero
+        with pytest.raises(ConstraintViolation, match="k = 0 carries no field"):
+            dispersion_rate(0, 0.0, SCEN_PROFILE, REPULSIVE)
+
     # Criteria 4 and 12, the benchmark's nu choices, and a fine nu sweep at
     # k = 1 and 2, all at the shipped v_th = 0.05. Strongly damped modes
     # (v_th >= 0.2 with k >= 2) have several roots near the start; hybr

@@ -165,7 +165,7 @@ class TestInteraction:
 
     @given(
         gamma=st.floats(1.05, 4.0),
-        amplitude=st.floats(0.0, 1.0),
+        amplitude=st.floats(0.0, 1.0, exclude_min=True),
         k=st.integers(-64, 64),
         sign=st.sampled_from([1, -1]),
     )
@@ -180,9 +180,9 @@ class TestInteraction:
             assert abs(val) <= 1.0 / (1.0 + abs(k) ** gamma) + 1e-15
 
     def test_amplitude_guard(self):
-        W = Interaction.power_law(gamma=2.0, amplitude=1.5)
-        with pytest.raises(ConstraintViolation):
-            interaction_hat(W, 1)
+        # the decay bound |W_hat(k)| <= 1/(1+|k|^gamma) is held at construction
+        with pytest.raises(ConstraintViolation, match="the decay bound"):
+            Interaction.power_law(gamma=2.0, amplitude=1.5)
 
     def test_gamma_guard(self):
         with pytest.raises(ConstraintViolation):
