@@ -216,7 +216,8 @@ def _run_echo_experiment(config: SimConfig):
         return refusal(
             _ran_to_t_end("resolution_exceeded", err.time, config.t_end, err.fraction), str(err)
         )
-    criteria = [check_echo_arrival(report), check_echo_contrast(report)]
+    criteria = [check_echo_arrival(report.t_predicted, report.t_measured),
+                check_echo_contrast(report)]
     return criteria, {"echo.json": [_json_bytes(report.as_dict())]}
 
 

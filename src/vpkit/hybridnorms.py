@@ -138,9 +138,9 @@ class NormParams:
 
 
 def _kahan_sum(values) -> float:
-    # Python floats round as float64 scalars do, and loop several times faster
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
+    # Python floats round as float64 scalars do, and loop several times faster;
+    # values are read once into a list, so the fallback below can read them again
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
     total = 0.0
     carry = 0.0
     for v in values:
@@ -404,6 +404,17 @@ def _norm_scale(value: float) -> float:
     return max(1.0, abs(value))
 
 
+def _worst(*slacks) -> float:
+    """The largest slack, or NaN when any is NaN (max() keeps or drops a NaN
+    by its position)."""
+    return math.nan if any(map(math.isnan, slacks)) else max(slacks)
+
+
+def _excess(value: float, bound: float) -> float:
+    """How far value exceeds bound: 0 when it does not, NaN when either is NaN."""
+    return _worst(0.0, value - bound)
+
+
 # Largest slack an asserted battery item may show and still pass.
 SLACK_TOL = 1e-9
 
@@ -431,8 +442,8 @@ def prop13_battery(f_suite, params_grid) -> PropertyReport:
     def record(name, slack):
         e = item(name)
         e["cases"] += 1
-        e["slack"] = max(e["slack"], slack)
-        if slack > SLACK_TOL:
+        e["slack"] = _worst(e["slack"], slack)
+        if not slack <= SLACK_TOL:  # a NaN slack fails too
             e["passed"] = False
 
     grad_ratios = []
@@ -465,11 +476,11 @@ def prop13_battery(f_suite, params_grid) -> PropertyReport:
                     for i, k in enumerate(f.modes)
                 )
                 scale = _norm_scale(direct)
-                record("i", max(abs(fv - zv), abs(fv - direct)) / scale)
+                record("i", _worst(abs(fv - zv), abs(fv - direct)) / scale)
 
             if pure_v:
                 alt = NormParams(params.lam, params.mu + 0.17, params.tau + 0.9, params.p, params.n_max)
-                spread = max(
+                spread = _worst(
                     abs(f_norm(f, params) - f_norm(f, alt)),
                     abs(z_of(params) - z_of(alt)),
                     abs(y_norm(f, params) - y_norm(f, alt)),
@@ -480,7 +491,7 @@ def prop13_battery(f_suite, params_grid) -> PropertyReport:
             wider = NormParams(params.lam + 0.01, params.mu + 0.05, params.tau, params.p, params.n_max)
             for norm in (lambda p: f_norm(f, p), z_of, lambda p: y_norm(f, p)):
                 lo, hi = norm(params), norm(wider)
-                record("viii", max(0.0, lo - hi) / _norm_scale(hi))
+                record("viii", _excess(lo, hi) / _norm_scale(hi))
             tau_bar = params.tau + 0.5
             reshift = NormParams(
                 params.lam,
@@ -491,18 +502,18 @@ def prop13_battery(f_suite, params_grid) -> PropertyReport:
             )
             record(
                 "viii",
-                max(0.0, z_of(p1) - z_of(reshift)) / _norm_scale(z_of(reshift)),
+                _excess(z_of(p1), z_of(reshift)) / _norm_scale(z_of(reshift)),
             )
 
             if not any_delta:
                 yv = y_norm(f, p1)
                 zv = z_of(p1)
-                record("viiii", max(0.0, yv - zv) / _norm_scale(zv))
+                record("viiii", _excess(yv, zv) / _norm_scale(zv))
 
             rho = density_trace(f)
             w = np.exp(2 * np.pi * (params.lam * abs(params.tau) + params.mu) * np.abs(f.modes))
             rho_norm = _kahan_sum(np.abs(rho) * w)
-            record("iX", max(0.0, rho_norm - z_of(p1)) / _norm_scale(rho_norm))
+            record("iX", _excess(rho_norm, z_of(p1)) / _norm_scale(rho_norm))
 
             # observational ratios on resolved fields
             if not any_delta and params.lam > 0:

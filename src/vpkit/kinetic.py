@@ -101,6 +101,19 @@ def _echo_arrival(s_force, l, force_mode) -> float:
     return (echo_time(l, k, s_force) if k else None) or 0.0
 
 
+def _peak_window(s_force: float, t_star: float, dt: float) -> float:
+    """The first time echo_peak reads: max(3 dt, 0.15 (t* - s_force)) past
+    the kick at s_force."""
+    return s_force + max(3.0 * dt, 0.15 * (t_star - s_force))
+
+
+def _last_record(t_end: float, dt: float) -> float:
+    """The time n dt of the last of a run's n = round(t_end / dt) steps
+    (t_end itself where that count overflows)."""
+    n = t_end / dt
+    return round(n) * dt if math.isfinite(n) else t_end
+
+
 # The rules of a run, a state and an echo probe (errors.broken). A KineticRun
 # keeps RUN_RULES, a PhaseState the grid's, perturb_density the mode's and
 # shape's, a step the phase budget (StepTooCoarse) and echo_traces the
@@ -147,6 +160,12 @@ PROBE_RULES = (
      lambda s, l, m, t_end: _echo_arrival(s, l, m) <= t_end,
      lambda s, l, m, t_end: f"the echo it launches arrives at t* = {_echo_arrival(s, l, m):g}, "
                             f"after {{t_end}} = {t_end:g}"),
+    (("s_force", "l", "force_mode", "dt", "t_end"),
+     lambda s, l, m, dt, t_end:
+         _peak_window(s, _echo_arrival(s, l, m), dt) <= _last_record(t_end, dt),
+     lambda s, l, m, dt, t_end: f"the echo's peak window opens at "
+                                f"{_peak_window(s, _echo_arrival(s, l, m), dt):g}, after the last "
+                                f"record at {{t_end}} = {_last_record(t_end, dt):g}"),
     (("eps1",), lambda eps1: eps1 > 0, "seed amplitude must be > 0"),
     (("eps2",), lambda eps2: eps2 >= 0, "forcing amplitude must be >= 0"),
 )
@@ -1041,7 +1060,7 @@ def echo_peak(trace, s_force: float, t_star: float) -> tuple[float, float, float
     step grid from 0, values), and its largest sample, over the records from
     max(3 dt, 0.15 (t_star - s_force)) past the kick at s_force."""
     times, values = trace
-    window = times >= s_force + max(3.0 * times[1], 0.15 * (t_star - s_force))
+    window = times >= _peak_window(s_force, t_star, times[1])
     times, values = times[window], values[window]
     i = int(np.argmax(values))
     return (*parabolic_peak(times, values, i), float(values[i]))

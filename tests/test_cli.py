@@ -734,6 +734,24 @@ def test_echo_past_t_end_exits_2_without_a_report(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_echo_peak_window_past_t_end_exits_2_and_is_refused_before_any_march(
+        tmp_path, capsys, monkeypatch):
+    # kicked at s = 0.02, the echo arrives at t* = 0.04 = t_end, but the peak
+    # is sought from s + 3 dt = 0.08 on, where the run holds no record
+    path = write_config(tmp_path, ECHO + "s_force = 0.02\n\n[time]\nt_end = 0.04\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: echo.s_force: the echo's peak window opens at 0.08, after the last "
+        "record at time.t_end = 0.04\n")
+    assert not (out / "report.json").exists()
+    monkeypatch.setattr(kinetic, "_march", lambda *args, **kwargs: pytest.fail("marched"))
+    with pytest.raises(ConstraintViolation, match="s_force: the echo's peak window opens at "
+                                                  "0.08, after the last record at t_end = 0.04"):
+        kinetic.echo_traces(replace(battery.ECHO_CONFIG, t_end=0.04), 1, -2, 0.02,
+                            [(1e-3, 1e-3)])
+
+
 def test_main_exits_2_on_a_parse_error(tmp_path, capsys):
     path = write_config(tmp_path, MINIMAL_LANDAU + "nu = 0\nnu = 1\n")
     assert main(["run", str(path)]) == 2

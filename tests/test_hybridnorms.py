@@ -486,3 +486,49 @@ def test_battery_evaluates_each_z_norm_once(monkeypatch):
     assert len(calls) > cached_calls
     assert len(tables) > cached_tables
     assert report == reference
+
+
+def test_a_nan_norm_fails_its_battery_items(monkeypatch):
+    # a NaN slack must fail its item and show as nan, wherever it enters:
+    # a max() over slacks, the 0-floor of an inequality, or the item's record
+    from vpkit import acceptance, hybridnorms
+
+    monkeypatch.setattr(hybridnorms, "f_norm", lambda f, params: math.nan)
+    monkeypatch.setattr(hybridnorms, "y_norm", lambda f, params: math.nan)
+    report = acceptance.norm_battery_report(20125)
+    for item in ("i", "ii", "viii", "viiii"):
+        entry = report.items[item]
+        assert not entry["passed"] and math.isnan(entry["slack"]), (item, entry)
+        assert not acceptance.check_norm_item(item, entry).passed
+    assert report.items["iX"]["passed"]  # reads neither norm
+    result = acceptance.criterion_10()
+    assert not result.passed
+    assert math.isnan(result.measured["slack_viii"])
+
+
+def test_a_nan_slack_is_kept_by_later_finite_ones(monkeypatch):
+    from vpkit import hybridnorms
+
+    real_y = hybridnorms.y_norm
+    seen = []
+
+    def first_nan(f, params):
+        seen.append(1)
+        return math.nan if len(seen) == 1 else real_y(f, params)
+
+    monkeypatch.setattr(hybridnorms, "y_norm", first_nan)
+    grid = eta_grid()
+    report = prop13_battery([pure_v_field(np.exp(-grid**2 / (2 * 0.4**2)), 2, grid)],
+                            [NormParams(0.02, 0.1, 0.5), NormParams(0.0, 0.0, 0.0)])
+    assert math.isnan(report.items["ii"]["slack"]) and not report.items["ii"]["passed"]
+    assert report.items["ii"]["cases"] == 2
+
+
+def test_kahan_sum_reads_a_generator_once():
+    from vpkit.hybridnorms import _kahan_sum
+
+    values = [1.0, math.inf, 1.0]
+    assert _kahan_sum(x for x in values) == _kahan_sum(values) == math.inf
+    assert math.isnan(_kahan_sum(x for x in [1.0, math.nan]))
+    finite = list(np.random.default_rng(5).normal(size=200) * 10.0 ** np.arange(-100, 100))
+    assert _kahan_sum(x for x in finite) == _kahan_sum(finite) == _kahan_sum(np.array(finite))

@@ -957,9 +957,7 @@ class TestEchoExperiment:
         assert np.array_equal(times, np.arange(short.n_steps + 1) * short.dt)
         assert times[-1] == 1.0
 
-    def test_criterion_9_marches_each_distinct_run_once(
-        self, monkeypatch, base_report, quiet_report, doubled_reports
-    ):
+    def test_criterion_9_marches_each_distinct_run_once(self, monkeypatch, base_report):
         from vpkit.acceptance import ECHO_CONFIG, criterion_9
 
         assert ECHO_CONFIG == ECHO_CFG
@@ -967,16 +965,16 @@ class TestEchoExperiment:
         cache = {}
         result = criterion_9(cache)
         assert result.passed
-        # 2 seeds march the 250 steps to the kick once each; then the 4
-        # distinct runs it reads march the remaining 375: the probe, its
-        # unforced baseline and each amplitude doubled
+        # only the probe run marches: the 250 steps to the kick, then the
+        # remaining 375; its second-order march (echo_oracle) takes no step
         assert ECHO_CFG.n_steps == 625 and round(5.0 / ECHO_CFG.dt) == 250
-        assert len(calls) == 2 * 250 + 4 * 375
-        assert cache[("echo",)] == (base_report, quiet_report.peak_amp) + tuple(
-            report.peak_amp for report in doubled_reports)
-        assert list(cache) == [("echo",)]  # no trace is kept beside the criterion's peaks
+        assert len(calls) == 250 + 375
+        t_star, t_measured, gap = cache[("echo",)]
+        assert (t_star, t_measured) == (base_report.t_predicted, base_report.t_measured)
+        assert gap == result.measured["oracle_gap"]
+        assert list(cache) == [("echo",)]  # no trace is kept beside the criterion's numbers
         criterion_9(cache)
-        assert len(calls) == 2 * 250 + 4 * 375
+        assert len(calls) == 250 + 375
 
     def test_the_echo_scenario_marches_one_prefix_and_two_runs(self, monkeypatch, tmp_path):
         from vpkit.cli import main
