@@ -10,9 +10,9 @@ bytes, and report.json records a sha256 content hash over everything else
 written. Outputs are streamed: each file is written in chunks and hashed as
 it is written, so a run's writer memory does not grow with its history
 length. Floats are serialized with 17 significant digits everywhere (JSON
-carries them as strings so no encoder shortens them); wall-clock time lives
-only in report.json and never inside the hash. The output directory is the
-only setting with an environment override (VPKIT_OUT, beaten by --out).
+carries them as strings so no encoder shortens them); wall time and peak
+RSS live only in report.json, never in the hash. The output directory is
+the only setting with an environment override (VPKIT_OUT, beaten by --out).
 """
 
 from __future__ import annotations
@@ -81,6 +81,20 @@ def _json_ready(obj):
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(_json_ready(obj), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _peak_rss() -> dict:
+    """The peak RSS entry of a JSON report: MB of this process and of its
+    reaped children, the forked lanes among them, or None without resource.
+    ru_maxrss is in KiB on Linux and in bytes on macOS."""
+    try:
+        import resource
+    except ImportError:
+        return {"peak_rss_mb": None}
+    scale = 2.0**20 if sys.platform == "darwin" else 2.0**10
+    usage = {"self": resource.RUSAGE_SELF, "children": resource.RUSAGE_CHILDREN}
+    return {"peak_rss_mb": {who: resource.getrusage(which).ru_maxrss / scale
+                            for who, which in usage.items()}}
 
 
 def _cell(v) -> str:
@@ -167,11 +181,7 @@ def _run_linear_landau(config: SimConfig):
         diag["stop_reason"], diag["stop_time"], params.t_end, diag["stop_edge_fraction"]
     )]
     series = {key: value for key, value in diag.items() if isinstance(value, np.ndarray)}
-    files = {
-        "history.csv": _history_csv(hist),
-        "diagnostics.csv": _columns_csv(series),
-    }
-    return criteria, files
+    return criteria, {"history.csv": _history_csv(hist), "diagnostics.csv": _columns_csv(series)}
 
 
 def _run_free_transport_check(config: SimConfig):
@@ -226,12 +236,8 @@ def _run_collision_sweep(config: SimConfig):
     times, rhos, sups = collision_sweep(config.run, nus)
     columns = {"t": times, **{f"abs_rho_nu{nu:g}": np.abs(rho) for nu, rho in rhos.items()}}
     criteria = check_collision_sweep(nus, sups)
-    summary_rows = [[nu, sups[nu]] for nu in nus]
-    files = {
-        "sweep.csv": _columns_csv(columns),
-        "sweep_summary.csv": [_csv_bytes(["nu", "sup_diff"], summary_rows)],
-    }
-    return criteria, files
+    summary = [_csv_bytes(["nu", "sup_diff"], [[nu, sups[nu]] for nu in nus])]
+    return criteria, {"sweep.csv": _columns_csv(columns), "sweep_summary.csv": summary}
 
 
 def _run_kernel_bounds(config: SimConfig):
@@ -261,10 +267,7 @@ def _run_norm_battery(config: SimConfig):
         [item, "observed", 0, str(note).replace(",", ";"), True]
         for item, note in sorted(report.observed.items())
     ]
-    files = {
-        "norms.csv": [_csv_bytes(["item", "kind", "cases", "value", "passed"], rows)]
-    }
-    return criteria, files
+    return criteria, {"norms.csv": [_csv_bytes(["item", "kind", "cases", "value", "passed"], rows)]}
 
 
 def _run_stability_scan(config: SimConfig):
@@ -387,7 +390,7 @@ def run_scenario(config: SimConfig) -> RunReport:
         out_dir=str(out),
         wall_seconds=time.perf_counter() - t0,
     )
-    (out / "report.json").write_bytes(_json_bytes(report.as_dict()))
+    (out / "report.json").write_bytes(_json_bytes(report.as_dict() | _peak_rss()))
     return report
 
 
@@ -404,7 +407,7 @@ def acceptance(suite: str = "all", out_dir: str | None = None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "acceptance_summary.csv").write_bytes(battery.summary_csv().encode("utf-8"))
-        (out / "acceptance_report.json").write_bytes(_json_bytes(battery.as_dict()))
+        (out / "acceptance_report.json").write_bytes(_json_bytes(battery.as_dict() | _peak_rss()))
     return battery
 
 

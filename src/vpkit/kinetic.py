@@ -9,14 +9,16 @@ phase multiplications, and the relaxation toward rho(t,x) f0(v) has a
 closed-form update, so a time step is three exact maps composed in Strang
 order: half transport, field solve plus kick, collision, half transport.
 The kick works on real data throughout: its x-transforms are two cached
-real DFT matrix products over per-thread scratch, and v uses real FFTs.
+real DFT matrix products, and v uses real FFTs.
 
 The constants of a step sit in a read-only plan cached per (grid, dt, W,
 profile, nu), and one kernel applies a plan to half-storage rows: step()
 runs it once on a fresh buffer, and every multi-step run (run, the echo
 runs, the free-transport march) goes through one march that advances its
 own copy of the rows in place, records on the rows, and builds a PhaseState
-only for the states it hands out.
+only for the states it hands out. The kernel keeps no state: a march
+allocates the step's work arrays once, a step() call its own, and each drops
+them on return.
 
 Marches that do not depend on each other (the battery's Landau runs, the
 echo runs from their shared prefixes) can go side by side: _side_by_side
@@ -46,7 +48,6 @@ import math
 import operator
 import os
 import pickle
-import threading
 import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -379,24 +380,6 @@ def _x_transforms(k_max: int):
     return synth, analyze
 
 
-_scratch = threading.local()
-
-
-def _work(name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """The calling thread's work array called name, of the given shape
-    (zeros when first allocated).
-
-    The step's large temporaries live here: each thread allocates one array
-    per name and writes it in place while the grid stays the same, so only
-    its most recent grid is held. A work array never leaves the function
-    that fills it."""
-    array = getattr(_scratch, name, None)
-    if array is None or array.shape != shape or array.dtype != dtype:
-        array = np.zeros(shape, dtype=dtype)
-        setattr(_scratch, name, array)
-    return array
-
-
 # The constants of one Strang step of dt on a (k_max, n_v, v_max) grid, as
 # read-only arrays shared by every thread: the grid spacing dv and velocity
 # grid v, the transport phase half of dt/2, the factor field = 2 pi i k
@@ -428,26 +411,44 @@ def _step_plan(k_max: int, n_v: int, v_max: float, dt: float, W: Interaction,
     return plan
 
 
-def _advance(plan: _StepPlan, src: np.ndarray, f: np.ndarray, external=None) -> None:
+# The work arrays of a step on a plan's grid, written in place at every step:
+# the kick's stacked real and imaginary rows, their spectra, the spectra on
+# the x grid and the phase table (the last three as wide as the table), and
+# the relaxation term (None at nu = 0).
+_StepArrays = namedtuple("_StepArrays", "stack spec f_eta phase relaxed")
+
+
+def _step_arrays(plan: _StepPlan) -> _StepArrays:
+    """Fresh work arrays for steps of plan, zeros: the first kick's product
+    reads the spectra's padding columns past n_eta before writing them."""
+    (rows, n_v), n_x, n_pad = plan.half.shape, plan.synth.shape[0], plan.low.size * plan.high.size
+    return _StepArrays(np.zeros((2 * rows, n_v)), np.zeros((2 * rows, n_pad), complex),
+                       np.zeros((n_x, n_pad), complex), np.zeros((n_x, n_pad), complex),
+                       None if plan.decay is None else np.zeros((rows, n_v), complex))
+
+
+def _advance(plan: _StepPlan, src: np.ndarray, f: np.ndarray, work: _StepArrays,
+             external=None) -> None:
     """One Strang step of plan from the half-storage rows src into f, which
-    may be src itself (the march steps in place). external, when given, is
-    added to the field of this step. This is the one step implementation:
-    step() and _march both apply it."""
+    may be src itself (the march steps in place), through the work arrays
+    work of _step_arrays(plan). external, when given, is added to the field
+    of this step. This is the one step implementation: step() and _march
+    both apply it."""
     np.multiply(src, plan.half, out=f)
     e_hat = plan.field * (plan.dv * f.sum(axis=1))
     e_hat[0] = 0.0  # as poisson_field: the mean force vanishes on the torus
     if external is not None:
         e_hat = e_hat + external
     if e_hat.any():
-        _kick(plan, f, e_hat)
+        _kick(plan, f, e_hat, work)
     if plan.decay is not None:
-        _relax(f, plan.dv * f.sum(axis=1), plan.f0, plan.decay, out=f)
+        _relax(f, plan.dv * f.sum(axis=1), plan.f0, plan.decay, work.relaxed, out=f)
     f *= plan.half
 
 
-def _kick(plan: _StepPlan, f: np.ndarray, e_hat: np.ndarray) -> None:
+def _kick(plan: _StepPlan, f: np.ndarray, e_hat: np.ndarray, work: _StepArrays) -> None:
     """Shift every column of f (half storage, written in place) in v by the
-    frozen field e_hat, through per-thread work arrays.
+    frozen field e_hat, through the work arrays stack, spec, f_eta and phase.
 
     The real FFT in v and both DFT matrices are real-linear, so they
     commute: the 2(k_max+1) stacked rows go through the velocity FFTs and
@@ -459,19 +460,15 @@ def _kick(plan: _StepPlan, f: np.ndarray, e_hat: np.ndarray) -> None:
     the same bytes at any thread count. The columns past n_eta ride along
     (the columns of a matrix product never mix) and are never read back."""
     k_max, n_v = f.shape[0] - 1, f.shape[1]
-    synth, analyze = plan.synth, plan.analyze
-    n_x, n_eta, n_pad = synth.shape[0], n_v // 2 + 1, plan.low.size * plan.high.size
-    stack = _work("stack", (2 * (k_max + 1), n_v))
-    spec = _work("spec", (2 * (k_max + 1), n_pad), complex)
-    f_eta = _work("f_eta", (n_x, n_pad), complex)
+    synth, analyze, n_eta = plan.synth, plan.analyze, n_v // 2 + 1
+    stack, spec, f_eta = work.stack, work.spec, work.f_eta
     accel = Q_OVER_M * (synth @ np.concatenate([e_hat.real, e_hat.imag]))
     np.copyto(stack[: k_max + 1], f.real)
     np.copyto(stack[k_max + 1:], f.imag)
     np.fft.rfft(stack, axis=1, out=spec[:, :n_eta])
     np.matmul(synth, spec.view(float), out=f_eta.view(float))
     # eta_j = j / (n_v dv), so the shift phase of column x is w_x^j
-    f_eta *= _phase_powers(plan.shift * accel, plan.low, plan.high,
-                           out=_work("phase", (n_x, n_pad), complex))
+    f_eta *= _phase_powers(plan.shift * accel, plan.low, plan.high, out=work.phase)
     np.matmul(analyze, f_eta.view(float), out=spec.view(float))
     np.fft.irfft(spec[:, :n_eta], n=n_v, axis=1, out=stack)
     np.copyto(f.real, stack[: k_max + 1])
@@ -479,13 +476,12 @@ def _kick(plan: _StepPlan, f: np.ndarray, e_hat: np.ndarray) -> None:
 
 
 def _relax(f: np.ndarray, rho: np.ndarray, f0: np.ndarray, decay: float,
-           out: np.ndarray | None = None) -> np.ndarray:
+           relaxed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """e^{-nu dt} f + (1 - e^{-nu dt}) rho f0 for decay = e^{-nu dt} and the
-    complex equilibrium row f0, into out (a fresh array when None; f itself
-    when the step relaxes in place)."""
+    complex equilibrium row f0, through the work array relaxed, into out (a
+    fresh array when None; f itself when the step relaxes in place)."""
     # the outer product rho f0, a row at a time: a broadcast product makes numpy
     # allocate iteration buffers, about 260 kB per call
-    relaxed = _work("relaxed", f.shape, complex)
     for row, rho_k in zip(relaxed, rho):
         np.multiply(f0, rho_k, out=row)
     relaxed *= 1.0 - decay
@@ -520,10 +516,10 @@ def collision_substep(
     if nu == 0.0 or dt == 0.0:
         return f.copy()
     f0 = _equilibrium_rows(profile, f.shape[1], float(v_max)).astype(complex)
-    return _relax(f, rho, f0, math.exp(-nu * dt))
+    return _relax(f, rho, f0, math.exp(-nu * dt), np.empty(f.shape, dtype=complex))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _edge_band(n_v: int) -> np.ndarray:
     """The read-only (n_v, n_band) DFT matrix onto the outer RESOLUTION_BAND
     of |eta| bins of an n_v-point velocity grid: column c is
@@ -609,9 +605,10 @@ def step(
     x grid through the second cached matrix, whose k = 0 sine row is exactly
     zero, so row 0 stays exactly real. The v-transforms are real FFTs. The
     collision substep is the closed-form relaxation, applied in place. The
-    kick's and the relaxation's large temporaries are per-thread work arrays
-    reused from step to step; the returned state owns fresh rows that share
-    no memory with them. Negative dt steps backward; dt = 0 is the identity.
+    kick's and the relaxation's large temporaries are work arrays this call
+    allocates and drops (a march allocates one set for all its steps); the
+    returned state owns fresh rows that share no memory with them. Negative
+    dt steps backward; dt = 0 is the identity.
     The step's constants come from the cached plan of (grid, dt, W, profile,
     nu), and the step itself is the kernel every march applies.
 
@@ -631,7 +628,7 @@ def step(
         if ext.shape != (state.k_max + 1,):
             raise ConstraintViolation("external field must hold the modes 0..k_max")
     rows = np.empty(state.rows.shape, dtype=complex)
-    _advance(plan, state.rows, rows, ext)
+    _advance(plan, state.rows, rows, _step_arrays(plan), ext)
     return PhaseState(rows=rows, time=state.time + dt, k_max=state.k_max, v_max=state.v_max)
 
 
@@ -757,13 +754,13 @@ def _march(config: KineticRun, state: PhaseState, n0: int, n1: int, *, guard: st
         raise ValueError(f"unknown guard policy {guard!r}")
     plan = _step_plan(state.k_max, state.n_v, state.v_max, config.dt, config.interaction,
                       config.profile, config.nu)
-    f = state.rows.copy()
+    f, work = state.rows.copy(), _step_arrays(plan)
     rho = np.empty((n1 - n0 + 1, state.k_max + 1), dtype=complex)
     t, checked, trip, kept = state.time, 0, None, None
     records, edge, l2, momentum = [], [], [], []
     for i, n in enumerate(range(n0, n1 + 1)):
         if i:
-            _advance(plan, f, f)
+            _advance(plan, f, f, work)
             t += config.dt
         rho[i] = plan.dv * f.sum(axis=1)
         if n == keep:

@@ -225,23 +225,23 @@ def test_criterion_09_plasma_echo_arrival(cache):
 REAL_ADVANCE, REAL_TRACE = kinetic._advance, kinetic._echo_trace
 
 
-def _lie_split(plan, src, f, external=None):
+def _lie_split(plan, src, f, work, external=None):
     np.multiply(src, plan.half * plan.half, out=f)  # the whole transport before the kick
-    REAL_ADVANCE(plan._replace(half=1.0), f, f, external)
+    REAL_ADVANCE(plan._replace(half=1.0), f, f, work, external)
 
 
-def _field_from_start_of_step(plan, src, f, external=None):
+def _field_from_start_of_step(plan, src, f, work, external=None):
     e_hat = plan.field * (plan.dv * src.sum(axis=1))
     e_hat[0] = 0.0
     if external is not None:
         e_hat = e_hat + external
     np.multiply(src, plan.half, out=f)
-    kinetic._kick(plan, f, e_hat)
+    kinetic._kick(plan, f, e_hat, work)
     f *= plan.half
 
 
-def _kick_sign_flipped(plan, src, f, external=None):
-    REAL_ADVANCE(plan._replace(shift=-plan.shift), src, f, external)
+def _kick_sign_flipped(plan, src, f, work, external=None):
+    REAL_ADVANCE(plan._replace(shift=-plan.shift), src, f, work, external)
 
 
 def _impulse_doubled(config, l, force_mode, eps2, j_kick, seed):

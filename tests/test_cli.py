@@ -13,6 +13,7 @@ constructor guards.
 import hashlib
 import json
 import os
+import resource
 import string
 import subprocess
 import sys
@@ -813,6 +814,22 @@ class TestRuns:
         hb = json.loads((b / "report.json").read_text())["content_hash"]
         assert ha == hb
 
+    def test_report_records_peak_rss_outside_the_hash(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, FT_QUICK)
+        scale = 2.0**20 if sys.platform == "darwin" else 2.0**10  # ru_maxrss: bytes or KiB
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+        assert main(["run", str(path), "--out", str(tmp_path / "a"), "--quiet"]) == 0
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert sorted(report["peak_rss_mb"]) == ["children", "self"]
+        assert before <= float(report["peak_rss_mb"]["self"]) <= after
+        assert float(report["peak_rss_mb"]["children"]) >= 0.0
+        monkeypatch.setitem(sys.modules, "resource", None)  # a platform without it
+        assert main(["run", str(path), "--out", str(tmp_path / "b"), "--quiet"]) == 0
+        bare = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert bare["peak_rss_mb"] is None
+        assert bare["content_hash"] == report["content_hash"]
+
     def test_report_manifest_matches_the_files(self, tmp_path):
         config = parse_config(write_config(tmp_path, FT_QUICK))
         config = replace(config, out_dir=str(tmp_path / "out"))
@@ -1153,9 +1170,9 @@ def test_outputs_match_the_golden_file(cold_runs):
 def test_golden_check_names_the_files_a_lie_split_step_moves(tmp_path, monkeypatch):
     real = kinetic._advance
 
-    def lie_split(plan, src, f, external=None):
+    def lie_split(plan, src, f, work, external=None):
         np.multiply(src, plan.half * plan.half, out=f)  # the whole transport before the kick
-        real(plan._replace(half=1.0), f, f, external)
+        real(plan._replace(half=1.0), f, f, work, external)
 
     monkeypatch.setattr(kinetic, "_advance", lie_split)
     config = parse_config(SHIPPED_CONFIGS / "linear_landau.ini")
@@ -1290,6 +1307,7 @@ class TestAcceptanceCommand:
         report = json.loads((out / "acceptance_report.json").read_text())
         assert report["suite"] == "norm_battery"
         assert [r["index"] for r in report["criteria"]] == [10]
+        assert float(report["peak_rss_mb"]["self"]) > 0.0  # outside the summary CSV
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["acceptance", "nonsense"]) == 2

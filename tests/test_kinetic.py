@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -448,7 +449,8 @@ print(hashlib.sha256(history.rho_hat.tobytes() + diag["edge_fraction"].tobytes()
 
 class TestMatrixKick:
     """The kick's x-transforms are cached real DFT matrices, and its work
-    arrays are per-thread scratch that no returned state ever aliases."""
+    arrays belong to the march or step() call that made them: no returned
+    state aliases them, and none outlives its run."""
 
     @pytest.mark.parametrize("k_max", [1, 2, 4, 8, 16])
     def test_matrices_are_the_real_ffts(self, k_max, rng):
@@ -491,7 +493,14 @@ class TestMatrixKick:
             want = np.exp(1j * np.outer(theta, np.arange(Q * R)))
             assert np.abs(out - want).max() <= 1e-13
 
-    def test_states_share_no_memory_with_each_other_or_the_scratch(self):
+    def test_states_share_no_memory_with_each_other_or_the_scratch(self, monkeypatch):
+        made, real_arrays = [], kin._step_arrays
+
+        def recorded(plan):
+            made.append(real_arrays(plan))
+            return made[-1]
+
+        monkeypatch.setattr(kin, "_step_arrays", recorded)
         states = [small_state(amp=0.3)]
         for _ in range(4):
             states.append(step(states[-1], 0.05, W_POW, MX_UNIT, 0.01))
@@ -499,11 +508,25 @@ class TestMatrixKick:
         for _ in range(2):
             other = step(other, 0.05, W_POW, MX_UNIT, 0.01)
         arrays = [s.rows for s in states] + [other.rows]
-        scratch = list(vars(kin._scratch).values())
-        assert len(scratch) == 5  # the kick's four work arrays and the relaxation term
+        assert len(made) == 6  # each step() call makes its own work arrays
+        scratch = [b for work in made for b in work]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
             assert not any(np.shares_memory(a, b) for b in scratch)
+        monkeypatch.undo()
+        # no work array outlives its run: a march drops the arrays it made
+        wide = KineticRun(MX_COLD, W_POW, 0.01, 0.05, 1.0, amplitude=1e-3, k_max=16, n_v=1024)
+        run(wide)  # warm: the wide grid's plan, DFT matrices and guard band are cached
+        run(replace(wide, k_max=2, n_v=128))  # and a run on another grid came between
+        tracemalloc.start()
+        try:
+            history, diagnostics = run(wide)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        returned = [history.times, history.modes, history.rho_hat, history.e_hat,
+                    *(v for v in diagnostics.values() if isinstance(v, np.ndarray))]
+        assert held - sum(a.nbytes for a in returned) < 0.5 * 2**20
 
     def test_threads_on_one_grid_give_the_sequential_bytes(self):
         # three threads switching often: a work array shared between them would tear
@@ -1180,8 +1203,8 @@ class TestMergedMarch:
         real_advance, real_guard = kin._advance, kin._edge_fraction
         steps, guarded = [], []
 
-        def poisoned(plan, src, f, external=None):
-            real_advance(plan, src, f, external)
+        def poisoned(plan, src, f, work, external=None):
+            real_advance(plan, src, f, work, external)
             steps.append(1)
             if len(steps) == 6:  # between records: the cadence below is 4
                 f[1, 7] = bad

@@ -6,11 +6,13 @@ held to adaptive quadrature of its defining integral (quad_dispersion_L, kept
 here as the oracle) and its Faddeeva function to mpmath at 30 digits; decay
 rates from the Volterra march are compared against a root of 1 - L located by
 an independent 2-d root finder (scipy's hybr), anchored to frozen values
-computed offline; the stability scan is held to a dense real-axis oracle
+computed offline, and to the classical Landau roots (a Newton root of the
+plasma dispersion relation on scipy's wofz); the stability scan is held to a dense real-axis oracle
 (np.unwrap for the winding, scipy's minimize_scalar for the minimum) on
 seeded random mixtures.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.optimize import root as scipy_root
+from scipy.special import wofz
 
 from vpkit import lintheory
 from vpkit.errors import (
@@ -474,6 +477,29 @@ class TestDispersionRate:
         + [(k, float(nu)) for k in (1, 2) for nu in np.linspace(0.0, 0.03, 121)]
     )
 
+    # The map to the classical problem: with Q_OVER_M = -1/(4 pi^2) and
+    # E_hat = 2 pi i k W_hat(k) rho_hat, mode k oscillates cold at omega_p =
+    # |k| sqrt(W_hat(k)), and a Maxwellian of thermal speed sigma has
+    # (k lambda_D)^2 = 4 pi^2 sigma^2 / W_hat(k). W_hat comes from the
+    # interaction's amplitude and gamma in closed form, not interaction_hat,
+    # so a scale error there cannot scale the anchor with it. The rate is
+    # -Im omega omega_p.
+    @pytest.mark.parametrize("k, interaction", [(1, Interaction.power_law(2.0, 1.0)),
+                                                (2, Interaction.power_law(1.5, 0.6))])
+    @pytest.mark.parametrize("k_lambda", [0.3, 0.4, 0.5])
+    def test_rate_is_the_classical_landau_root(self, k, interaction, k_lambda):
+        w_hat = interaction.amplitude / (1.0 + k**interaction.gamma)
+        omega_p, sigma = k * math.sqrt(w_hat), k_lambda * math.sqrt(w_hat) / (2.0 * math.pi)
+        rate = dispersion_rate(k, 0.0, VelocityProfile.maxwellian(sigma), interaction)
+        root = classical_landau_root(k_lambda)
+        assert rate / omega_p == pytest.approx(-root.imag, rel=1e-10)
+
+    def test_classical_root_at_half_a_debye_wavenumber(self):
+        # the 15-digit root; the 4-digit table rate 0.1533 is 5.9e-5 from it,
+        # so it cannot anchor a 1e-10 comparison
+        root = classical_landau_root(0.5)
+        assert root == pytest.approx(1.415661888604536 - 0.153359466909605j, rel=1e-13)
+
     def test_newton_matches_hybr(self):
         worst = 0.0
         for k, nu in self.NEWTON_CASES:
@@ -481,6 +507,22 @@ class TestDispersionRate:
             reference = hybr_rate(k, nu, SCEN_PROFILE, REPULSIVE)
             worst = max(worst, abs(rate - reference) / reference)
         assert worst <= 1e-12
+
+
+def classical_landau_root(k_lambda):
+    """The weakly damped root omega / omega_p of 1 + (1 + zeta Z(zeta)) /
+    (k lambda_D)^2 = 0, zeta = omega / (sqrt(2) k lambda_D), by Newton's
+    method on Z(zeta) = i sqrt(pi) w(zeta) (scipy's wofz), from the
+    Bohm-Gross frequency. Im omega < 0 for a decaying mode."""
+    zeta = complex(math.sqrt(1.0 + 3.0 * k_lambda**2), -0.1) / (math.sqrt(2.0) * k_lambda)
+    for _ in range(50):
+        z_fn = 1j * math.sqrt(math.pi) * complex(wofz(zeta))
+        # Z' = -2 (1 + zeta Z)
+        step = (k_lambda**2 + 1.0 + zeta * z_fn) / (z_fn - 2.0 * zeta * (1.0 + zeta * z_fn))
+        zeta -= step
+        if abs(step) <= 1e-12 * abs(zeta):  # converging quadratically: zeta is at rounding
+            return math.sqrt(2.0) * k_lambda * zeta
+    raise AssertionError(f"no classical root at k lambda_D = {k_lambda}")
 
 
 def hybr_rate(k, nu, profile, interaction):
