@@ -14,8 +14,9 @@ The Landau, free-transport, collision-sweep and echo scenarios the battery
 checks are the command line's own: scenario_defaults gives the run a config
 naming only the scenario describes. The products the command-line runner
 reports on are defined here once and shared with the battery: the
-free-transport march, the collision sweep, the unit-data Volterra density,
-the seeded norm battery and the mass drift of a history.
+free-transport march, the collision sweep, the echo probe beside its
+second-order march, the unit-data Volterra density, the seeded norm battery
+and the mass drift of a history.
 The weighted growth scenario of criterion 11 is likewise built once, by
 growth_scenario, for the criterion and the growth demo.
 
@@ -59,7 +60,7 @@ from .echo import (
     random_phase_table,
 )
 from .config import scenario_defaults
-from .errors import ConstraintViolation, MarginNonPositive, TooFewPeaks, ValidationError
+from .errors import MarginNonPositive, TooFewPeaks, ValidationError
 from .hybridnorms import (
     SLACK_TOL,
     NormParams,
@@ -72,7 +73,6 @@ from .hybridnorms import (
 from .kinetic import (
     Q_OVER_M,
     RECURRENCE_SAFETY,
-    EchoReport,
     FieldHistory,
     KineticRun,
     _equilibrium_rows,
@@ -80,8 +80,8 @@ from .kinetic import (
     _march,
     _side_by_side,
     collision_substep,
+    echo_experiment,
     echo_peak,
-    echo_traces,
     equilibrium_state,
     perturb_density,
     rho_hat,
@@ -118,8 +118,13 @@ EXACT_SHIFT_TOL = 1e-10  # free transport against the exact spectral shift
 RATE_GAP_TOL = 0.05  # relative gap between two routes to a decay rate
 FIT_RMS_TOL = 0.05  # rms residual of the affine log-envelope fit
 ARRIVAL_TOL = 0.05  # relative offset of the echo peak from t*
-CONTRAST_MIN = 100.0  # echo peak over the unforced baseline
-ECHO_ORACLE_TOL = 1e-5  # echo trace against its second-order march, relative to the peak
+# The echo trace against its second-order march, relative to the peak, at
+# eps2 = 1e-3; the gap is the kick's next order, about 0.079 eps2^2 (7.9e-8
+# at the shipped probe), so check_echo_oracle scales this by (eps2/1e-3)^2.
+ECHO_ORACLE_TOL = 1e-5
+# The same gap's absolute roundoff floor: 13x the 7.6e-16 the shipped probe
+# reads at (eps1, eps2) = (1e-4, 1e-4), where the second-order echo is tiny.
+ECHO_ROUNDOFF = 1e-14
 DECADE_RATIO_MIN = 8.0  # growth of the collisional deviation per decade of nu
 # hybridnorms.SLACK_TOL as the tolerance texts print it: 1e-9, not 1e-09
 _SLACK_TEXT = format(SLACK_TOL, "g").replace("e-0", "e-")
@@ -225,14 +230,20 @@ def check_echo_arrival(t_predicted: float, t_measured: float) -> CriterionResult
     )
 
 
-def check_echo_contrast(report: EchoReport) -> CriterionResult:
-    """The contrast gate: the echo peak stands CONTRAST_MIN times over the
-    unforced baseline, floored at 1e-300 so a silent one gives a finite ratio."""
-    contrast = report.peak_amp / max(report.baseline_amp, 1e-300)
+def check_echo_oracle(oracle_gap: float, peak_amp: float, eps2: float) -> CriterionResult:
+    """The oracle gate on an echo_probe: the echo trace follows its
+    second-order march to an oracle_gap (relative to peak_amp) of at most
+    max(ECHO_ORACLE_TOL (eps2/1e-3)^2, ECHO_ROUNDOFF/peak_amp). A silent
+    echo, peak_amp 0 and oracle_gap nan, fails."""
+    scale = eps2 / 1e-3
+    bound = ECHO_ORACLE_TOL * scale * scale
+    if peak_amp > 0:
+        bound = max(bound, ECHO_ROUNDOFF / peak_amp)
     return CriterionResult(
-        None, "echo_stands_out", contrast >= CONTRAST_MIN,
-        {"peak_amp": report.peak_amp, "baseline_amp": report.baseline_amp, "contrast": contrast},
-        f">= {CONTRAST_MIN:g} over the unforced baseline",
+        None, "echo_follows_its_oracle", peak_amp > 0 and oracle_gap <= bound,
+        {"oracle_gap": oracle_gap, "peak_amp": peak_amp},
+        f"<= {bound:g}: max({ECHO_ORACLE_TOL:g} (eps2/1e-3)^2, {ECHO_ROUNDOFF:g}/peak_amp), "
+        "peak_amp > 0",
     )
 
 
@@ -632,21 +643,14 @@ def criterion_6(cache=None) -> CriterionResult:
     converged = bool(np.max(np.abs(_averaged_by_rule(100) - numeric) / scale) <= 1e-12)
     cases = closed.size
     worst = float(np.max(np.abs(numeric - closed) / scale))
-    res_dev = 0.0
-    for k, v in ((1.0, 0.5), (2.0, -0.8)):
-        for nu in (0.3, 0.12):
-            r1 = free_streaming_response(k * v, k, v, nu, 0.0, 1.0, PROFILE_UNIT)
-            r2 = free_streaming_response(k * v, k, v, 0.5 * nu, 0.0, 1.0, PROFILE_UNIT)
-            res_dev = max(res_dev, abs(abs(r2) / abs(r1) - 2.0))
-    ok = converged and worst <= 1e-8 and res_dev <= 1e-12 and cases == 100
+    ok = converged and worst <= 1e-8 and cases == 100
     return _result(
         6, t0, ok,
         {"grid_points": cases, "quadrature_converged": converged,
-         "worst_quadrature_error": worst, "resonance_scaling_deviation": res_dev},
+         "worst_quadrature_error": worst},
         {"grid_points": "= 100",
          "quadrature_converged": "True (50 and 100 panels agree to 1e-12 of max(1, |closed|))",
-         "worst_quadrature_error": "<= 1e-8",
-         "resonance_scaling_deviation": "<= 1e-12 (modulus doubles when nu halves)"},
+         "worst_quadrature_error": "<= 1e-8"},
     )
 
 
@@ -712,8 +716,8 @@ def perturbation_march(config: KineticRun, modes, rows, impulse=None,
     signed x-mode p of modes, on config's velocity grid; with pair, a last
     row h of mode modes[0] + modes[1] carries the product order of rows 0
     and 1, from zero. The march shares only f0 (kinetic._equilibrium_rows),
-    W_hat (interaction_hat) and Q_OVER_M with the solver, and runs at
-    nu = 0. Each step applies, in order:
+    W_hat (interaction_hat) and Q_OVER_M with the solver. Each step applies,
+    in order:
 
       1. half transport e^{-2 pi i p v dt/2} on the row of mode p;
       2. the accelerations a_p = Q_OVER_M 2 pi i p W_hat(p) dv sum_v row,
@@ -721,16 +725,18 @@ def perturbation_march(config: KineticRun, modes, rows, impulse=None,
       3. the kick f(x, v) -> f(x, v - dt a(x)) to the order kept, from the
          rows before it: g_p -= dt a_p D f0 on each first-order row, and
          h -= dt (a_h D f0 + a_0 D g_1 + a_1 D g_0) - dt^2 a_0 a_1 D^2 f0;
-      4. half transport.
+      4. at nu > 0, the relaxation toward rho f0, linear in f, with f0 its
+         own fixed point (unit grid mass), so each row of any order relaxes
+         alone: g <- e^{-nu dt} g + (1 - e^{-nu dt}) (dv sum_v g) f0;
+      5. half transport.
 
     D is the spectral v-derivative with its Nyquist bin dropped and D^2
     keeps that bin: the solver's kick keeps the real part of the Nyquist
     bin's shift, cos(2 pi dt a eta_N) = 1 - O(a^2). No DFT matrix and no
     phase table: per step, two diagonal products, a rank-one update of the
     first-order rows and, with pair, one FFT and one inverse FFT of a row."""
-    if config.nu != 0.0:
-        raise ConstraintViolation("nu: the perturbation march runs at nu = 0")
     n_v, v_max, dt = config.n_v, config.resolved_v_max(), config.dt
+    decay = math.exp(-config.nu * dt)
     dv = 2.0 * v_max / n_v
     f0 = _equilibrium_rows(config.profile, n_v, v_max)
     modes, g = list(modes), np.array(rows, dtype=complex)
@@ -760,6 +766,10 @@ def perturbation_march(config: KineticRun, modes, rows, impulse=None,
             mixed = dt_d * (np.fft.fft(a[0] * g[1] + a[1] * g[0]) + a[-1] * f0_hat)
             g[-1] -= np.fft.ifft(mixed - a[0] * a[1] * kick2_f0_hat)
         g[:first] -= np.outer(a[:first], kick_f0)
+        if config.nu:
+            relaxed = np.outer((1.0 - decay) * dv * g.sum(axis=1), f0)
+            g *= decay
+            g += relaxed
         g *= half
         rho[j + 1] = dv * g.sum(axis=1)
     return rho
@@ -768,11 +778,12 @@ def perturbation_march(config: KineticRun, modes, rows, impulse=None,
 def echo_oracle(config: KineticRun, l: int, force_mode: int, s_force: float,
                 eps1: float, eps2: float) -> np.ndarray:
     """|rho_hat(t, k)|, k = l + force_mode, at every step of the echo run
-    (eps1, eps2) of echo_traces' probe, to second order in the amplitudes.
+    echo_experiment(config, l, force_mode, s_force, eps1, eps2), to second
+    order in the amplitudes.
 
     perturbation_march from the seed g_l = 0.5 eps1 f0 and the force row
     g_m = 0, m = force_mode, whose acceleration takes Q_OVER_M 0.5 eps2/dt in
-    the step from s_force (the impulse of echo_traces), with the eps1 eps2
+    the step from s_force (echo_experiment's impulse), with the eps1 eps2
     row h at k. The first-order content at k is the conjugate of a row of
     mode -k (conj(g_l) at the shipped probe l = 1, m = -2, k = -1)."""
     f0 = _equilibrium_rows(config.profile, config.n_v, config.resolved_v_max())
@@ -785,37 +796,50 @@ def echo_oracle(config: KineticRun, l: int, force_mode: int, s_force: float,
     return np.abs(content)
 
 
+def echo_probe(config: KineticRun, l: int, force_mode: int, s_force: float,
+               eps1: float, eps2: float) -> dict:
+    """The echo run echo_experiment(config, l, force_mode, s_force, eps1,
+    eps2) held to its echo_oracle, the two marched side by side
+    (_side_by_side), the run first, so it runs in this process.
+
+    t_predicted is t*, and t_measured and peak_amp are the echo_peak of the
+    kinetic trace. oracle_gap is max |kinetic - oracle| over the steps from
+    s_force + 3 dt on, relative to peak_amp, and nan for a silent echo. A
+    probe echo_experiment refuses is refused before any step of the run."""
+    probe = (config, l, force_mode, s_force, eps1, eps2)
+    (times, trace), oracle = _side_by_side([partial(echo_experiment, *probe),
+                                            partial(echo_oracle, *probe)])
+    t_star = echo_time(l, l + force_mode, s_force)
+    t_measured, peak = echo_peak((times, trace), s_force, t_star)
+    gap = float(np.max(np.abs(trace - oracle)[round(s_force / config.dt) + 3:]))
+    return {"t_predicted": t_star, "t_measured": t_measured, "peak_amp": peak,
+            "oracle_gap": gap / peak if peak > 0 else math.nan}
+
+
 def criterion_9(cache=None) -> CriterionResult:
     """The seeded echo arrives on time and follows its second-order march.
 
-    The echo scenario's probe run (eps1, eps2) is marched beside its
-    echo_oracle (_side_by_side). The arrival gate reads the kinetic trace's
-    peak; oracle_gap is max |kinetic - oracle| over the records from
-    s_force + 3 dt on, relative to that peak. The oracle's terms of order
-    eps^3 and the roundoff leave about 8e-8 at the shipped probe; a step
-    that splits, places its field or signs its kick wrongly, or an impulse of
-    the wrong size or step, reads 9e-4 or more."""
+    The echo scenario's probe, through echo_probe and the scenario's gates
+    check_echo_arrival and check_echo_oracle. The oracle's terms of order
+    eps^3 and the roundoff leave an oracle_gap of about 8e-8 at the shipped
+    probe; a step that splits, places its field or signs its kick wrongly,
+    or an impulse of the wrong size or step, reads 9e-4 or more."""
     cache = _cache(cache)
     t0 = time.perf_counter()
+    e = ECHO.echo
     key = ("echo",)
     if key not in cache:
-        e = ECHO.echo
-        probe = (ECHO_CONFIG, e.l, e.force_mode, e.s_force)
-        [(times, trace)], oracle = _side_by_side([
-            partial(echo_traces, *probe, [(e.eps1, e.eps2)]),
-            partial(echo_oracle, *probe, e.eps1, e.eps2)])
-        t_star = echo_time(e.l, e.l + e.force_mode, e.s_force)
-        t_measured, peak, _ = echo_peak((times, trace), e.s_force, t_star)
-        after = round(e.s_force / ECHO_CONFIG.dt) + 3
-        cache[key] = (t_star, t_measured, float(np.max(np.abs(trace - oracle)[after:])) / peak)
-    t_star, t_measured, gap = cache[key]
-    arrival = check_echo_arrival(t_star, t_measured)
+        cache[key] = echo_probe(ECHO_CONFIG, e.l, e.force_mode, e.s_force, e.eps1, e.eps2)
+    probe = cache[key]
+    arrival = check_echo_arrival(probe["t_predicted"], probe["t_measured"])
+    oracle = check_echo_oracle(probe["oracle_gap"], probe["peak_amp"], e.eps2)
     wall_ok = time.perf_counter() - t0 < 120.0
     return _result(
-        9, t0, arrival.passed and gap <= ECHO_ORACLE_TOL and wall_ok,
-        {"t_predicted": t_star, "t_measured": t_measured,
-         "arrival_offset": arrival.measured["relative_offset"], "oracle_gap": gap},
-        {"arrival_offset": arrival.tolerance, "oracle_gap": f"<= {ECHO_ORACLE_TOL:g}",
+        9, t0, arrival.passed and oracle.passed and wall_ok,
+        {"t_predicted": probe["t_predicted"], "t_measured": probe["t_measured"],
+         "arrival_offset": arrival.measured["relative_offset"],
+         "oracle_gap": probe["oracle_gap"]},
+        {"arrival_offset": arrival.tolerance, "oracle_gap": oracle.tolerance,
          "wall_seconds": "< 120"},
     )
 

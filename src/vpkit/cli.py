@@ -35,11 +35,12 @@ from .acceptance import (
     check_collision_sweep,
     check_decay_fit,
     check_echo_arrival,
-    check_echo_contrast,
+    check_echo_oracle,
     check_exact_shift,
     check_mass_drift,
     check_norm_item,
     collision_sweep,
+    echo_probe,
     free_transport_march,
     mass_drift,
     norm_battery_report,
@@ -56,9 +57,7 @@ from .errors import (
     VpkitError,
     broken,
 )
-from .kinetic import (
-    FUTURE_ECHO, RECURRENCE_SAFETY, RESOLUTION_TOL, FieldHistory, echo_experiment, run,
-)
+from .kinetic import FUTURE_ECHO, RECURRENCE_SAFETY, RESOLUTION_TOL, FieldHistory, run
 from .lintheory import dispersion_rate, stability_scan
 
 
@@ -213,7 +212,7 @@ def _run_echo_experiment(config: SimConfig):
             no_echo[0],
         )
     try:
-        report = echo_experiment(
+        probe = echo_probe(
             replace(config.run, amplitude=0.0), settings.l, settings.force_mode,
             settings.s_force, settings.eps1, settings.eps2,
         )
@@ -226,9 +225,11 @@ def _run_echo_experiment(config: SimConfig):
         return refusal(
             _ran_to_t_end("resolution_exceeded", err.time, config.t_end, err.fraction), str(err)
         )
-    criteria = [check_echo_arrival(report.t_predicted, report.t_measured),
-                check_echo_contrast(report)]
-    return criteria, {"echo.json": [_json_bytes(report.as_dict())]}
+    criteria = [check_echo_arrival(probe["t_predicted"], probe["t_measured"]),
+                check_echo_oracle(probe["oracle_gap"], probe["peak_amp"], settings.eps2)]
+    report = {"l": settings.l, "k": settings.l + settings.force_mode,
+              "s_force": settings.s_force, **probe}
+    return criteria, {"echo.json": [_json_bytes(report)]}
 
 
 def _run_collision_sweep(config: SimConfig):

@@ -21,7 +21,7 @@ allocates the step's work arrays once, a step() call its own, and each drops
 them on return.
 
 Marches that do not depend on each other (the battery's Landau runs, the
-echo runs from their shared prefixes) can go side by side: _side_by_side
+echo run and its second-order march) can go side by side: _side_by_side
 runs lane 0 of a list of calls in this process and each other lane in an
 os.fork()ed child, one lane held to each CPU, when the process runs a
 single thread (pin BLAS to one thread, OPENBLAS_NUM_THREADS=1, to allow
@@ -33,8 +33,8 @@ Module contents:
   * PhaseState / equilibrium_state / perturb_density -- state construction,
   * step / collision_substep / poisson_field -- the integrator pieces,
   * run -- a full simulation with field history and scalar diagnostics,
-  * echo_traces / echo_report / echo_experiment -- impulsive two-mode probe
-    locating the plasma echo,
+  * echo_experiment / echo_peak -- the mode trace of an impulsive two-mode
+    probe and the plasma echo's peak in it,
   * FieldHistory -- the recorded density modes and the field they define.
 
 The discrete equilibrium rows are renormalized to unit grid mass, so the
@@ -50,8 +50,8 @@ import os
 import pickle
 import warnings
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def _last_record(t_end: float, dt: float) -> float:
 
 # The rules of a run, a state and an echo probe (errors.broken). A KineticRun
 # keeps RUN_RULES, a PhaseState the grid's, perturb_density the mode's and
-# shape's, a step the phase budget (StepTooCoarse) and echo_traces the
+# shape's, a step the phase budget (StepTooCoarse) and echo_experiment the
 # probe's; FUTURE_ECHO is the probe rule whose break the echo scenario
 # reports as a refusal.
 _INTEGER = (lambda n: float(n).is_integer(), "not an integer: {!r}")
@@ -958,80 +958,27 @@ def run(config: KineticRun) -> tuple[FieldHistory, dict]:
     return history, diagnostics
 
 
-@dataclass(frozen=True)
-class EchoReport:
-    """Outcome of an impulsive echo probe."""
-
-    l: int
-    k: int
-    s_force: float
-    t_predicted: float
-    t_measured: float
-    peak_amp: float
-    baseline_amp: float
-
-    @property
-    def rel_offset(self) -> float:
-        return (self.t_measured - self.t_predicted) / self.t_predicted
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def _echo_prefix(config: KineticRun, l: int, eps1: float, j_kick: int) -> tuple:
-    """The state after the j_kick steps of an echo run before its kick, and
-    the density rows up to it."""
-    state = equilibrium_state(config.profile, config.k_max, config.n_v, config.resolved_v_max())
-    prefix = _march(config, perturb_density(state, config.profile, l, eps1), 0, j_kick,
-                    guard="raise")
-    return prefix.state, prefix.rho
-
-
-def _echo_trace(config: KineticRun, l: int, force_mode: int, eps2: float, j_kick: int,
-                seed: tuple) -> tuple:
-    """(times, |rho_hat(t, l + force_mode)|) of an echo run from its
-    _echo_prefix seed."""
-    state, prefix = seed
-    k = l + force_mode
-    external = None
-    if eps2 != 0.0:
-        external = np.zeros(config.k_max + 1, dtype=complex)
-        external[abs(force_mode)] = 0.5 * eps2 / config.dt
-    kicked = step(state, config.dt, config.interaction, config.profile, config.nu,
-                  external_field_hat=external)
-    rest = _march(config, kicked, j_kick + 1, config.n_steps, guard="raise")
-    times = np.arange(config.n_steps + 1) * config.dt
-    # hypot rounds as the scalar complex abs does; numpy's array abs can differ
-    # in the last bit
-    trace = np.concatenate([prefix[:, abs(k)], rest.rho[:, abs(k)]])
-    return times, np.hypot(trace.real, trace.imag)
-
-
-def echo_traces(config: KineticRun, l: int, force_mode: int, s_force: float, runs) -> list:
-    """One (times, |rho_hat(t, k)|), k = l + force_mode, per echo run (eps1,
-    eps2) of the probe (config, l, force_mode, s_force), in the order of runs.
+def echo_experiment(
+    config: KineticRun, l: int, k_minus_l: int, s_force: float, eps1: float, eps2: float
+) -> tuple:
+    """(times, |rho_hat(t, k)|), k = l + k_minus_l, of one echo run: a
+    mode-l perturbation kicked at mode k - l, whose echo on mode k rises out
+    of nothing at the predicted t* = s_force (k - l)/k.
 
     An initial density perturbation of size eps1 at mode l free-streams to
-    s_force, where an external field eps2/dt * cos(2 pi force_mode x), held
-    for the single step that starts there (an impulse of total strength eps2
+    s_force, where an external field eps2/dt * cos(2 pi (k - l) x), held for
+    the single step that starts there (an impulse of total strength eps2
     independent of dt), transfers its phase-mixed content to mode k. The
-    trace reads stored row |k|: |rho_hat(-k)| = |rho_hat(k)|. The j_kick =
-    s_force/dt steps before the kick depend only on eps1, so they are
-    marched once per distinct eps1, and each distinct run is marched from
-    the kick on; the prefixes go side by side, then the runs (_side_by_side).
-    The kicked step is a step() call; the march before it and the one after
-    it raise on a resolution-guard trip. A probe that breaks PROBE_RULES or
-    FUTURE_ECHO (ConstraintViolation), or whose echo falls past
-    RECURRENCE_SAFETY of the grid recurrence time (EchoBeyondRecurrence), is
-    refused before any march."""
-    l, force_mode = int(l), int(force_mode)
-    runs = [(float(eps1), float(eps2)) for eps1, eps2 in runs]
-    problems = broken((*PROBE_RULES, FUTURE_ECHO), {
-        "l": l, "force_mode": force_mode, "s_force": s_force,
-        "k_max": config.k_max, "dt": config.dt, "t_end": config.t_end})
-    for eps1, eps2 in runs:
-        problems += broken(PROBE_RULES, {"eps1": eps1, "eps2": eps2})
-    refuse(list(dict.fromkeys(problems)))
+    steps to the kick are marched, the kicked step is a step() call, and the
+    rest are marched; both marches raise on a resolution-guard trip. The
+    trace reads stored row |k|: |rho_hat(-k)| = |rho_hat(k)|. A probe that
+    breaks PROBE_RULES or FUTURE_ECHO (ConstraintViolation), or whose echo
+    falls past RECURRENCE_SAFETY of the grid recurrence time
+    (EchoBeyondRecurrence), is refused before any step."""
+    l, force_mode = int(l), int(k_minus_l)
+    refuse(broken((*PROBE_RULES, FUTURE_ECHO), {
+        "l": l, "force_mode": force_mode, "s_force": s_force, "eps1": eps1, "eps2": eps2,
+        "k_max": config.k_max, "dt": config.dt, "t_end": config.t_end}))
     k = l + force_mode
     t_star = echo_time(l, k, s_force)
     dv = 2.0 * config.resolved_v_max() / config.n_v
@@ -1041,55 +988,30 @@ def echo_traces(config: KineticRun, l: int, force_mode: int, s_force: float, run
             f"predicted echo at t*={t_star:g} lies beyond {RECURRENCE_SAFETY:g} of "
             f"the velocity-grid recurrence time {t_rec:g}; refine the grid"
         )
+    external = None
+    if eps2 != 0.0:
+        external = np.zeros(config.k_max + 1, dtype=complex)
+        external[abs(force_mode)] = 0.5 * eps2 / config.dt
     j_kick = int(round(s_force / config.dt))
-    distinct = list(dict.fromkeys(runs))
-    seeds = list(dict.fromkeys(eps1 for eps1, _ in distinct))
-    prefixes = dict(zip(seeds, _side_by_side(
-        [partial(_echo_prefix, config, l, eps1, j_kick) for eps1 in seeds])))
-    traces = dict(zip(distinct, _side_by_side(
-        [partial(_echo_trace, config, l, force_mode, eps2, j_kick, prefixes[eps1])
-         for eps1, eps2 in distinct])))
-    return [traces[amps] for amps in runs]
+    # one name for the run's state, so no earlier one outlives the march on
+    state = equilibrium_state(config.profile, config.k_max, config.n_v, config.resolved_v_max())
+    state = perturb_density(state, config.profile, l, eps1)
+    prefix = _march(config, state, 0, j_kick, guard="raise")
+    state = step(prefix.state, config.dt, config.interaction, config.profile, config.nu,
+                 external_field_hat=external)
+    rest = _march(config, state, j_kick + 1, config.n_steps, guard="raise")
+    times = np.arange(config.n_steps + 1) * config.dt
+    # hypot rounds as the scalar complex abs does; numpy's array abs can differ
+    # in the last bit
+    trace = np.concatenate([prefix.rho[:, abs(k)], rest.rho[:, abs(k)]])
+    return times, np.hypot(trace.real, trace.imag)
 
 
-def echo_peak(trace, s_force: float, t_star: float) -> tuple[float, float, float]:
+def echo_peak(trace, s_force: float, t_star: float) -> tuple[float, float]:
     """(time, amplitude) of the parabolic peak of an echo trace (times on the
-    step grid from 0, values), and its largest sample, over the records from
-    max(3 dt, 0.15 (t_star - s_force)) past the kick at s_force."""
+    step grid from 0, values) over the records from max(3 dt, 0.15 (t_star -
+    s_force)) past the kick at s_force."""
     times, values = trace
     window = times >= _peak_window(s_force, t_star, times[1])
     times, values = times[window], values[window]
-    i = int(np.argmax(values))
-    return (*parabolic_peak(times, values, i), float(values[i]))
-
-
-def echo_report(l: int, m: int, s_force: float, kicked, baseline) -> EchoReport:
-    """The EchoReport of the probe (l, m, s_force) from the echo_traces of a
-    kicked run and of its unkicked baseline: the kicked trace's peak against
-    the predicted t* = s_force (k - l)/k, k = l + m, and the baseline's
-    largest sample over the same window."""
-    l, k = int(l), int(l) + int(m)
-    t_star = echo_time(l, k, s_force)
-    t_measured, peak_amp, _ = echo_peak(kicked, s_force, t_star)
-    return EchoReport(
-        l=l,
-        k=k,
-        s_force=float(s_force),
-        t_predicted=float(t_star),
-        t_measured=t_measured,
-        peak_amp=peak_amp,
-        baseline_amp=echo_peak(baseline, s_force, t_star)[2],
-    )
-
-
-def echo_experiment(
-    config: KineticRun, l: int, k_minus_l: int, s_force: float, eps1: float, eps2: float
-) -> EchoReport:
-    """Kick a streaming mode-l perturbation at mode k-l and locate the echo.
-
-    The echo_report of the kicked run (eps1, eps2) against its eps2 = 0
-    baseline, both from one echo_traces call: the mode-k density trace rises
-    out of nothing at the predicted t* = s_force (k - l)/k. A call with
-    eps2 = 0 is one march, its kicked trace read as the baseline."""
-    runs = [(eps1, eps2), (eps1, 0.0)]
-    return echo_report(l, k_minus_l, s_force, *echo_traces(config, l, k_minus_l, s_force, runs))
+    return parabolic_peak(times, values, int(np.argmax(values)))

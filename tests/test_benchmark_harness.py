@@ -63,7 +63,9 @@ def test_echo_jobs_pass_under_the_tracer(tmp_path):
     # kinetic.echo_experiment's first six positional arguments: a name that
     # is gone or re-signatured fails here, not only inside a benchmark run
     metrics = _run_traced(tmp_path, ("scenarios", "march_battery"), ("echo", "criterion_9"))
-    assert metrics["kinetic.echo_experiment.calls"][0] == 1  # the echo scenario's probe
+    # the echo scenario's probe run and criterion 9's, each in lane 0 of its
+    # echo_probe, in this process, where the tracer sees it
+    assert metrics["kinetic.echo_experiment.calls"][0] == 2
 
 
 def test_linear_theory_jobs_pass_under_the_tracer(tmp_path):

@@ -489,7 +489,7 @@ _STATE = kinetic.equilibrium_state(VelocityProfile.maxwellian(1.0), 2, 64)
 
 
 def _probe(l=1, force_mode=-2, s_force=5.0, eps1=1e-3, eps2=1e-3):
-    return lambda: kinetic.echo_traces(battery.ECHO_CONFIG, l, force_mode, s_force, [(eps1, eps2)])
+    return lambda: kinetic.echo_experiment(battery.ECHO_CONFIG, l, force_mode, s_force, eps1, eps2)
 
 
 def _state(**change):
@@ -749,8 +749,34 @@ def test_echo_peak_window_past_t_end_exits_2_and_is_refused_before_any_march(
     monkeypatch.setattr(kinetic, "_march", lambda *args, **kwargs: pytest.fail("marched"))
     with pytest.raises(ConstraintViolation, match="s_force: the echo's peak window opens at "
                                                   "0.08, after the last record at t_end = 0.04"):
-        kinetic.echo_traces(replace(battery.ECHO_CONFIG, t_end=0.04), 1, -2, 0.02,
-                            [(1e-3, 1e-3)])
+        kinetic.echo_experiment(replace(battery.ECHO_CONFIG, t_end=0.04), 1, -2, 0.02, 1e-3, 1e-3)
+
+
+@pytest.mark.parametrize("text, gap", [
+    (ECHO + "eps2 = 3e-2\n", 7.1e-5),
+    ("[scenario]\nname = echo_experiment\nnu = 0.1\n", 8.06e-8),
+], ids=["eps2_3e-2", "nu_0.1"])
+def test_the_echo_scenario_passes_a_strong_kick_and_collisions(tmp_path, text, gap):
+    # the gap grows as eps2^2 (a fixed 1e-5 would fail the strong kick), and
+    # the oracle relaxes its rows as the run does
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+    assert float(json.loads((out / "echo.json").read_text())["oracle_gap"]) == pytest.approx(
+        gap, rel=0.01)
+
+
+def test_a_silent_echo_fails_its_oracle_gate_with_a_report(tmp_path, capsys):
+    # no interaction and no kick: the run and its oracle are zero on mode k,
+    # so the gap is 0/0
+    path = write_config(tmp_path, ECHO + "l = 1\nforce_mode = -3\neps2 = 0\n\n"
+                                         "[interaction]\nkind = zero\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "FAIL echo_follows_its_oracle: oracle_gap=nan  peak_amp=0  [<= 0: " in captured.out
+    report = json.loads((out / "report.json").read_text())
+    assert report["criteria"][1]["measured"] == {"oracle_gap": "nan", "peak_amp": "0"}
 
 
 def test_main_exits_2_on_a_parse_error(tmp_path, capsys):
@@ -1058,6 +1084,12 @@ class TestRuns:
         assert float(echo["t_predicted"]) == pytest.approx(10.0)
         offset = abs(float(echo["t_measured"]) - 10.0) / 10.0
         assert offset <= 0.05
+        assert set(echo) == {"l", "k", "s_force", "t_predicted", "t_measured", "peak_amp",
+                             "oracle_gap"}
+        assert float(echo["oracle_gap"]) <= 1e-7  # 7.9e-8, held to 1e-5
+        criteria = json.loads((out / "report.json").read_text())["criteria"]
+        assert [c["name"] for c in criteria] == ["echo_arrives_on_time",
+                                                 "echo_follows_its_oracle"]
 
 
 _COLD_PROBE = """
