@@ -6,9 +6,9 @@ were held to, plus its wall time (criteria with a time budget fail when they
 blow it). Expensive products (Landau runs, Volterra solutions, dispersion
 roots) are built once per battery through a shared cache, and the
 conservation audit inspects the same histories the physics checks used.
-The kinetic runs a criterion needs that do not depend on each other (the
-Landau runs; the echo probe run and its second-order march) are marched
-side by side, as kinetic's _side_by_side decides.
+The Landau runs a criterion needs are marched side by side, as kinetic's
+_side_by_side decides; every other kinetic run and march is made in this
+process.
 
 The Landau, free-transport, collision-sweep and echo scenarios the battery
 checks are the command line's own: scenario_defaults gives the run a config
@@ -799,16 +799,16 @@ def echo_oracle(config: KineticRun, l: int, force_mode: int, s_force: float,
 def echo_probe(config: KineticRun, l: int, force_mode: int, s_force: float,
                eps1: float, eps2: float) -> dict:
     """The echo run echo_experiment(config, l, force_mode, s_force, eps1,
-    eps2) held to its echo_oracle, the two marched side by side
-    (_side_by_side), the run first, so it runs in this process.
+    eps2) held to its echo_oracle, both marched in this process, the run
+    first.
 
     t_predicted is t*, and t_measured and peak_amp are the echo_peak of the
     kinetic trace. oracle_gap is max |kinetic - oracle| over the steps from
     s_force + 3 dt on, relative to peak_amp, and nan for a silent echo. A
     probe echo_experiment refuses is refused before any step of the run."""
     probe = (config, l, force_mode, s_force, eps1, eps2)
-    (times, trace), oracle = _side_by_side([partial(echo_experiment, *probe),
-                                            partial(echo_oracle, *probe)])
+    times, trace = echo_experiment(*probe)
+    oracle = echo_oracle(*probe)
     t_star = echo_time(l, l + force_mode, s_force)
     t_measured, peak = echo_peak((times, trace), s_force, t_star)
     gap = float(np.max(np.abs(trace - oracle)[round(s_force / config.dt) + 3:]))

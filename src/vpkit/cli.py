@@ -82,16 +82,18 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(_json_ready(obj), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _peak_rss() -> dict:
-    """The peak RSS entry of a JSON report: MB of this process and of its
-    reaped children, the forked lanes among them, or None without resource.
-    ru_maxrss is in KiB on Linux and in bytes on macOS."""
+def _peak_rss(children: bool) -> dict:
+    """The peak RSS entry of a JSON report: MB of this process and, with
+    children, of its reaped children (the battery's forked lanes), or None
+    without resource. ru_maxrss is in KiB on Linux and in bytes on macOS."""
     try:
         import resource
     except ImportError:
         return {"peak_rss_mb": None}
     scale = 2.0**20 if sys.platform == "darwin" else 2.0**10
-    usage = {"self": resource.RUSAGE_SELF, "children": resource.RUSAGE_CHILDREN}
+    usage = {"self": resource.RUSAGE_SELF}
+    if children:
+        usage["children"] = resource.RUSAGE_CHILDREN
     return {"peak_rss_mb": {who: resource.getrusage(which).ru_maxrss / scale
                             for who, which in usage.items()}}
 
@@ -265,7 +267,7 @@ def _run_norm_battery(config: SimConfig):
     criteria = [check_norm_item(item, entry) for item, entry in asserted]
     rows = [[item, "asserted", e["cases"], e["slack"], e["passed"]] for item, e in asserted]
     rows += [
-        [item, "observed", 0, str(note).replace(",", ";"), True]
+        [item, "observed", 0, str(note).replace(",", ";"), ""]
         for item, note in sorted(report.observed.items())
     ]
     return criteria, {"norms.csv": [_csv_bytes(["item", "kind", "cases", "value", "passed"], rows)]}
@@ -391,7 +393,7 @@ def run_scenario(config: SimConfig) -> RunReport:
         out_dir=str(out),
         wall_seconds=time.perf_counter() - t0,
     )
-    (out / "report.json").write_bytes(_json_bytes(report.as_dict() | _peak_rss()))
+    (out / "report.json").write_bytes(_json_bytes(report.as_dict() | _peak_rss(children=False)))
     return report
 
 
@@ -408,7 +410,8 @@ def acceptance(suite: str = "all", out_dir: str | None = None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "acceptance_summary.csv").write_bytes(battery.summary_csv().encode("utf-8"))
-        (out / "acceptance_report.json").write_bytes(_json_bytes(battery.as_dict() | _peak_rss()))
+        report = battery.as_dict() | _peak_rss(children=True)
+        (out / "acceptance_report.json").write_bytes(_json_bytes(report))
     return battery
 
 

@@ -20,13 +20,13 @@ only for the states it hands out. The kernel keeps no state: a march
 allocates the step's work arrays once, a step() call its own, and each drops
 them on return.
 
-Marches that do not depend on each other (the battery's Landau runs, the
-echo run and its second-order march) can go side by side: _side_by_side
-runs lane 0 of a list of calls in this process and each other lane in an
-os.fork()ed child, one lane held to each CPU, when the process runs a
-single thread (pin BLAS to one thread, OPENBLAS_NUM_THREADS=1, to allow
-it), and otherwise runs them all here. A march is the same code on the
-same inputs either way, so its results are the same bytes.
+Marches that do not depend on each other (the battery's Landau runs) can
+go side by side: _side_by_side runs lane 0 of a list of calls in this
+process and each other lane in an os.fork()ed child, one lane held to each
+CPU, when the process runs a single thread (pin BLAS to one thread,
+OPENBLAS_NUM_THREADS=1, to allow it), and otherwise runs them all here. A
+march is the same code on the same inputs either way, so its results are
+the same bytes.
 
 Module contents:
 

@@ -10,6 +10,9 @@ tolerance it was held to.
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,6 +122,47 @@ def test_criterion_03_fails_when_a_run_stops_before_t_end(monkeypatch):
     assert result.measured["stop_reason"] == diag["stop_reason"] == "resolution_exceeded"
     assert result.measured["stop_time"] == diag["stop_time"] < acceptance.LANDAU_CONFIG.t_end
     assert result.measured["max_mass_drift"] < 1e-10  # the mass gate alone would pass
+
+
+# Wraps kinetic._march and acceptance.perturbation_march in this interpreter,
+# runs the echo suite and prints the guard of each kinetic march and the
+# number of second-order oracle marches.
+_WATCHED_ECHO = """
+import json
+from vpkit import acceptance, kinetic
+
+march, oracle = kinetic._march, acceptance.perturbation_march
+seen = {"marches": [], "oracles": 0}
+
+def watched_march(*args, guard, **kwargs):
+    seen["marches"].append(guard)
+    return march(*args, guard=guard, **kwargs)
+
+def watched_oracle(*args, **kwargs):
+    seen["oracles"] += 1
+    return oracle(*args, **kwargs)
+
+kinetic._march = acceptance._march = watched_march
+acceptance.perturbation_march = watched_oracle
+seen["passed"] = acceptance.run_battery("echo").passed
+print(json.dumps(seen))
+"""
+
+
+def test_the_echo_probe_marches_in_the_calling_process():
+    # BLAS on one thread, as the benchmark runs the battery, so that
+    # kinetic._side_by_side may fork: criterion 9's probe run and its oracle
+    # must both reach this interpreter's wrappers
+    src = str(Path(acceptance.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _WATCHED_ECHO], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    seen = json.loads(done.stdout)
+    assert seen["passed"]
+    # the probe run to the kick and on from it, then its oracle
+    assert seen["marches"] == ["raise", "raise"]
+    assert seen["oracles"] == 1
 
 
 def test_criterion_04_damping_rate_three_routes(cache):

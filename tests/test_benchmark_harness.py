@@ -63,8 +63,8 @@ def test_echo_jobs_pass_under_the_tracer(tmp_path):
     # kinetic.echo_experiment's first six positional arguments: a name that
     # is gone or re-signatured fails here, not only inside a benchmark run
     metrics = _run_traced(tmp_path, ("scenarios", "march_battery"), ("echo", "criterion_9"))
-    # the echo scenario's probe run and criterion 9's, each in lane 0 of its
-    # echo_probe, in this process, where the tracer sees it
+    # the echo scenario's probe run and criterion 9's, each made by its
+    # echo_probe in this process, where the tracer sees it
     assert metrics["kinetic.echo_experiment.calls"][0] == 2
 
 

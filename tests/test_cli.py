@@ -847,9 +847,8 @@ class TestRuns:
         assert main(["run", str(path), "--out", str(tmp_path / "a"), "--quiet"]) == 0
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
         report = json.loads((tmp_path / "a" / "report.json").read_text())
-        assert sorted(report["peak_rss_mb"]) == ["children", "self"]
+        assert sorted(report["peak_rss_mb"]) == ["self"]  # a run forks nothing
         assert before <= float(report["peak_rss_mb"]["self"]) <= after
-        assert float(report["peak_rss_mb"]["children"]) >= 0.0
         monkeypatch.setitem(sys.modules, "resource", None)  # a platform without it
         assert main(["run", str(path), "--out", str(tmp_path / "b"), "--quiet"]) == 0
         bare = json.loads((tmp_path / "b" / "report.json").read_text())
@@ -911,6 +910,19 @@ class TestRuns:
         text = blobs[0].decode()
         assert text.splitlines()[0] == "item,kind,cases,value,passed"
         assert "observed" in text
+
+    def test_norm_battery_claims_no_pass_it_did_not_check(self, tmp_path):
+        # an observed item (a skipped check, an unchecked ratio) gets an
+        # empty passed cell; only an asserted item reads true or false
+        out = tmp_path / "out"
+        assert main(["run", str(SHIPPED_CONFIGS / "norm_battery.ini"), "--out", str(out),
+                     "--quiet"]) == 0
+        rows = [line.split(",") for line in (out / "norms.csv").read_text().splitlines()[1:]]
+        passed = {kind: {row[4] for row in rows if row[1] == kind}
+                  for kind in ("asserted", "observed")}
+        assert passed["observed"] == {""}
+        assert passed["asserted"] and passed["asserted"] <= {"true", "false"}
+        assert {row[1] for row in rows} == {"asserted", "observed"}
 
     def test_stability_scan_reports_positive_margin(self, tmp_path):
         path = write_config(
@@ -1340,6 +1352,9 @@ class TestAcceptanceCommand:
         assert report["suite"] == "norm_battery"
         assert [r["index"] for r in report["criteria"]] == [10]
         assert float(report["peak_rss_mb"]["self"]) > 0.0  # outside the summary CSV
+        # the battery's forked lanes are reaped children
+        assert sorted(report["peak_rss_mb"]) == ["children", "self"]
+        assert float(report["peak_rss_mb"]["children"]) >= 0.0
 
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["acceptance", "nonsense"]) == 2
