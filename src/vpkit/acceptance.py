@@ -6,9 +6,9 @@ were held to, plus its wall time (criteria with a time budget fail when they
 blow it). Expensive products (Landau runs, Volterra solutions, dispersion
 roots) are built once per battery through a shared cache, and the
 conservation audit inspects the same histories the physics checks used.
-The Landau runs a criterion needs are marched side by side, as kinetic's
-_side_by_side decides; every other kinetic run and march is made in this
-process.
+Criterion 3's three runs are marched two at a time where kinetic's
+_side_by_side may fork: the Landau run at nu = 0.01 in one forked child, the
+other two here. Every other kinetic run and march is made in this process.
 
 The Landau, free-transport, collision-sweep and echo scenarios the battery
 checks are the command line's own: scenario_defaults gives the run a config
@@ -387,7 +387,8 @@ _RUNS = {**{key: (replace(LANDAU_CONFIG, nu=key[1]), f"landau nu={key[1]:g}")
 
 def _run_products(cache, *keys) -> list:
     """The (history, diagnostics) of each run of _RUNS named by keys, marched
-    once per cache: the runs not yet in it side by side (_side_by_side)."""
+    once per cache: the runs not yet in it side by side (_side_by_side), the
+    odd-numbered ones in a forked child where it may fork."""
     todo = [key for key in keys if key not in cache]
     cache.update(zip(todo, _side_by_side([partial(run, _RUNS[key][0]) for key in todo])))
     return [cache[key] for key in keys]
@@ -519,7 +520,7 @@ def criterion_3(cache=None) -> CriterionResult:
     measured = {"runs_audited": len(drifts), "max_mass_drift": mass.measured["relative_drift"]}
     # a run that stopped early audits a truncated history: the criterion
     # names the first one (a wrapper of kinetic.run in this process does
-    # not see a run marched in a forked lane)
+    # not see the Landau run at nu = 0.01, marched in the forked child)
     stopped = [(label, diag) for label, (_, diag) in runs.items()
                if diag["stop_reason"] != "t_end"]
     if stopped:

@@ -84,7 +84,7 @@ def _json_bytes(obj) -> bytes:
 
 def _peak_rss(children: bool) -> dict:
     """The peak RSS entry of a JSON report: MB of this process and, with
-    children, of its reaped children (the battery's forked lanes), or None
+    children, of its reaped children (the battery's forked child), or None
     without resource. ru_maxrss is in KiB on Linux and in bytes on macOS."""
     try:
         import resource

@@ -91,20 +91,12 @@ def _nus(label, text, problems):
     return tuple(sorted(set(values)))
 
 
-# The kinds of [profile] and [interaction]: the keys each reads, in its
-# constructor's order. Setting a key that another kind reads is a problem.
-_MODELS = {
-    "profile": {
-        "maxwellian": (("thermal_speed",), VelocityProfile.maxwellian),
-        "sum_of_maxwellians": (("components",), VelocityProfile.sum_of_maxwellians),
-    },
-    "interaction": {
-        "power_law": (("gamma", "amplitude", "sign"), Interaction.power_law),
-        "zero": ((), Interaction.zero),
-    },
-}
-_KIND_OF = {f"{sec}.{key}": kind for sec, kinds in _MODELS.items()
-            for kind, (keys, _) in kinds.items() for key in keys}
+# The model of [profile] and of [interaction]: a kind reads the keys
+# model.KINDS names, and the constructor of its name builds it. Setting a key
+# that another kind reads is a problem.
+_MODELS = {"profile": VelocityProfile, "interaction": Interaction}
+_KIND_OF = {f"{sec}.{key}": kind for sec, model in _MODELS.items()
+            for kind, keys in model.KINDS.items() for key in keys}
 
 # Cold Maxwellian for the Landau-damping family of runs.
 _COLD = dict.fromkeys(("linear_landau", "free_transport_check", "collision_sweep"), "0.05")
@@ -152,7 +144,7 @@ _KEYS = (
 # The bounds of the keys that set no object's field (errors.broken rules).
 _OWN_RULES = (
     (("scenario.seed",), lambda seed: seed >= 0, "must be >= 0"),
-    (("profile.kind",), lambda kind: kind in _MODELS["profile"],
+    (("profile.kind",), lambda kind: kind in VelocityProfile.KINDS,
      "unknown kind {!r} (maxwellian, sum_of_maxwellians)"),
     (("outputs.directory",), bool, "must be non-empty"),
     (("kernel.cases",), lambda cases: 1 <= cases <= 100000, "must lie in 1..100000"),
@@ -322,7 +314,7 @@ def _resolve(user: dict) -> SimConfig:
             continue
         reader = _KIND_OF.get(label)
         if reader is not None and merged[sec]["kind"] != reader:
-            if merged[sec]["kind"] in _MODELS[sec] and key in user.get(sec, {}):
+            if merged[sec]["kind"] in _MODELS[sec].KINDS and key in user.get(sec, {}):
                 problems.append(f"{label}: only applies to kind = {reader}")
             continue
         v[label] = _value(kind, label, merged[sec].get(key, ""), problems)
@@ -335,11 +327,11 @@ def _resolve(user: dict) -> SimConfig:
         problems.extend(broken(rules, v, names))
 
     models = dict.fromkeys(_MODELS)  # the profile and interaction, once their keys are valid
-    for sec, kinds in _MODELS.items():
-        if v[f"{sec}.kind"] is not None:
-            keys, build = kinds[v[f"{sec}.kind"]]
-            args = [v[f"{sec}.{key}"] for key in keys]
-            models[sec] = None if None in args else build(*args)
+    for sec, model in _MODELS.items():
+        kind = v[f"{sec}.kind"]
+        if kind is not None:
+            args = [v[f"{sec}.{key}"] for key in model.KINDS[kind]]
+            models[sec] = None if None in args else getattr(model, kind)(*args)
     profile, interaction = models["profile"], models["interaction"]
 
     # the splitting phase budget of a marched run, which the march would refuse

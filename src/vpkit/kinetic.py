@@ -21,12 +21,11 @@ allocates the step's work arrays once, a step() call its own, and each drops
 them on return.
 
 Marches that do not depend on each other (the battery's Landau runs) can
-go side by side: _side_by_side runs lane 0 of a list of calls in this
-process and each other lane in an os.fork()ed child, one lane held to each
-CPU, when the process runs a single thread (pin BLAS to one thread,
-OPENBLAS_NUM_THREADS=1, to allow it), and otherwise runs them all here. A
-march is the same code on the same inputs either way, so its results are
-the same bytes.
+go side by side: _side_by_side makes the odd-numbered calls of a list in one
+os.fork()ed child on a second CPU and the rest in this process, when the
+process runs a single thread (pin BLAS to one thread, OPENBLAS_NUM_THREADS=1,
+to allow it), and otherwise makes them all here. A march is the same code on
+the same inputs either way, so its results are the same bytes.
 
 Module contents:
 
@@ -790,24 +789,18 @@ def _march(config: KineticRun, state: PhaseState, n0: int, n1: int, *, guard: st
                     momentum, trip, kept)
 
 
-def _single_threaded() -> bool:
-    """Whether /proc/self/status reads Threads: 1 (False where it cannot be
-    read). An unpinned OpenBLAS pool is a second thread."""
+def _may_fork() -> bool:
+    """Whether _side_by_side may fork: this process runs a single thread
+    (/proc/self/status reads Threads: 1; False where it cannot be read) on
+    two or more CPUs of its affinity mask. A fork of a threaded process is
+    unsafe, and an unpinned OpenBLAS pool is a second thread: two processes
+    each running a BLAS pool over both CPUs oversubscribe."""
     try:
         with open("/proc/self/status", "rb") as status:
-            return b"\nThreads:\t1\n" in status.read()
+            single = b"\nThreads:\t1\n" in status.read()
     except OSError:
         return False
-
-
-def _lanes(n_calls: int) -> int:
-    """How many lanes _side_by_side deals n_calls calls into: one per CPU of
-    the affinity mask and at most one per call, when the process runs a
-    single thread; otherwise 1. A fork of a threaded process is unsafe, and
-    two processes each running a BLAS pool over both CPUs oversubscribe."""
-    if n_calls < 2 or not hasattr(os, "sched_getaffinity") or not _single_threaded():
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_calls)
+    return single and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def _lane_outcome(calls) -> tuple:
@@ -822,101 +815,78 @@ def _lane_outcome(calls) -> tuple:
     return results, None
 
 
-def _fork_lane(calls, cpu: int):
-    """Make calls in an os.fork()ed child held to CPU cpu: (pid, read end of
-    its pipe), or None when the fork fails.
-
-    The child sends back one pickle, the lane's outcome and the warnings its
-    calls issued, and leaves by os._exit, so it writes nothing else and runs
-    none of this process's exit handlers. It exits with status 1 when it
-    cannot send the outcome (one that does not pickle, or a BaseException
-    such as KeyboardInterrupt)."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            os.sched_setaffinity(0, {cpu})
-            with warnings.catch_warnings(record=True) as caught:
-                outcome = _lane_outcome(calls)
-            issued = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-            payload = pickle.dumps((outcome, issued), pickle.HIGHEST_PROTOCOL)
-            with open(write, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
 def _side_by_side(calls) -> list:
     """The results of independent zero-argument calls, in call order.
 
-    The calls are dealt in turn into _lanes(len(calls)) lanes. Lane 0 runs
-    in this process; each other lane runs in an os.fork()ed child
-    (_fork_lane), whose pickled results and exceptions come back through a
-    pipe, and whose warnings are issued again here. A lane whose fork fails
-    runs here too. Lane i is held to the i-th CPU of the affinity mask, and
-    this process's mask is restored on return: left to the scheduler, two
-    runs in two processes ran no faster than one after the other on a
-    2-CPU virtual machine. A lane stops at its first failing call, and the
-    exception raised is that of the first failing call in call order, the
-    one a loop over the calls would raise. A child that exits without
-    sending its outcome raises VpkitError naming its exit status. Every
-    child is reaped before this returns or raises; one still running then
-    (this process was interrupted) is killed first.
+    Where _may_fork() and there are two or more calls, the odd-numbered
+    calls are made in one os.fork()ed child held to the second CPU of the
+    affinity mask and the rest here, held to the first, and the mask is
+    restored on return: left to the scheduler, two runs in two processes ran
+    no faster than one after the other on a 2-CPU virtual machine. More CPUs
+    add no lane, since the one caller's longest run alone is its critical
+    path. Otherwise, and when the fork fails, every call is made here.
 
-    A monkeypatch made before the call is seen by the children, but what a
-    child does to this process's objects is lost: the children's memory,
-    like their time, lies outside this process's own accounts."""
-    n = _lanes(len(calls))
-    lanes = [calls[lane::n] for lane in range(n)]
-    if n == 1:
+    Each side stops at its first failing call; the exception raised is the
+    first in call order, the one a loop over the calls would raise. The
+    child pickles back its outcome and the warnings its calls issued, which
+    are issued again here, and leaves by os._exit, running none of this
+    process's exit handlers; one that sends nothing (an outcome that does
+    not pickle, a BaseException) raises VpkitError naming its exit status.
+    The child is reaped before this returns or raises, and killed first if
+    this process is interrupted. It sees a monkeypatch made before the call,
+    but what it does to this process's objects is lost, and its memory and
+    time lie outside this process's own accounts."""
+    if len(calls) < 2 or not _may_fork():
         return [call() for call in calls]
     mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
-    forked, outcomes = {}, [None] * n
+    cpus = sorted(mask)[:2]
+    os.sched_setaffinity(0, {cpus[0]})
     try:
-        os.sched_setaffinity(0, {cpus[0]})
-        for lane in range(1, n):
-            child = _fork_lane(lanes[lane], cpus[lane % len(cpus)])
-            if child is not None:
-                forked[lane] = child
-        for lane in range(n):
-            if lane not in forked:
-                outcomes[lane] = _lane_outcome(lanes[lane])
-        for lane, (pid, read) in forked.items():
-            with open(read, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            outcomes[lane] = ([], VpkitError(
-                f"a forked lane exited with status {code} and sent no result"))
-            if payload:
-                outcomes[lane], issued = pickle.loads(payload)
-                for message, category, filename, lineno in issued:
-                    warnings.warn_explicit(message, category, filename, lineno)
-    finally:
-        for lane, (pid, read) in forked.items():
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
             os.close(read)
-            if outcomes[lane] is None:  # not reaped: this process was interrupted
+            os.close(write)
+            return [call() for call in calls]
+        if pid == 0:
+            status = 1
+            try:
+                os.sched_setaffinity(0, {cpus[-1]})
+                with warnings.catch_warnings(record=True) as caught:
+                    outcome = _lane_outcome(calls[1::2])
+                issued = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+                payload = pickle.dumps((outcome, issued), pickle.HIGHEST_PROTOCOL)
+                with open(write, "wb") as pipe:
+                    pipe.write(payload)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        with open(read, "rb") as pipe:
+            try:
+                here = _lane_outcome(calls[::2])
+                payload = pipe.read()
+            except BaseException:  # this process was interrupted
                 import signal
 
                 os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                raise
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
         os.sched_setaffinity(0, mask)
+    there = ([], VpkitError(f"the forked child exited with status {code} and sent no result"))
+    if payload:
+        there, issued = pickle.loads(payload)
+        for message, category, filename, lineno in issued:
+            warnings.warn_explicit(message, category, filename, lineno)
     results = []
     for i in range(len(calls)):
-        done, err = outcomes[i % n]
-        if i // n == len(done):
+        done, err = (here, there)[i % 2]
+        if i // 2 == len(done):
             raise err
-        results.append(done[i // n])
+        results.append(done[i // 2])
     return results
 
 

@@ -33,7 +33,7 @@ NU_RULE = (("nu",), lambda nu: nu >= 0, "collision frequency must be >= 0")
 MAXWELLIAN_RULES = ((("thermal_speed",), lambda s: s > 0, "must be > 0"),)
 GAMMA_RULE = (("gamma",), lambda g: 1 < g < math.inf, "must exceed 1 for a summable potential")
 INTERACTION_RULES = (
-    (("kind",), lambda kind: kind in ("power_law", "zero"), "unknown kind {!r} (power_law, zero)"),
+    (("kind",), lambda kind: kind in Interaction.KINDS, "unknown kind {!r} (power_law, zero)"),
     GAMMA_RULE,
     (("amplitude",), lambda a: 0 < a <= 1, "must lie in (0, 1] (the decay bound)"),
     (("sign",), lambda sign: sign in (1, -1), "must be 1 or -1"),
@@ -49,6 +49,8 @@ class VelocityProfile:
     """
 
     components: tuple
+    # the keys each kind reads, in the order of its constructor of that name
+    KINDS = {"maxwellian": ("thermal_speed",), "sum_of_maxwellians": ("components",)}
 
     def __post_init__(self):
         comps = tuple((float(w), float(c), float(s)) for w, c, s in self.components)
@@ -116,9 +118,11 @@ class Interaction:
     gamma: float = 2.0
     amplitude: float = 1.0
     sign: int = 1
+    # the keys each kind reads, in the order of its constructor of that name
+    KINDS = {"power_law": ("gamma", "amplitude", "sign"), "zero": ()}
 
     def __post_init__(self):
-        read = ("kind", "gamma", "amplitude", "sign") if self.kind == "power_law" else ("kind",)
+        read = ("kind", *self.KINDS.get(self.kind, ()))
         refuse(broken(INTERACTION_RULES, {f: getattr(self, f) for f in read}))
 
     @classmethod

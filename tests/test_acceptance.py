@@ -108,12 +108,13 @@ def test_criterion_03_conservation_audit(cache):
 def test_criterion_03_fails_when_a_run_stops_before_t_end(monkeypatch):
     # the Landau runs' edge fraction passes 1e-17 before t = 1 (the
     # nonlinear run's stays below 2e-19): with the guard at that tolerance
-    # both stop there. The runs go side by side, so one stops in a forked
-    # child, out of sight of any wrapper of kinetic.run in this process
+    # both stop there. The runs go side by side, so the one at nu = 0.01
+    # stops in the forked child, out of sight of any wrapper of kinetic.run
+    # in this process
     from vpkit import kinetic
 
     monkeypatch.setattr(kinetic, "RESOLUTION_TOL", 1e-17)
-    monkeypatch.setattr(kinetic, "_lanes", lambda n: min(n, 2))
+    monkeypatch.setattr(kinetic, "_may_fork", lambda: True)
     cache = {}
     result = acceptance.criterion_3(cache)
     _, diag = cache[("landau", 0.0)]
@@ -151,8 +152,8 @@ print(json.dumps(seen))
 
 def test_the_echo_probe_marches_in_the_calling_process():
     # BLAS on one thread, as the benchmark runs the battery, so that
-    # kinetic._side_by_side may fork: criterion 9's probe run and its oracle
-    # must both reach this interpreter's wrappers
+    # kinetic._side_by_side may fork its child: criterion 9's probe run and
+    # its oracle must both reach this interpreter's wrappers
     src = str(Path(acceptance.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -109,7 +109,7 @@ ERROR_ARGS = {
 
 @pytest.mark.parametrize("name", ERRORS)
 def test_every_error_survives_a_pickle_round_trip(name):
-    # a forked lane sends its exception back as a pickle
+    # the forked child of kinetic._side_by_side sends its exception back as a pickle
     error = getattr(errors, name)(*ERROR_ARGS.get(name, ("message",)))
     copy = pickle.loads(pickle.dumps(error, pickle.HIGHEST_PROTOCOL))
     assert type(copy) is type(error)
@@ -135,8 +135,10 @@ KNOB_ALLOWLIST = {
     **{(f"criterion_{n}", "cache"): "reached through CRITERIA as fn(cache); the tests "
        "share one product cache" for n in range(1, 13)},
     ("main", "argv"): "the entry point: the console script calls main(), which parses sys.argv",
-    ("power_law", "amplitude"): "called as build(*args) through config._MODELS",
-    ("power_law", "sign"): "called as build(*args) through config._MODELS",
+    ("power_law", "amplitude"): "called as getattr(model, kind)(*args) with the keys of "
+    "Interaction.KINDS in config._resolve",
+    ("power_law", "sign"): "called as getattr(model, kind)(*args) with the keys of "
+    "Interaction.KINDS in config._resolve",
     ("PropertyReport", "items"): "state filled after construction",
     ("PropertyReport", "observed"): "state filled after construction",
 }

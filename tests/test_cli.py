@@ -1119,8 +1119,8 @@ def cold_runs(tmp_path_factory):
     battery, each in a fresh interpreter: (output root, [(args, stdout)]).
 
     BLAS is pinned to one thread, so each interpreter runs a single thread
-    and marches side by side where it can (kinetic._side_by_side); the
-    in-process tests cover the serial path."""
+    and the battery forks its one child where it can (kinetic._side_by_side);
+    the in-process tests cover the serial path."""
     root = tmp_path_factory.mktemp("cold")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -1352,7 +1352,7 @@ class TestAcceptanceCommand:
         assert report["suite"] == "norm_battery"
         assert [r["index"] for r in report["criteria"]] == [10]
         assert float(report["peak_rss_mb"]["self"]) > 0.0  # outside the summary CSV
-        # the battery's forked lanes are reaped children
+        # the battery's forked child is a reaped child
         assert sorted(report["peak_rss_mb"]) == ["children", "self"]
         assert float(report["peak_rss_mb"]["children"]) >= 0.0
 

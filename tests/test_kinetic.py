@@ -800,7 +800,7 @@ def doubled_reports():
 def count_steps(monkeypatch):
     """Count applications of the step kernel, which step() and every march run.
 
-    The marches are held in this process: a forked lane of _side_by_side
+    The marches are held in this process: the forked child of _side_by_side
     would count into its own copy of the list."""
     calls = []
     real_advance = kin._advance
@@ -810,13 +810,82 @@ def count_steps(monkeypatch):
         return real_advance(*args, **kwargs)
 
     monkeypatch.setattr(kin, "_advance", counted)
-    monkeypatch.setattr(kin, "_lanes", lambda n_calls: 1)
+    monkeypatch.setattr(kin, "_may_fork", lambda: False)
     return calls
 
 
 def two_lanes(monkeypatch):
-    """Let _side_by_side fork one lane whatever the CPUs and threads."""
-    monkeypatch.setattr(kin, "_lanes", lambda n_calls: min(n_calls, 2))
+    """Let _side_by_side fork its child whatever the CPUs and threads."""
+    monkeypatch.setattr(kin, "_may_fork", lambda: True)
+
+
+def one_thread(script):
+    """The JSON that script prints, run in a fresh interpreter with BLAS on
+    one thread, so that the interpreter runs a single thread."""
+    src = str(Path(kin.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+# _side_by_side on one CPU, on two CPUs with the fork refused, and beside a
+# second thread: [results, forks tried, CPU sets pinned] for each.
+_FORK_GATE = """
+import json, os, threading
+from vpkit import kinetic
+
+forks, pins = [], []
+
+def refused():
+    forks.append(1)
+    raise OSError(11, "fork refused")
+
+os.fork = refused
+os.sched_setaffinity = lambda pid, cpus: pins.append(sorted(cpus))
+calls = [lambda: 1, lambda: 2, lambda: 3]
+seen = {}
+os.sched_getaffinity = lambda pid: {0}
+seen["one_cpu"] = [kinetic._side_by_side(calls), len(forks), list(pins)]
+os.sched_getaffinity = lambda pid: {0, 1}
+seen["refused"] = [kinetic._side_by_side(calls), len(forks), list(pins)]
+release = threading.Event()
+thread = threading.Thread(target=release.wait, daemon=True)
+thread.start()
+seen["threaded"] = [kinetic._may_fork(), kinetic._side_by_side(calls), len(forks)]
+release.set()
+thread.join()
+print(json.dumps(seen))
+"""
+
+# _side_by_side of three calls under a three-CPU mask: the forks made (counted
+# by a wrapped os.fork), each call's side, and the CPU sets pinned, recorded
+# in place of pinning.
+_THREE_CPUS = """
+import json, os
+from vpkit import kinetic
+
+forks, pins = [], []
+fork = os.fork
+
+def counted():
+    forks.append(1)
+    return fork()
+
+parent = os.getpid()
+os.fork = counted
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+os.sched_setaffinity = lambda pid, cpus: pins.append(sorted(cpus))
+
+def call(i):
+    if os.getpid() == parent:
+        return [i, "here"]
+    return [i, "child", list(pins)]
+
+results = kinetic._side_by_side([lambda i=i: call(i) for i in range(3)])
+print(json.dumps({"forks": len(forks), "results": results, "pins": pins}))
+"""
 
 
 def assert_no_child_left():
@@ -832,11 +901,12 @@ class TestSideBySide:
         got = kin._side_by_side([lambda i=i: (i, os.getpid(), os.sched_getaffinity(0))
                                  for i in range(5)])
         assert [i for i, _, _ in got] == list(range(5))
-        # calls 0, 2, 4 ran here, 1 and 3 in one forked child, each lane held
-        # to its own CPU while it ran; this process's mask is back
+        # calls 0, 2, 4 ran here held to the first CPU, 1 and 3 in one forked
+        # child held to the second (the only one, on a one-CPU host); this
+        # process's mask is back
         assert {pid for _, pid, _ in got[::2]} == {os.getpid()}
         assert len({pid for _, pid, _ in got[1::2]} - {os.getpid()}) == 1
-        assert [cpu for _, _, cpu in got] == [{cpus[lane % len(cpus)]} for lane in (0, 1, 0, 1, 0)]
+        assert [cpu for _, _, cpu in got] == [{cpus[:2][side]} for side in (0, -1, 0, -1, 0)]
         assert os.sched_getaffinity(0) == mask
         assert_no_child_left()
 
@@ -898,44 +968,29 @@ class TestSideBySide:
         with pytest.warns(RuntimeWarning, match="from the forked lane"):
             assert kin._side_by_side([lambda: 1, warns]) == [1, 2]
 
-    def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
-        import threading
+    def test_one_cpu_or_a_second_thread_never_forks(self):
+        seen = one_thread(_FORK_GATE)
+        # one CPU: no fork and no pin
+        assert seen["one_cpu"] == [[1, 2, 3], 0, []]
+        # the control, two CPUs and one thread: the fork is tried, and when it
+        # fails every call runs here, held to the first CPU, then the mask is back
+        assert seen["refused"] == [[1, 2, 3], 1, [[0], [0, 1]]]
+        # a second thread, on two CPUs: no fork
+        assert seen["threaded"] == [False, [1, 2, 3], 1]
 
-        forks = []
-
-        def refused():
-            forks.append(1)
-            raise OSError(11, "fork refused")
-
-        calls = [lambda: 1, lambda: 2, lambda: 3]
-        single_threaded = kin._single_threaded
-        pins = []
-        monkeypatch.setattr(os, "fork", refused)
-        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus))
-        monkeypatch.setattr(kin, "_single_threaded", lambda: True)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert kin._side_by_side(calls) == [1, 2, 3] and forks == [] and pins == []
-        # the control: two CPUs and one thread fork a lane, which runs here
-        # when the fork fails, with this process held to the first CPU
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert kin._side_by_side(calls) == [1, 2, 3] and forks == [1]
-        assert pins == [{0}, {0, 1}]
-        monkeypatch.setattr(kin, "_single_threaded", single_threaded)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert not kin._single_threaded()
-            assert kin._side_by_side(calls) == [1, 2, 3] and forks == [1]
-        finally:
-            release.set()
-            thread.join()
+    def test_three_cpus_fork_one_child(self):
+        seen = one_thread(_THREE_CPUS)
+        # calls 0 and 2 ran here, held to CPU 0; call 1 in the one child, held
+        # to CPU 1; this process's mask is back. No CPU was really pinned.
+        assert seen["forks"] == 1
+        assert seen["results"] == [[0, "here"], [1, "child", [[0], [1]]], [2, "here"]]
+        assert seen["pins"] == [[0], [0, 1, 2]]
 
     def test_echo_runs_side_by_side_match_the_serial_bytes(self, monkeypatch):
         short = replace(ECHO_CFG, t_end=1.0, k_max=4, n_v=128)
         runs = [partial(echo_experiment, short, 1, -2, 0.5, *amps)
                 for amps in ((1e-3, 1e-3), (1e-3, 0.0), (2e-3, 1e-3))]
-        monkeypatch.setattr(kin, "_lanes", lambda n_calls: 1)
+        monkeypatch.setattr(kin, "_may_fork", lambda: False)
         serial = kin._side_by_side(runs)
         two_lanes(monkeypatch)
         forked = kin._side_by_side(runs)
